@@ -58,8 +58,9 @@ bench-engine:
 	$(PYTHON) benchmarks/bench_engine.py --out BENCH_engine.json
 	$(PYTHON) benchmarks/bench_engine.py --check BENCH_engine.json
 
-# Node-path vs flat QuerySession: bit-identical answers check plus the
-# many-queries-per-graph speedup sweep, BENCH_queries.json with the
+# Node graph (CTNode materialisation + to_flat) vs straight-to-flat
+# cleaning, both answered by QuerySession: identical-answers check plus
+# the many-queries-per-graph speedup sweep, BENCH_queries.json with the
 # headline number.
 bench-queries:
 	$(PYTHON) benchmarks/bench_queries.py --out BENCH_queries.json

@@ -19,7 +19,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.report import query_time_table
 from repro.experiments.workloads import random_trajectory_queries
-from repro.queries.stay import stay_query
+from repro.queries.session import QuerySession
 from repro.queries.trajectory import TrajectoryQuery
 
 _CONFIG_ITEMS = list(CONSTRAINT_CONFIGS.items())
@@ -27,12 +27,14 @@ _CONFIG_ITEMS = list(CONSTRAINT_CONFIGS.items())
 
 @pytest.fixture(scope="module")
 def graphs(syn1, constraint_cache):
-    """One cleaned graph per configuration (longest duration of SYN1)."""
+    """One cleaned graph per configuration (longest duration of SYN1), in
+    the flat form queries run on — converted here, outside the timers."""
     duration = syn1.durations[-1]
     trajectory = syn1.trajectories[duration][0]
     lsequence = LSequence.from_readings(trajectory.readings, syn1.prior)
     return {
-        name: build_ct_graph(lsequence, constraint_cache(syn1, kinds))
+        name: build_ct_graph(lsequence,
+                             constraint_cache(syn1, kinds)).to_flat()
         for name, kinds in _CONFIG_ITEMS
     }
 
@@ -43,8 +45,8 @@ def test_stay_query_time(benchmark, graphs, config_name):
     taus = list(range(0, graph.duration, max(1, graph.duration // 16)))
 
     def workload():
-        graph._node_marginals = None      # pay the real forward-pass cost
-        return [stay_query(graph, tau) for tau in taus]
+        # A fresh session per query: each pays the real forward-pass cost.
+        return [QuerySession(graph).location_marginal(tau) for tau in taus]
 
     benchmark.pedantic(workload, rounds=3, iterations=1, warmup_rounds=0)
     benchmark.extra_info["config"] = config_name

@@ -1,24 +1,26 @@
-"""Node-path vs. flat ``QuerySession``: many-queries-per-graph speedup.
+"""Node graph vs. straight-to-flat cleaning: many-queries-per-graph speedup.
 
-The flat query engine (:class:`repro.core.flatgraph.FlatCTGraph` +
-:class:`repro.queries.session.QuerySession`) must be *bit-identical* to
-the ``CTGraph`` object-path query functions — this bench both asserts
-that (every statement's value compared across paths) and records how
-much faster the flat pipeline answers a realistic analysis session:
-clean one long periodic l-sequence, then ask eleven questions of it
-(marginals, entropy, visit/first-visit/span, a pattern match, the MAP
-trajectory and the top-10 trajectories).
+Every query runs on :class:`repro.queries.session.QuerySession` over a
+flat graph; what the graph's form changes is the work before the first
+answer.  This bench asserts that both forms answer identically (every
+statement's value compared across paths) and records how much faster
+the flat pipeline answers a realistic analysis session: clean one long
+periodic l-sequence, then ask eleven questions of it (marginals,
+entropy, visit/first-visit/span, a pattern match, the MAP trajectory
+and the top-10 trajectories).
 
 * **node path** — ``CleaningOptions(engine="compact")`` materialising
-  ``CTNode`` objects, each statement answered by the object-path
-  query functions (``repro.queries.ql.execute`` on the ``CTGraph``);
+  ``CTNode`` objects; ``repro.queries.ql.execute`` on the ``CTGraph``
+  converts it once through ``to_flat()`` and answers every statement
+  through the session the graph caches (python backend);
 * **flat path** — the same cleaning with ``materialize="flat"`` (no
   ``CTNode`` is ever built), all statements answered through one shared
   :class:`~repro.queries.session.QuerySession`.
 
-Both sides use the compact cleaning engine, so the measured gap is the
-query layer + materialisation, not the engine (``bench_engine`` covers
-that).  Also records ``estimate_size_bytes()`` for both forms.
+Both sides use the compact cleaning engine and the same query engine,
+so the measured gap is ``CTNode`` materialisation plus ``to_flat()``,
+not the engine (``bench_engine`` covers that).  Also records
+``estimate_size_bytes()`` for both forms.
 
 Since schema v3 the sweep carries a **backend axis** (``--backend``, the
 flat pipeline's ``QuerySession(backend=...)``) and a **kernel block**: a
@@ -142,7 +144,7 @@ def statements(duration: int) -> List[str]:
 
 def _node_pipeline(lsequence: LSequence,
                    session_statements: Sequence[str]) -> Tuple[list, int]:
-    """Clean to ``CTNode`` form, answer via object-path functions."""
+    """Clean to ``CTNode`` form, answer through its cached session."""
     graph = build_ct_graph(lsequence, CONSTRAINTS,
                            CleaningOptions(engine="compact"))
     results = [ql.execute(graph, statement)
@@ -372,8 +374,8 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
     expect(payload.get("backend") in BACKENDS,
            f"backend must be one of {BACKENDS}")
     expect(payload.get("parity") is True,
-           "parity must be true — the flat query engine diverged from "
-           "the object-path answers")
+           "parity must be true — the flat pipeline's answers diverged "
+           "from the node graph's")
     kernel = payload.get("kernel")
     if not isinstance(kernel, dict):
         problems.append("kernel block missing")

@@ -26,7 +26,6 @@ from repro.core.algorithm import (
     CleaningOptions,
     build_ct_graph,
 )
-from repro.core.ctgraph import CTGraph
 from repro.core.lsequence import LSequence
 from repro.experiments.harness import (
     CONSTRAINT_CONFIGS,
@@ -42,7 +41,6 @@ from repro.experiments.report import (
 )
 from repro.inference import MotilityProfile, infer_constraints
 from repro.queries.session import QuerySession
-from repro.queries.stay import stay_query
 from repro.queries.trajectory import TrajectoryQuery
 from repro.simulation.datasets import SCALES, syn1_dataset, syn2_dataset
 
@@ -160,14 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "are bit-identical)")
     query.add_argument("--backend", choices=BACKENDS, default="python",
                        help="level-sweep backend for cleaning and for the "
-                            "QuerySession sweeps (with --flat)")
-    query.add_argument("--flat", action="store_true",
-                       help="clean straight to the flat columnar form and "
-                            "answer through a QuerySession (same numbers, "
-                            "less time and memory on long objects)")
+                            "QuerySession sweeps")
     query.add_argument("--stats", action="store_true",
-                       help="print cleaning and query timings plus the "
-                            "graph representation in use")
+                       help="print cleaning and query timings")
 
     experiment = sub.add_parser("experiment", help="run a paper experiment")
     add_common(experiment)
@@ -210,12 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cleaning engine feeding the statements")
     ql.add_argument("--backend", choices=BACKENDS, default="python",
                     help="level-sweep backend for cleaning and for the "
-                         "QuerySession sweeps (with --flat)")
-    ql.add_argument("--flat", action="store_true",
-                    help="clean straight to the flat columnar form; all "
-                         "statements then share one QuerySession's sweeps")
+                         "QuerySession sweeps all statements share")
     ql.add_argument("--stats", action="store_true",
-                    help="print engine/representation and timings")
+                    help="print the engine and timings")
     ql.add_argument("statements", nargs="+",
                     help="statements like 'STAY 10', 'MATCH ? F0_R1 ?', "
                          "'TOP 3', 'ENTROPY'")
@@ -348,7 +338,7 @@ def _parse_kinds(text: str) -> List[str]:
     return kinds
 
 
-def _cleaned_graph(dataset, args):
+def _cleaned_graph(dataset, args, materialize: str = "auto"):
     trajectories = dataset.all_trajectories()
     if not 0 <= args.index < len(trajectories):
         raise SystemExit(f"--index must be in [0, {len(trajectories)})")
@@ -357,12 +347,13 @@ def _cleaned_graph(dataset, args):
     constraints = infer_constraints(dataset.building, MotilityProfile(),
                                     kinds=kinds, distances=dataset.distances)
     lsequence = LSequence.from_readings(trajectory.readings, dataset.prior)
-    # Commands without --engine/--backend/--flat funnel through here with
-    # the defaults (auto engine, python backend, node materialisation).
+    # Commands without --engine/--backend funnel through here with the
+    # defaults (auto engine, python backend); commands that only query
+    # clean straight to the flat form.
     options = CleaningOptions(
         engine=getattr(args, "engine", "auto"),
         backend=getattr(args, "backend", "python"),
-        materialize="flat" if getattr(args, "flat", False) else "auto",
+        materialize=materialize,
         output=getattr(args, "output", None))
     return trajectory, lsequence, build_ct_graph(lsequence, constraints,
                                                  options)
@@ -527,18 +518,14 @@ def _command_store(args: argparse.Namespace) -> int:
 def _command_query(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
-    trajectory, lsequence, graph = _cleaned_graph(dataset, args)
+    trajectory, lsequence, graph = _cleaned_graph(dataset, args, "flat")
     clean_seconds = time.perf_counter() - clean_started
-    session = None if isinstance(graph, CTGraph) else \
-        QuerySession(graph, backend=args.backend)
+    session = QuerySession(graph, backend=args.backend)
     truth = tuple(trajectory.truth.locations)
     did_something = False
     query_started = time.perf_counter()
     if args.at is not None:
-        if session is not None:
-            answer = session.location_marginal(args.at)
-        else:
-            answer = stay_query(graph, args.at)
+        answer = session.location_marginal(args.at)
         print(f"stay query at {args.at} (truth: {truth[args.at]}):")
         for location, probability in sorted(answer.items(),
                                             key=lambda kv: -kv[1])[:5]:
@@ -546,8 +533,7 @@ def _command_query(args: argparse.Namespace) -> int:
         did_something = True
     if args.pattern:
         query = TrajectoryQuery(args.pattern)
-        probability = query.probability(
-            session.graph if session is not None else graph)
+        probability = session.match_probability(query)
         print(f"trajectory query {args.pattern!r}: "
               f"yes with p={probability:.3f} "
               f"(ground truth: {query.matches(truth)})")
@@ -556,9 +542,7 @@ def _command_query(args: argparse.Namespace) -> int:
         print("nothing to do: pass --at and/or --pattern", file=sys.stderr)
         return 2
     if args.stats:
-        representation = "flat (QuerySession)" if session is not None \
-            else "nodes (CTGraph)"
-        print(f"stats: engine={args.engine}, representation={representation}")
+        print(f"stats: engine={args.engine}")
         print(f"timings: clean {clean_seconds:.4f} s, "
               f"queries {time.perf_counter() - query_started:.4f} s")
     return 0
@@ -671,20 +655,17 @@ def _command_ql(args: argparse.Namespace) -> int:
 
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
-    _, _, graph = _cleaned_graph(dataset, args)
+    _, _, graph = _cleaned_graph(dataset, args, "flat")
     clean_seconds = time.perf_counter() - clean_started
-    target = graph if isinstance(graph, CTGraph) else \
-        QuerySession(graph, backend=args.backend)
+    session = QuerySession(graph, backend=args.backend)
     query_started = time.perf_counter()
     for statement in args.statements:
-        result = execute(target, statement)
+        result = execute(session, statement)
         print(f"> {statement}")
         print(result.format())
         print()
     if args.stats:
-        representation = ("nodes (CTGraph)" if isinstance(graph, CTGraph)
-                          else "flat (QuerySession)")
-        print(f"stats: engine={args.engine}, representation={representation}")
+        print(f"stats: engine={args.engine}")
         print(f"timings: clean {clean_seconds:.4f} s, "
               f"queries {time.perf_counter() - query_started:.4f} s")
     return 0

@@ -12,8 +12,9 @@ Algorithm 1 finishes:
   edge probabilities — equals the conditioned probability
   ``p*(t | Theta ∧ IC)`` of the corresponding trajectory.
 
-The graph doubles as the query substrate: stay and trajectory queries are
-dynamic programs over the levels (see :mod:`repro.queries`).
+The graph doubles as the query substrate: it converts once to its flat
+form and stay and trajectory queries run as dynamic programs over that
+form's levels (see :mod:`repro.queries`).
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from repro.errors import GraphInvariantError, QueryError
 
 if TYPE_CHECKING:
     from repro.core.algorithm import CleaningStats
+    from repro.queries.session import QuerySession
 
-__all__ = ["CTNode", "CTGraph"]
+__all__ = ["CTNode", "CTGraph", "NodeWebGraph"]
 
 
 class CTNode:
@@ -87,50 +89,145 @@ class CTNode:
                 f"tl={list(self.departures)}, out={len(self.edges)})")
 
 
-class CTGraph:
-    """A finished conditioned-trajectory graph."""
+class NodeWebGraph:
+    """A levelled web of location nodes: what :class:`CTGraph` and
+    :class:`~repro.core.groups.JointGraph` share.
 
-    def __init__(self, levels: Sequence[Sequence[CTNode]],
-                 source_probabilities: Dict[CTNode, float],
+    Each node has a ``location``, a ``stay`` and an ``edges`` dict mapping
+    its successors on the next level to edge probabilities.  Queries do
+    not walk the web: the graph converts once to its flat form
+    (:meth:`to_flat`) and answers through the
+    :class:`~repro.queries.session.QuerySession` cached on it
+    (:meth:`query_session`).
+    """
+
+    def __init__(self, levels: Sequence[Sequence[Any]],
+                 source_probabilities: Dict[Any, float],
                  stats: Optional["CleaningStats"] = None) -> None:
-        self._levels: Tuple[Tuple[CTNode, ...], ...] = tuple(
+        self._levels: Tuple[Tuple[Any, ...], ...] = tuple(
             tuple(level) for level in levels)
         self._source_probabilities = dict(source_probabilities)
-        self._node_marginals: Optional[Dict[CTNode, float]] = None
+        self._session: Optional["QuerySession"] = None
         #: The construction counters of Algorithm 1, ``None`` for graphs
-        #: built by hand or loaded from disk (declared here so every graph
-        #: has the attribute — not just the ones ``build_ct_graph`` returns).
+        #: built by hand, loaded from disk or joined by
+        #: :func:`~repro.core.groups.condition_on_meeting` (declared here
+        #: so every graph has the attribute).
         self.stats: Optional["CleaningStats"] = stats
 
-    # ------------------------------------------------------------------
-    # structure
-    # ------------------------------------------------------------------
     @property
     def duration(self) -> int:
         """The number of timesteps (levels)."""
         return len(self._levels)
 
-    def level(self, tau: int) -> Tuple[CTNode, ...]:
+    def level(self, tau: int) -> Tuple[Any, ...]:
         """The nodes of timestep ``tau``."""
         if not 0 <= tau < len(self._levels):
             raise QueryError(f"timestep {tau} outside [0, {len(self._levels)})")
         return self._levels[tau]
 
     @property
-    def sources(self) -> Tuple[CTNode, ...]:
+    def sources(self) -> Tuple[Any, ...]:
         return self._levels[0]
 
-    @property
-    def targets(self) -> Tuple[CTNode, ...]:
-        return self._levels[-1]
-
-    def source_probability(self, node: CTNode) -> float:
+    def source_probability(self, node: Any) -> float:
         """The conditioned probability of starting at source ``node``."""
         return self._source_probabilities.get(node, 0.0)
 
     @property
     def num_nodes(self) -> int:
         return sum(len(level) for level in self._levels)
+
+    def paths(self) -> Iterator[Tuple[Trajectory, float]]:
+        """Every valid trajectory with its conditioned probability.
+
+        Exponential in general — meant for tests and small graphs.
+        """
+        def walk(node: Any, prefix: List[str], probability: float
+                 ) -> Iterator[Tuple[Trajectory, float]]:
+            prefix.append(node.location)
+            if node.tau == self.duration - 1:
+                yield tuple(prefix), probability
+            else:
+                for child, p in node.edges.items():
+                    yield from walk(child, prefix, probability * p)
+            prefix.pop()
+
+        for source in self.sources:
+            yield from walk(source, [], self.source_probability(source))
+
+    def query_session(self) -> "QuerySession":
+        """The :class:`~repro.queries.session.QuerySession` over this
+        graph's flat form: converted on first use, then cached on the
+        graph (a pickled :class:`CTGraph` drops it), so repeated queries
+        share its sweeps."""
+        if self._session is None:
+            # Imported here: the queries layer imports this module.
+            from repro.queries.session import QuerySession
+
+            self._session = QuerySession(self)
+        return self._session
+
+    def location_marginal(self, tau: int) -> Dict[str, float]:
+        """The distribution of the object's location at timestep ``tau``."""
+        return self.query_session().location_marginal(tau)
+
+    def to_flat(self) -> FlatCTGraph:
+        """The graph as a :class:`~repro.core.flatgraph.FlatCTGraph`.
+
+        Location ids are interned in first-appearance order (level-major,
+        node order) and every per-level array follows this graph's node
+        and edge-insertion order, so the conversion of a :class:`CTGraph`
+        is bit-identical to the flat form
+        ``CleaningOptions(materialize="flat")`` emits directly.  The
+        ``departures`` tuples and parent lists are not carried over —
+        queries never read them.  ``stats`` rides along.
+        """
+        location_ids: Dict[str, int] = {}
+        names: List[str] = []
+        locations: List[Tuple[int, ...]] = []
+        stays: List[Tuple[Optional[int], ...]] = []
+        for level in self._levels:
+            locations.append(tuple(_intern(node.location, location_ids,
+                                           names) for node in level))
+            stays.append(tuple(node.stay for node in level))
+        edge_offsets: List[Tuple[int, ...]] = []
+        edge_children: List[Tuple[int, ...]] = []
+        edge_probabilities: List[Tuple[float, ...]] = []
+        for tau in range(len(self._levels) - 1):
+            index = {node: i
+                     for i, node in enumerate(self._levels[tau + 1])}
+            offsets: List[int] = [0]
+            children: List[int] = []
+            probabilities: List[float] = []
+            for node in self._levels[tau]:
+                for child, probability in node.edges.items():
+                    children.append(index[child])
+                    probabilities.append(probability)
+                offsets.append(len(children))
+            edge_offsets.append(tuple(offsets))
+            edge_children.append(tuple(children))
+            edge_probabilities.append(tuple(probabilities))
+        return FlatCTGraph(
+            location_names=tuple(names),
+            locations=tuple(locations),
+            stays=tuple(stays),
+            edge_offsets=tuple(edge_offsets),
+            edge_children=tuple(edge_children),
+            edge_probabilities=tuple(edge_probabilities),
+            source_probabilities=tuple(self.source_probability(node)
+                                       for node in self._levels[0]),
+            stats=self.stats)
+
+
+class CTGraph(NodeWebGraph):
+    """A finished conditioned-trajectory graph."""
+
+    # ------------------------------------------------------------------
+    # structure
+    # ------------------------------------------------------------------
+    @property
+    def targets(self) -> Tuple[CTNode, ...]:
+        return self._levels[-1]
 
     @property
     def num_edges(self) -> int:
@@ -156,24 +253,6 @@ class CTGraph:
                 counts[node] = sum(counts[child] for child in node.edges)
         return sum(counts[node] for node in self.sources)
 
-    def paths(self) -> Iterator[Tuple[Trajectory, float]]:
-        """Every valid trajectory with its conditioned probability.
-
-        Exponential in general — meant for tests and small graphs.
-        """
-        def walk(node: CTNode, prefix: List[str], probability: float
-                 ) -> Iterator[Tuple[Trajectory, float]]:
-            prefix.append(node.location)
-            if node.tau == self.duration - 1:
-                yield tuple(prefix), probability
-            else:
-                for child, p in node.edges.items():
-                    yield from walk(child, prefix, probability * p)
-            prefix.pop()
-
-        for source in self.sources:
-            yield from walk(source, [], self.source_probability(source))
-
     def trajectory_probability(self, trajectory: Sequence[str]) -> float:
         """The conditioned probability of one trajectory (0 if invalid).
 
@@ -198,33 +277,6 @@ class CTGraph:
             node, p = step
             probability *= p
         return probability
-
-    def node_marginals(self) -> Dict[CTNode, float]:
-        """For every node, the probability that the object's trajectory
-        passes through it (the forward pass; cached)."""
-        if self._node_marginals is None:
-            alphas: Dict[CTNode, float] = {}
-            for source in self.sources:
-                alphas[source] = self.source_probability(source)
-            for level in self._levels[:-1]:
-                for node in level:
-                    mass = alphas.get(node, 0.0)
-                    if mass == 0.0:
-                        continue
-                    for child, p in node.edges.items():
-                        alphas[child] = alphas.get(child, 0.0) + mass * p
-            self._node_marginals = alphas
-        return self._node_marginals
-
-    def location_marginal(self, tau: int) -> Dict[str, float]:
-        """The distribution of the object's location at timestep ``tau``."""
-        alphas = self.node_marginals()
-        result: Dict[str, float] = {}
-        for node in self.level(tau):
-            mass = alphas.get(node, 0.0)
-            if mass > 0.0:
-                result[node.location] = result.get(node.location, 0.0) + mass
-        return result
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -311,54 +363,8 @@ class CTGraph:
         self._source_probabilities = {nodes[index]: probability
                                       for index, probability
                                       in state["sources"]}
-        self._node_marginals = None
+        self._session = None
         self.stats = state["stats"]
-
-    def to_flat(self) -> FlatCTGraph:
-        """The graph as a :class:`~repro.core.flatgraph.FlatCTGraph`.
-
-        Location ids are interned in first-appearance order (level-major,
-        node order) and every per-level array follows this graph's node
-        and edge-insertion order, so the conversion is bit-identical to
-        the flat form ``CleaningOptions(materialize="flat")`` emits
-        directly.  The ``departures`` tuples and parent lists are not
-        carried over — queries never read them.  ``stats`` rides along.
-        """
-        location_ids: Dict[str, int] = {}
-        names: List[str] = []
-        locations: List[Tuple[int, ...]] = []
-        stays: List[Tuple[Optional[int], ...]] = []
-        for level in self._levels:
-            locations.append(tuple(_intern(node.location, location_ids,
-                                           names) for node in level))
-            stays.append(tuple(node.stay for node in level))
-        edge_offsets: List[Tuple[int, ...]] = []
-        edge_children: List[Tuple[int, ...]] = []
-        edge_probabilities: List[Tuple[float, ...]] = []
-        for tau in range(len(self._levels) - 1):
-            index = {node: i
-                     for i, node in enumerate(self._levels[tau + 1])}
-            offsets: List[int] = [0]
-            children: List[int] = []
-            probabilities: List[float] = []
-            for node in self._levels[tau]:
-                for child, probability in node.edges.items():
-                    children.append(index[child])
-                    probabilities.append(probability)
-                offsets.append(len(children))
-            edge_offsets.append(tuple(offsets))
-            edge_children.append(tuple(children))
-            edge_probabilities.append(tuple(probabilities))
-        return FlatCTGraph(
-            location_names=tuple(names),
-            locations=tuple(locations),
-            stays=tuple(stays),
-            edge_offsets=tuple(edge_offsets),
-            edge_children=tuple(edge_children),
-            edge_probabilities=tuple(edge_probabilities),
-            source_probabilities=tuple(self.source_probability(node)
-                                       for node in self._levels[0]),
-            stats=self.stats)
 
     def to_networkx(self):
         """The graph as a ``networkx.DiGraph`` for external tooling.

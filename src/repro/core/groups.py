@@ -18,10 +18,9 @@ probability queries as a ct-graph.  Larger groups fold pairwise:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.ctgraph import CTGraph, CTNode
-from repro.core.lsequence import Trajectory
+from repro.core.ctgraph import CTNode, NodeWebGraph
 from repro.errors import InconsistentReadingsError, QueryError
 
 __all__ = ["JointNode", "JointGraph", "condition_on_meeting",
@@ -29,14 +28,19 @@ __all__ = ["JointNode", "JointGraph", "condition_on_meeting",
 
 
 class JointNode:
-    """A pair of same-location node states at one timestep."""
+    """A pair of same-location node states at one timestep.
 
-    __slots__ = ("tau", "location", "node_a", "node_b", "edges", "parents")
+    ``stay`` is always ``None``: a joint node carries no latency counter.
+    """
+
+    __slots__ = ("tau", "location", "stay", "node_a", "node_b", "edges",
+                 "parents")
 
     def __init__(self, tau: int, location: str,
                  node_a, node_b) -> None:
         self.tau = tau
         self.location = location
+        self.stay = None
         self.node_a = node_a
         self.node_b = node_b
         self.edges: Dict["JointNode", float] = {}
@@ -47,67 +51,13 @@ class JointNode:
                 f"out={len(self.edges)})")
 
 
-class JointGraph:
-    """The conditioned joint distribution of two objects moving together."""
+class JointGraph(NodeWebGraph):
+    """The conditioned joint distribution of two objects moving together.
 
-    def __init__(self, levels: Sequence[Sequence[JointNode]],
-                 source_probabilities: Dict[JointNode, float]) -> None:
-        self._levels: Tuple[Tuple[JointNode, ...], ...] = tuple(
-            tuple(level) for level in levels)
-        self._source_probabilities = dict(source_probabilities)
-
-    @property
-    def duration(self) -> int:
-        return len(self._levels)
-
-    @property
-    def num_nodes(self) -> int:
-        return sum(len(level) for level in self._levels)
-
-    def level(self, tau: int) -> Tuple[JointNode, ...]:
-        if not 0 <= tau < self.duration:
-            raise QueryError(f"timestep {tau} outside [0, {self.duration})")
-        return self._levels[tau]
-
-    @property
-    def sources(self) -> Tuple[JointNode, ...]:
-        return self._levels[0]
-
-    def source_probability(self, node: JointNode) -> float:
-        return self._source_probabilities.get(node, 0.0)
-
-    def paths(self) -> Iterator[Tuple[Trajectory, float]]:
-        """Every joint trajectory with its conditioned probability."""
-        def walk(node: JointNode, prefix: List[str], probability: float):
-            prefix.append(node.location)
-            if node.tau == self.duration - 1:
-                yield tuple(prefix), probability
-            else:
-                for child, p in node.edges.items():
-                    yield from walk(child, prefix, probability * p)
-            prefix.pop()
-
-        for source in self.sources:
-            yield from walk(source, [], self.source_probability(source))
-
-    def location_marginal(self, tau: int) -> Dict[str, float]:
-        """Where the group is at ``tau`` (both objects, by construction)."""
-        alphas: Dict[JointNode, float] = {
-            node: self.source_probability(node) for node in self.sources}
-        for level in self._levels[:tau]:
-            for node in level:
-                mass = alphas.get(node, 0.0)
-                if mass <= 0.0:
-                    continue
-                for child, probability in node.edges.items():
-                    alphas[child] = alphas.get(child, 0.0) + mass * probability
-        marginal: Dict[str, float] = {}
-        for node in self.level(tau):
-            mass = alphas.get(node, 0.0)
-            if mass > 0.0:
-                marginal[node.location] = (marginal.get(node.location, 0.0)
-                                           + mass)
-        return marginal
+    Its paths are the common trajectories, weighted by their conditioned
+    joint probability; queries run through its flat form like a
+    :class:`~repro.core.ctgraph.CTGraph`'s do.
+    """
 
     def trajectory_probability(self, trajectory: Sequence[str]) -> float:
         """The conditioned probability that *both* objects follow

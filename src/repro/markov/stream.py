@@ -53,14 +53,16 @@ class MarkovianStream:
     @classmethod
     def from_ct_graph(cls, graph: CTGraph) -> "MarkovianStream":
         """Marginalise a ct-graph to location granularity."""
-        alphas = graph.node_marginals()
-        initial = graph.location_marginal(0)
+        session = graph.query_session()
+        # Per-level node marginals, in the graph's level order (the order
+        # ``to_flat`` keeps).
+        alphas = session.alphas()
+        initial = session.location_marginal(0)
         transitions: List[Dict[str, Dict[str, float]]] = []
         for tau in range(graph.duration - 1):
             # joint[src][dst] = P(X_tau = src, X_tau+1 = dst)
             joint: Dict[str, Dict[str, float]] = {}
-            for node in graph.level(tau):
-                mass = alphas.get(node, 0.0)
+            for node, mass in zip(graph.level(tau), alphas[tau]):
                 if mass <= 0.0:
                     continue
                 row = joint.setdefault(node.location, {})

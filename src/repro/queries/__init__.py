@@ -7,9 +7,12 @@
 * **Accuracy metrics** against ground truth —
   :mod:`repro.queries.accuracy`.
 
-Both query kinds run on ct-graphs as exact dynamic programs; they can also
-be evaluated against the raw (unconditioned) l-sequence, which is the
-"no cleaning" baseline of the accuracy experiments.
+Every query over a cleaned graph is an exact dynamic program answered by
+one engine, :class:`repro.queries.session.QuerySession`, over the graph's
+flat form; the functions here are thin wrappers that accept any graph
+form or a prebuilt session.  Stay and trajectory queries can also be
+evaluated against the raw (unconditioned) l-sequence, which is the "no
+cleaning" baseline of the accuracy experiments.
 """
 
 from repro.queries.accuracy import (

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Union
 
-from repro.core.ctgraph import CTGraph
 from repro.core.lsequence import LSequence
 from repro.errors import QueryError
 from repro.queries.pattern import Pattern
+from repro.queries.session import QueryTarget
 from repro.queries.stay import stay_query, stay_query_prior
 from repro.queries.trajectory import TrajectoryQuery
 
@@ -40,24 +40,26 @@ def trajectory_query_accuracy(probability_yes: float, truth_matches: bool) -> fl
     return probability_yes if truth_matches else 1.0 - probability_yes
 
 
-def stay_accuracy_on(source: Union[CTGraph, LSequence], tau: int,
+def stay_accuracy_on(source: Union[QueryTarget, LSequence], tau: int,
                      true_trajectory: Sequence[str]) -> float:
-    """Convenience: answer a stay query on ``source`` and score it."""
-    if isinstance(source, CTGraph):
-        answer = stay_query(source, tau)
-    else:
+    """Convenience: answer a stay query on ``source`` (a cleaned graph in
+    any form, or the raw l-sequence) and score it."""
+    if isinstance(source, LSequence):
         answer = stay_query_prior(source, tau)
+    else:
+        answer = stay_query(source, tau)
     return stay_accuracy(answer, true_trajectory[tau])
 
 
-def trajectory_accuracy_on(source: Union[CTGraph, LSequence],
+def trajectory_accuracy_on(source: Union[QueryTarget, LSequence],
                            pattern: Union[Pattern, str],
                            true_trajectory: Sequence[str]) -> float:
-    """Convenience: answer a trajectory query on ``source`` and score it."""
+    """Convenience: answer a trajectory query on ``source`` (a cleaned
+    graph in any form, or the raw l-sequence) and score it."""
     query = TrajectoryQuery(pattern)
-    if isinstance(source, CTGraph):
-        probability = query.probability(source)
-    else:
+    if isinstance(source, LSequence):
         probability = query.probability_prior(source)
+    else:
+        probability = query.probability(source)
     return trajectory_query_accuracy(probability,
                                      query.matches(true_trajectory))

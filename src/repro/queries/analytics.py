@@ -1,7 +1,10 @@
 """Analytics over cleaned trajectories: MAP paths, top-k, uncertainty,
 visit statistics.
 
-Everything here is an exact dynamic program over the levelled ct-graph:
+Everything here is an exact dynamic program over the levelled ct-graph,
+evaluated by :class:`~repro.queries.session.QuerySession` (each function
+accepts any graph form or a prebuilt session; a node-web graph answers
+through the session it caches):
 
 * :func:`most_likely_trajectory` — the Viterbi (maximum a-posteriori) path;
 * :func:`top_k_trajectories` — the k most probable valid trajectories
@@ -17,13 +20,11 @@ Everything here is an exact dynamic program over the levelled ct-graph:
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.lsequence import LSequence, Trajectory
 from repro.errors import QueryError
+from repro.queries.session import QuerySession, QueryTarget, _entropy
 
 __all__ = [
     "most_likely_trajectory",
@@ -43,152 +44,36 @@ __all__ = [
 # MAP trajectory and top-k
 # ----------------------------------------------------------------------
 
-def _lex_ranks(keys: Dict[CTNode, object]) -> Dict[CTNode, int]:
-    """Dense lexicographic ranks of each node's best prefix key.
-
-    Rank order ≡ lexicographic order of the full best prefixes: a level's
-    keys are ``(parent rank, location)`` pairs (plain locations at level
-    0) and all prefixes at a level share a length, so comparing keys
-    compares the prefixes themselves.
-    """
-    order = {key: rank
-             for rank, key in enumerate(sorted(set(keys.values())))}  # type: ignore[type-var]
-    return {node: order[key] for node, key in keys.items()}
-
-
-def most_likely_trajectory(graph: CTGraph) -> Tuple[Trajectory, float]:
+def most_likely_trajectory(graph: QueryTarget) -> Tuple[Trajectory, float]:
     """The maximum-probability valid trajectory (Viterbi over the graph).
 
     Ties are broken deterministically: among equal-probability MAP paths
-    the lexicographically smallest location sequence wins, independent of
-    node/dict iteration order.  The flat path
-    (:meth:`repro.queries.session.QuerySession.most_likely_trajectory`)
-    breaks ties identically.
+    the lexicographically smallest location sequence wins.
     """
-    best: Dict[CTNode, Tuple[float, Optional[CTNode]]] = {}
-    keys: Dict[CTNode, object] = {}
-    for source in graph.sources:
-        probability = graph.source_probability(source)
-        if probability > 0.0:
-            best[source] = (probability, None)
-            keys[source] = source.location
-    ranks = _lex_ranks(keys)
-    for tau in range(graph.duration - 1):
-        next_keys: Dict[CTNode, object] = {}
-        for node in graph.level(tau):
-            entry = best.get(node)
-            if entry is None:
-                continue
-            mass = entry[0]
-            rank = ranks[node]
-            for child, probability in node.edges.items():
-                candidate = mass * probability
-                key = (rank, child.location)
-                current = best.get(child)
-                if (current is None or candidate > current[0]
-                        or (candidate == current[0]
-                            and key < next_keys[child])):  # type: ignore[operator]
-                    best[child] = (candidate, node)
-                    next_keys[child] = key
-        ranks = _lex_ranks(next_keys)
-
-    terminal: Optional[CTNode] = None
-    for node in graph.targets:
-        entry = best.get(node)
-        if entry is None:
-            continue
-        if (terminal is None or entry[0] > best[terminal][0]
-                or (entry[0] == best[terminal][0]
-                    and ranks[node] < ranks[terminal])):
-            terminal = node
-    if terminal is None:
-        raise QueryError("graph has no positive-probability path")
-    steps: List[str] = []
-    node: Optional[CTNode] = terminal
-    while node is not None:
-        steps.append(node.location)
-        node = best[node][1]
-    steps.reverse()
-    return tuple(steps), best[terminal][0]
+    return QuerySession.ensure(graph).most_likely_trajectory()
 
 
-def top_k_trajectories(graph: CTGraph, k: int) -> List[Tuple[Trajectory, float]]:
+def top_k_trajectories(graph: QueryTarget,
+                       k: int) -> List[Tuple[Trajectory, float]]:
     """The most probable valid trajectories, most probable first.
 
     Contract: returns exactly ``min(k, graph.num_valid_trajectories())``
     entries — a graph with fewer than ``k`` valid trajectories yields them
     all, never an error and never padding.  Equal-probability trajectories
     are returned in discovery order (level order, then edge insertion
-    order), which is identical in the object and flat paths.
-
-    Best-first search over path prefixes, guided by the exact
-    probability-to-go upper bound ``best_suffix`` (the Viterbi value of
-    each node's best completion) — so only prefixes that can still reach
-    the frontier of the answer set are expanded.  Each node is expanded at
-    most ``k`` times: the ``i``-th pop of a node carries its ``i``-th best
-    prefix, so once ``k`` prefixes have reached a node, every later prefix
-    through it is dominated by ``k`` earlier-ordered completions and can
-    be discarded.  That bounds the heap at ``O(k * edges)`` entries
-    regardless of how many valid trajectories exist.
+    order).  See :meth:`QuerySession.top_k_trajectories
+    <repro.queries.session.QuerySession.top_k_trajectories>`.
     """
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-
-    # Exact best-completion value per node (max-product backward pass).
-    best_suffix: Dict[CTNode, float] = {node: 1.0 for node in graph.targets}
-    for tau in range(graph.duration - 2, -1, -1):
-        for node in graph.level(tau):
-            best_suffix[node] = max(
-                (probability * best_suffix.get(child, 0.0)
-                 for child, probability in node.edges.items()),
-                default=0.0)
-
-    # Best-first expansion: entries are (-bound, counter, node, prefix, mass).
-    heap: List = []
-    counter = 0
-    for source in graph.sources:
-        mass = graph.source_probability(source)
-        if mass <= 0.0:
-            continue
-        bound = mass * best_suffix.get(source, 0.0)
-        heapq.heappush(heap, (-bound, counter, source, (source.location,), mass))
-        counter += 1
-
-    results: List[Tuple[Trajectory, float]] = []
-    pops: Dict[CTNode, int] = {}
-    while heap and len(results) < k:
-        negative_bound, _, node, prefix, mass = heapq.heappop(heap)
-        popped = pops.get(node, 0)
-        if popped >= k:
-            continue
-        pops[node] = popped + 1
-        if not node.edges:
-            if node.tau == graph.duration - 1:
-                results.append((prefix, mass))
-            continue
-        for child, probability in node.edges.items():
-            child_mass = mass * probability
-            bound = child_mass * best_suffix.get(child, 0.0)
-            if bound <= 0.0:
-                continue
-            heapq.heappush(heap, (-bound, counter, child,
-                                  prefix + (child.location,), child_mass))
-            counter += 1
-    return results
+    return QuerySession.ensure(graph).top_k_trajectories(k)
 
 
 # ----------------------------------------------------------------------
 # uncertainty
 # ----------------------------------------------------------------------
 
-def _entropy(distribution: Dict[str, float]) -> float:
-    return -sum(p * math.log2(p) for p in distribution.values() if p > 0.0)
-
-
-def entropy_profile(graph: CTGraph) -> List[float]:
+def entropy_profile(graph: QueryTarget) -> List[float]:
     """Shannon entropy (bits) of the cleaned location marginal, per step."""
-    return [_entropy(graph.location_marginal(tau))
-            for tau in range(graph.duration)]
+    return QuerySession.ensure(graph).entropy_profile()
 
 
 def entropy_profile_prior(lsequence: LSequence) -> List[float]:
@@ -197,7 +82,7 @@ def entropy_profile_prior(lsequence: LSequence) -> List[float]:
             for tau in range(lsequence.duration)]
 
 
-def uncertainty_reduction(lsequence: LSequence, graph: CTGraph) -> float:
+def uncertainty_reduction(lsequence: LSequence, graph: QueryTarget) -> float:
     """Average per-step entropy drop (bits) achieved by conditioning.
 
     Positive values mean cleaning made positions more certain on average —
@@ -214,41 +99,21 @@ def uncertainty_reduction(lsequence: LSequence, graph: CTGraph) -> float:
 # visit statistics
 # ----------------------------------------------------------------------
 
-def expected_visit_counts(graph: CTGraph) -> Dict[str, float]:
+def expected_visit_counts(graph: QueryTarget) -> Dict[str, float]:
     """Expected number of timesteps spent at each location."""
-    totals: Dict[str, float] = {}
-    for tau in range(graph.duration):
-        for location, probability in graph.location_marginal(tau).items():
-            totals[location] = totals.get(location, 0.0) + probability
-    return totals
+    return QuerySession.ensure(graph).expected_visit_counts()
 
 
-def visit_probability(graph: CTGraph, location: str) -> float:
+def visit_probability(graph: QueryTarget, location: str) -> float:
     """P(the object is at ``location`` at some timestep).
 
     Computed as 1 minus the total mass of paths that avoid the location —
     a forward pass restricted to non-``location`` nodes.
     """
-    avoiding: Dict[CTNode, float] = {}
-    for source in graph.sources:
-        if source.location != location:
-            mass = graph.source_probability(source)
-            if mass > 0.0:
-                avoiding[source] = mass
-    for tau in range(graph.duration - 1):
-        for node in graph.level(tau):
-            mass = avoiding.get(node)
-            if mass is None:
-                continue
-            for child, probability in node.edges.items():
-                if child.location == location:
-                    continue
-                avoiding[child] = avoiding.get(child, 0.0) + mass * probability
-    avoided = sum(avoiding.get(node, 0.0) for node in graph.targets)
-    return min(1.0, max(0.0, 1.0 - avoided))
+    return QuerySession.ensure(graph).visit_probability(location)
 
 
-def span_probability(graph: CTGraph, location: str,
+def span_probability(graph: QueryTarget, location: str,
                      start: int, end: int) -> float:
     """P(the object is at ``location`` throughout ``[start, end]``).
 
@@ -256,30 +121,10 @@ def span_probability(graph: CTGraph, location: str,
     restricted to ``location`` nodes inside the window — the probabilistic
     version of "was the patient in the isolation room the whole hour?".
     """
-    if not 0 <= start <= end < graph.duration:
-        raise QueryError(
-            f"window [{start}, {end}] outside the graph's [0, "
-            f"{graph.duration})")
-    alphas = graph.node_marginals()
-    inside: Dict[CTNode, float] = {}
-    for node in graph.level(start):
-        if node.location == location:
-            mass = alphas.get(node, 0.0)
-            if mass > 0.0:
-                inside[node] = mass
-    for tau in range(start, end):
-        step: Dict[CTNode, float] = {}
-        for node, mass in inside.items():
-            for child, probability in node.edges.items():
-                if child.location == location:
-                    step[child] = step.get(child, 0.0) + mass * probability
-        inside = step
-        if not inside:
-            return 0.0
-    return min(1.0, sum(inside.values()))
+    return QuerySession.ensure(graph).span_probability(location, start, end)
 
 
-def time_at_location_distribution(graph: CTGraph,
+def time_at_location_distribution(graph: QueryTarget,
                                   location: str) -> Dict[int, float]:
     """The distribution of the *total* time spent at ``location``.
 
@@ -289,57 +134,15 @@ def time_at_location_distribution(graph: CTGraph,
     potentially heavy on huge TT graphs (expected value via
     :func:`expected_visit_counts` is always cheap).
     """
-    histograms: Dict[CTNode, Dict[int, float]] = {}
-    for source in graph.sources:
-        mass = graph.source_probability(source)
-        if mass <= 0.0:
-            continue
-        count = 1 if source.location == location else 0
-        histograms[source] = {count: mass}
-    for tau in range(graph.duration - 1):
-        for node in graph.level(tau):
-            histogram = histograms.get(node)
-            if not histogram:
-                continue
-            for child, probability in node.edges.items():
-                bump = 1 if child.location == location else 0
-                target = histograms.setdefault(child, {})
-                for count, mass in histogram.items():
-                    key = count + bump
-                    target[key] = target.get(key, 0.0) + mass * probability
-    result: Dict[int, float] = {}
-    for node in graph.targets:
-        for count, mass in histograms.get(node, {}).items():
-            result[count] = result.get(count, 0.0) + mass
-    return result
+    return QuerySession.ensure(graph).time_at_location_distribution(location)
 
 
-def first_visit_distribution(graph: CTGraph, location: str) -> Dict[int, float]:
+def first_visit_distribution(graph: QueryTarget,
+                             location: str) -> Dict[int, float]:
     """P(first visit to ``location`` happens at timestep ``tau``).
 
     The returned dict maps timesteps to probabilities; mass missing from
     the dict is the probability of never visiting.  Forward pass over
     "not visited yet" prefixes, emitting mass on first entry.
     """
-    first: Dict[int, float] = {}
-    pending: Dict[CTNode, float] = {}
-    for source in graph.sources:
-        mass = graph.source_probability(source)
-        if mass <= 0.0:
-            continue
-        if source.location == location:
-            first[0] = first.get(0, 0.0) + mass
-        else:
-            pending[source] = mass
-    for tau in range(graph.duration - 1):
-        for node in graph.level(tau):
-            mass = pending.get(node)
-            if mass is None:
-                continue
-            for child, probability in node.edges.items():
-                flow = mass * probability
-                if child.location == location:
-                    first[tau + 1] = first.get(tau + 1, 0.0) + flow
-                else:
-                    pending[child] = pending.get(child, 0.0) + flow
-    return first
+    return QuerySession.ensure(graph).first_visit_distribution(location)

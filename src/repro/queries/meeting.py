@@ -17,31 +17,26 @@ All three are exact dynamic programs over the product of the two graphs'
 levels; the objects' trajectories are treated as independent given their
 readings (the cleaned distributions factorise).
 
-Each function accepts :class:`~repro.core.ctgraph.CTGraph`,
-:class:`~repro.core.flatgraph.FlatCTGraph` or a prebuilt
-:class:`~repro.queries.session.QuerySession` for either argument.  Pass
-sessions when querying the same pair repeatedly (the experiments harness
-does): the marginal sweeps are computed once per object instead of once
-per call.  Mixed inputs run on the flat path; results are bit-identical
-either way (pinned by ``tests/test_queries_flat.py``).
+Each function accepts any graph form or a prebuilt
+:class:`~repro.queries.session.QuerySession` for either argument and
+runs over the objects' flat forms.  Pass sessions (or node-web graphs,
+which cache theirs) when querying the same pair repeatedly: the marginal
+sweeps are computed once per object instead of once per call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
-from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.flatgraph import FlatCTGraph
 from repro.errors import QueryError
-from repro.queries.session import QuerySession
+from repro.queries.session import QuerySession, QueryTarget
 
 __all__ = [
     "meeting_probability",
     "meeting_time_distribution",
     "colocation_profile",
 ]
-
-MeetingOperand = Union[CTGraph, FlatCTGraph, QuerySession]
 
 
 def _check_durations(duration_a: int, duration_b: int) -> None:
@@ -51,26 +46,17 @@ def _check_durations(duration_a: int, duration_b: int) -> None:
             f"{duration_b} steps")
 
 
-def colocation_profile(graph_a: MeetingOperand,
-                       graph_b: MeetingOperand) -> List[float]:
+def colocation_profile(graph_a: QueryTarget,
+                       graph_b: QueryTarget) -> List[float]:
     """P(the two objects are at the same location) per timestep.
 
     Marginals factorise across independent objects, so each timestep is
     just a dot product of the two location marginals.
     """
-    if isinstance(graph_a, CTGraph) and isinstance(graph_b, CTGraph):
-        _check_durations(graph_a.duration, graph_b.duration)
-        profile: List[float] = []
-        for tau in range(graph_a.duration):
-            marginal_a = graph_a.location_marginal(tau)
-            marginal_b = graph_b.location_marginal(tau)
-            profile.append(sum(p * marginal_b.get(location, 0.0)
-                               for location, p in marginal_a.items()))
-        return profile
     session_a = QuerySession.ensure(graph_a)
     session_b = QuerySession.ensure(graph_b)
     _check_durations(session_a.duration, session_b.duration)
-    profile = []
+    profile: List[float] = []
     for tau in range(session_a.duration):
         marginal_a = session_a.location_marginal(tau)
         marginal_b = session_b.location_marginal(tau)
@@ -79,8 +65,8 @@ def colocation_profile(graph_a: MeetingOperand,
     return profile
 
 
-def meeting_time_distribution(graph_a: MeetingOperand,
-                              graph_b: MeetingOperand) -> Dict[int, float]:
+def meeting_time_distribution(graph_a: QueryTarget,
+                              graph_b: QueryTarget) -> Dict[int, float]:
     """P(the objects are first co-located at timestep ``tau``).
 
     Mass missing from the returned dict is the probability they never
@@ -88,55 +74,17 @@ def meeting_time_distribution(graph_a: MeetingOperand,
     unlike :func:`colocation_profile`, first-meeting needs the joint DP
     because avoiding-so-far correlates the two trajectories.
     """
-    if not (isinstance(graph_a, CTGraph) and isinstance(graph_b, CTGraph)):
-        return _meeting_time_flat(QuerySession.ensure(graph_a).graph,
-                                  QuerySession.ensure(graph_b).graph)
-    _check_durations(graph_a.duration, graph_b.duration)
-    first: Dict[int, float] = {}
-    # pending[(a, b)] = P(prefixes end at (a, b), never co-located yet).
-    pending: Dict[Tuple[CTNode, CTNode], float] = {}
-    for source_a in graph_a.sources:
-        pa = graph_a.source_probability(source_a)
-        if pa <= 0.0:
-            continue
-        for source_b in graph_b.sources:
-            pb = graph_b.source_probability(source_b)
-            if pb <= 0.0:
-                continue
-            mass = pa * pb
-            if source_a.location == source_b.location:
-                first[0] = first.get(0, 0.0) + mass
-            else:
-                pending[(source_a, source_b)] = mass
-
-    for tau in range(graph_a.duration - 1):
-        step: Dict[Tuple[CTNode, CTNode], float] = {}
-        emitted = 0.0
-        for (node_a, node_b), mass in pending.items():
-            for child_a, pa in node_a.edges.items():
-                for child_b, pb in node_b.edges.items():
-                    flow = mass * pa * pb
-                    if child_a.location == child_b.location:
-                        emitted += flow
-                    else:
-                        key = (child_a, child_b)
-                        step[key] = step.get(key, 0.0) + flow
-        if emitted > 0.0:
-            first[tau + 1] = first.get(tau + 1, 0.0) + emitted
-        pending = step
-        if not pending:
-            break
-    return first
+    return _meeting_time_flat(QuerySession.ensure(graph_a).graph,
+                              QuerySession.ensure(graph_b).graph)
 
 
 def _meeting_time_flat(graph_a: FlatCTGraph,
                        graph_b: FlatCTGraph) -> Dict[int, float]:
     """The joint first-meeting DP over two flat graphs.
 
-    Mirrors the object path pair-for-pair: same source nesting (a outer,
-    b inner), same edge nesting, same dict insertion order — identical
-    floats.  Location equality crosses the two graphs' intern tables, so
-    it compares names, not ids.
+    Pairs nest a outer, b inner, for sources and edges alike.  Location
+    equality crosses the two graphs' intern tables, so it compares names,
+    not ids.
     """
     _check_durations(graph_a.duration, graph_b.duration)
     names_a = graph_a.location_names
@@ -191,7 +139,7 @@ def _meeting_time_flat(graph_a: FlatCTGraph,
     return first
 
 
-def meeting_probability(graph_a: MeetingOperand,
-                        graph_b: MeetingOperand) -> float:
+def meeting_probability(graph_a: QueryTarget,
+                        graph_b: QueryTarget) -> float:
     """P(the two objects share a location at some timestep)."""
     return min(1.0, sum(meeting_time_distribution(graph_a, graph_b).values()))

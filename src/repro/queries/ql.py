@@ -26,28 +26,12 @@ Results are returned as :class:`QueryResult` (typed payload + a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Union
+from typing import Any, List
 
-from repro.core.ctgraph import CTGraph
-from repro.core.flatgraph import FlatCTGraph
 from repro.errors import PatternSyntaxError, QueryError
-from repro.queries.analytics import (
-    entropy_profile,
-    expected_visit_counts,
-    first_visit_distribution,
-    most_likely_trajectory,
-    span_probability,
-    time_at_location_distribution,
-    top_k_trajectories,
-    visit_probability,
-)
-from repro.queries.session import QuerySession
-from repro.queries.stay import stay_query
-from repro.queries.trajectory import TrajectoryQuery
+from repro.queries.session import QuerySession, QueryTarget
 
 __all__ = ["QueryResult", "execute"]
-
-QueryTarget = Union[CTGraph, FlatCTGraph, QuerySession]
 
 
 @dataclass(frozen=True)
@@ -109,17 +93,17 @@ def _compact(trajectory) -> str:
 def execute(graph: QueryTarget, statement: str) -> QueryResult:
     """Run one statement against a cleaned ct-graph.
 
-    ``graph`` may be a :class:`CTGraph` (object-path evaluation), a
-    :class:`FlatCTGraph` (wrapped in a fresh :class:`QuerySession`) or a
-    prebuilt :class:`QuerySession` — pass the session when running many
-    statements so the shared sweeps are computed once.  Results are
-    bit-identical across the three forms.
+    ``graph`` may be any graph form — a node-web graph answers through
+    the session it caches, a flat graph through a fresh
+    :class:`QuerySession` — or a prebuilt session: pass the session when
+    running many statements over a flat graph so the shared sweeps are
+    computed once.
 
     Raises :class:`QueryError` for syntax errors, unknown statements or
     out-of-range arguments, and :class:`PatternSyntaxError` for malformed
     ``MATCH`` patterns.
     """
-    session = None if isinstance(graph, CTGraph) else QuerySession.ensure(graph)
+    session = QuerySession.ensure(graph)
     tokens = statement.strip().split(None, 1)
     if not tokens:
         raise QueryError("empty query")
@@ -128,22 +112,15 @@ def execute(graph: QueryTarget, statement: str) -> QueryResult:
 
     if keyword == "STAY":
         tau = _parse_int(argument, "STAY expects a timestep")
-        if session is not None:
-            return QueryResult("stay", session.location_marginal(tau))
-        return QueryResult("stay", stay_query(graph, tau))
+        return QueryResult("stay", session.location_marginal(tau))
     if keyword == "MATCH":
         if not argument:
             raise QueryError("MATCH expects a pattern")
-        if session is not None:
-            return QueryResult("match", session.match_probability(argument))
-        query = TrajectoryQuery(argument)
-        return QueryResult("match", query.probability(graph))
+        return QueryResult("match", session.match_probability(argument))
     if keyword == "VISIT":
         if not argument:
             raise QueryError("VISIT expects a location name")
-        if session is not None:
-            return QueryResult("visit", session.visit_probability(argument))
-        return QueryResult("visit", visit_probability(graph, argument))
+        return QueryResult("visit", session.visit_probability(argument))
     if keyword == "SPAN":
         parts = argument.split()
         if len(parts) != 3:
@@ -151,46 +128,30 @@ def execute(graph: QueryTarget, statement: str) -> QueryResult:
         location = parts[0]
         start = _parse_int(parts[1], "SPAN expects integer bounds")
         end = _parse_int(parts[2], "SPAN expects integer bounds")
-        if session is not None:
-            return QueryResult(
-                "visit", session.span_probability(location, start, end))
-        return QueryResult("visit",
-                           span_probability(graph, location, start, end))
+        return QueryResult(
+            "visit", session.span_probability(location, start, end))
     if keyword == "DWELL":
         if not argument:
             raise QueryError("DWELL expects a location name")
-        if session is not None:
-            return QueryResult(
-                "dwell", session.time_at_location_distribution(argument))
         return QueryResult(
-            "dwell", time_at_location_distribution(graph, argument))
+            "dwell", session.time_at_location_distribution(argument))
     if keyword == "FIRST":
         if not argument:
             raise QueryError("FIRST expects a location name")
-        if session is not None:
-            return QueryResult(
-                "first", session.first_visit_distribution(argument))
-        return QueryResult("first", first_visit_distribution(graph, argument))
+        return QueryResult(
+            "first", session.first_visit_distribution(argument))
     if keyword == "EXPECTED":
         _reject_argument(argument, "EXPECTED")
-        if session is not None:
-            return QueryResult("expected", session.expected_visit_counts())
-        return QueryResult("expected", expected_visit_counts(graph))
+        return QueryResult("expected", session.expected_visit_counts())
     if keyword == "BEST":
         _reject_argument(argument, "BEST")
-        if session is not None:
-            return QueryResult("best", session.most_likely_trajectory())
-        return QueryResult("best", most_likely_trajectory(graph))
+        return QueryResult("best", session.most_likely_trajectory())
     if keyword == "TOP":
         k = _parse_int(argument, "TOP expects a count")
-        if session is not None:
-            return QueryResult("top", session.top_k_trajectories(k))
-        return QueryResult("top", top_k_trajectories(graph, k))
+        return QueryResult("top", session.top_k_trajectories(k))
     if keyword == "ENTROPY":
         _reject_argument(argument, "ENTROPY")
-        if session is not None:
-            return QueryResult("entropy", session.entropy_profile())
-        return QueryResult("entropy", entropy_profile(graph))
+        return QueryResult("entropy", session.entropy_profile())
     raise QueryError(f"unknown statement {keyword!r}; see repro.queries.ql")
 
 

@@ -1,12 +1,12 @@
 """Shared-pass query sessions over the flat (columnar) ct-graph form.
 
-Every function in :mod:`repro.queries.analytics` walks the ``CTNode`` web
-independently, and most begin with the same forward pass.  A
-:class:`QuerySession` wraps a :class:`~repro.core.flatgraph.FlatCTGraph`
-— or any flat-shaped view, such as the mmap-served
-:class:`~repro.store.format.MappedCTGraph` a ``.ctg`` file loads to,
-whose columns feed the same DPs zero-copy — and computes the shared
-sweeps **once** as flat arrays:
+A :class:`QuerySession` is the one query engine: every stay, analytics,
+pattern and meeting query — and the public functions of
+:mod:`repro.queries` that wrap them — is answered here.  It wraps a
+:class:`~repro.core.flatgraph.FlatCTGraph` — or any flat-shaped view,
+such as the mmap-served :class:`~repro.store.format.MappedCTGraph` a
+``.ctg`` file loads to, whose columns feed the same DPs zero-copy — and
+computes the shared sweeps **once** as flat arrays:
 
 * the forward (alpha) pass — per-level node-marginal arrays feeding
   :meth:`~QuerySession.location_marginal`,
@@ -19,22 +19,22 @@ sweeps **once** as flat arrays:
   distribution — so max-product is the backward sweep worth sharing.)
 
 Each query is then index arithmetic over tuples instead of dict lookups
-over node objects.  Results are **bit-exact** with the object-path
-implementations: the DPs replicate the reference iteration order (level
-order, edge insertion order), its skip criteria (``mass == 0.0`` forward
-skips, ``> 0.0`` emission filters) and its accumulation patterns
-(``get(key, 0.0) + flow`` chains start at ``0.0`` exactly like fresh
-array slots), so every float comes out identical.  Where presence of an
+over node objects.  A node-web graph (``CTGraph``, ``JointGraph``) is
+converted by its ``to_flat()`` once and caches its session
+(:meth:`~repro.core.ctgraph.NodeWebGraph.query_session`).  The DPs visit
+nodes in level order and edges in insertion order, skip ``mass == 0.0``
+forward rows and filter emissions on ``> 0.0``; where presence of an
 underflowed ``0.0`` entry affects a result dict's keys
 (:meth:`first_visit_distribution`, :meth:`span_probability`,
 :meth:`time_at_location_distribution`, the meeting DPs), the session keeps
 the DP frontier in dicts keyed by node *index*, preserving insertion-order
-semantics.  The hypothesis suite in ``tests/test_queries_flat.py`` pins
-the parity query-by-query.
+semantics.  ``tests/test_queries_flat.py`` checks every query against
+brute-force enumeration (:class:`~repro.core.naive.NaiveConditioner`) on
+every flat route.
 
-``most_likely_trajectory`` and ``top_k_trajectories`` share the
-deterministic lexicographic tie-break with the object path (see
-:func:`repro.queries.analytics.most_likely_trajectory`).
+``most_likely_trajectory`` and ``top_k_trajectories`` break ties
+deterministically (lexicographically smallest location sequence first;
+top-k in discovery order).
 
 **Backends** — the shared sweeps (alphas, max-product suffixes, the
 marginal/entropy/expected-visit reductions and the visit/span restricted
@@ -57,32 +57,41 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import kernels
-from repro.core.ctgraph import CTGraph
+from repro.core.ctgraph import NodeWebGraph
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import Trajectory
 from repro.errors import QueryError
 from repro.queries.pattern import Pattern
-from repro.queries.trajectory import TrajectoryQuery
 
-__all__ = ["QuerySession"]
+if TYPE_CHECKING:
+    from repro.queries.trajectory import TrajectoryQuery
+
+__all__ = ["QuerySession", "QueryTarget"]
+
+#: What every query accepts: a node-web graph (``CTGraph``,
+#: ``JointGraph``), a flat graph or flat-shaped view (``FlatCTGraph``,
+#: a mapped ``.ctg``), or a prebuilt session.
+QueryTarget = Union[NodeWebGraph, FlatCTGraph, "QuerySession"]
 
 
 class QuerySession:
     """Cached query evaluation over one flat ct-graph.
 
-    Construct it from a :class:`FlatCTGraph` (free) or a :class:`CTGraph`
-    (converted via :meth:`~repro.core.ctgraph.CTGraph.to_flat`).  The
-    session is cheap to build — sweeps run lazily on first use and are
-    cached, so asking eight queries costs one forward pass, not eight.
-    Sessions are not thread-safe (caches are plain dicts).
+    Construct it from a :class:`FlatCTGraph` or a flat-shaped view (free)
+    or from a node-web graph — a ``CTGraph`` or ``JointGraph`` — which is
+    converted via its ``to_flat()``.  The session is cheap to build —
+    sweeps run lazily on first use and are cached, so asking eight
+    queries costs one forward pass, not eight.  Every answer is a fresh
+    container the caller may edit.  Sessions are not thread-safe (caches
+    are plain dicts).
     """
 
-    def __init__(self, graph: Union[CTGraph, FlatCTGraph],
+    def __init__(self, graph: Union[NodeWebGraph, FlatCTGraph],
                  backend: str = "python") -> None:
-        if isinstance(graph, CTGraph):
+        if isinstance(graph, NodeWebGraph):
             graph = graph.to_flat()
         self.graph = graph
         edge_levels = graph.duration - 1
@@ -92,7 +101,6 @@ class QuerySession:
             backend,
             graph.num_edges / edge_levels if edge_levels else 0.0)
         self._views: Optional[kernels.GraphViews] = None
-        self._alphas: Optional[List[List[float]]] = None
         self._alpha_rows: Optional[List[Sequence[float]]] = None
         self._suffixes: Optional[List[Sequence[float]]] = None
         self._marginals: Dict[int, Dict[str, float]] = {}
@@ -101,11 +109,14 @@ class QuerySession:
         self._map: Optional[Tuple[Trajectory, float]] = None
 
     @classmethod
-    def ensure(cls, graph: Union[CTGraph, FlatCTGraph,
-                                 "QuerySession"]) -> "QuerySession":
-        """``graph`` as a session, wrapping it if necessary."""
+    def ensure(cls, graph: QueryTarget) -> "QuerySession":
+        """``graph`` as a session: itself, the session a node-web graph
+        caches (:meth:`~repro.core.ctgraph.NodeWebGraph.query_session`),
+        or a new one over a flat graph."""
         if isinstance(graph, QuerySession):
             return graph
+        if isinstance(graph, NodeWebGraph):
+            return graph.query_session()
         return cls(graph)
 
     # ------------------------------------------------------------------
@@ -146,19 +157,16 @@ class QuerySession:
         return self._alpha_rows
 
     def alphas(self) -> List[List[float]]:
-        """The forward pass: P(trajectory passes through node), per level.
+        """The forward pass: P(trajectory passes through node), per level
+        in the flat form's node order.
 
-        The flat mirror of :meth:`CTGraph.node_marginals` — same skip
-        criterion (``mass == 0.0``), same accumulation order.  Always a
-        list of plain float lists, whichever backend computed it.
+        Skips ``mass == 0.0`` nodes and accumulates in edge order.  Always
+        a fresh list of plain float lists, whichever backend computed it.
         """
-        if self._alphas is None:
-            rows = self._alpha_levels()
-            if self.backend == "numpy":
-                self._alphas = [row.tolist() for row in rows]  # type: ignore[union-attr]
-            else:
-                self._alphas = rows  # type: ignore[assignment]
-        return self._alphas
+        rows = self._alpha_levels()
+        if self.backend == "numpy":
+            return [row.tolist() for row in rows]  # type: ignore[union-attr]
+        return [list(row) for row in rows]
 
     def _best_suffixes(self) -> List[Sequence[float]]:
         """Max-product backward pass: each node's best completion value.
@@ -197,6 +205,10 @@ class QuerySession:
     # ------------------------------------------------------------------
     def location_marginal(self, tau: int) -> Dict[str, float]:
         """The distribution of the object's location at timestep ``tau``."""
+        return dict(self._marginal(tau))
+
+    def _marginal(self, tau: int) -> Dict[str, float]:
+        """:meth:`location_marginal`'s cached dict, shared — read only."""
         cached = self._marginals.get(tau)
         if cached is not None:
             return cached
@@ -213,7 +225,7 @@ class QuerySession:
                     result[names[lid]] = float(masses[lid])
         else:
             lids = graph.locations[tau]
-            row = self.alphas()[tau]
+            row = self._alpha_levels()[tau]
             for i in range(len(lids)):
                 mass = row[i]
                 if mass > 0.0:
@@ -233,9 +245,9 @@ class QuerySession:
                         kernels.masses_by_location(views, tau, rows[tau]))
                     for tau in range(self.duration)]
             else:
-                self._entropies = [_entropy(self.location_marginal(tau))
+                self._entropies = [_entropy(self._marginal(tau))
                                    for tau in range(self.duration)]
-        return self._entropies
+        return list(self._entropies)
 
     def expected_visit_counts(self) -> Dict[str, float]:
         """Expected number of timesteps spent at each location."""
@@ -255,11 +267,11 @@ class QuerySession:
             else:
                 for tau in range(self.duration):
                     for location, probability in \
-                            self.location_marginal(tau).items():
+                            self._marginal(tau).items():
                         totals[location] = (totals.get(location, 0.0)
                                             + probability)
             self._visit_counts = totals
-        return self._visit_counts
+        return dict(self._visit_counts)
 
     # ------------------------------------------------------------------
     # visit statistics
@@ -317,7 +329,7 @@ class QuerySession:
             mass = kernels.span_mass(self._level_views(), lid, start, end,
                                      self._alpha_levels()[start])
             return min(1.0, mass)
-        alphas = self.alphas()[start]
+        alphas = self._alpha_levels()[start]
         lids = graph.locations[start]
         inside: Dict[int, float] = {}
         for i in range(len(lids)):
@@ -420,12 +432,11 @@ class QuerySession:
     # trajectory extraction
     # ------------------------------------------------------------------
     def most_likely_trajectory(self) -> Tuple[Trajectory, float]:
-        """The MAP trajectory, ties broken lexicographically.
+        """The MAP trajectory (Viterbi over the levels).
 
-        The flat mirror of
-        :func:`repro.queries.analytics.most_likely_trajectory` — identical
-        probabilities and identical tie-breaks, pinned by the parity
-        suite.
+        Ties are broken deterministically: among equal-probability MAP
+        paths the lexicographically smallest location sequence wins,
+        independent of node order.
         """
         if self._map is not None:
             return self._map
@@ -515,13 +526,18 @@ class QuerySession:
         """The ``min(k, num_valid_trajectories())`` most probable valid
         trajectories, most probable first.
 
-        Flat mirror of :func:`repro.queries.analytics.top_k_trajectories`
-        — same best-first expansion order (bounds, then insertion order),
-        same per-node pop cap, identical results.  Partial trajectories
-        live on the heap as cons chains ``(name, parent_chain)`` rather
-        than tuples, so a push costs O(1) instead of O(duration); the
-        heap never compares chains (``counter`` is unique), and only the
-        ``min(k, ...)`` emitted results pay the unwind.
+        Best-first search over path prefixes, guided by the exact
+        probability-to-go upper bound of the max-product suffix pass, so
+        only prefixes that can still reach the answer set are expanded;
+        equal bounds pop in insertion order.  Each node is expanded at
+        most ``k`` times: its ``i``-th pop carries its ``i``-th best
+        prefix, so once ``k`` prefixes have reached a node every later
+        one is dominated, which bounds the heap at ``O(k * edges)``
+        entries.  Partial trajectories live on the heap as cons chains
+        ``(name, parent_chain)`` rather than tuples, so a push costs O(1)
+        instead of O(duration); the heap never compares chains
+        (``counter`` is unique), and only the ``min(k, ...)`` emitted
+        results pay the unwind.
         """
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
@@ -592,18 +608,60 @@ class QuerySession:
     # ------------------------------------------------------------------
     def match_probability(self, pattern: Union[Pattern, str,
                                                TrajectoryQuery]) -> float:
-        """P(the cleaned trajectory matches the pattern)."""
-        query = (pattern if isinstance(pattern, TrajectoryQuery)
-                 else TrajectoryQuery(pattern))
-        return query.probability(self.graph)
+        """P(the cleaned trajectory matches the pattern).
+
+        The pattern's DFA runs in lock-step with a forward pass over the
+        levels: the DP state is a probability per ``(node, DFA state)``
+        pair, and determinism of the DFA counts each trajectory through
+        exactly one run.
+        """
+        dfa = (Pattern.parse(pattern) if isinstance(pattern, str)
+               else pattern).dfa()
+        graph = self.graph
+        # The DFA transition per interned location id, computed once, and
+        # ``(node index, dfa state)`` frontier keys packed into one int
+        # (``index * num_states + state``) — a bijection, so insertion
+        # order and float accumulation match a tuple-keyed frontier.
+        symbols = [dfa.symbol(name) for name in graph.location_names]
+        transitions = dfa.transitions
+        num_states = len(transitions)
+        lids = graph.locations[0]
+        forward: Dict[int, float] = {}
+        for i in range(len(lids)):
+            mass = graph.source_probabilities[i]
+            if mass <= 0.0:
+                continue
+            state = transitions[dfa.start][symbols[lids[i]]]
+            key = i * num_states + state
+            forward[key] = forward.get(key, 0.0) + mass
+
+        for tau in range(graph.duration - 1):
+            offsets = graph.edge_offsets[tau]
+            children = graph.edge_children[tau]
+            probabilities = graph.edge_probabilities[tau]
+            next_lids = graph.locations[tau + 1]
+            step: Dict[int, float] = {}
+            step_get = step.get
+            for key, mass in forward.items():
+                i, state = divmod(key, num_states)
+                row = transitions[state]
+                for e in range(offsets[i], offsets[i + 1]):
+                    child = children[e]
+                    next_key = (child * num_states
+                                + row[symbols[next_lids[child]]])
+                    step[next_key] = (step_get(next_key, 0.0)
+                                      + mass * probabilities[e])
+            forward = step
+
+        return sum(mass for key, mass in forward.items()
+                   if key % num_states in dfa.accepting)
 
     def __repr__(self) -> str:
         return f"QuerySession({self.graph!r})"
 
 
 def _entropy(distribution: Dict[str, float]) -> float:
-    # Same expression as repro.queries.analytics._entropy (kept local to
-    # avoid an import cycle); identical floats by construction.
+    """Shannon entropy (bits) of a distribution."""
     return -sum(p * math.log2(p) for p in distribution.values() if p > 0.0)
 
 

@@ -2,11 +2,10 @@
 
 The answer to a trajectory query over a ct-graph is *yes* with probability
 ``p`` = total conditioned mass of the source->target paths whose location
-sequence matches the pattern.  The evaluator runs the pattern's DFA in
-lock-step with a forward pass over the levelled graph: the DP state is a
-probability per ``(graph node, DFA state)`` pair.  Determinism of the DFA
-makes the sum exact — each trajectory is counted through exactly one DFA
-run.
+sequence matches the pattern.  :meth:`QuerySession.match_probability
+<repro.queries.session.QuerySession.match_probability>` evaluates it: the
+pattern's DFA runs in lock-step with a forward pass over the graph's flat
+form, so determinism of the DFA makes the sum exact.
 
 The same DP over the raw l-sequence (states are ``(location, DFA state)``
 pairs) yields the uncleaned baseline probability under the independence
@@ -15,12 +14,11 @@ assumption.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Union
 
-from repro.core.ctgraph import CTGraph, CTNode
-from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence
-from repro.queries.pattern import Pattern
+from repro.queries.pattern import Pattern, PatternDFA
+from repro.queries.session import QuerySession, QueryTarget
 
 __all__ = ["TrajectoryQuery"]
 
@@ -33,84 +31,18 @@ class TrajectoryQuery:
                         else pattern)
         self._dfa = self.pattern.dfa()
 
+    def dfa(self) -> PatternDFA:
+        """The pattern's compiled DFA."""
+        return self._dfa
+
     # ------------------------------------------------------------------
-    def probability(self, graph: Union[CTGraph, FlatCTGraph]) -> float:
+    def probability(self, graph: QueryTarget) -> float:
         """P(the cleaned trajectory matches the pattern).
 
-        Accepts the node form or the flat form (including duck-typed
-        column views like :class:`~repro.store.format.MappedCTGraph` —
-        anything exposing the CSR ``edge_offsets`` columns runs the flat
-        DP; node-like graphs such as ``JointGraph`` run the object DP);
-        the two DPs visit ``(node, DFA state)`` pairs in the same order
-        and produce bit-identical probabilities.
+        Accepts any graph form or a prebuilt session; a node-web graph
+        answers through its cached session.
         """
-        if hasattr(graph, "edge_offsets"):
-            return self._probability_flat(graph)
-        dfa = self._dfa
-        # forward[(node, dfa_state)] = accumulated probability mass.
-        forward: Dict[Tuple[CTNode, int], float] = {}
-        for source in graph.sources:
-            mass = graph.source_probability(source)
-            if mass <= 0.0:
-                continue
-            state = dfa.step(dfa.start, source.location)
-            key = (source, state)
-            forward[key] = forward.get(key, 0.0) + mass
-
-        for tau in range(graph.duration - 1):
-            step: Dict[Tuple[CTNode, int], float] = {}
-            for (node, state), mass in forward.items():
-                if node.tau != tau:
-                    continue
-                for child, probability in node.edges.items():
-                    next_state = dfa.step(state, child.location)
-                    key = (child, next_state)
-                    step[key] = step.get(key, 0.0) + mass * probability
-            forward = step
-
-        return sum(mass for (node, state), mass in forward.items()
-                   if state in dfa.accepting)
-
-    def _probability_flat(self, graph: FlatCTGraph) -> float:
-        dfa = self._dfa
-        # The DFA transition per interned location id, computed once, and
-        # ``(node index, dfa state)`` frontier keys packed into one int
-        # (``index * num_states + state``) — the packing is a bijection,
-        # so insertion order and float accumulation match the tuple-keyed
-        # object path exactly.
-        symbols = [dfa.symbol(name) for name in graph.location_names]
-        transitions = dfa.transitions
-        num_states = len(transitions)
-        lids = graph.locations[0]
-        forward: Dict[int, float] = {}
-        for i in range(len(lids)):
-            mass = graph.source_probabilities[i]
-            if mass <= 0.0:
-                continue
-            state = transitions[dfa.start][symbols[lids[i]]]
-            key = i * num_states + state
-            forward[key] = forward.get(key, 0.0) + mass
-
-        for tau in range(graph.duration - 1):
-            offsets = graph.edge_offsets[tau]
-            children = graph.edge_children[tau]
-            probabilities = graph.edge_probabilities[tau]
-            next_lids = graph.locations[tau + 1]
-            step: Dict[int, float] = {}
-            step_get = step.get
-            for key, mass in forward.items():
-                i, state = divmod(key, num_states)
-                row = transitions[state]
-                for e in range(offsets[i], offsets[i + 1]):
-                    child = children[e]
-                    next_key = (child * num_states
-                                + row[symbols[next_lids[child]]])
-                    step[next_key] = (step_get(next_key, 0.0)
-                                      + mass * probabilities[e])
-            forward = step
-
-        return sum(mass for key, mass in forward.items()
-                   if key % num_states in dfa.accepting)
+        return QuerySession.ensure(graph).match_probability(self)
 
     def probability_prior(self, lsequence: LSequence) -> float:
         """P(match) under the raw independence-assumption interpretation."""

@@ -9,8 +9,16 @@ import pytest
 
 from repro.core.algorithm import build_ct_graph
 from repro.core.constraints import ConstraintSet, Unreachable
+from repro.core.ctgraph import NodeWebGraph
 from repro.core.lsequence import LSequence
 from repro.errors import GraphInvariantError, QueryError
+from repro.queries import (
+    TrajectoryQuery,
+    entropy_profile,
+    execute,
+    stay_query,
+    top_k_trajectories,
+)
 
 
 @pytest.fixture
@@ -87,9 +95,25 @@ class TestProbabilities:
     def test_unknown_start_scores_zero(self, diamond_graph):
         assert diamond_graph.trajectory_probability(("Z", "B", "D")) == 0.0
 
-    def test_node_marginals_cached(self, diamond_graph):
-        first = diamond_graph.node_marginals()
-        assert diamond_graph.node_marginals() is first
+    def test_graph_converts_once_across_queries(self, diamond_graph,
+                                                monkeypatch):
+        conversions = []
+        to_flat = NodeWebGraph.to_flat
+        monkeypatch.setattr(
+            NodeWebGraph, "to_flat",
+            lambda graph: conversions.append(graph) or to_flat(graph))
+        for tau in range(diamond_graph.duration):
+            diamond_graph.location_marginal(tau)
+        stay_query(diamond_graph, 1)
+        entropy_profile(diamond_graph)
+        top_k_trajectories(diamond_graph, 2)
+        TrajectoryQuery("? B ?").probability(diamond_graph)
+        execute(diamond_graph, "BEST")
+        assert conversions == [diamond_graph]
+        # The cached session is not pickled: a copy converts afresh.
+        clone = pickle.loads(pickle.dumps(diamond_graph))
+        assert clone.location_marginal(1) == diamond_graph.location_marginal(1)
+        assert conversions == [diamond_graph, clone]
 
     def test_location_marginal_sums_to_one(self, diamond_graph):
         for tau in range(diamond_graph.duration):

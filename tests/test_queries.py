@@ -24,6 +24,7 @@ from repro.queries.accuracy import (
     trajectory_accuracy_on,
     trajectory_query_accuracy,
 )
+from repro.store import load_ctg, save_ctg
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ class TestAccuracyMetrics:
         with pytest.raises(QueryError):
             trajectory_query_accuracy(1.7, True)
 
-    def test_accuracy_on_dispatches_by_source(self, small_case):
+    def test_accuracy_on_dispatches_by_source(self, small_case, tmp_path):
         ls, _, graph = small_case
         truth = ("A", "B", "C")
         cleaned = stay_accuracy_on(graph, 1, truth)
@@ -107,6 +108,13 @@ class TestAccuracyMetrics:
         t_cleaned = trajectory_accuracy_on(graph, "? B ?", truth)
         t_raw = trajectory_accuracy_on(ls, "? B ?", truth)
         assert 0.0 <= t_raw <= 1.0 and 0.0 <= t_cleaned <= 1.0
+        # Every flat form scores like the node graph it came from.
+        save_ctg(graph, tmp_path / "graph.ctg")
+        with load_ctg(tmp_path / "graph.ctg", mmap=True) as mapped:
+            for flat in (graph.to_flat(), mapped):
+                assert stay_accuracy_on(flat, 1, truth) == cleaned
+                assert trajectory_accuracy_on(flat, "? B ?",
+                                              truth) == t_cleaned
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,29 @@
-"""Property-based bit-exactness of the flat query engine.
+"""Every query against brute-force enumeration, on every flat route.
 
-Three representations of the same cleaned object must answer every query
-identically — not approximately, *bitwise*:
+The one query engine is :class:`~repro.queries.session.QuerySession`
+over a graph's flat form.  This suite checks its answers against
+:class:`~repro.core.naive.NaiveConditioner` — the conditioned
+distribution obtained by enumerating every trajectory — on random
+instances, for each route a flat graph arrives by:
 
-* the ``CTGraph`` object path (``repro.queries.analytics`` et al.),
-* a ``QuerySession`` over ``CTGraph.to_flat()``,
-* a ``QuerySession`` over an engine-native flat build
-  (``CleaningOptions(materialize="flat")``), for both the reference and
-  the compact engine.
+* ``CTGraph.to_flat()`` of the reference builder's node graph,
+* engine-native flat builds (``CleaningOptions(materialize="flat")``)
+  from the reference and from the compact engine,
+* a ``.ctg`` file served back by ``load_ctg(mmap=True)``.
 
-The suite reuses the random-instance strategies of
-``test_engine_vs_reference`` (random supports include zero-mass-pruned
-levels and constraint mixes that trim whole branches) and pins, per
-query: every location marginal, the entropy profile, expected visit
-counts, visit/first-visit/span/dwell for every location (plus one the
-graph never mentions), pattern matching, the MAP trajectory and top-k
-lists.  Deterministic tie-breaking (lexicographic, per the
+Per route it checks every location marginal, the entropy profile,
+expected visit counts, visit/first-visit/span/dwell for every location
+(plus one the graph never mentions), pattern matching, the MAP
+trajectory and top-k lists.  The first three routes must also be one
+value structurally.  A ``JointGraph`` runs through its flat form the same
+way.  Deterministic tie-breaking (lexicographic, per the
 ``most_likely_trajectory`` contract) gets its own regression tests on
-hand-built tied graphs.
+hand-built tied graphs, where exact ties exist.
 """
+
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,21 +31,18 @@ from hypothesis import given, settings, strategies as st
 from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.constraints import ConstraintSet, Latency, Unreachable
 from repro.core.flatgraph import FlatCTGraph
+from repro.core.groups import condition_on_meeting
 from repro.core.lsequence import LSequence
+from repro.core.naive import NaiveConditioner
 from repro.errors import InconsistentReadingsError, QueryError
 from repro.queries import (
-    entropy_profile,
-    expected_visit_counts,
-    first_visit_distribution,
     most_likely_trajectory,
-    span_probability,
     stay_query,
-    time_at_location_distribution,
     top_k_trajectories,
-    visit_probability,
 )
 from repro.queries.session import QuerySession
 from repro.queries.trajectory import TrajectoryQuery
+from repro.store import load_ctg, save_ctg
 
 from tests.test_engine_vs_reference import (
     LOCATIONS,
@@ -48,12 +50,21 @@ from tests.test_engine_vs_reference import (
     lsequences,
     tt_heavy_constraint_sets,
 )
+from tests.test_groups import joint_by_enumeration
 
 QUERY_LOCATIONS = LOCATIONS + ("Z",)  # "Z" never appears in any graph
 
 
-def _build_all_forms(lsequence, constraints):
-    """The node graph plus its three flat forms, or None on zero mass."""
+def approx(value):
+    """Enumeration sums trajectory probabilities in another order than
+    the DPs, so answers agree to rounding, not bitwise."""
+    return pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+def _flat_routes(lsequence, constraints):
+    """``to_flat()`` of the node graph and the engine-native flat builds,
+    or None when the instance has no valid trajectory (every route and
+    the enumeration must then fail alike)."""
     try:
         nodes = build_ct_graph(lsequence, constraints,
                                CleaningOptions(engine="reference"))
@@ -63,56 +74,103 @@ def _build_all_forms(lsequence, constraints):
                 build_ct_graph(lsequence, constraints,
                                CleaningOptions(engine=engine,
                                                materialize="flat"))
+        with pytest.raises(InconsistentReadingsError):
+            NaiveConditioner(lsequence, constraints).conditioned_distribution()
         return None
-    flats = [nodes.to_flat()]
-    for engine in ("reference", "compact"):
-        flats.append(build_ct_graph(
-            lsequence, constraints,
-            CleaningOptions(engine=engine, materialize="flat")))
-    return nodes, flats
+    return [nodes.to_flat()] + [
+        build_ct_graph(lsequence, constraints,
+                       CleaningOptions(engine=engine, materialize="flat"))
+        for engine in ("reference", "compact")]
 
 
-def _assert_query_parity(nodes, flat):
-    session = QuerySession(flat)
-    duration = nodes.duration
-    assert session.duration == duration
-    assert flat.num_valid_trajectories() == nodes.num_valid_trajectories()
+def _patterns(duration):
+    return ["? B[1] ?" if duration >= 3 else "B[1]", "? A ? C[2] ?", "D ?"]
 
+
+def _assert_matches_enumeration(graph, distribution):
+    """Every query over ``graph`` (any form) equals its value computed
+    from the enumerated conditioned ``distribution``."""
+    session = QuerySession(graph)
+    duration = session.duration
+    assert graph.num_valid_trajectories() == len(distribution)
+
+    marginals = [{} for _ in range(duration)]
+    for trajectory, probability in distribution.items():
+        for tau, location in enumerate(trajectory):
+            marginals[tau][location] = (marginals[tau].get(location, 0.0)
+                                        + probability)
     for tau in range(duration):
-        assert session.location_marginal(tau) == stay_query(nodes, tau)
-    assert session.entropy_profile() == entropy_profile(nodes)
-    assert session.expected_visit_counts() == expected_visit_counts(nodes)
+        assert session.location_marginal(tau) == approx(marginals[tau])
+    assert session.entropy_profile() == approx(
+        [-sum(p * math.log2(p) for p in marginal.values())
+         for marginal in marginals])
+    expected = {}
+    for marginal in marginals:
+        for location, probability in marginal.items():
+            expected[location] = expected.get(location, 0.0) + probability
+    assert session.expected_visit_counts() == approx(expected)
 
+    end = min(duration - 1, 3)
     for location in QUERY_LOCATIONS:
-        assert (session.visit_probability(location)
-                == visit_probability(nodes, location))
-        assert (session.first_visit_distribution(location)
-                == first_visit_distribution(nodes, location))
+        visit, span, first, dwell = 0.0, 0.0, {}, {}
+        for trajectory, probability in distribution.items():
+            if location in trajectory:
+                visit += probability
+                tau = trajectory.index(location)
+                first[tau] = first.get(tau, 0.0) + probability
+            if all(step == location for step in trajectory[:end + 1]):
+                span += probability
+            count = trajectory.count(location)
+            dwell[count] = dwell.get(count, 0.0) + probability
+        assert session.visit_probability(location) == approx(visit)
+        assert session.span_probability(location, 0, end) == approx(span)
+        assert session.first_visit_distribution(location) == approx(first)
         assert (session.time_at_location_distribution(location)
-                == time_at_location_distribution(nodes, location))
-        end = min(duration - 1, 3)
-        assert (session.span_probability(location, 0, end)
-                == span_probability(nodes, location, 0, end))
+                == approx(dwell))
 
-    assert session.most_likely_trajectory() == most_likely_trajectory(nodes)
+    for text in _patterns(duration):
+        query = TrajectoryQuery(text)
+        assert session.match_probability(text) == approx(
+            sum(p for t, p in distribution.items() if query.matches(t)))
+
+    trajectory, probability = session.most_likely_trajectory()
+    assert probability == approx(distribution[trajectory])
+    assert probability == approx(max(distribution.values()))
     for k in (1, 3, 10_000):
-        assert session.top_k_trajectories(k) == top_k_trajectories(nodes, k)
+        top = session.top_k_trajectories(k)
+        assert len(top) == min(k, len(distribution))
+        assert len({t for t, _ in top}) == len(top)
+        for trajectory, probability in top:
+            assert probability == approx(distribution[trajectory])
+        probabilities = [p for _, p in top]
+        assert probabilities == sorted(probabilities, reverse=True)
+        chosen = {t for t, _ in top}
+        assert all(p <= top[-1][1] * (1 + 1e-9)
+                   for t, p in distribution.items() if t not in chosen)
 
-    query = TrajectoryQuery("? B[1] ?" if duration >= 3 else "B[1]")
-    assert query.probability(flat) == query.probability(nodes)
+
+def _check_all_routes(lsequence, constraints):
+    routes = _flat_routes(lsequence, constraints)
+    if routes is None:
+        return
+    # All flat forms are one value: to_flat == engine-native (both engines).
+    assert routes[0] == routes[1] == routes[2]
+    routes[0].validate()
+    distribution = NaiveConditioner(
+        lsequence, constraints).conditioned_distribution()
+    for flat in routes:
+        _assert_matches_enumeration(flat, distribution)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.ctg"
+        save_ctg(routes[2], path)
+        with load_ctg(path, mmap=True) as view:
+            _assert_matches_enumeration(view, distribution)
 
 
 @settings(max_examples=150, deadline=None)
 @given(lsequences(), constraint_sets())
 def test_query_parity_on_random_instances(lsequence, constraints):
-    forms = _build_all_forms(lsequence, constraints)
-    if forms is None:
-        return
-    nodes, flats = forms
-    # All flat forms are one value: to_flat == engine-native (both engines).
-    assert flats[0] == flats[1] == flats[2]
-    flats[0].validate()
-    _assert_query_parity(nodes, flats[0])
+    _check_all_routes(lsequence, constraints)
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,12 +178,32 @@ def test_query_parity_on_random_instances(lsequence, constraints):
 def test_query_parity_on_tt_heavy_instances(lsequence, constraints):
     """TT constraints prune mid-sequence levels — the zero-mass-pruned
     node/edge paths the flat emission must drop identically."""
-    forms = _build_all_forms(lsequence, constraints)
-    if forms is None:
-        return
-    nodes, flats = forms
-    assert flats[0] == flats[1] == flats[2]
-    _assert_query_parity(nodes, flats[0])
+    _check_all_routes(lsequence, constraints)
+
+
+def test_joint_graph_queries_run_on_its_flat_form():
+    constraints = ConstraintSet([Unreachable("A", "C"), Latency("B", 2)])
+    ls_a = LSequence([{"A": 0.5, "B": 0.5}, {"B": 0.7, "C": 0.3},
+                      {"B": 0.5, "C": 0.5}, {"B": 0.4, "C": 0.6}])
+    ls_b = LSequence([{"A": 0.2, "B": 0.8}, {"B": 0.4, "C": 0.6},
+                      {"B": 0.9, "C": 0.1}, {"B": 0.3, "C": 0.7}])
+    joint = condition_on_meeting(build_ct_graph(ls_a, constraints),
+                                 build_ct_graph(ls_b, constraints))
+    flat = joint.to_flat()
+    flat.validate()
+    assert all(stay is None for level in flat.stays for stay in level)
+    assert QuerySession.ensure(joint).graph == flat
+    distribution = joint_by_enumeration(ls_a, ls_b, constraints)
+    for tau in range(joint.duration):
+        marginal = {}
+        for trajectory, probability in distribution.items():
+            marginal[trajectory[tau]] = (marginal.get(trajectory[tau], 0.0)
+                                         + probability)
+        assert joint.location_marginal(tau) == approx(marginal)
+    for text in ("? B ?", "? C[2] ?", "A B ?"):
+        query = TrajectoryQuery(text)
+        assert query.probability(joint) == approx(
+            sum(p for t, p in distribution.items() if query.matches(t)))
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +261,9 @@ def test_map_tie_break_prefers_earlier_divergence():
 def test_top_k_exhausts_at_num_valid_trajectories():
     nodes = _tied_graph()
     assert nodes.num_valid_trajectories() == 4
-    for graphlike in (nodes, None):
-        if graphlike is None:
-            result = QuerySession(nodes.to_flat()).top_k_trajectories(100)
-        else:
-            result = top_k_trajectories(graphlike, 100)
-        assert len(result) == 4
-        assert sum(p for _, p in result) == pytest.approx(1.0)
+    result = top_k_trajectories(nodes, 100)
+    assert len(result) == 4
+    assert sum(p for _, p in result) == pytest.approx(1.0)
 
 
 def test_top_k_rejects_non_positive_k():
@@ -205,16 +279,37 @@ def test_top_k_rejects_non_positive_k():
        st.integers(min_value=1, max_value=30))
 def test_top_k_length_contract_on_random_instances(lsequence, constraints,
                                                    k):
-    forms = _build_all_forms(lsequence, constraints)
-    if forms is None:
+    routes = _flat_routes(lsequence, constraints)
+    if routes is None:
         return
-    nodes, flats = forms
-    result = top_k_trajectories(nodes, k)
-    assert len(result) == min(k, nodes.num_valid_trajectories())
-    assert result == QuerySession(flats[0]).top_k_trajectories(k)
+    result = QuerySession(routes[0]).top_k_trajectories(k)
+    assert len(result) == min(k, routes[0].num_valid_trajectories())
     # Sorted by probability, descending.
     probabilities = [p for _, p in result]
     assert probabilities == sorted(probabilities, reverse=True)
+
+
+# ----------------------------------------------------------------------
+# answers are the caller's to edit
+# ----------------------------------------------------------------------
+def test_session_answers_are_fresh_containers():
+    """Editing an answer must not change a later one: each call hands
+    out a new container, never the session's cache."""
+    nodes = _tied_graph()
+    for target in (nodes, QuerySession(nodes.to_flat())):
+        session = QuerySession.ensure(target)
+        alphas = session.alphas()
+        session.alphas()[0][0] = 9.0
+        stay_query(target, 0).clear()
+        session.location_marginal(1)["Z"] = 5.0
+        session.entropy_profile()[0] = -1.0
+        session.expected_visit_counts().clear()
+        assert session.alphas() == alphas
+        assert session.location_marginal(0) == {"B": 0.5, "C": 0.5}
+        assert session.location_marginal(1) == {"A": 1.0}
+        assert session.entropy_profile() == [1.0, 0.0, 1.0]
+        assert session.expected_visit_counts() == {
+            "A": 1.0, "B": 1.0, "C": 0.5, "D": 0.5}
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ablation F: streaming vs batch cleaning.
 
-The online cleaner pays two costs for liveness: per-reading frontier
+The online cleaner (``StreamingCleaner(window=None)``, which keeps the
+whole stream) pays two costs for liveness: per-reading frontier
 maintenance (no lookahead ``TL`` pruning) and a full backward sweep at
 ``finalize``.  This ablation measures the total streaming cost against a
 single batch run on the same readings, plus the live frontier size.
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core.algorithm import build_ct_graph
-from repro.core.incremental import IncrementalCleaner
 from repro.core.lsequence import LSequence
 from repro.experiments.report import format_table
 from repro.inference import infer_constraints
+from repro.streaming import StreamingCleaner
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,8 @@ def test_streaming_cleaning(benchmark, case):
     dataset, constraints, trajectory = case
 
     def run():
-        cleaner = IncrementalCleaner(constraints, prior=dataset.prior)
+        cleaner = StreamingCleaner(constraints, window=None,
+                                   prior=dataset.prior)
         for reading in trajectory.readings:
             cleaner.extend_reading(reading.readers)
         return cleaner.finalize()
@@ -58,7 +60,8 @@ def test_streaming_report(benchmark, case, capsys):
         batch = build_ct_graph(lsequence, constraints)
         batch_seconds = time.perf_counter() - started
 
-        cleaner = IncrementalCleaner(constraints, prior=dataset.prior)
+        cleaner = StreamingCleaner(constraints, window=None,
+                                   prior=dataset.prior)
         frontier_sizes = []
         started = time.perf_counter()
         for reading in trajectory.readings:

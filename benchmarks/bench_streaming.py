@@ -8,9 +8,9 @@ long synthetic reading stream (full run: 100k steps, ``window=64``):
   state-space bound, no matter how long the stream runs (the whole
   point of evicting settled prefix levels into the frontier summary);
 * **eviction exactness** — ``filtered_distribution()`` is *bit-equal*
-  (``==`` on floats, not approximate) at every step to an
-  :class:`~repro.core.incremental.IncrementalCleaner` that retains the
-  entire stream, over a long shared prefix;
+  (``==`` on floats, not approximate) at every step to a
+  ``StreamingCleaner(window=None)`` that retains the entire stream, over
+  a long shared prefix;
 * **resume exactness** — checkpointing mid-stream, resuming from the
   file and feeding the remainder yields bit-equal filtered estimates
   and a bit-identical ``finalize()`` graph versus the uninterrupted
@@ -60,7 +60,6 @@ from repro.core.constraints import (
     TravelingTime,
     Unreachable,
 )
-from repro.core.incremental import IncrementalCleaner
 from repro.core.kernels import numpy_available
 from repro.io.jsonio import save_constraints
 from repro.runtime.sessions import StreamSessionManager
@@ -77,7 +76,7 @@ WINDOW = 64
 #: frontier alive (and maximally wide) at every step.
 LOCATIONS = ("A", "B", "C", "D", "E", "F", "G", "H")
 
-#: How far back the full-retention IncrementalCleaner shadows the
+#: How far back the full-retention ``window=None`` cleaner shadows the
 #: stream for the bit-equality check (it holds every level, so the
 #: shadow is capped; the streaming side continues to the full horizon).
 PARITY_PREFIX = 4_096
@@ -275,7 +274,7 @@ def run(duration: int, window: int, smoke: bool,
 
     streaming = StreamingCleaner(constraints, window=window,
                                  options=options)
-    shadow = IncrementalCleaner(constraints, options=options)
+    shadow = StreamingCleaner(constraints, window=None, options=options)
     reference = StreamingCleaner(constraints, window=window,
                                  options=options)
 

@@ -12,8 +12,8 @@ scenarios".  This example exercises exactly that extension:
   (:func:`repro.core.groups.condition_on_meeting`) — pooling the evidence
   sharpens both;
 * meanwhile the forklift stream is also consumed *online* through
-  :class:`repro.core.incremental.IncrementalCleaner`, the way a live
-  dashboard would.
+  :class:`repro.streaming.StreamingCleaner` (``window=None``: keep the
+  whole stream), the way a live dashboard would.
 
 Run:  python examples/supply_chain_group.py
 """
@@ -21,8 +21,8 @@ Run:  python examples/supply_chain_group.py
 import numpy as np
 
 from repro import (
-    IncrementalCleaner,
     LSequence,
+    StreamingCleaner,
     build_ct_graph,
     condition_on_meeting,
     corridor_map,
@@ -89,7 +89,7 @@ def main() -> None:
 
     # --- live tracking of the forklift stream ----------------------------
     print("live tracking (filtered estimate every 40 s):")
-    live = IncrementalCleaner(constraints, prior=prior)
+    live = StreamingCleaner(constraints, window=None, prior=prior)
     for tau, reading in enumerate(forklift_readings):
         live.extend_reading(reading.readers)
         if (tau + 1) % 40 == 0:

@@ -34,7 +34,6 @@ from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.diagnostics import InconsistencyReport, diagnose
 from repro.core.groups import JointGraph, condition_group, condition_on_meeting
-from repro.core.incremental import IncrementalCleaner
 from repro.core.lsequence import LSequence, Reading, ReadingSequence
 from repro.core.naive import NaiveConditioner
 from repro.core.sampling import TrajectorySampler, rejection_sample
@@ -167,7 +166,7 @@ __all__ = [
     "build_ct_graph", "clean", "NaiveConditioner",
     "TrajectorySampler", "rejection_sample",
     "is_valid_trajectory", "violations",
-    "IncrementalCleaner", "JointGraph", "condition_on_meeting",
+    "JointGraph", "condition_on_meeting",
     "condition_group",
     # streaming
     "StreamingCleaner", "StreamSessionManager",

@@ -12,8 +12,8 @@ bootstrap particle filter over location-node states:
   back to size every step (systematic resampling).
 
 The filter outputs per-step *filtered* location estimates like
-:class:`repro.core.incremental.IncrementalCleaner`, but approximately and
-with O(particles) memory — the comparison benchmark measures the
+:class:`repro.streaming.StreamingCleaner`, but approximately and with
+O(particles) memory — the comparison benchmark measures the
 accuracy/cost trade-off against exact conditioning.
 """
 

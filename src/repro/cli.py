@@ -767,12 +767,10 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_single(args: argparse.Namespace) -> int:
-    import json
-
     from repro.core.algorithm import CleaningOptions
     from repro.io.jsonio import load_constraints
     from repro.runtime.sessions import StreamSessionManager
-    from repro.runtime.shards import ServeEngine
+    from repro.runtime.shards import ServeEngine, parse_reading
 
     constraints = load_constraints(args.constraints_file)
     manager = StreamSessionManager(
@@ -798,14 +796,12 @@ def _serve_single(args: argparse.Namespace) -> int:
         line = raw.strip()
         if not line:
             continue
-        try:
-            reading = json.loads(line)
-            object_id = reading["object"]
-            candidates = reading["candidates"]
-        except (ValueError, KeyError, TypeError):
+        reading = parse_reading(line)
+        if reading is None:
             print(f"serve: skipping malformed line: {line[:120]}",
                   file=sys.stderr)
             continue
+        object_id, candidates = reading
         _, out_lines, err_lines = engine.process(object_id, candidates)
         for out_line in out_lines:
             print(out_line, flush=True)

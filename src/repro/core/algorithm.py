@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.constraints import ConstraintSet
 from repro.core.ctgraph import CTGraph, CTNode
@@ -345,36 +345,70 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
     elif options.precheck != "off":
         _run_precheck(lsequence, constraints, options)
 
+    sources = {state: lsequence.probability(0, location)
+               for location, state
+               in source_states(lsequence.support(0), constraints).items()}
+    departure_filter = (DepartureFilter(lsequence, constraints)
+                        if constraints.tt_sources else None)
+    rows = [lsequence.candidates(tau) for tau in range(lsequence.duration)]
+    return _condition_levels(sources, rows, constraints, options,
+                             departure_filter=departure_filter, plan=plan)
+
+
+def _condition_levels(sources: Mapping[NodeState, float],
+                      rows: Sequence[Mapping[str, float]],
+                      constraints: ConstraintSet, options: CleaningOptions,
+                      *, offset: int = 0,
+                      departure_filter: Optional[DepartureFilter] = None,
+                      plan=None) -> Union[CTGraph, FlatCTGraph]:
+    """The reference builder: Algorithm 1 from given level-0 node states.
+
+    ``sources`` maps each level-0 node state to its prior mass and
+    ``rows[i]`` is level ``i``'s candidate row (``rows[0]`` is the row
+    the sources came from).  The levels are absolute timesteps
+    ``offset .. offset + len(rows) - 1``, relabelled from 0 in the
+    returned graph, with ``TL`` departure times rebased by ``-offset``.
+    :func:`build_ct_graph` passes the timestep-0 source states, its
+    :class:`~repro.core.nodes.DepartureFilter` and its plan; a
+    streaming window passes its entry frontier at ``offset = base``, and
+    no filter — the filter needs the future support.
+    """
     stats = CleaningStats()
     forward_started = time.perf_counter()
-    duration = lsequence.duration
+    duration = len(rows)
     last = duration - 1
 
+    def label(tau: int, state: NodeState) -> CTNode:
+        if offset:
+            state = (state[0], state[1],
+                     tuple((departed_at - offset, location)
+                           for departed_at, location in state[2]))
+        return CTNode(tau, *state)
+
     # ------------------------------------------------------------------
-    # initialisation: source nodes from the timestep-0 candidates
+    # initialisation: the given level-0 states
     # ------------------------------------------------------------------
     levels: List[Dict[NodeState, CTNode]] = [{} for _ in range(duration)]
     prior_source_probability: Dict[CTNode, float] = {}
-    for location, state in source_states(lsequence.support(0), constraints).items():
+    for state, mass in sources.items():
         if options.strict_truncation and last == 0 and state[1] is not None:
             continue
-        node = CTNode(0, *state)
+        node = label(0, state)
         levels[0][state] = node
-        prior_source_probability[node] = lsequence.probability(0, location)
+        prior_source_probability[node] = mass
         stats.nodes_created += 1
     if not levels[0]:
         raise ZeroMassError(
-            "no source location satisfies the constraints at timestep 0")
+            f"no source location satisfies the constraints at timestep "
+            f"{offset}")
 
     # ------------------------------------------------------------------
     # forward phase
     # ------------------------------------------------------------------
-    departure_filter = (DepartureFilter(lsequence, constraints)
-                        if constraints.tt_sources else None)
     for tau in range(duration - 1):
         frontier = levels[tau]
         next_level = levels[tau + 1]
-        candidates = lsequence.candidates(tau + 1)
+        candidates = rows[tau + 1]
         # The plan's row cache is keyed on the *sorted* support: the same
         # location set listed in different orders across levels (or
         # objects) must hit one row, so the key is canonicalised once per
@@ -386,7 +420,7 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
         # plan the (location, support) -> destinations row is additionally
         # cached across levels and across the objects of a batch.
         reachable: Dict[str, list] = {}
-        for node in frontier.values():
+        for state, node in frontier.items():
             location = node.location
             allowed = reachable.get(location)
             if allowed is None:
@@ -403,10 +437,9 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
                                if not constraints.forbids_step(location,
                                                                destination)]
                 reachable[location] = allowed
-            state = (location, node.stay, node.departures)
             for destination, probability in allowed:
-                successor = _unchecked_successor(tau, state, destination,
-                                                 constraints,
+                successor = _unchecked_successor(offset + tau, state,
+                                                 destination, constraints,
                                                  departure_filter)
                 if successor is None:
                     continue
@@ -414,7 +447,7 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
                     continue
                 child = next_level.get(successor)
                 if child is None:
-                    child = CTNode(tau + 1, *successor)
+                    child = label(tau + 1, successor)
                     next_level[successor] = child
                     stats.nodes_created += 1
                 node.edges[child] = probability
@@ -422,7 +455,8 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
                 stats.edges_created += 1
         if not next_level:
             raise ZeroMassError(
-                f"no trajectory can legally continue past timestep {tau}")
+                f"no trajectory can legally continue past timestep "
+                f"{offset + tau}")
 
     # ------------------------------------------------------------------
     # backward phase: survival sweep with per-level rescaling

@@ -1,25 +1,25 @@
-"""Online (streaming) cleaning: ingest readings one at a time.
+"""The frontier arithmetic of online (streaming) cleaning.
 
 The batch Algorithm 1 needs the whole reading sequence before it can
-condition.  Deployments, however, receive readings as a stream and want a
-live position estimate.  :class:`IncrementalCleaner` maintains the forward
-frontier of node states under the Definition 3 successor relation:
+condition.  Deployments, however, receive readings as a stream and want
+a live position estimate.  :class:`repro.streaming.StreamingCleaner`
+provides it by keeping the forward frontier of node states under the
+Definition 3 successor relation; this module holds the arithmetic it
+runs on every reading:
 
-* :meth:`extend` appends one timestep's candidate distribution (or one
-  reading, via a prior model) and advances the frontier;
-* :meth:`filtered_distribution` returns the *filtered* estimate
-  ``P(X_now | readings so far, constraints held so far)`` — the standard
-  online quantity (it conditions on validity of the prefix only, so it
-  will generally differ from the final smoothed marginal);
-* :meth:`finalize` runs the full backward conditioning and returns the
-  exact ct-graph — identical, path for path and probability for
-  probability, to the batch algorithm run on the whole sequence (a
-  property the tests assert).
+* :func:`coerce_candidate_row` validates and normalises one timestep's
+  candidate distribution;
+* :func:`advance_frontier` is one step of the filtered-forward
+  recursion (the python oracle), and :func:`advance_frontier_routed`
+  routes the step to it or to the vectorized
+  :class:`~repro.core.kernels.FrontierKernel`;
+* :func:`frontier_to_dict` turns either frontier representation into
+  the oracle's dict form.
 
-The cleaner keeps every ingested row, so its memory grows with the stream;
-for unbounded streams use :class:`repro.streaming.StreamingCleaner`, which
-shares this module's frontier arithmetic (:func:`advance_frontier`) but
-evicts settled prefix levels and stays O(window).
+The live frontier yields the *filtered* estimate
+``P(X_now | readings so far, constraints held so far)`` — the standard
+online quantity (it conditions on validity of the prefix only, so it
+will generally differ from the final smoothed marginal).
 
 One caveat: the exact ``TL`` pruning of the batch algorithm
 (:class:`repro.core.nodes.DepartureFilter`) needs the *future* support and
@@ -30,60 +30,43 @@ states than the batch forward phase would.  Probabilities are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
 
-from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph
-from repro.core.flatgraph import FlatCTGraph
-from repro.core.lsequence import LSequence
-from repro.core.nodes import (
-    NodeState,
-    source_states,
-    state_location,
-    successor_state,
-)
-from repro.errors import InconsistentReadingsError, ReadingSequenceError
-
-if TYPE_CHECKING:
-    from repro.store.format import MappedCTGraph
+from repro.core.nodes import NodeState, source_states, successor_state
+from repro.errors import ReadingSequenceError
 
 __all__ = [
-    "IncrementalCleaner",
-    "FinalizedGraph",
     "Frontier",
     "advance_frontier",
     "advance_frontier_routed",
     "coerce_candidate_row",
     "frontier_to_dict",
-    "resolve_finalize_options",
 ]
 
 _PROBABILITY_FLOOR = 1e-15
-
-#: What :meth:`IncrementalCleaner.finalize` actually returns — the shape
-#: follows ``options.materialize`` exactly as in :func:`build_ct_graph`:
-#: ``"nodes"``/``"auto"`` yield a :class:`CTGraph`, ``"flat"`` a
-#: :class:`FlatCTGraph`, ``"store"`` an mmap-backed
-#: :class:`~repro.store.format.MappedCTGraph` view of the written file.
-FinalizedGraph = Union[CTGraph, FlatCTGraph, "MappedCTGraph"]
 
 
 def coerce_candidate_row(candidates: Mapping[str, float],
                          timestep: int) -> Dict[str, float]:
     """One timestep's candidate distribution, validated and normalised.
 
-    Every probability is coerced through ``float`` exactly once and the
+    ``candidates`` must be a mapping of location to probability.  Every
+    probability is coerced through ``float`` exactly once and the
     *coerced* value is reused for the positivity filter and the row — an
     int, a numpy scalar or a numeric string therefore behaves like the
     float it denotes instead of crashing with a bare ``TypeError`` deep
-    in a comparison.  Raises :class:`ReadingSequenceError` when a value
-    does not coerce, is NaN/infinite/negative (NaN fails every ``>``
-    test, so the floor filter alone would silently swallow it), or when
-    no location keeps positive mass.  Entry order is preserved — it
+    in a comparison.  Raises :class:`ReadingSequenceError` when
+    ``candidates`` is not a mapping, when a value does not coerce, is
+    NaN/infinite/negative (NaN fails every ``>`` test, so the floor
+    filter alone would silently swallow it), or when no location keeps
+    positive mass.  Entry order is preserved — it
     determines downstream dict iteration, hence bit-exact results.
     """
+    if not isinstance(candidates, Mapping):
+        raise ReadingSequenceError(
+            f"timestep {timestep}: candidates must map locations to "
+            f"probabilities, got {type(candidates).__name__}")
     coerced: Dict[str, float] = {}
     for location, p in candidates.items():
         try:
@@ -115,12 +98,11 @@ def advance_frontier(frontier: Dict[NodeState, float],
     Returns the unnormalised (peak-rescaled) forward mass over the node
     states of timestep ``tau`` given the mass over timestep ``tau - 1``
     (``tau == 0`` seeds from :func:`source_states` instead).  This is the
-    single shared implementation of the recursion — the unbounded
-    :class:`IncrementalCleaner` and the windowed
-    :class:`repro.streaming.StreamingCleaner` both call it, which is what
-    makes their filtered estimates bit-identical.  Returns an empty dict
-    when no valid continuation exists; the input ``frontier`` is never
-    mutated.
+    single implementation of the python recursion —
+    :class:`repro.streaming.StreamingCleaner` calls it whatever its
+    ``window``, which is why the window never changes a filtered estimate
+    by a single bit.  Returns an empty dict when no valid continuation
+    exists; the input ``frontier`` is never mutated.
     """
     advanced: Dict[NodeState, float] = {}
     if tau == 0:
@@ -129,7 +111,7 @@ def advance_frontier(frontier: Dict[NodeState, float],
         return advanced
     # Successor tuples are interned per step: a successor equal to one of
     # the *input* frontier's states reuses that exact tuple object, so
-    # long streams (and the retained levels of StreamingCleaner) share
+    # long streams (and the retained levels of a windowed cleaner) share
     # state tuples across levels instead of holding equal copies.
     interned: Dict[NodeState, NodeState] = {state: state
                                             for state in frontier}
@@ -217,149 +199,3 @@ def advance_frontier_routed(frontier: "Frontier", row: Mapping[str, float],
         return kernel.advance(live, row), kernel
     return (advance_frontier(frontier_to_dict(frontier), row, tau,
                              constraints), kernel)
-
-
-def resolve_finalize_options(options: CleaningOptions,
-                             output: Optional[str],
-                             output_consumed: bool,
-                             ) -> Tuple[CleaningOptions, bool]:
-    """The effective options of one ``finalize()`` call.
-
-    Returns ``(effective_options, consumed_configured_output)``.  An
-    explicit ``output=`` always wins (and forces ``materialize="store"``,
-    which must not contradict an explicit non-store materialisation).
-    The *configured* ``options.output`` may be written exactly once per
-    cleaner — a repeat ``finalize()`` without a fresh explicit path
-    raises :class:`ReadingSequenceError` instead of silently overwriting
-    the previous result.
-    """
-    if output is not None:
-        if options.materialize not in ("auto", "store"):
-            raise ReadingSequenceError(
-                f"finalize(output=...) writes a .ctg file, which requires "
-                f"materialize='store' (or 'auto'), "
-                f"not {options.materialize!r}")
-        return (replace(options, materialize="store", output=str(output)),
-                False)
-    if not options.store_materialize:
-        return options, False
-    if output_consumed:
-        raise ReadingSequenceError(
-            f"finalize() already wrote {options.output!r}; calling it "
-            "again would silently overwrite that file — pass "
-            "finalize(output=...) with a fresh path (or re-use the old "
-            "one explicitly)")
-    return options, True
-
-
-class IncrementalCleaner:
-    """Streaming cleaning: a live frontier plus exact on-demand conditioning."""
-
-    def __init__(self, constraints: ConstraintSet,
-                 options: CleaningOptions = CleaningOptions(),
-                 prior=None, *,
-                 frontier_kernel: Optional["FrontierKernel"] = None) -> None:
-        self.constraints = constraints
-        self.options = options
-        self.prior = prior
-        self._rows: List[Dict[str, float]] = []
-        # Unnormalised filtered mass per frontier node state — dict form
-        # under the python backend, KernelFrontier under numpy.
-        self._frontier: Frontier = {}
-        # The vectorized backend's transition-table cache; pass one in to
-        # share compiled tables across cleaners (created lazily when the
-        # numpy path first engages otherwise).
-        self._kernel = frontier_kernel
-        # Whether finalize() already wrote the *configured* options.output
-        # (an explicit finalize(output=...) never sets this).
-        self._output_consumed = False
-
-    # ------------------------------------------------------------------
-    @property
-    def duration(self) -> int:
-        """How many timesteps have been ingested."""
-        return len(self._rows)
-
-    def extend_reading(self, readers) -> None:
-        """Append one raw reading (requires a ``prior`` at construction)."""
-        if self.prior is None:
-            raise ReadingSequenceError(
-                "extend_reading needs a prior model; pass prior= to the "
-                "constructor or use extend() with a distribution")
-        self.extend(self.prior.distribution(readers))
-
-    def extend(self, candidates: Mapping[str, float]) -> None:
-        """Append one timestep's location distribution and advance.
-
-        Raises :class:`InconsistentReadingsError` when no valid
-        continuation exists (the stream contradicts the constraints), and
-        :class:`ReadingSequenceError` when a candidate probability does
-        not coerce to a float or is NaN, infinite, or negative —
-        malformed input is rejected, never silently dropped.  The
-        cleaner's state is unchanged in either case, so the caller may
-        drop the offending reading and continue.
-        """
-        row = coerce_candidate_row(candidates, self.duration)
-        tau = self.duration
-        frontier, self._kernel = advance_frontier_routed(
-            self._frontier, row, tau, self.constraints,
-            backend=self.options.backend, kernel=self._kernel)
-        if not frontier:
-            raise InconsistentReadingsError(
-                f"no valid continuation at timestep {tau}")
-        self._rows.append(row)
-        self._frontier = frontier
-
-    # ------------------------------------------------------------------
-    def filtered_distribution(self) -> Dict[str, float]:
-        """``P(X_now | readings so far, prefix validity)`` — the live estimate."""
-        if not self._rows:
-            raise ReadingSequenceError("no readings ingested yet")
-        frontier = self._frontier
-        if isinstance(frontier, dict):
-            raw: Dict[str, float] = {}
-            for state, mass in frontier.items():
-                location = state_location(state)
-                raw[location] = raw.get(location, 0.0) + mass
-        else:
-            raw = frontier.location_masses()
-        total = math.fsum(raw.values())
-        return {location: mass / total for location, mass in raw.items()}
-
-    def frontier_size(self) -> int:
-        """How many node states the live frontier carries."""
-        return len(self._frontier)
-
-    def lsequence(self) -> LSequence:
-        """The l-sequence accumulated so far (an independent copy)."""
-        if not self._rows:
-            raise ReadingSequenceError("no readings ingested yet")
-        return LSequence([dict(row) for row in self._rows], _validate=False)
-
-    def finalize(self, *, output: Optional[str] = None) -> FinalizedGraph:
-        """Close the stream: run the exact conditioning, return the ct-graph.
-
-        Equals the batch algorithm's output on the accumulated sequence,
-        in the shape ``options.materialize`` selects (see
-        :data:`FinalizedGraph`): a :class:`CTGraph` for ``"nodes"`` /
-        ``"auto"``, a :class:`FlatCTGraph` for ``"flat"``, an mmap-backed
-        :class:`~repro.store.format.MappedCTGraph` for ``"store"``.
-
-        The cleaner keeps its state — more readings can be appended after
-        this call and :meth:`finalize` called again.  With ``"store"``
-        materialisation each call writes one file: the constructor-
-        configured ``options.output`` is honoured for the *first* call
-        only, and every further call must name a fresh path via
-        ``output=`` (raising :class:`ReadingSequenceError` otherwise)
-        instead of silently overwriting the earlier result.  An explicit
-        ``output=`` also works with ``materialize="auto"`` options — the
-        call then behaves exactly like ``build_ct_graph`` with
-        ``output=`` set, returning the mapped view.
-        """
-        lsequence = self.lsequence()
-        options, consumed = resolve_finalize_options(
-            self.options, output, self._output_consumed)
-        graph = build_ct_graph(lsequence, self.constraints, options)
-        if consumed:
-            self._output_consumed = True
-        return graph

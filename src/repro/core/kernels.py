@@ -20,11 +20,13 @@ whole-level array ops:
   order-independent, so the max-product suffix pass stays bit-exact with
   the python loop).
 
-The streaming ingest hot path — one :func:`repro.core.incremental.
-advance_frontier` step per reading — is the third such sweep and gets the
-same treatment through :class:`FrontierKernel`: the Definition 3 successor
-relation is *compiled*, per (frontier signature, row support) pair, into a
-dense transition table of int32 index arrays, making one ingest step a
+The streaming ingest hot path — one
+:func:`repro.core.incremental.advance_frontier` step per reading a
+:class:`repro.streaming.StreamingCleaner` ingests, whatever its window —
+is the third such sweep and gets the same treatment through
+:class:`FrontierKernel`: the Definition 3 successor relation is
+*compiled*, per (frontier signature, row support) pair, into a dense
+transition table of int32 index arrays, making one ingest step a
 gather + multiply + ``np.bincount`` scatter-add over the frontier masses
 instead of a python dict-of-dicts loop.  Signatures use relative departure
 ages (:func:`repro.core.nodes.relative_departures`), so the same table

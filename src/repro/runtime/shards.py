@@ -35,7 +35,7 @@ import hashlib
 import json
 import time
 import traceback
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import (
     InconsistentReadingsError,
@@ -43,12 +43,32 @@ from repro.errors import (
 )
 from repro.runtime.sessions import StreamSessionManager
 
-__all__ = ["ServeEngine", "StreamShardPool", "shard_of"]
+__all__ = ["ServeEngine", "StreamShardPool", "parse_reading", "shard_of"]
 
 #: Default per-pool bound on dispatched-but-unanswered readings.
 DEFAULT_MAX_INFLIGHT = 256
 
 _SENTINEL = object()
+
+
+def parse_reading(line: str) -> Optional[Tuple[str, Any]]:
+    """One ``serve`` input line as ``(object_id, candidates)``.
+
+    Returns ``None`` for a malformed line: not JSON, not an object with
+    ``"object"`` and ``"candidates"`` keys, or an object id that is not
+    a string.  The candidates are passed through unchecked —
+    :func:`~repro.core.incremental.coerce_candidate_row` turns a bad
+    one into a per-object ``dropped`` line.
+    """
+    try:
+        reading = json.loads(line)
+        object_id = reading["object"]
+        candidates = reading["candidates"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    if not isinstance(object_id, str):
+        return None
+    return object_id, candidates
 
 
 def shard_of(object_id: str, shards: int) -> int:
@@ -381,14 +401,12 @@ class StreamShardPool:
             line = raw.strip()
             if not line:
                 continue
-            try:
-                reading = json.loads(line)
-                object_id = reading["object"]
-                candidates = reading["candidates"]
-            except (ValueError, KeyError, TypeError):
+            reading = parse_reading(line)
+            if reading is None:
                 err.write(
                     f"serve: skipping malformed line: {line[:120]}\n")
                 continue
+            object_id, candidates = reading
             self._inboxes[shard_of(object_id, self.shards)].put(
                 ("reading", next_seq, object_id, candidates))
             next_seq += 1

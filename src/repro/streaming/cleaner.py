@@ -1,25 +1,26 @@
-"""The bounded-memory streaming cleaner (see the package docstring).
+"""The streaming cleaner (see the package docstring).
 
 Correctness rests on the Markov property of the node state
 ``(location, stay, TL)``: validity and probability of any continuation
 depend on the past only through the forward frontier.  The cleaner
-therefore keeps just the last ``window`` levels, each as the pair
-``(candidate row, forward frontier after that row)``:
+keeps the candidate rows of its retained levels plus forward
+frontiers:
 
-* the *last* retained frontier is the live filtered estimate —
-  literally the same dict the unbounded
-  :class:`~repro.core.incremental.IncrementalCleaner` would hold,
-  because both advance it through the shared
-  :func:`~repro.core.incremental.advance_frontier`;
-* the *first* retained frontier is the exact compact summary of every
-  evicted level: its per-state forward mass is the collapsed prefix
-  probability of entering the window in that state, which is all
-  :meth:`StreamingCleaner.finalize` needs to condition the retained
-  window (the window graph's source prior).
-
-Eviction is therefore free — ``popleft()`` on the level deque — and
-exact.  What is *lost* is only the ability to answer queries about
-evicted timesteps; ``finalize()`` covers the retained window.
+* the *live* frontier — the one after the newest row — is the filtered
+  estimate, advanced through the shared
+  :func:`~repro.core.incremental.advance_frontier` (or its vectorized
+  twin);
+* with an int ``window`` it also keeps the frontier after every
+  retained row, because the *first* retained frontier is the exact
+  compact summary of every evicted level: its per-state forward mass is
+  the collapsed prefix probability of entering the window in that
+  state, which is all :meth:`StreamingCleaner.finalize` needs to
+  condition the retained window (the window graph's source prior).
+  Eviction is therefore free — the bounded deques drop their oldest
+  entry — and exact; what is *lost* is only the ability to answer
+  queries about evicted timesteps;
+* with ``window=None`` nothing is ever evicted, so only the live
+  frontier is kept and memory grows with the rows alone.
 
 Checkpointing serialises the rows, frontiers, and session meta through
 :func:`repro.store.format.write_stream_checkpoint` (raw float64, dict
@@ -32,23 +33,23 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, replace
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.algorithm import (
     CleaningOptions,
-    CleaningStats,
+    _condition_levels,
     build_ct_graph,
 )
 from repro.core.constraints import ConstraintSet
-from repro.core.ctgraph import CTGraph, CTNode
+from repro.core.ctgraph import CTGraph
+from repro.core.flatgraph import FlatCTGraph
 from repro.core.incremental import (
-    FinalizedGraph,
     Frontier,
     advance_frontier_routed,
     coerce_candidate_row,
     frontier_to_dict,
-    resolve_finalize_options,
 )
 from repro.core.lsequence import LSequence
 from repro.core.nodes import (
@@ -56,62 +57,84 @@ from repro.core.nodes import (
     state_departures,
     state_location,
     state_stay,
-    successor_state,
 )
 from repro.errors import (
     InconsistentReadingsError,
     ReadingSequenceError,
+    ReproError,
     StoreFormatError,
-    ZeroMassError,
 )
 
-__all__ = ["StreamingCleaner", "DEFAULT_WINDOW"]
+if TYPE_CHECKING:
+    from repro.store.format import MappedCTGraph
+
+__all__ = ["StreamingCleaner", "DEFAULT_WINDOW", "FinalizedGraph"]
 
 #: Default retained-window length (timesteps); matches the bounded-memory
 #: gate in ``benchmarks/bench_streaming.py``.
 DEFAULT_WINDOW = 64
 
-#: One retained level: the candidate row of that timestep and the forward
-#: frontier *after* ingesting it — dict form under the python backend, a
-#: :class:`~repro.core.kernels.KernelFrontier` under the numpy backend
-#: (checkpoints materialise either form to the same dict layout).
-_Level = Tuple[Dict[str, float], Frontier]
+#: What :meth:`StreamingCleaner.finalize` returns — the shape follows
+#: ``options.materialize`` exactly as in :func:`build_ct_graph`:
+#: ``"nodes"``/``"auto"`` yield a :class:`CTGraph`, ``"flat"`` a
+#: :class:`FlatCTGraph`, ``"store"`` an mmap-backed
+#: :class:`~repro.store.format.MappedCTGraph` view of the written file.
+FinalizedGraph = Union[CTGraph, FlatCTGraph, "MappedCTGraph"]
+
+
+def _is_count(value) -> bool:
+    """A non-negative int that is not a bool (checkpoint meta counts)."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 class StreamingCleaner:
-    """Ingest readings indefinitely in O(window) memory.
+    """Live cleaning of one object: filtered estimates, exact finalize.
 
-    The API mirrors :class:`~repro.core.incremental.IncrementalCleaner`
-    (``extend`` / ``extend_reading`` / ``filtered_distribution`` /
-    ``lsequence`` / ``finalize``) with three differences:
+    ``extend`` / ``extend_reading`` ingest one timestep and advance the
+    forward frontier; ``filtered_distribution`` is the live estimate
+    ``P(X_now | readings so far, prefix validity)``; ``finalize`` runs
+    the exact backward conditioning; ``checkpoint`` / ``resume`` persist
+    and restore the whole session bit-exactly through the
+    ``rfid-ctg/ckpt@1`` format.
 
-    * memory is bounded — levels older than ``window`` timesteps are
-      evicted into the exact entry summary (see the module docstring),
-      so :meth:`lsequence` and :meth:`finalize` cover the *retained
-      window* ``[base, duration)`` only;
-    * :meth:`checkpoint` / :meth:`resume` persist and restore the whole
-      session bit-exactly through the ``rfid-ctg/ckpt@1`` format;
-    * with evicted prefix levels (``base > 0``) :meth:`finalize` builds
-      the window graph with the in-package reference construction —
-      ``options.engine``/``options.backend`` apply only while the
-      session still covers the full stream (``base == 0``, where the
-      call delegates to :func:`~repro.core.algorithm.build_ct_graph`).
+    ``window`` chooses the memory bound:
+
+    * ``window=None`` never evicts — :meth:`lsequence` and
+      :meth:`finalize` cover the whole stream, and ``finalize()`` equals
+      :func:`~repro.core.algorithm.build_ct_graph` on it;
+    * an int ``window`` keeps only the last ``window`` levels (the
+      retained window ``[base, duration)``), so memory is O(window).
+      While nothing has been evicted (``base == 0``) ``finalize()`` still
+      delegates to ``build_ct_graph``; afterwards it conditions the
+      retained window with the reference builder seeded by the entry
+      frontier, so ``options.engine``/``options.backend`` apply only
+      while ``base == 0``.
+
+    Filtered estimates never depend on ``window`` — every setting gives
+    the same float bits.
     """
 
     def __init__(self, constraints: ConstraintSet, *,
-                 window: int = DEFAULT_WINDOW,
+                 window: Optional[int] = DEFAULT_WINDOW,
                  options: CleaningOptions = CleaningOptions(),
                  prior=None, frontier_kernel=None) -> None:
-        if not isinstance(window, int) or window < 1:
+        if window is not None and not (_is_count(window) and window >= 1):
             raise ReadingSequenceError(
-                f"window must be a positive integer, got {window!r}")
+                f"window must be a positive integer or None, got "
+                f"{window!r}")
         self.constraints = constraints
         self.options = options
         self.prior = prior
         self.window = window
-        self._levels: Deque[_Level] = deque()
-        self._base = 0
+        self._rows: Deque[Dict[str, float]] = deque(maxlen=window)
+        # Per-level frontiers exist only so eviction can move the entry
+        # summary forward; an unbounded cleaner keeps the live one alone.
+        self._frontiers: Deque[Frontier] = deque(
+            maxlen=1 if window is None else window)
         self._duration = 0
+        # Whether finalize() already wrote the *configured* options.output
+        # (an explicit finalize(output=...) never sets this).
         self._output_consumed = False
         # Transition-table cache of the numpy frontier backend; a
         # StreamSessionManager passes one shared FrontierKernel to every
@@ -130,19 +153,19 @@ class StreamingCleaner:
     @property
     def base(self) -> int:
         """The first *retained* timestep (== how many levels were evicted)."""
-        return self._base
+        return self._duration - len(self._rows)
 
     @property
     def retained_duration(self) -> int:
         """How many levels are held in memory (``duration - base``)."""
-        return len(self._levels)
+        return len(self._rows)
 
     def frontier_size(self) -> int:
         """How many node states the live frontier carries."""
-        return len(self._frontier())
+        return len(self._live())
 
-    def _frontier(self) -> Frontier:
-        return self._levels[-1][1] if self._levels else {}
+    def _live(self) -> Frontier:
+        return self._frontiers[-1] if self._frontiers else {}
 
     # ------------------------------------------------------------------
     # ingest
@@ -158,35 +181,36 @@ class StreamingCleaner:
     def extend(self, candidates: Mapping[str, float]) -> None:
         """Append one timestep's location distribution and advance.
 
-        Same contract as
-        :meth:`~repro.core.incremental.IncrementalCleaner.extend` — the
-        shared :func:`~repro.core.incremental.advance_frontier` makes
-        the two cleaners' filtered estimates bit-identical.  When the
-        retained window would exceed ``window`` levels, the oldest one
-        is evicted; its forward mass already lives on in the next
-        level's frontier, so nothing is recomputed.
+        Raises :class:`InconsistentReadingsError` when no valid
+        continuation exists (the stream contradicts the constraints), and
+        :class:`ReadingSequenceError` when the candidates are not a
+        mapping or a probability does not coerce to a float or is NaN,
+        infinite, or negative — malformed input is rejected, never
+        silently dropped.  The cleaner's state is unchanged in either
+        case, so the caller may drop the offending reading and continue.
+        With an int ``window`` a full window evicts its oldest level; its
+        forward mass already lives on in the next level's frontier, so
+        nothing is recomputed.
         """
         row = coerce_candidate_row(candidates, self._duration)
         frontier, self._kernel = advance_frontier_routed(
-            self._frontier(), row, self._duration, self.constraints,
+            self._live(), row, self._duration, self.constraints,
             backend=self.options.backend, kernel=self._kernel)
         if not frontier:
             raise InconsistentReadingsError(
                 f"no valid continuation at timestep {self._duration}")
-        self._levels.append((row, frontier))
+        self._rows.append(row)
+        self._frontiers.append(frontier)
         self._duration += 1
-        if len(self._levels) > self.window:
-            self._levels.popleft()
-            self._base += 1
 
     # ------------------------------------------------------------------
     # live estimates
     # ------------------------------------------------------------------
     def filtered_distribution(self) -> Dict[str, float]:
         """``P(X_now | readings so far, prefix validity)`` — the live estimate."""
-        if not self._levels:
+        if not self._rows:
             raise ReadingSequenceError("no readings ingested yet")
-        frontier = self._frontier()
+        frontier = self._live()
         if isinstance(frontier, dict):
             raw: Dict[str, float] = {}
             for state, mass in frontier.items():
@@ -200,181 +224,88 @@ class StreamingCleaner:
     def lsequence(self) -> LSequence:
         """The *retained-window* l-sequence (an independent copy).
 
-        Covers timesteps ``[base, duration)``; evicted rows are gone by
-        design.  Mutating the returned object never affects the cleaner.
+        Covers timesteps ``[base, duration)`` — the whole stream when
+        ``window=None``.  Mutating the returned object never affects the
+        cleaner.
         """
-        if not self._levels:
+        if not self._rows:
             raise ReadingSequenceError("no readings ingested yet")
-        return LSequence([dict(row) for row, _ in self._levels],
-                         _validate=False)
+        return LSequence([dict(row) for row in self._rows], _validate=False)
 
     # ------------------------------------------------------------------
-    # window conditioning
+    # conditioning
     # ------------------------------------------------------------------
     def finalize(self, *, output: Optional[str] = None) -> FinalizedGraph:
         """Condition the retained window and return its ct-graph.
 
-        While nothing has been evicted (``base == 0``) this is exactly
-        :meth:`IncrementalCleaner.finalize` — the full batch algorithm
-        on the whole stream, same options, same output-path contract.
-        With an evicted prefix the graph covers timesteps
-        ``[base, duration)``, relabelled ``0..retained_duration - 1``:
-        its sources are the entry frontier's node states weighted by
-        their collapsed prefix mass, so every marginal and trajectory
-        probability over the window equals what the full-stream graph
-        would answer (the Markov property; pinned against the unbounded
-        reference by the tests).  ``TL`` departure times inside the
-        graph are rebased to the same relative labelling (entries about
-        evicted timesteps go negative).  The cleaner's state is
-        untouched — ingesting and finalizing may interleave freely.
+        While nothing has been evicted (``base == 0``, always the case
+        with ``window=None``) this is the batch algorithm on the whole
+        stream, in the shape ``options.materialize`` selects (see
+        :data:`FinalizedGraph`).  With an evicted prefix the graph covers
+        timesteps ``[base, duration)``, relabelled
+        ``0..retained_duration - 1``: its sources are the entry
+        frontier's node states weighted by their collapsed prefix mass,
+        so every marginal and trajectory probability over the window
+        equals what the full-stream graph would answer (the Markov
+        property; pinned against brute-force enumeration by the tests).
+        ``TL`` departure times inside the graph are rebased to the same
+        relative labelling (entries about evicted timesteps go
+        negative).
+
+        The cleaner keeps its state — ingesting and finalizing may
+        interleave freely.  With ``"store"`` materialisation each call
+        writes one file: the constructor-configured ``options.output``
+        is honoured for the *first* call only, and every further call
+        must name a fresh path via ``output=`` (raising
+        :class:`ReadingSequenceError` otherwise) instead of silently
+        overwriting the earlier result.  An explicit ``output=`` also
+        works with ``materialize="auto"`` options, returning the mapped
+        view.
         """
-        if not self._levels:
+        if not self._rows:
             raise ReadingSequenceError("no readings ingested yet")
-        options, consumed = resolve_finalize_options(
-            self.options, output, self._output_consumed)
-        if self._base == 0:
+        options, consumed = self._finalize_options(output)
+        if self.base == 0:
             graph = build_ct_graph(self.lsequence(), self.constraints,
                                    options)
         else:
-            graph = self._window_graph(options)
+            # No departure filter: it needs future support, which a live
+            # window does not have; the extra unpruned states never
+            # change probabilities.
+            graph = _condition_levels(
+                frontier_to_dict(self._frontiers[0]), list(self._rows),
+                self.constraints, options, offset=self.base)
         if consumed:
             self._output_consumed = True
         return graph
 
-    def _window_graph(self, options: CleaningOptions) -> FinalizedGraph:
-        """Algorithm 1's backward conditioning over the retained window.
+    def _finalize_options(self, output: Optional[str],
+                          ) -> Tuple[CleaningOptions, bool]:
+        """``(effective options, consumes the configured output)``.
 
-        Mirrors the reference builder in :mod:`repro.core.algorithm`
-        (same sweep, same per-level rescaling, same source damping) with
-        two differences dictated by the streaming setting: sources are
-        the entry frontier's states with their stored forward mass as
-        the prior, and the exact ``TL`` pruning
-        (:class:`~repro.core.nodes.DepartureFilter`) is not applied —
-        it needs future support, which a live window does not have.
-        Extra unpruned states never change probabilities (module docs of
-        :mod:`repro.core.incremental`).
+        An explicit ``output=`` always wins (and forces
+        ``materialize="store"``, which must not contradict an explicit
+        non-store materialisation); the configured ``options.output`` may
+        be written exactly once per cleaner.
         """
-        base = self._base
-        rows = [row for row, _ in self._levels]
-        entry = frontier_to_dict(self._levels[0][1])
-        count = len(rows)
-        last = count - 1
-
-        def rebased(state: NodeState) -> Tuple:
-            departures = tuple((time - base, location) for time, location
-                               in state_departures(state))
-            return (state_location(state), state_stay(state), departures)
-
-        stats = CleaningStats()
-        levels: List[Dict[NodeState, CTNode]] = [{} for _ in range(count)]
-        prior_source_probability: Dict[CTNode, float] = {}
-        for state, mass in entry.items():
-            if options.strict_truncation and last == 0 \
-                    and state_stay(state) is not None:
-                continue
-            node = CTNode(0, *rebased(state))
-            levels[0][state] = node
-            prior_source_probability[node] = mass
-            stats.nodes_created += 1
-        if not levels[0]:
-            raise ZeroMassError(
-                "no entry state of the retained window satisfies the "
-                "constraints")
-
-        # Forward: expand absolute node states level by level; the node
-        # objects carry the window-relative labelling.
-        for index in range(count - 1):
-            frontier = levels[index]
-            next_level = levels[index + 1]
-            candidates = rows[index + 1]
-            filter_binding = options.strict_truncation and index + 1 == last
-            tau = base + index
-            for state, node in frontier.items():
-                for destination, probability in candidates.items():
-                    successor = successor_state(tau, state, destination,
-                                                self.constraints)
-                    if successor is None:
-                        continue
-                    if filter_binding and state_stay(successor) is not None:
-                        continue
-                    child = next_level.get(successor)
-                    if child is None:
-                        child = CTNode(index + 1, *rebased(successor))
-                        next_level[successor] = child
-                        stats.nodes_created += 1
-                    node.edges[child] = probability
-                    child.parents.append(node)
-                    stats.edges_created += 1
-            if not next_level:
-                raise ZeroMassError(
-                    f"no trajectory can legally continue past timestep "
-                    f"{tau}")
-
-        # Backward: the survival sweep with per-level rescaling, exactly
-        # as in repro.core.algorithm.build_ct_graph.
-        survival: Dict[CTNode, float] = {
-            node: 1.0 for node in levels[last].values()}
-        for index in range(last - 1, -1, -1):
-            level = levels[index]
-            dead: List[NodeState] = []
-            level_max = 0.0
-            for state, node in level.items():
-                mass = 0.0
-                surviving_edges: Dict[CTNode, float] = {}
-                for child, probability in node.edges.items():
-                    child_survival = survival.get(child, 0.0)
-                    if child_survival > 0.0:
-                        weight = probability * child_survival
-                        surviving_edges[child] = weight
-                        mass += weight
-                if mass <= 0.0:
-                    dead.append(state)
-                    stats.edges_removed += len(node.edges)
-                    node.edges.clear()
-                    continue
-                stats.edges_removed += len(node.edges) - len(surviving_edges)
-                node.edges = {child: weight / mass
-                              for child, weight in surviving_edges.items()}
-                survival[node] = mass
-                if mass > level_max:
-                    level_max = mass
-            for state in dead:
-                level.pop(state)
-                stats.nodes_removed += 1
-            if not level:
-                raise ZeroMassError(
-                    "no trajectory compatible with the readings satisfies "
-                    "the constraints")
-            if level_max > 0.0:
-                for node in level.values():
-                    survival[node] /= level_max
-        for index in range(1, count):
-            for node in levels[index].values():
-                node.parents = [parent for parent in node.parents
-                                if parent.edges]
-
-        source_probabilities: Dict[CTNode, float] = {}
-        for node in levels[0].values():
-            source_probabilities[node] = (
-                prior_source_probability[node] * survival.get(node, 1.0))
-        total = math.fsum(source_probabilities.values())
-        if total <= 0.0:
-            raise ZeroMassError(
-                "the valid trajectories have zero total prior probability")
-        for node in source_probabilities:
-            source_probabilities[node] /= total
-
-        graph = CTGraph([tuple(level.values()) for level in levels],
-                        source_probabilities, stats=stats)
-        if options.columnar_materialize:
-            flat = graph.to_flat()
-            if options.store_materialize:
-                from repro.store.format import load_ctg, save_ctg
-
-                save_ctg(flat, options.output)
-                return load_ctg(options.output, mmap=True)
-            return flat
-        return graph
+        options = self.options
+        if output is not None:
+            if options.materialize not in ("auto", "store"):
+                raise ReadingSequenceError(
+                    f"finalize(output=...) writes a .ctg file, which "
+                    f"requires materialize='store' (or 'auto'), "
+                    f"not {options.materialize!r}")
+            return (replace(options, materialize="store",
+                            output=str(output)), False)
+        if not options.store_materialize:
+            return options, False
+        if self._output_consumed:
+            raise ReadingSequenceError(
+                f"finalize() already wrote {options.output!r}; calling it "
+                "again would silently overwrite that file — pass "
+                "finalize(output=...) with a fresh path (or re-use the old "
+                "one explicitly)")
+        return options, True
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -387,9 +318,11 @@ class StreamingCleaner:
         meta section records window, base, duration, the cleaning
         options and the constraint set, so :meth:`resume` needs nothing
         but the file (the ``prior`` is the one runtime object that
-        cannot be serialised and must be supplied again).
-        ``extra_meta`` entries (e.g. an object id) ride along verbatim
-        under keys that must not collide with the session's own.
+        cannot be serialised and must be supplied again).  An unbounded
+        session writes only its live frontier (on the last level; the
+        earlier levels carry empty frontiers).  ``extra_meta`` entries
+        (e.g. an object id) ride along verbatim under keys that must not
+        collide with the session's own.
         """
         from repro.io.jsonio import constraints_to_dicts
         from repro.store.format import write_stream_checkpoint
@@ -404,7 +337,8 @@ class StreamingCleaner:
 
         rows = []
         frontiers = []
-        for row, frontier in self._levels:
+        unkept = repeat({}, len(self._rows) - len(self._frontiers))
+        for row, frontier in zip(self._rows, chain(unkept, self._frontiers)):
             rows.append([(intern(location), probability)
                          for location, probability in row.items()])
             frontiers.append([
@@ -414,7 +348,7 @@ class StreamingCleaner:
                 for state, mass in frontier_to_dict(frontier).items()])
         meta = {
             "window": self.window,
-            "base": self._base,
+            "base": self.base,
             "duration": self._duration,
             "output_consumed": self._output_consumed,
             "options": asdict(self.options),
@@ -444,7 +378,14 @@ class StreamingCleaner:
         next :meth:`extend` (``frontier_kernel`` seeds its table cache,
         e.g. a fleet's shared one).  Raises
         :class:`~repro.errors.StoreFormatError` /
-        :class:`~repro.errors.StoreChecksumError` on a damaged file.
+        :class:`~repro.errors.StoreChecksumError` on a damaged file —
+        including meta that does not describe a valid session: a window
+        that is not a positive int or ``None``, ``base``/``duration``
+        that are not non-negative ints with ``base <= duration``, a
+        non-bool ``output_consumed``, invalid options or constraints,
+        counts that disagree with the stored levels, no stored level
+        after a reading, or an empty frontier where the session keeps
+        one.
         """
         from repro.io.jsonio import constraints_from_dicts
         from repro.store.format import read_stream_checkpoint
@@ -452,44 +393,55 @@ class StreamingCleaner:
         payload = read_stream_checkpoint(path)
         meta = payload.meta
         try:
-            window = meta["window"]
             base = meta["base"]
             duration = meta["duration"]
             output_consumed = meta["output_consumed"]
-            options = CleaningOptions(**meta["options"])
-            constraints = constraints_from_dicts(meta["constraints"])
-        except (KeyError, TypeError) as error:
+            cleaner = cls(constraints_from_dicts(meta["constraints"]),
+                          window=meta["window"],
+                          options=CleaningOptions(**meta["options"]),
+                          prior=prior, frontier_kernel=frontier_kernel)
+        except (KeyError, TypeError, AttributeError, ReproError) as error:
             raise StoreFormatError(
                 f"{path}: checkpoint meta is missing or malformed "
                 f"({error})") from None
-        cleaner = cls(constraints, window=window, options=options,
-                      prior=prior, frontier_kernel=frontier_kernel)
+        if not (_is_count(base) and _is_count(duration)
+                and base <= duration and isinstance(output_consumed, bool)):
+            raise StoreFormatError(
+                f"{path}: checkpoint meta is malformed (base={base!r}, "
+                f"duration={duration!r}, "
+                f"output_consumed={output_consumed!r})")
+        window = cleaner.window
+        levels = len(payload.rows)
+        kept = payload.frontiers[-1:] if window is None else payload.frontiers
+        if duration - base != levels or not all(kept) or \
+                (duration > 0 and levels == 0) or \
+                (window is None and base != 0) or \
+                (window is not None and levels > window):
+            raise StoreFormatError(
+                f"{path}: checkpoint meta is inconsistent with its levels "
+                f"(base={base}, duration={duration}, {levels} levels, "
+                f"window={window})")
         names = payload.location_names
-        levels: List[_Level] = []
-        for row_pairs, frontier_states in zip(payload.rows,
-                                              payload.frontiers):
-            row = {names[lid]: probability
-                   for lid, probability in row_pairs}
+        rows = [{names[lid]: probability for lid, probability in row_pairs}
+                for row_pairs in payload.rows]
+        frontiers = []
+        for frontier_states in payload.frontiers:
             frontier: Dict[NodeState, float] = {}
             for lid, stay, departures, mass in frontier_states:
                 state = (names[lid], stay,
                          tuple((time, names[departed])
                                for time, departed in departures))
                 frontier[state] = mass
-            levels.append((row, frontier))
-        if duration - base != len(levels) or len(levels) > window:
-            raise StoreFormatError(
-                f"{path}: checkpoint meta is inconsistent with its levels "
-                f"(base={base}, duration={duration}, "
-                f"{len(levels)} levels, window={window})")
-        cleaner._restore(levels, base=base, duration=duration,
+            frontiers.append(frontier)
+        cleaner._restore(rows, frontiers, duration=duration,
                          output_consumed=output_consumed)
         return cleaner
 
-    def _restore(self, levels: List[_Level], *, base: int, duration: int,
+    def _restore(self, rows, frontiers, *, duration: int,
                  output_consumed: bool) -> None:
-        """Adopt checkpointed state (the tail of :meth:`resume`)."""
-        self._levels = deque(levels)
-        self._base = base
+        """Adopt checkpointed state (the tail of :meth:`resume`); the
+        bounded frontier deque keeps only what this window retains."""
+        self._rows.extend(rows)
+        self._frontiers.extend(frontiers)
         self._duration = duration
         self._output_consumed = output_consumed

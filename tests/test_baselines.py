@@ -88,8 +88,8 @@ class TestParticleFilter:
 
     def test_approximates_exact_filtering(self, case):
         ls, cs = case
-        from repro.core.incremental import IncrementalCleaner
-        cleaner = IncrementalCleaner(cs)
+        from repro.streaming import StreamingCleaner
+        cleaner = StreamingCleaner(cs, window=None)
         exact_estimates = []
         for tau in range(ls.duration):
             cleaner.extend(ls.candidates(tau))

@@ -304,3 +304,39 @@ class TestServe:
         finals = [line for line in lines if line.get("final")]
         assert finals[0]["duration"] == 2    # the bad reading left no trace
         assert "malformed" in captured.err
+
+    @pytest.mark.parametrize("bad", [
+        {"object": "tag-1", "candidates": [["A", 1.0]]},
+        {"object": "tag-1", "candidates": "AB"},
+        {"object": 7, "candidates": {"A": 1.0}},
+        {"object": ["x"], "candidates": {"A": 1.0}},
+    ], ids=["candidates-list", "candidates-string", "object-int",
+            "object-list"])
+    def test_malformed_reading_never_ends_the_run(self, setup, tmp_path,
+                                                  capsys, bad):
+        import json
+
+        constraints_path, stream = setup
+        lines = stream.read_text().splitlines()
+        lines.insert(5, json.dumps(bad))
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join(lines) + "\n")
+        base = ["serve", "--constraints-file", str(constraints_path),
+                "--input", str(mixed), "--estimate-every", "5"]
+        assert main(base) == 0
+        single = capsys.readouterr()
+        assert main(base + ["--shards", "2"]) == 0
+        sharded = capsys.readouterr()
+        assert sharded.out == single.out
+        out = [json.loads(line) for line in single.out.splitlines()]
+        finals = [line for line in out if line.get("final")]
+        # Every well-formed reading of both objects was ingested.
+        assert [(line["object"], line["duration"]) for line in finals] == \
+            [("tag-1", 40), ("tag-2", 40)]
+        if isinstance(bad["object"], str):
+            dropped = [line for line in out if "dropped" in line]
+            assert len(dropped) == 1
+            assert "ReadingSequenceError" in dropped[0]["dropped"]
+        else:
+            for captured in (single, sharded):
+                assert "skipping malformed line" in captured.err

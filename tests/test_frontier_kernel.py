@@ -30,10 +30,8 @@ from repro.core.constraints import (
     Unreachable,
 )
 from repro.core.incremental import (
-    IncrementalCleaner,
     advance_frontier,
     advance_frontier_routed,
-    frontier_to_dict,
 )
 from repro.errors import InconsistentReadingsError
 from repro.streaming import StreamingCleaner
@@ -47,6 +45,12 @@ locations = st.sampled_from(LOCATIONS)
 
 PYTHON = CleaningOptions(backend="python")
 NUMPY = CleaningOptions(backend="numpy")
+
+
+def unbounded(constraints, options, **kwargs):
+    """A streaming cleaner that never evicts."""
+    return StreamingCleaner(constraints, window=None, options=options,
+                            **kwargs)
 
 
 @st.composite
@@ -119,8 +123,8 @@ def run_parity(rows, constraints, make_oracle, make_kernel):
 @given(streams(), constraint_sets())
 def test_incremental_kernel_matches_oracle(rows, constraints):
     run_parity(rows, constraints,
-               lambda: IncrementalCleaner(constraints, PYTHON),
-               lambda: IncrementalCleaner(constraints, NUMPY))
+               lambda: unbounded(constraints, PYTHON),
+               lambda: unbounded(constraints, NUMPY))
 
 
 @needs_numpy
@@ -198,7 +202,7 @@ DEAD = ConstraintSet([Unreachable("A", "B"), Unreachable("B", "A")])
 
 @needs_numpy
 def test_dead_end_raises_and_preserves_state():
-    cleaner = IncrementalCleaner(DEAD, NUMPY)
+    cleaner = unbounded(DEAD, NUMPY)
     cleaner.extend({"A": 1.0})
     with pytest.raises(InconsistentReadingsError):
         cleaner.extend({"B": 1.0})
@@ -247,11 +251,11 @@ def test_transition_tables_are_compiled_once_per_signature():
 def test_shared_kernel_serves_multiple_cleaners():
     kernel = kernels.FrontierKernel(STEADY)
     row = {"A": 0.4, "B": 0.3, "C": 0.2, "D": 0.1}
-    first = IncrementalCleaner(STEADY, NUMPY, frontier_kernel=kernel)
+    first = unbounded(STEADY, NUMPY, frontier_kernel=kernel)
     for _ in range(20):
         first.extend(row)
     compiled = kernel.cached_tables
-    second = IncrementalCleaner(STEADY, NUMPY, frontier_kernel=kernel)
+    second = unbounded(STEADY, NUMPY, frontier_kernel=kernel)
     for _ in range(20):
         second.extend(row)
     assert kernel.cached_tables == compiled
@@ -275,8 +279,8 @@ def test_enter_to_dict_round_trip_preserves_bits_and_order():
 @needs_numpy
 def test_max_tables_caps_the_cache_but_not_correctness():
     kernel = kernels.FrontierKernel(STEADY, max_tables=1)
-    capped = IncrementalCleaner(STEADY, NUMPY, frontier_kernel=kernel)
-    oracle = IncrementalCleaner(STEADY, PYTHON)
+    capped = unbounded(STEADY, NUMPY, frontier_kernel=kernel)
+    oracle = unbounded(STEADY, PYTHON)
     row_a = {"A": 0.6, "B": 0.4}
     row_b = {"C": 0.7, "D": 0.3}
     for row in (row_a, row_a, row_b, row_a, row_b, row_a):
@@ -311,9 +315,9 @@ def test_routed_numpy_switches_representation_and_back(monkeypatch):
 
 def test_python_backend_never_touches_numpy(monkeypatch):
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    cleaner = IncrementalCleaner(STEADY, CleaningOptions(backend="numpy"))
+    cleaner = unbounded(STEADY, CleaningOptions(backend="numpy"))
     row = {"A": 0.5, "B": 0.5}
-    oracle = IncrementalCleaner(STEADY, PYTHON)
+    oracle = unbounded(STEADY, PYTHON)
     for _ in range(5):
         cleaner.extend(row)
         oracle.extend(row)

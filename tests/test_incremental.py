@@ -1,4 +1,9 @@
-"""Tests for the streaming cleaner (online frontier + exact finalize)."""
+"""The unbounded streaming cleaner (``window=None``) and the frontier step.
+
+Online frontier, filtered estimates and exact whole-stream finalize of a
+:class:`~repro.streaming.StreamingCleaner` that never evicts, plus the
+:func:`~repro.core.incremental.advance_frontier` recursion step.
+"""
 
 import math
 
@@ -12,9 +17,16 @@ from repro.core.constraints import (
     TravelingTime,
     Unreachable,
 )
-from repro.core.incremental import IncrementalCleaner, advance_frontier
+from repro.core.incremental import advance_frontier
 from repro.core.lsequence import LSequence
 from repro.errors import InconsistentReadingsError, ReadingSequenceError
+from repro.streaming import StreamingCleaner
+
+
+def unbounded(constraints, options=CleaningOptions(), **kwargs):
+    """The cleaner under test: a streaming cleaner that never evicts."""
+    return StreamingCleaner(constraints, window=None, options=options,
+                            **kwargs)
 
 
 @pytest.fixture
@@ -25,19 +37,19 @@ def constraints():
 
 class TestExtend:
     def test_empty_distribution_rejected(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         with pytest.raises(ReadingSequenceError):
             cleaner.extend({})
 
     def test_duration_tracks_ingestion(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         assert cleaner.duration == 0
         cleaner.extend({"A": 1.0})
         cleaner.extend({"A": 0.5, "B": 0.5})
         assert cleaner.duration == 2
 
     def test_inconsistent_stream_raises_and_preserves_state(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         cleaner.extend({"A": 1.0})
         with pytest.raises(InconsistentReadingsError):
             cleaner.extend({"C": 1.0})     # A -> C is forbidden
@@ -51,7 +63,7 @@ class TestExtend:
         # node state per positive-mass location), so the first extension
         # can only fail as a ReadingSequenceError — zero/empty rows — and
         # must leave the cleaner exactly as constructed.
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         with pytest.raises(ReadingSequenceError):
             cleaner.extend({"A": 0.0})
         assert cleaner.duration == 0
@@ -68,7 +80,7 @@ class TestExtend:
         # The docstring's "state is unchanged" promise, pinned across all
         # four observables — duration, frontier, filtered distribution,
         # finalize — for a failure deep in the stream.
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         for row in ({"A": 1.0}, {"A": 0.5, "B": 0.5}, {"A": 1.0}):
             cleaner.extend(row)
         duration = cleaner.duration
@@ -91,7 +103,7 @@ class TestExtend:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf"), -0.5])
     def test_malformed_probability_rejected(self, constraints, bad):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         cleaner.extend({"A": 1.0})
         with pytest.raises(ReadingSequenceError, match="finite and "
                                                        "non-negative"):
@@ -105,13 +117,13 @@ class TestExtend:
         # Regression: the old extend() validated float(p) but filtered on
         # the raw value, so a numeric string passed validation and then
         # crashed with a bare TypeError in the `>` comparison.
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         cleaner.extend({"A": "0.5", "B": 0.5})
         assert cleaner.filtered_distribution() == \
             {"A": pytest.approx(0.5), "B": pytest.approx(0.5)}
 
     def test_non_numeric_probability_is_a_typed_error(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         with pytest.raises(ReadingSequenceError,
                            match="does not coerce to a float"):
             cleaner.extend({"A": "half"})
@@ -121,7 +133,7 @@ class TestExtend:
         assert cleaner.duration == 0
 
     def test_extend_reading_needs_prior(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         with pytest.raises(ReadingSequenceError):
             cleaner.extend_reading({"r1"})
 
@@ -130,7 +142,7 @@ class TestExtend:
             def distribution(self, readers):
                 return {"A": 1.0} if readers else {"A": 0.5, "B": 0.5}
 
-        cleaner = IncrementalCleaner(constraints, prior=FakePrior())
+        cleaner = unbounded(constraints, prior=FakePrior())
         cleaner.extend_reading({"r"})
         cleaner.extend_reading(set())
         assert cleaner.duration == 2
@@ -140,10 +152,10 @@ class TestExtend:
 class TestFilteredDistribution:
     def test_requires_data(self, constraints):
         with pytest.raises(ReadingSequenceError):
-            IncrementalCleaner(constraints).filtered_distribution()
+            unbounded(constraints).filtered_distribution()
 
     def test_sums_to_one(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         for row in ({"A": 0.5, "B": 0.5}, {"B": 0.7, "C": 0.3},
                     {"B": 0.5, "C": 0.5}):
             cleaner.extend(row)
@@ -151,7 +163,7 @@ class TestFilteredDistribution:
                 == pytest.approx(1.0)
 
     def test_filtering_respects_constraints(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         cleaner.extend({"A": 1.0})
         cleaner.extend({"B": 0.5, "C": 0.5})
         # A -> C is forbidden, so the filtered mass is all on B.
@@ -161,7 +173,7 @@ class TestFilteredDistribution:
         """Filtering == batch-conditioning the prefix, marginal at the end."""
         rows = [{"A": 0.5, "B": 0.5}, {"B": 0.6, "C": 0.4},
                 {"B": 0.5, "C": 0.5}, {"A": 0.3, "B": 0.7}]
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         for tau, row in enumerate(rows):
             cleaner.extend(row)
             prefix_graph = build_ct_graph(LSequence(rows[:tau + 1]),
@@ -173,7 +185,7 @@ class TestFilteredDistribution:
                 assert got[location] == pytest.approx(probability)
 
     def test_long_stream_does_not_underflow(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         for _ in range(800):
             cleaner.extend({"A": 0.4, "B": 0.4, "C": 0.2})
         distribution = cleaner.filtered_distribution()
@@ -184,12 +196,12 @@ class TestFilteredDistribution:
 class TestFinalize:
     def test_requires_data(self, constraints):
         with pytest.raises(ReadingSequenceError):
-            IncrementalCleaner(constraints).finalize()
+            unbounded(constraints).finalize()
 
     def test_finalize_equals_batch(self, constraints):
         rows = [{"A": 0.5, "B": 0.5}, {"B": 0.6, "C": 0.4},
                 {"B": 0.5, "C": 0.5}]
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         for row in rows:
             cleaner.extend(row)
         streamed = cleaner.finalize()
@@ -197,7 +209,7 @@ class TestFinalize:
         assert dict(streamed.paths()) == pytest.approx(dict(batch.paths()))
 
     def test_finalize_then_continue(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         cleaner.extend({"A": 1.0})
         first = cleaner.finalize()
         assert first.duration == 1
@@ -213,7 +225,7 @@ class TestFinalizeMaterialize:
     rows = ({"A": 0.5, "B": 0.5}, {"B": 0.6, "C": 0.4}, {"B": 1.0})
 
     def _fed(self, constraints, options):
-        cleaner = IncrementalCleaner(constraints, options)
+        cleaner = unbounded(constraints, options)
         for row in self.rows:
             cleaner.extend(row)
         return cleaner
@@ -338,7 +350,7 @@ class TestAdvanceFrontierStep:
 
 class TestLSequenceCopy:
     def test_lsequence_is_an_independent_copy(self, constraints):
-        cleaner = IncrementalCleaner(constraints)
+        cleaner = unbounded(constraints)
         cleaner.extend({"A": 0.5, "B": 0.5})
         cleaner.extend({"B": 1.0})
         before = cleaner.filtered_distribution()
@@ -386,7 +398,7 @@ def streams(draw):
 @given(streams())
 def test_streaming_matches_batch(stream):
     rows, constraints = stream
-    cleaner = IncrementalCleaner(constraints)
+    cleaner = unbounded(constraints)
     failed_online = False
     try:
         for row in rows:

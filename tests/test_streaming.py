@@ -1,6 +1,9 @@
-"""Tests for the bounded-memory streaming cleaner and its checkpoints."""
+"""Tests for the streaming cleaner (bounded and unbounded) and its checkpoints."""
 
 import math
+import os
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +15,15 @@ from repro.core.constraints import (
     TravelingTime,
     Unreachable,
 )
-from repro.core.incremental import IncrementalCleaner
+from repro.core import kernels
 from repro.core.lsequence import LSequence
+from repro.core.naive import NaiveConditioner
 from repro.errors import (
     InconsistentReadingsError,
     ReadingSequenceError,
     StoreChecksumError,
     StoreFormatError,
+    ZeroMassError,
 )
 from repro.runtime.sessions import StreamSessionManager
 from repro.store.format import (
@@ -133,7 +138,7 @@ class TestStreamingCleaner:
                 {"B": 0.5, "D": 0.5}, {"A": 0.3, "B": 0.7},
                 {"B": 1.0}, {"B": 0.2, "C": 0.8}]
         bounded = StreamingCleaner(constraints, window=2)
-        unbounded = IncrementalCleaner(constraints)
+        unbounded = StreamingCleaner(constraints, window=None)
         for row in rows:
             bounded.extend(row)
             unbounded.extend(row)
@@ -280,6 +285,80 @@ class TestCheckpointResume:
         with pytest.raises(StoreFormatError, match="missing or malformed"):
             StreamingCleaner.resume(path)
 
+    @pytest.mark.parametrize("overrides", [
+        {"window": 0},
+        {"window": "3"},
+        {"window": True},
+        {"window": 2},                       # fewer than the 3 levels
+        {"window": None, "base": 1, "duration": 4},
+        {"base": -1, "duration": 2},
+        {"base": True, "duration": 4},
+        {"base": 0.0},
+        {"base": 4},                         # base > duration
+        {"duration": -3},
+        {"duration": "3"},
+        {"duration": False},
+        {"output_consumed": "yes"},
+        {"output_consumed": 1},
+        {"options": {"engine": "warp"}},
+        {"options": {"no_such_option": 1}},
+        {"options": ["engine"]},
+        {"constraints": [{"kind": "teleport"}]},
+        {"constraints": 5},
+        # base == duration > 0 with no stored level: no live frontier
+        {"base": 3, "duration": 3, "rows": [], "frontiers": []},
+    ], ids=repr)
+    def test_resume_rejects_each_malformed_meta_field(self, constraints,
+                                                      tmp_path, overrides):
+        cleaner = StreamingCleaner(constraints, window=3)
+        for row in ({"A": 1.0}, {"A": 0.5, "B": 0.5}, {"B": 1.0}):
+            cleaner.extend(row)
+        path = tmp_path / "s.ckpt"
+        cleaner.checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        overrides = dict(overrides)
+        levels = {key: overrides.pop(key, getattr(payload, key))
+                  for key in ("rows", "frontiers")}
+        write_stream_checkpoint(path, meta=dict(payload.meta, **overrides),
+                                location_names=payload.location_names,
+                                **levels)
+        with pytest.raises(StoreFormatError, match=re.escape(str(path))):
+            StreamingCleaner.resume(path)
+
+    def test_unbounded_checkpoint_keeps_only_the_live_frontier(
+            self, constraints, tmp_path):
+        rows = [{"A": 0.5, "B": 0.5}, {"B": 0.6, "D": 0.4},
+                {"B": 0.5, "D": 0.5}, {"A": 0.3, "B": 0.7}]
+        uninterrupted = StreamingCleaner(constraints, window=None)
+        killed = StreamingCleaner(constraints, window=None)
+        for row in rows[:3]:
+            uninterrupted.extend(row)
+            killed.extend(row)
+        path = tmp_path / "s.ckpt"
+        killed.checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        assert payload.meta["window"] is None
+        assert len(payload.rows) == 3
+        assert [bool(states) for states in payload.frontiers] == \
+            [False, False, True]
+        resumed = StreamingCleaner.resume(path)
+        assert resumed.window is None
+        for row in rows[3:]:
+            uninterrupted.extend(row)
+            resumed.extend(row)
+        assert resumed.filtered_distribution() == \
+            uninterrupted.filtered_distribution()
+        assert resumed.finalize().to_flat() == \
+            uninterrupted.finalize().to_flat()
+        # A windowed session keeps every level's frontier, so the
+        # unbounded layout read as windowed is a damaged file.
+        write_stream_checkpoint(path, meta=dict(payload.meta, window=3),
+                                location_names=payload.location_names,
+                                rows=payload.rows,
+                                frontiers=payload.frontiers)
+        with pytest.raises(StoreFormatError, match="inconsistent"):
+            StreamingCleaner.resume(path)
+
 
 # ----------------------------------------------------------------------
 # multi-object sessions
@@ -346,8 +425,8 @@ locations = st.sampled_from("ABCD")
 
 
 @st.composite
-def streams(draw):
-    duration = draw(st.integers(min_value=1, max_value=10))
+def streams(draw, max_duration=10):
+    duration = draw(st.integers(min_value=1, max_value=max_duration))
     rows = []
     for _ in range(duration):
         support = draw(st.lists(locations, min_size=1, max_size=4,
@@ -379,7 +458,7 @@ def streams(draw):
 def test_eviction_is_invisible_to_the_filtered_estimate(stream):
     rows, constraints, window = stream
     bounded = StreamingCleaner(constraints, window=window)
-    unbounded = IncrementalCleaner(constraints)
+    unbounded = StreamingCleaner(constraints, window=None)
     for row in rows:
         try:
             unbounded.extend(row)
@@ -408,7 +487,6 @@ def test_resume_equals_uninterrupted_run(stream, data):
     killed = StreamingCleaner(constraints, window=window)
     for row in rows[:kill_at]:
         killed.extend(row)
-    import os, tempfile
     fd, path = tempfile.mkstemp(suffix=".ckpt")
     os.close(fd)
     try:
@@ -445,3 +523,69 @@ def test_window_finalize_matches_full_graph(stream):
         assert set(got) == set(expected)
         for location, probability in expected.items():
             assert got[location] == pytest.approx(probability, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# every streaming route against brute-force enumeration
+# ----------------------------------------------------------------------
+
+@st.composite
+def routes(draw):
+    """A small stream plus a route: window, backend, resume step."""
+    rows, constraints, _ = draw(streams(max_duration=8))
+    window = draw(st.one_of(st.none(), st.integers(1, 4)))
+    backend = draw(st.sampled_from(
+        ("python", "numpy") if kernels.numpy_available() else ("python",)))
+    resume_at = draw(st.one_of(st.none(),
+                               st.integers(0, len(rows) - 1)))
+    return rows, constraints, window, backend, resume_at
+
+
+def assert_matches_oracle(got, expected):
+    assert set(got) == set(expected)
+    for location, probability in expected.items():
+        assert math.isclose(got[location], probability, rel_tol=1e-9)
+
+
+def checkpoint_round_trip(cleaner):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "s.ckpt")
+        cleaner.checkpoint(path)
+        return StreamingCleaner.resume(path)
+
+
+@settings(max_examples=250, deadline=None)
+@given(routes())
+def test_streaming_routes_match_brute_force(route):
+    """Filtered estimates and finalize() marginals of every route equal
+    the enumerated conditioning; a rejected reading has no valid prefix
+    and is dropped, leaving the session on the accepted rows."""
+    rows, constraints, window, backend, resume_at = route
+    cleaner = StreamingCleaner(constraints, window=window,
+                               options=CleaningOptions(backend=backend))
+    accepted = []
+    oracle = None
+    for step, row in enumerate(rows):
+        if step == resume_at:
+            cleaner = checkpoint_round_trip(cleaner)
+        try:
+            cleaner.extend(row)
+        except InconsistentReadingsError:
+            with pytest.raises(ZeroMassError):
+                NaiveConditioner(LSequence(accepted + [row]),
+                                 constraints).conditioned_distribution()
+            continue
+        accepted.append(row)
+        oracle = NaiveConditioner(LSequence(accepted), constraints)
+        assert_matches_oracle(cleaner.filtered_distribution(),
+                              oracle.location_marginal(len(accepted) - 1))
+    if oracle is None:
+        return
+    assert cleaner.duration == len(accepted)
+    assert cleaner.base == (0 if window is None
+                            else max(0, len(accepted) - window))
+    graph = cleaner.finalize()
+    for relative in range(cleaner.retained_duration):
+        assert_matches_oracle(graph.location_marginal(relative),
+                              oracle.location_marginal(cleaner.base
+                                                       + relative))

@@ -16,8 +16,9 @@ benches share (96 locations per level, thousands of edges per level):
 * **warm queries** — a ``QuerySession`` over the mmap-backed view must
   answer a six-query analysis bundle *identically* to one over the
   in-memory graph (bit-identical on the python backend, floats within
-  1e-12 relative on the numpy backend), at comparable latency
-  (``mmap_query_penalty`` records the ratio; it is reported, not gated).
+  1e-12 relative on the numpy backend), at comparable latency:
+  ``mmap_query_penalty`` (mmap over in-memory bundle time) must stay
+  at most **1.2** on full numpy-backend runs.
 
 Emits a machine-readable ``BENCH_store.json``.  Usage::
 
@@ -28,7 +29,8 @@ Emits a machine-readable ``BENCH_store.json``.  Usage::
 
 ``--check`` validates an existing result file and exits non-zero on
 problems.  ``parity`` must be true in any payload; the write and
-cold-load speedup gates apply to full (non-smoke) payloads only —
+cold-load speedup gates apply to full (non-smoke) payloads only, and the
+warm-query penalty gate to full numpy-backend payloads only —
 smoke workloads are too small for stable ratios, so CI asserts the
 schema and parity there and the tracked ``BENCH_store.json`` carries
 the gated full-size numbers.
@@ -60,6 +62,10 @@ SMOKE_DURATION = 96
 #: The full-run gate: a cold mmap load must be at least this much
 #: faster than ``pickle.loads`` of the equivalent flat graph.
 COLD_LOAD_GATE = 5.0
+
+#: The full numpy-backend gate: warm queries over the mmap view may take
+#: at most this multiple of the in-memory graph's time.
+MMAP_QUERY_PENALTY_GATE = 1.2
 
 
 def _best_of(repeats: int, build: Callable[[], object]) -> float:
@@ -255,8 +261,8 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
                                    "speedup"))
     cold = timing_block("cold_load", ("pickle_seconds", "mmap_seconds",
                                       "speedup"))
-    timing_block("warm_queries", ("memory_seconds", "mmap_seconds",
-                                  "mmap_query_penalty"))
+    warm = timing_block("warm_queries", ("memory_seconds", "mmap_seconds",
+                                         "mmap_query_penalty"))
     expect(payload.get("parity") is True,
            "parity must be true — the mmap-served QuerySession diverged "
            "from the in-memory answers")
@@ -270,6 +276,11 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
                    "the engine's direct .ctg write must beat the "
                    "engine -> tuples -> pickle pipeline end-to-end "
                    f"(measured {write['speedup']:.2f}x)")
+        if warm is not None and payload.get("backend") == "numpy":
+            expect(warm["mmap_query_penalty"] <= MMAP_QUERY_PENALTY_GATE,
+                   f"warm queries over the mmap view must take at most "
+                   f"{MMAP_QUERY_PENALTY_GATE}x the in-memory time "
+                   f"(measured {warm['mmap_query_penalty']:.2f}x)")
     return problems
 
 

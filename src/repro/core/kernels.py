@@ -10,9 +10,9 @@ whole-level array ops:
 
 * gathers are fancy indexing over cached ``int32`` children/parent views
   (for an mmap-served :class:`~repro.store.format.MappedCTGraph` the
-  columns are already little-endian ``int32``/``float64`` slices of the
-  ``.ctg`` file, so the ``asarray`` conversions are no-ops — only the
-  derived ``parents`` expansion is allocated);
+  columns are ``memoryview`` casts of the ``.ctg`` file's little-endian
+  ``int32``/``float64`` sections, so ``np.asarray`` wraps them without a
+  copy — only the derived ``parents`` expansion is allocated);
 * per-node segment *sums* are ``np.bincount(parents, weights=...)`` —
   unlike ``np.add.reduceat`` it is well-defined on empty segments (a node
   with no surviving edges just gets ``0.0``);
@@ -156,7 +156,9 @@ class GraphViews:
     first touch, and caches the result: ``int32`` children/parents,
     ``float64`` probabilities, plus the per-edge ``parents`` expansion of
     the CSR offsets (``np.repeat`` over the row lengths) that turns
-    per-node slice loops into one whole-level gather.  A
+    per-node slice loops into one whole-level gather.  A mapped ``.ctg``
+    view's ``memoryview`` columns already hold those dtypes, so for it
+    ``np.asarray`` shares the file's bytes instead of copying them.  A
     :class:`~repro.queries.session.QuerySession` keeps one ``GraphViews``
     per graph, so the conversion cost amortises across every query and
     re-sweep of the session.

@@ -89,26 +89,21 @@ def flatgraph_to_dict(graph) -> Dict:
             f"(FlatCTGraph or a MappedCTGraph view), got "
             f"{type(graph).__name__}; use ctgraph_to_dict for the node "
             f"form")
-    def as_list(column) -> list:
-        # ndarray / memoryview columns: .tolist() yields plain Python
-        # scalars (a bare list() would leak numpy int32 into the JSON).
-        return column.tolist() if hasattr(column, "tolist") else list(column)
-
     duration = graph.duration
     return {
         "format": "rfid-ctg/flatgraph@1",
         "duration": duration,
         "location_names": list(graph.location_names),
-        "locations": [as_list(graph.locations[tau])
+        "locations": [list(graph.locations[tau])
                       for tau in range(duration)],
-        "stays": [as_list(graph.stays[tau]) for tau in range(duration)],
-        "edge_offsets": [as_list(graph.edge_offsets[tau])
+        "stays": [list(graph.stays[tau]) for tau in range(duration)],
+        "edge_offsets": [list(graph.edge_offsets[tau])
                          for tau in range(duration - 1)],
-        "edge_children": [as_list(graph.edge_children[tau])
+        "edge_children": [list(graph.edge_children[tau])
                           for tau in range(duration - 1)],
-        "edge_probabilities": [as_list(graph.edge_probabilities[tau])
+        "edge_probabilities": [list(graph.edge_probabilities[tau])
                                for tau in range(duration - 1)],
-        "source_probabilities": as_list(graph.source_probabilities),
+        "source_probabilities": list(graph.source_probabilities),
     }
 
 

@@ -23,7 +23,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import PatternSyntaxError
 
@@ -174,6 +183,28 @@ class PatternDFA:
     def step(self, state: int, location: str) -> int:
         """The successor state after reading ``location``."""
         return self.transitions[state][self.symbol(location)]
+
+    def live_states(self, symbols: Iterable[str]) -> FrozenSet[int]:
+        """The states from which an accepting state can still be reached
+        reading only ``symbols`` (alphabet symbols, ``OTHER`` included).
+
+        The complement is closed under those symbols: a dead state steps
+        only to dead states, so a run that enters one never accepts.
+        """
+        allowed = frozenset(symbols)
+        predecessors: List[List[int]] = [[] for _ in self.transitions]
+        for state, row in enumerate(self.transitions):
+            for symbol, target in row.items():
+                if symbol in allowed:
+                    predecessors[target].append(state)
+        live = set(self.accepting)
+        stack = list(live)
+        while stack:
+            for state in predecessors[stack.pop()]:
+                if state not in live:
+                    live.add(state)
+                    stack.append(state)
+        return frozenset(live)
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import kernels
@@ -537,7 +538,10 @@ class QuerySession:
         ``(name, parent_chain)`` rather than tuples, so a push costs O(1)
         instead of O(duration); the heap never compares chains
         (``counter`` is unique), and only the ``min(k, ...)`` emitted
-        results pay the unwind.
+        results pay the unwind.  The emitted results are stable-sorted by
+        probability before returning, so the list is descending even where
+        a rounded bound popped two paths one ulp out of order; exact ties
+        keep discovery order.
         """
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
@@ -601,6 +605,7 @@ class QuerySession:
                 push(heap, (-bound, counter, next_base + child,
                             (names[next_lids[child]], chain), child_mass))
                 counter += 1
+        results.sort(key=itemgetter(1), reverse=True)
         return results
 
     # ------------------------------------------------------------------
@@ -613,25 +618,40 @@ class QuerySession:
         The pattern's DFA runs in lock-step with a forward pass over the
         levels: the DP state is a probability per ``(node, DFA state)``
         pair, and determinism of the DFA counts each trajectory through
-        exactly one run.
+        exactly one run.  Only *live* DFA states — those from which an
+        accepting state is reachable over the symbols of the graph's
+        location names (:meth:`PatternDFA.live_states
+        <repro.queries.pattern.PatternDFA.live_states>`) — enter the
+        frontier; a pattern whose start state is dead (say, one naming a
+        location the graph never holds) answers ``0.0`` without a sweep.
+        This is exact: a dead state steps only to dead states, so every
+        live pair receives the same terms in the same order as in the
+        unpruned DP.
         """
         dfa = (Pattern.parse(pattern) if isinstance(pattern, str)
                else pattern).dfa()
         graph = self.graph
-        # The DFA transition per interned location id, computed once, and
-        # ``(node index, dfa state)`` frontier keys packed into one int
-        # (``index * num_states + state``) — a bijection, so insertion
-        # order and float accumulation match a tuple-keyed frontier.
         symbols = [dfa.symbol(name) for name in graph.location_names]
+        live = dfa.live_states(symbols)
+        if dfa.start not in live:
+            return 0.0
+        # The live successor per (DFA state, interned location id),
+        # computed once (-1 for a dead one), and ``(node index, dfa
+        # state)`` frontier keys packed into one int (``index *
+        # num_states + state``) — a bijection, so insertion order and
+        # float accumulation match a tuple-keyed frontier.
         transitions = dfa.transitions
         num_states = len(transitions)
+        moves = [[row[symbol] if row[symbol] in live else -1
+                  for symbol in symbols] for row in transitions]
         lids = graph.locations[0]
+        start_moves = moves[dfa.start]
         forward: Dict[int, float] = {}
         for i in range(len(lids)):
             mass = graph.source_probabilities[i]
-            if mass <= 0.0:
+            state = start_moves[lids[i]]
+            if mass <= 0.0 or state < 0:
                 continue
-            state = transitions[dfa.start][symbols[lids[i]]]
             key = i * num_states + state
             forward[key] = forward.get(key, 0.0) + mass
 
@@ -644,17 +664,19 @@ class QuerySession:
             step_get = step.get
             for key, mass in forward.items():
                 i, state = divmod(key, num_states)
-                row = transitions[state]
+                move = moves[state]
                 for e in range(offsets[i], offsets[i + 1]):
                     child = children[e]
-                    next_key = (child * num_states
-                                + row[symbols[next_lids[child]]])
+                    target = move[next_lids[child]]
+                    if target < 0:
+                        continue
+                    next_key = child * num_states + target
                     step[next_key] = (step_get(next_key, 0.0)
                                       + mass * probabilities[e])
             forward = step
 
-        return sum(mass for key, mass in forward.items()
-                   if key % num_states in dfa.accepting)
+        return sum((mass for key, mass in forward.items()
+                    if key % num_states in dfa.accepting), 0.0)
 
     def __repr__(self) -> str:
         return f"QuerySession({self.graph!r})"

@@ -34,9 +34,12 @@ laid out so a loader can hand out per-level array views over a single
     section independently addressable — a reader never has to walk the
     columns to find one.
 
-The 8-byte alignment means the float64 sections can always be viewed
-in place (``numpy.frombuffer`` / ``memoryview.cast``); the CRC-32 makes
-corruption detectable (:func:`load_ctg` verifies it on ``verify=True``).
+The 8-byte alignment means every section can be viewed in place:
+:func:`load_ctg` serves each column as a ``memoryview.cast`` of the
+buffer, which the pure-python query DPs index as plain ints and floats
+and :class:`~repro.core.kernels.GraphViews` wraps zero-copy as an
+ndarray.  The CRC-32 makes corruption detectable (:func:`load_ctg`
+verifies it on ``verify=True``).
 Structural bounds — magic, version, section offsets and counts against
 the payload — are *always* validated at load, so a truncated file fails
 with a typed :class:`~repro.errors.StoreFormatError` instead of an
@@ -72,7 +75,6 @@ import zlib
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core import kernels
 from repro.core.flatgraph import FlatCTGraph
 from repro.errors import QueryError, StoreChecksumError, StoreFormatError
 
@@ -119,9 +121,9 @@ try:  # the *writer* accepts ndarrays whenever numpy is importable at all
 except ImportError:  # pragma: no cover - exercised on the no-numpy leg
     _np = None  # type: ignore[assignment]
 
-#: One column of a loaded graph: an ndarray slice, a ``memoryview`` cast,
-#: or a byteswapped ``array.array`` copy (big-endian hosts only).
-Column = Union["_np.ndarray", memoryview, array]  # type: ignore[name-defined]
+#: One column of a loaded graph: a ``memoryview`` cast, or a byteswapped
+#: ``array.array`` copy (big-endian hosts only).
+Column = Union[memoryview, array]
 
 
 def _section_plan(duration: int) -> Iterator[Tuple[str, int, int]]:
@@ -139,9 +141,19 @@ def _section_plan(duration: int) -> Iterator[Tuple[str, int, int]]:
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
+def _native(values: object, code: str) -> bool:
+    """Whether ``values`` already holds the column's little-endian bytes:
+    a ``memoryview`` column of a loaded ``.ctg`` on a little-endian host,
+    which re-encodes with one ``tobytes()`` instead of a per-item copy."""
+    return (isinstance(values, memoryview) and values.format == code
+            and sys.byteorder == "little")
+
+
 def _encode_i32(values: Sequence[int]) -> bytes:
     if _np is not None and isinstance(values, _np.ndarray):
         return _np.ascontiguousarray(values, dtype="<i4").tobytes()
+    if _native(values, _I32):
+        return values.tobytes()  # type: ignore[attr-defined]
     encoded = array(_I32, values)
     if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
         encoded.byteswap()
@@ -151,6 +163,8 @@ def _encode_i32(values: Sequence[int]) -> bytes:
 def _encode_f64(values: Sequence[float]) -> bytes:
     if _np is not None and isinstance(values, _np.ndarray):
         return _np.ascontiguousarray(values, dtype="<f8").tobytes()
+    if _native(values, "d"):
+        return values.tobytes()  # type: ignore[attr-defined]
     encoded = array("d", values)
     if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
         encoded.byteswap()
@@ -289,29 +303,24 @@ def save_ctg(graph, path) -> int:
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
-def _decode_i32_python(buffer, offset: int, count: int) -> Column:
-    view = memoryview(buffer)[offset:offset + 4 * count]
+def _decode(buffer: memoryview, offset: int, count: int,
+            itemsize: int) -> Column:
+    """One little-endian column of ``buffer`` — int32 for ``itemsize``
+    4, float64 for 8 — as a zero-copy ``memoryview`` cast, or as a
+    byteswapped ``array.array`` copy on big-endian hosts."""
+    code = _I32 if itemsize == 4 else "d"
+    view = buffer[offset:offset + itemsize * count]
     if sys.byteorder == "little":
-        return view.cast(_I32)
-    decoded = array(_I32)  # pragma: no cover - big-endian hosts only
-    decoded.frombytes(view)
-    decoded.byteswap()
-    return decoded
-
-
-def _decode_f64_python(buffer, offset: int, count: int) -> Column:
-    view = memoryview(buffer)[offset:offset + 8 * count]
-    if sys.byteorder == "little":
-        return view.cast("d")
-    decoded = array("d")  # pragma: no cover - big-endian hosts only
+        return view.cast(code)
+    decoded = array(code)  # pragma: no cover - big-endian hosts only
     decoded.frombytes(view)
     decoded.byteswap()
     return decoded
 
 
 def _to_tuple(column: Column) -> tuple:
-    """One column as a plain tuple (ndarray, memoryview and array.array
-    all expose ``tolist``, which round-trips int32/float64 exactly)."""
+    """One column as a plain tuple (memoryview and array.array both
+    expose ``tolist``, which round-trips int32/float64 exactly)."""
     return tuple(column.tolist())
 
 
@@ -320,11 +329,12 @@ class MappedCTGraph:
 
     Every column attribute (``locations``, ``edge_offsets``,
     ``edge_children``, ``edge_probabilities``, ``source_probabilities``)
-    is a zero-copy slice of the single backing buffer — ndarray views
-    when numpy is importable, ``memoryview`` casts otherwise — so a
-    :class:`~repro.queries.session.QuerySession` (and the
-    :class:`~repro.core.kernels.GraphViews` kernels under it) consume the
-    file without deserialising it.  ``stays`` decodes lazily into the
+    is a zero-copy ``memoryview`` cast of the single backing buffer, so a
+    :class:`~repro.queries.session.QuerySession` consumes the file
+    without deserialising it: its python DPs read plain ints and floats
+    from the casts, and the :class:`~repro.core.kernels.GraphViews`
+    kernels under its numpy backend wrap the same bytes with
+    ``np.asarray``.  ``stays`` decodes lazily into the
     canonical ``Optional[int]`` tuples (the one column whose ``-1``
     sentinel needs boxing); everything else stays on the mmap.
 
@@ -431,7 +441,7 @@ class MappedCTGraph:
         ids = {name: lid for lid, name in enumerate(self.location_names)}
         first = ids.get(trajectory[0])
         lids = self.locations[0]
-        mass = {i: float(self.source_probabilities[i])
+        mass = {i: self.source_probabilities[i]
                 for i in range(len(lids)) if lids[i] == first}
         for tau in range(self.duration - 1):
             target = ids.get(trajectory[tau + 1])
@@ -445,7 +455,7 @@ class MappedCTGraph:
                     child = children[e]
                     if next_lids[child] == target:
                         step[child] = (step.get(child, 0.0)
-                                       + amount * float(probabilities[e]))
+                                       + amount * probabilities[e])
             mass = step
             if not mass:
                 return 0.0
@@ -732,10 +742,11 @@ def load_ctg(path, *, mmap: bool = True, verify: bool = False
     as a zero-copy view — the pages fault in on demand, so a cold load is
     header + section-table parsing, not a full read.  ``mmap=False``
     reads the file into one ``bytes`` object instead (same views, private
-    memory).  With numpy importable (and not disabled via
-    ``REPRO_NO_NUMPY``) the columns are ``numpy.frombuffer`` slices;
-    otherwise ``memoryview.cast`` serves the same data to the pure-python
-    query paths.
+    memory).  Either way each column is a ``memoryview.cast`` of the
+    buffer (an ``array.array`` copy on big-endian hosts), whether or not
+    numpy is importable: the pure-python query DPs read plain ints and
+    floats from it, and the numpy kernels wrap it zero-copy through
+    ``np.asarray``.
 
     Structural validation (magic, version, every section offset/count
     against the payload) always runs and raises
@@ -838,24 +849,7 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
     entries = [_SECTION_ENTRY.unpack_from(
                    buffer, table_offset + i * _SECTION_ENTRY.size)
                for i in range(len(plan))]
-    use_numpy = kernels.numpy_available()
-    if use_numpy:
-        numpy = kernels.require_numpy()
-
-        def i32(offset: int, count: int) -> Column:
-            return numpy.frombuffer(buffer, dtype="<i4", count=count,
-                                    offset=offset)
-
-        def f64(offset: int, count: int) -> Column:
-            return numpy.frombuffer(buffer, dtype="<f8", count=count,
-                                    offset=offset)
-    else:
-        def i32(offset: int, count: int) -> Column:
-            return _decode_i32_python(buffer, offset, count)
-
-        def f64(offset: int, count: int) -> Column:
-            return _decode_f64_python(buffer, offset, count)
-
+    whole = memoryview(buffer)
     columns: List[Column] = []
     for (kind, tau, itemsize), (offset, count) in zip(plan, entries):
         if not (HEADER_BYTES <= offset
@@ -863,8 +857,7 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
             raise _bounds_error(
                 path, f"section {kind}[{tau}] out of bounds "
                       f"(offset {offset}, count {count})")
-        columns.append(i32(offset, count) if itemsize == 4
-                       else f64(offset, count))
+        columns.append(_decode(whole, offset, count, itemsize))
     locations = tuple(columns[2 * tau] for tau in range(duration))
     stay_columns = tuple(columns[2 * tau + 1] for tau in range(duration))
     base = 2 * duration

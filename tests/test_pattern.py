@@ -122,6 +122,22 @@ class TestDFA:
             for symbol in ("A", "B", OTHER):
                 assert dfa.step(state, symbol) < dfa.num_states
 
+    def test_live_states_depend_on_the_symbols(self):
+        dfa = Pattern.parse("? A ? B ?").dfa()
+        assert dfa.start not in dfa.live_states({"A", OTHER})
+        assert dfa.live_states({"A", OTHER}) == dfa.accepting
+        assert dfa.live_states({"A", "B", OTHER}) == set(
+            range(dfa.num_states))
+
+    def test_dead_states_step_only_to_dead_states(self):
+        dfa = Pattern.parse("? A[2] ? B C ?").dfa()
+        for symbols in ({"A", OTHER}, {"B", "C"}, {"A", "B", OTHER}):
+            live = dfa.live_states(symbols)
+            assert dfa.accepting <= live
+            for state in set(range(dfa.num_states)) - live:
+                assert all(dfa.transitions[state][symbol] not in live
+                           for symbol in symbols)
+
 
 def naive_match(atoms, trajectory):
     """Reference matcher: recursive expansion of the conditions."""

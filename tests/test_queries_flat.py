@@ -26,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.constraints import ConstraintSet, Latency, Unreachable
@@ -84,7 +84,12 @@ def _flat_routes(lsequence, constraints):
 
 
 def _patterns(duration):
-    return ["? B[1] ?" if duration >= 3 else "B[1]", "? A ? C[2] ?", "D ?"]
+    """Patterns for a graph of ``duration`` steps.  The last three reach
+    the match DP's pruning paths: a location no instance draws (the start
+    state is dead), an end-anchored pattern whose accepting state is not
+    absorbing, and a run longer than the graph."""
+    return ["? B[1] ?" if duration >= 3 else "B[1]", "? A ? C[2] ?", "D ?",
+            "? A ? Z[2] ?", "? C", f"? B[{duration + 1}] ?"]
 
 
 def _assert_matches_enumeration(graph, distribution):
@@ -167,8 +172,21 @@ def _check_all_routes(lsequence, constraints):
             _assert_matches_enumeration(view, distribution)
 
 
+#: An instance whose top-k bounds pop two paths one ulp out of order
+#: (``AABAAA`` at 0.00793178663493952 just before ``AACAAB`` at
+#: 0.007931786634939523) unless the results are sorted before returning.
+ULP_TOP_K = LSequence([
+    {"A": 1.0}, {"A": 1.0},
+    {"A": 0.48780487804878053, "B": 0.48780487804878053,
+     "C": 0.02439024390243903},
+    {"A": 1.0}, {"A": 0.6666666666666666, "B": 0.3333333333333333},
+    {"A": 0.02439024390243903, "B": 0.48780487804878053,
+     "C": 0.48780487804878053}])
+
+
 @settings(max_examples=150, deadline=None)
 @given(lsequences(), constraint_sets())
+@example(lsequence=ULP_TOP_K, constraints=ConstraintSet())
 def test_query_parity_on_random_instances(lsequence, constraints):
     _check_all_routes(lsequence, constraints)
 
@@ -204,6 +222,24 @@ def test_joint_graph_queries_run_on_its_flat_form():
         query = TrajectoryQuery(text)
         assert query.probability(joint) == approx(
             sum(p for t, p in distribution.items() if query.matches(t)))
+
+
+def test_match_probability_is_always_a_float(tmp_path):
+    """Every answer path returns a float: a dead start state, a live
+    pattern no run accepts, and accepted runs — also off a mapped
+    ``.ctg``, whose columns are memoryviews."""
+    flat = build_ct_graph(LSequence([{"A": 0.5, "B": 0.5}, {"B": 1.0}]),
+                          ConstraintSet(),
+                          CleaningOptions(materialize="flat"))
+    path = tmp_path / "graph.ctg"
+    save_ctg(flat, path)
+    with load_ctg(path) as view:
+        for graph in (flat, view):
+            answers = {text: TrajectoryQuery(text).probability(graph)
+                       for text in ("? Z ?", "? B[3] ?", "? A ?", "B ?")}
+            assert answers == {"? Z ?": 0.0, "? B[3] ?": 0.0,
+                               "? A ?": 0.5, "B ?": 0.5}
+            assert all(type(answer) is float for answer in answers.values())
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +300,21 @@ def test_top_k_exhausts_at_num_valid_trajectories():
     result = top_k_trajectories(nodes, 100)
     assert len(result) == 4
     assert sum(p for _, p in result) == pytest.approx(1.0)
+
+
+def test_top_k_is_descending_where_bounds_round_an_ulp_low():
+    for graph in (build_ct_graph(ULP_TOP_K, ConstraintSet()),
+                  build_ct_graph(ULP_TOP_K, ConstraintSet(),
+                                 CleaningOptions(materialize="flat"))):
+        top = top_k_trajectories(graph, 10_000)
+        probabilities = [p for _, p in top]
+        assert probabilities == sorted(probabilities, reverse=True)
+        rank = {trajectory: i for i, (trajectory, _) in enumerate(top)}
+        assert rank[tuple("AACAAB")] < rank[tuple("AABAAA")]
+        # Exact ties keep discovery order: the four 0.1586... paths.
+        assert [t for t, _ in top[:4]] == [
+            tuple("AAAAAB"), tuple("AAAAAC"), tuple("AABAAB"),
+            tuple("AABAAC")]
 
 
 def test_top_k_rejects_non_positive_k():

@@ -15,8 +15,8 @@ Four layers are pinned here:
 * the advisor's ``.ctg`` size prediction, pinned within 2x of measured.
 """
 
-import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -24,6 +24,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import kernels
 from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.constraints import (
     ConstraintSet,
@@ -49,7 +50,6 @@ from repro.store import (
     content_key,
     load_ctg,
     save_ctg,
-    write_ctg,
 )
 
 try:
@@ -204,6 +204,62 @@ class TestRoundTrip:
                               CleaningOptions(output=str(path)))
         assert view.estimate_size_bytes() == os.path.getsize(path)
         view.close()
+
+
+def within_gate(left, right):
+    """Equal structure, every float within the kernels' 1e-12 gate."""
+    if isinstance(left, float) and isinstance(right, float):
+        return math.isclose(left, right, rel_tol=1e-12, abs_tol=1e-12)
+    if isinstance(left, dict) and isinstance(right, dict):
+        return (list(left) == list(right)
+                and all(within_gate(left[key], right[key]) for key in left))
+    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
+        return (len(left) == len(right)
+                and all(within_gate(a, b) for a, b in zip(left, right)))
+    return left == right
+
+
+class TestMappedColumns:
+    """``load_ctg`` serves every column as a ``memoryview`` cast of the
+    file, which the numpy kernels wrap without copying."""
+
+    @staticmethod
+    def wide_graph():
+        lsequence = LSequence([{"A": 0.4, "B": 0.35, "C": 0.25}
+                               for _ in range(30)])
+        constraints = ConstraintSet([Unreachable("A", "C"), Latency("B", 2)])
+        return build_ct_graph(lsequence, constraints,
+                              CleaningOptions(materialize="flat"))
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+    def test_kernels_share_the_mapped_bytes(self, tmp_path):
+        import numpy
+
+        flat = self.wide_graph()
+        path = tmp_path / "g.ctg"
+        save_ctg(flat, path)
+        with load_ctg(path) as view:
+            columns = (view.locations + view.edge_offsets
+                       + view.edge_children + view.edge_probabilities
+                       + (view.source_probabilities,))
+            assert all(type(column) is memoryview for column in columns)
+            mapped = numpy.frombuffer(view.edge_children[0].obj,
+                                      dtype=numpy.uint8)
+            views = kernels.GraphViews(view)
+            children, probabilities, _, _, _ = views.edge_level(3)
+            for array in (children, probabilities, views.source,
+                          views.level_lids(3)):
+                assert numpy.shares_memory(array, mapped)
+            assert within_gate(query_bundle(view, "numpy"),
+                               query_bundle(view.materialize(), "numpy"))
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_resaving_a_mapped_view_is_byte_identical(self, tmp_path, mmap):
+        first, second = tmp_path / "first.ctg", tmp_path / "second.ctg"
+        save_ctg(self.wide_graph(), first)
+        with load_ctg(first, mmap=mmap) as view:
+            save_ctg(view, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def flat_probability_of(flat, trajectory):

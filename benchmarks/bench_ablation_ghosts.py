@@ -12,7 +12,6 @@ discard.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.algorithm import build_ct_graph
 from repro.core.lsequence import LSequence

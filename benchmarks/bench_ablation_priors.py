@@ -10,12 +10,11 @@ prior variants.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.algorithm import build_ct_graph
 from repro.core.lsequence import LSequence
 from repro.experiments.report import format_table
-from repro.inference import MotilityProfile, infer_constraints
+from repro.inference import infer_constraints
 from repro.queries.accuracy import stay_accuracy
 from repro.queries.stay import stay_query, stay_query_prior
 from repro.rfid.priors import PriorModel

@@ -10,7 +10,6 @@ identical, with strict graphs (weakly) smaller.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.lsequence import LSequence

@@ -20,7 +20,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from repro.baselines.beam import BeamCleaner
 from repro.baselines.particles import ParticleFilter

@@ -13,11 +13,6 @@ the long-duration periodic workloads of ``bench_scaling``:
   :class:`~repro.runtime.plan.SharedCleaningPlan`, the steady-state cost
   a ``clean_many`` worker pays after the first object of a batch.
 
-Each duration also validates the C010 routing advice: the engine the
-static advisor (:func:`repro.analysis.advisor.advise`) picks must never
-be more than ``ROUTING_SLACK``× slower than the best of the measured
-engines — recorded per entry as ``routing_ok`` and gated by ``--check``.
-
 Since schema v3 the sweep carries a **backend axis** (``--backend``, the
 flat-materialised build re-timed under ``CleaningOptions(backend=...)``)
 and a **kernel block**: a wide periodic workload (``KERNEL_WIDTH``
@@ -54,7 +49,6 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.advisor import advise
 from repro.core import kernels
 from repro.core.algorithm import BACKENDS, CleaningOptions, build_ct_graph
 from repro.core.constraints import (
@@ -66,13 +60,7 @@ from repro.core.constraints import (
 from repro.core.lsequence import LSequence
 from repro.runtime.plan import SharedCleaningPlan
 
-SCHEMA_VERSION = 3
-
-#: How much slower than the best measured engine the statically advised
-#: one may be before ``routing_ok`` flips false.  Generous enough to
-#: absorb timing noise near the crossover, tight enough to catch the
-#: advisor picking the wrong engine on a workload where it matters.
-ROUTING_SLACK = 1.3
+SCHEMA_VERSION = 4
 
 #: The ``bench_scaling`` workload: DU + LT + TT all bind, and the TT
 #: constraints keep the departure filter (and so the mask-widened
@@ -210,7 +198,6 @@ def run(durations: Sequence[int], repeats: int, backend: str,
                                    backend=backend)
     results: List[Dict[str, object]] = []
     all_identical = True
-    all_routing_ok = True
     for duration in durations:
         lsequence = make_instance(duration)
 
@@ -239,27 +226,6 @@ def run(durations: Sequence[int], repeats: int, backend: str,
             repeats, lambda: build_ct_graph(lsequence, CONSTRAINTS,
                                             flat_options))
 
-        advice = advise(lsequence, CONSTRAINTS)
-        timed = {"reference": reference_seconds,
-                 "compact": compact_seconds}
-        routing_ok = timed[advice.engine] <= ROUTING_SLACK * min(timed.values())
-        if not routing_ok:
-            # A low-repeat run on a loaded machine can spike one engine's
-            # best-of; re-time both sides harder before calling the advice
-            # wrong (best-of only improves with more samples).
-            for engine, options in (("reference", reference_options),
-                                    ("compact", compact_options)):
-                timed[engine] = min(timed[engine], _best_of(
-                    max(repeats * 3, 5),
-                    lambda: build_ct_graph(lsequence, CONSTRAINTS, options)))
-            routing_ok = (timed[advice.engine]
-                          <= ROUTING_SLACK * min(timed.values()))
-        advised_seconds = timed[advice.engine]
-        best_seconds = min(timed.values())
-        all_routing_ok = all_routing_ok and routing_ok
-        reference_seconds = timed["reference"]
-        compact_seconds = timed["compact"]
-
         stats = compact_graph.stats
         results.append({
             "duration": duration,
@@ -276,11 +242,6 @@ def run(durations: Sequence[int], repeats: int, backend: str,
             "forward_seconds": stats.forward_seconds,
             "backward_seconds": stats.backward_seconds,
             "identical_output": identical,
-            "advised_engine": advice.engine,
-            "advised_states": advice.predicted_states,
-            "advised_seconds": advised_seconds,
-            "best_seconds": best_seconds,
-            "routing_ok": routing_ok,
         })
 
     kernel = run_kernel(kernel_duration, kernel_repeats)
@@ -307,7 +268,6 @@ def run(durations: Sequence[int], repeats: int, backend: str,
         # wide workload (None when numpy is unavailable).
         "kernel_speedup": kernel["kernel_speedup"],
         "identical_output": all_identical,
-        "routing_ok": all_routing_ok,
         "kernel": kernel,
         "results": results,
     }
@@ -382,9 +342,6 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
             expect(payload.get("kernel_speedup") is None,
                    "kernel_speedup must be null when the kernel block "
                    "was not measured")
-    expect(payload.get("routing_ok") is True,
-           "routing_ok must be true — the C010 advisor picked an engine "
-           f"more than {ROUTING_SLACK}x slower than the best one")
     results = payload.get("results")
     if isinstance(results, list) and results:
         if isinstance(workload, dict):
@@ -403,16 +360,7 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
                     and isinstance(entry.get("flat_seconds"), float)
                     and entry["flat_seconds"] > 0.0
                     and entry.get("backend") in ("python", "numpy")
-                    and entry.get("identical_output") is True
-                    and entry.get("advised_engine") in ("reference",
-                                                        "compact")
-                    and isinstance(entry.get("advised_states"), int)
-                    and entry["advised_states"] > 0
-                    and isinstance(entry.get("advised_seconds"), float)
-                    and entry["advised_seconds"] > 0.0
-                    and isinstance(entry.get("best_seconds"), float)
-                    and entry["best_seconds"] > 0.0
-                    and entry.get("routing_ok") is True):
+                    and entry.get("identical_output") is True):
                 problems.append(f"malformed results entry: {entry!r}")
                 break
     else:
@@ -484,8 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"warm {entry['compact_warm_seconds'] * 1000:7.1f} ms "
               f"({entry['warm_speedup']:.2f}x)  "
               f"flat[{entry['backend']}] "
-              f"{entry['flat_seconds'] * 1000:7.1f} ms  "
-              f"advised {entry['advised_engine']}")
+              f"{entry['flat_seconds'] * 1000:7.1f} ms")
     kernel = payload["kernel"]
     if kernel["measured"]:
         print(f"kernel ({kernel['width']} locations x "
@@ -500,8 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         print("kernel: numpy unavailable, block not measured")
     print(f"headline: {payload['speedup']:.2f}x cold / "
-          f"{payload['warm_speedup']:.2f}x warm, identical output, "
-          f"routing ok")
+          f"{payload['warm_speedup']:.2f}x warm, identical output")
     print(f"wrote {args.out}")
     return 0
 

@@ -30,7 +30,6 @@ from repro import (
     stay_query,
     uncertainty_reduction,
 )
-from repro.core.lsequence import ReadingSequence
 from repro.inference import MotilityProfile
 from repro.mapmodel.grid import Grid
 from repro.rfid.calibration import calibrate, exact_matrix

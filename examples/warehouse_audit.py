@@ -13,8 +13,6 @@ the paper's Section 5 remark — for downstream warehousing tools.
 Run:  python examples/warehouse_audit.py
 """
 
-import numpy as np
-
 from repro import (
     ConstraintSet,
     Latency,
@@ -24,7 +22,6 @@ from repro import (
     build_ct_graph,
     build_dataset,
     corridor_map,
-    infer_constraints,
 )
 from repro.inference import MotilityProfile, infer_du_constraints, \
     infer_tt_constraints

@@ -16,20 +16,16 @@ C001
 
 Three layers expose it: this API (:func:`analyze`), the ``rfid-ctg
 analyze`` CLI subcommand (``--strict`` exits 1 on ERROR, ``--advise``
-adds C010's routing verdict), and the opt-in ``precheck`` option of
+adds C010's size estimate), and the opt-in ``precheck`` option of
 :class:`repro.core.algorithm.CleaningOptions`.  The abstract-
-interpretation layer (:mod:`repro.analysis.envelope`) additionally powers
-the ``engine="auto"`` routing of :func:`repro.core.algorithm.\
-build_ct_graph` via :func:`repro.analysis.advisor.recommend_options`.
-``docs/analysis.md`` documents every rule code.
+interpretation layer (:mod:`repro.analysis.envelope`) bounds graph
+widths and sizes (C007-C010); :func:`repro.analysis.advisor.advise`
+turns those bounds into an :class:`EngineAdvice` size estimate.  No
+cleaning run consults it.  ``docs/analysis.md`` documents every rule
+code.
 """
 
-from repro.analysis.advisor import (
-    AUTO_COMPACT_MIN_STATES,
-    EngineAdvice,
-    advise,
-    recommend_options,
-)
+from repro.analysis.advisor import EngineAdvice, advise
 from repro.analysis.analyzer import RULES, ZERO_MASS_RULE, RuleSpec, analyze
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.analysis.envelope import (
@@ -47,7 +43,6 @@ __all__ = [
     "AbstractState",
     "AnalysisContext",
     "AnalysisReport",
-    "AUTO_COMPACT_MIN_STATES",
     "ConstraintEnvelope",
     "DepartureInterval",
     "Diagnostic",
@@ -65,5 +60,4 @@ __all__ = [
     "first_dead_timestep",
     "location_universe",
     "predict_zero_mass",
-    "recommend_options",
 ]

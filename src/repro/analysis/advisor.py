@@ -1,24 +1,21 @@
-"""Static engine/materialisation routing advice (rule C010).
+"""Static size estimate of one cleaning instance (rule C010).
 
-``CleaningOptions(engine="auto")`` historically routed on a hard-coded
-duration threshold (``AUTO_COMPACT_MIN_DURATION``).  Duration is a crude
-proxy: what actually decides whether the compact engine's memoised
-transition rows pay for their fixed cost is the *number of node states*
-the forward pass will enumerate — which the constraint envelope bounds
-soundly before any cleaning happens.  :func:`advise` turns the envelope's
-width bound into an :class:`EngineAdvice`; :func:`recommend_options` is
-the hook ``build_ct_graph`` and ``SharedCleaningPlan`` consume to resolve
-``engine="auto"`` per object.
+The constraint envelope bounds, before any cleaning happens, how many
+node states and edges the forward pass can enumerate.  :func:`advise`
+turns those bounds into an :class:`EngineAdvice`: the predicted state
+total and peak level width, the byte size of each materialised shape
+(``CTNode`` objects, ``FlatCTGraph``, ``.ctg``), a materialisation
+hint, and whether the envelope already proves ``ZeroMassError``.
 
-Both engines are bit-exact (enforced by tests and the engine benchmark),
-so routing can never change cleaning output — only cost.  The state
-threshold below is calibrated on the engine benchmark workload so the
-crossover matches the empirical reference/compact break-even.
+Nothing on the build path consults it: ``build_ct_graph`` always runs
+the compact engine, whose ``backend="auto"`` resolves on the edges per
+level the forward pass actually measured.  ``rfid-ctg analyze --advise``
+reports the estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.envelope import (
@@ -26,28 +23,14 @@ from repro.analysis.envelope import (
     estimate_ctg_bytes,
     estimate_graph_bytes,
 )
-from repro.core import kernels
-from repro.core.algorithm import CleaningOptions
 from repro.core.constraints import ConstraintSet
 from repro.core.lsequence import LSequence
 
 __all__ = [
-    "AUTO_COMPACT_MIN_STATES",
     "FLAT_ADVICE_MIN_NODE_BYTES",
     "EngineAdvice",
     "advise",
-    "recommend_options",
 ]
-
-#: Predicted node states at and above which the compact engine's memoised
-#: transitions beat the reference builder.  Calibrated on the engine
-#: benchmark workload (periodic 4-phase supports, TT A<->D, latency B),
-#: whose envelope predicts ~20 states per timestep: best-of-9 timings put
-#: the cold break-even near a bound of ~205 states (duration 12 there) —
-#: reference wins clearly below ~150, compact wins by >=1.3x from ~290 up.
-#: 200 splits that band and scales with actual width for narrower or
-#: wider instances, unlike the old duration-only heuristic.
-AUTO_COMPACT_MIN_STATES = 200
 
 #: Predicted node-form bytes above which materialising flat is advised.
 FLAT_ADVICE_MIN_NODE_BYTES = 4 << 20
@@ -55,18 +38,10 @@ FLAT_ADVICE_MIN_NODE_BYTES = 4 << 20
 
 @dataclass(frozen=True)
 class EngineAdvice:
-    """One routing verdict, with the predictions that justify it."""
+    """The static size estimate of one instance."""
 
-    #: Concrete engine to run ("reference" or "compact").
-    engine: str
     #: Advised materialisation ("nodes" or "flat").
     materialize: str
-    #: Advised sweep backend ("python" or "numpy"): numpy only when it is
-    #: available *and* the envelope predicts at least
-    #: :data:`repro.core.kernels.KERNEL_MIN_LEVEL_EDGES` mean edges per
-    #: edge level — below that the whole-level ndarray overhead loses to
-    #: the plain loops.
-    backend: str
     #: Envelope upper bound on total node states.
     predicted_states: int
     #: Envelope upper bound on the widest level.
@@ -82,14 +57,12 @@ class EngineAdvice:
     duration: int
     #: Whether the envelope already proves ``ZeroMassError``.
     zero_mass: bool
-    #: Human-readable justification.
-    reason: str
 
 
 def advise(lsequence: LSequence, constraints: ConstraintSet, *,
            strict_truncation: bool = False,
            envelope: Optional[ConstraintEnvelope] = None) -> EngineAdvice:
-    """Static routing advice for one instance.
+    """The static size estimate of one instance.
 
     Pass ``envelope`` to reuse an already-built
     :class:`~repro.analysis.envelope.ConstraintEnvelope` (e.g. from an
@@ -99,70 +72,16 @@ def advise(lsequence: LSequence, constraints: ConstraintSet, *,
         envelope = ConstraintEnvelope(lsequence, constraints,
                                       strict_truncation=strict_truncation)
     widths = envelope.width_bounds()
-    total = sum(widths)
-    peak = max(widths) if widths else 0
     edges = envelope.edge_bounds()
     node_bytes, flat_bytes = estimate_graph_bytes(widths, edges)
-    ctg_bytes = estimate_ctg_bytes(widths, edges)
-    # Backend advice mirrors QuerySession's measured-width resolution,
-    # but statically: the envelope's edge bounds predict the mean edges
-    # per edge level before anything is built.
-    mean_edges = sum(edges) / len(edges) if edges else 0.0
-    backend = kernels.resolve_backend("auto", mean_edges)
-    if envelope.proves_zero_mass:
-        engine = "reference"
-        reason = ("the envelope empties at timestep "
-                  f"{envelope.first_empty_level}: any engine raises "
-                  "ZeroMassError before building anything")
-    elif total >= AUTO_COMPACT_MIN_STATES:
-        engine = "compact"
-        reason = (f"predicted <= {total} node states >= "
-                  f"{AUTO_COMPACT_MIN_STATES}: memoised transition rows "
-                  "amortise over the repeated supports")
-    else:
-        engine = "reference"
-        reason = (f"predicted <= {total} node states < "
-                  f"{AUTO_COMPACT_MIN_STATES}: the reference builder's "
-                  "lower fixed cost wins on small graphs")
-    materialize = ("flat" if node_bytes >= FLAT_ADVICE_MIN_NODE_BYTES
-                   else "nodes")
     return EngineAdvice(
-        engine=engine,
-        materialize=materialize,
-        backend=backend,
-        predicted_states=total,
-        peak_level_width=peak,
+        materialize=("flat" if node_bytes >= FLAT_ADVICE_MIN_NODE_BYTES
+                     else "nodes"),
+        predicted_states=sum(widths),
+        peak_level_width=max(widths) if widths else 0,
         predicted_node_bytes=node_bytes,
         predicted_flat_bytes=flat_bytes,
-        predicted_ctg_bytes=ctg_bytes,
+        predicted_ctg_bytes=estimate_ctg_bytes(widths, edges),
         duration=lsequence.duration,
         zero_mass=envelope.proves_zero_mass,
-        reason=reason,
     )
-
-
-def recommend_options(lsequence: LSequence, constraints: ConstraintSet,
-                      base: Optional[CleaningOptions] = None, *,
-                      envelope: Optional[ConstraintEnvelope] = None
-                      ) -> CleaningOptions:
-    """Resolve ``engine="auto"``/``backend="auto"`` from the static envelope.
-
-    Explicit choices are respected untouched, and the two fields resolve
-    independently — an explicit engine never blocks backend advice and
-    vice versa.  ``materialize`` stays consumption-driven (the batch
-    runtime already resolves it from whether graphs are kept); the advice
-    object's ``materialize``/byte fields remain available through
-    :func:`advise` for callers that want the memory verdict too.
-    """
-    if base is None:
-        base = CleaningOptions()
-    if base.engine != "auto" and base.backend != "auto":
-        return base
-    advice = advise(lsequence, constraints,
-                    strict_truncation=base.strict_truncation,
-                    envelope=envelope)
-    return replace(
-        base,
-        engine=base.engine if base.engine != "auto" else advice.engine,
-        backend=(base.backend if base.backend != "auto"
-                 else advice.backend))

@@ -20,7 +20,7 @@ readings-specific and polynomial.
 | C007 | INFO     | abstract width envelope: tighter per-level node bound |
 | C008 | WARNING  | dead support candidates / forced single-location levels |
 | C009 | ERROR    | interval envelope empties a level: zero mass, proved early |
-| C010 | INFO     | engine/materialisation routing advice (``--advise``) |
+| C010 | INFO     | size estimate and materialisation hint (``--advise``) |
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "check_width_envelope",
     "check_dead_level_candidates",
     "check_envelope_zero_mass",
-    "check_routing_advice",
+    "check_size_estimate",
     "ctgraph_size_bounds",
 ]
 
@@ -409,32 +409,37 @@ def check_envelope_zero_mass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# C010 — engine/materialisation routing advice (advisory, --advise)
+# C010 — size estimate and materialisation hint (advisory, --advise)
 # ----------------------------------------------------------------------
-def check_routing_advice(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Surface the static routing verdict of
+def check_size_estimate(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+    """Surface the static size estimate of
     :func:`repro.analysis.advisor.advise` as a diagnostic."""
     if ctx.lsequence is None or ctx.envelope is None:
         return
-    # Imported lazily: the advisor depends on repro.core.algorithm, which
-    # plain rule evaluation should not pull in.
+    # Looked up at call time, so a wrapped ``advisor.advise`` sees it.
     from repro.analysis.advisor import advise
 
     advice = advise(ctx.lsequence, ctx.constraints,
                     strict_truncation=ctx.strict_truncation,
                     envelope=ctx.envelope)
+    if advice.zero_mass:
+        summary = (f"the envelope empties at timestep "
+                   f"{ctx.envelope.first_empty_level}: cleaning raises "
+                   f"ZeroMassError before building anything")
+    else:
+        summary = (f"<= {advice.predicted_states} node states, peak level "
+                   f"width {advice.peak_level_width}")
     yield Diagnostic(
         "C010", Severity.INFO,
-        f"routing advice: engine={advice.engine}, "
-        f"materialize={advice.materialize} — {advice.reason} "
+        f"size estimate: {summary} "
         f"(~{advice.predicted_node_bytes / 1024.0:.0f} KiB as nodes, "
         f"~{advice.predicted_flat_bytes / 1024.0:.0f} KiB flat, "
-        f"~{advice.predicted_ctg_bytes / 1024.0:.0f} KiB as .ctg)",
-        data={"engine": advice.engine, "materialize": advice.materialize,
+        f"~{advice.predicted_ctg_bytes / 1024.0:.0f} KiB as .ctg); "
+        f"materialize={advice.materialize} advised",
+        data={"materialize": advice.materialize,
               "predicted_states": advice.predicted_states,
               "peak_level_width": advice.peak_level_width,
               "predicted_node_bytes": advice.predicted_node_bytes,
               "predicted_flat_bytes": advice.predicted_flat_bytes,
               "predicted_ctg_bytes": advice.predicted_ctg_bytes,
-              "zero_mass": advice.zero_mass,
-              "reason": advice.reason})
+              "zero_mass": advice.zero_mass})

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.algorithm import CleaningOptions
 from repro.core.constraints import ConstraintSet

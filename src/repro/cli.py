@@ -28,7 +28,6 @@ from repro.core.algorithm import (
 )
 from repro.core.lsequence import LSequence
 from repro.experiments.harness import (
-    CONSTRAINT_CONFIGS,
     run_cleaning_experiment,
     run_query_time_experiment,
     run_stay_accuracy_experiment,
@@ -73,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of DU,LT,TT")
     clean.add_argument("--index", type=int, default=0,
                        help="which trajectory of the dataset to clean")
-    clean.add_argument("--engine", choices=ENGINES, default="auto",
-                       help="cleaning engine: auto picks the compact one "
-                            "for long objects (both are bit-identical)")
+    clean.add_argument("--engine", choices=ENGINES, default="compact",
+                       help="cleaning engine: reference is the test "
+                            "oracle (both are bit-identical)")
     clean.add_argument("--backend", choices=BACKENDS, default="python",
                        help="level-sweep backend: numpy vectorises the "
                             "backward sweep on flat builds, auto picks by "
@@ -103,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "auto)")
     clean_many_cmd.add_argument("--limit", type=int, default=None,
                                 help="clean only the first N trajectories")
-    clean_many_cmd.add_argument("--engine", choices=ENGINES, default="auto",
+    clean_many_cmd.add_argument("--engine", choices=ENGINES,
+                                default="compact",
                                 help="cleaning engine used by the workers")
     clean_many_cmd.add_argument("--backend", choices=BACKENDS,
                                 default="python",
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "paths cross the pipe")
     store_cmd.add_argument("--limit", type=int, default=None,
                            help="clean only the first N trajectories")
-    store_cmd.add_argument("--engine", choices=ENGINES, default="auto",
+    store_cmd.add_argument("--engine", choices=ENGINES, default="compact",
                            help="cleaning engine used on cache misses")
     store_cmd.add_argument("--backend", choices=BACKENDS, default="python",
                            help="level-sweep backend used on cache misses")
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--index", type=int, default=0)
     query.add_argument("--pattern", help="trajectory pattern, e.g. '? F0_R1[3] ?'")
     query.add_argument("--at", type=int, help="timestep for a stay query")
-    query.add_argument("--engine", choices=ENGINES, default="auto",
+    query.add_argument("--engine", choices=ENGINES, default="compact",
                        help="cleaning engine feeding the query (results "
                             "are bit-identical)")
     query.add_argument("--backend", choices=BACKENDS, default="python",
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(ql)
     ql.add_argument("--constraints", default="DU,LT,TT")
     ql.add_argument("--index", type=int, default=0)
-    ql.add_argument("--engine", choices=ENGINES, default="auto",
+    ql.add_argument("--engine", choices=ENGINES, default="compact",
                     help="cleaning engine feeding the statements")
     ql.add_argument("--backend", choices=BACKENDS, default="python",
                     help="level-sweep backend for cleaning and for the "
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "diagnostic is present")
     analyze_cmd.add_argument("--advise", action="store_true",
                              help="also run the advisory rules (C010: "
-                                  "engine/materialisation routing advice; "
-                                  "needs readings via --index)")
+                                  "size estimate and materialisation "
+                                  "hint; needs readings via --index)")
     analyze_cmd.add_argument("--format", choices=["text", "json"],
                              default="text", help="report rendering")
 
@@ -348,10 +348,10 @@ def _cleaned_graph(dataset, args, materialize: str = "auto"):
                                     kinds=kinds, distances=dataset.distances)
     lsequence = LSequence.from_readings(trajectory.readings, dataset.prior)
     # Commands without --engine/--backend funnel through here with the
-    # defaults (auto engine, python backend); commands that only query
+    # defaults (compact engine, python backend); commands that only query
     # clean straight to the flat form.
     options = CleaningOptions(
-        engine=getattr(args, "engine", "auto"),
+        engine=getattr(args, "engine", "compact"),
         backend=getattr(args, "backend", "python"),
         materialize=materialize,
         output=getattr(args, "output", None))

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.constraints import ConstraintSet
@@ -73,8 +73,10 @@ TRUNCATED_STAY_POLICIES = ("lenient", "strict")
 #: Pre-flight static-analysis modes (see ``repro.analysis``).
 PRECHECK_MODES = ("off", "warn", "error")
 
-#: The interchangeable Algorithm 1 implementations (see ``docs/perf.md``).
-ENGINES = ("auto", "reference", "compact")
+#: The two bit-identical Algorithm 1 implementations (see
+#: ``docs/perf.md``): the compact engine builds, the reference builder is
+#: the test oracle.
+ENGINES = ("reference", "compact")
 
 #: What :func:`build_ct_graph` materialises: ``CTNode`` objects
 #: (``"nodes"``; ``"auto"`` currently resolves to the same), the
@@ -86,62 +88,9 @@ MATERIALIZE_MODES = ("auto", "nodes", "flat", "store")
 
 #: The sweep backends (see :mod:`repro.core.kernels`): pure-python loops
 #: (default, the parity oracle), optional numpy level kernels, or
-#: advisor-routed ``"auto"``.
+#: ``"auto"``, which the compact engine resolves after its forward pass
+#: on the measured edges per level.
 BACKENDS = _kernel_backends
-
-#: Fallback duration threshold for ``engine="auto"``: below it the
-#: reference builder's lower fixed cost wins, above it the memoised
-#: transition rows dominate.  :func:`build_ct_graph` now routes ``auto``
-#: through the static advisor's predicted state count
-#: (:func:`repro.analysis.advisor.advise`); this duration knob remains the
-#: documented fallback for callers that resolve an engine without an
-#: l-sequence in hand.  Both engines are bit-exact, so either threshold is
-#: purely a performance knob (calibrated by ``benchmarks/bench_engine``).
-AUTO_COMPACT_MIN_DURATION = 48
-
-
-def _resolve_engine(engine: str, duration: int) -> str:
-    """The fallback engine resolution: ``auto`` picks by duration only."""
-    if engine == "auto":
-        if duration >= AUTO_COMPACT_MIN_DURATION:
-            return "compact"
-        return "reference"
-    return engine
-
-
-def _route_options(options: "CleaningOptions", lsequence: LSequence,
-                   constraints: ConstraintSet,
-                   plan=None) -> "CleaningOptions":
-    """The concrete options for one :func:`build_ct_graph` run.
-
-    Explicit ``engine`` and ``backend`` choices pass through.  ``auto``
-    in either field asks the static advisor
-    (:func:`repro.analysis.advisor.recommend_options`) — engine routed by
-    the predicted state count, backend by the predicted mean edges per
-    level — through the plan's advice cache when a
-    :class:`~repro.runtime.plan.SharedCleaningPlan` is supplied, so
-    periodic batch workloads pay for one envelope per support signature
-    rather than one per object.  The two fields resolve independently:
-    an explicit choice in one never blocks advice for the other.
-    Duck-typed plans without an ``advice_for`` method fall back to the
-    direct path.
-    """
-    if options.engine != "auto" and options.backend != "auto":
-        return options
-    if plan is not None:
-        advice_for = getattr(plan, "advice_for", None)
-        if advice_for is not None:
-            advice = advice_for(lsequence, options)
-            return replace(
-                options,
-                engine=(options.engine if options.engine != "auto"
-                        else advice.engine),
-                backend=(options.backend if options.backend != "auto"
-                         else advice.backend))
-    # Imported lazily: repro.analysis depends on this module.
-    from repro.analysis.advisor import recommend_options
-
-    return recommend_options(lsequence, constraints, options)
 
 
 @dataclass(frozen=True)
@@ -161,14 +110,12 @@ class CleaningOptions:
     :class:`~repro.errors.ZeroMassError` up front — same outcome as
     running Algorithm 1, minus the cost of the doomed run.
 
-    ``engine`` — which Algorithm 1 implementation runs: ``"reference"``
-    (the direct builder above), ``"compact"`` (the interned engine of
-    :mod:`repro.core.engine` — memoised transition rows, columnar backward
-    sweep), or ``"auto"`` (default: routed per instance by the static
-    advisor's predicted state count, see
-    :func:`repro.analysis.advisor.recommend_options`).  The engines are
+    ``engine`` — which Algorithm 1 implementation runs: ``"compact"``
+    (default: the interned engine of :mod:`repro.core.engine` — memoised
+    transition rows, columnar backward sweep) or ``"reference"`` (the
+    direct builder above, kept as the test oracle).  The engines are
     bit-exact with each other — same graph, same probabilities, same
-    stats counters — so the choice is purely about speed; see
+    stats counters — so the choice never changes a result; see
     ``docs/perf.md``.
 
     ``materialize`` — the shape of the returned graph: ``"nodes"``
@@ -200,9 +147,9 @@ class CleaningOptions:
     flat materialisation run: ``"python"`` (default) uses the pure-python
     loops, which remain the parity oracle; ``"numpy"`` runs the
     whole-level ndarray kernels of :mod:`repro.core.kernels` when numpy
-    is importable (silently falling back otherwise); ``"auto"`` lets the
-    static advisor engage the kernels only above the calibrated
-    edges-per-level threshold.  Kernel results are pinned to the oracle
+    is importable (silently falling back otherwise); ``"auto"`` engages
+    the kernels only when the forward pass measured at least the
+    calibrated edges per level.  Kernel results are pinned to the oracle
     by the tolerance gate documented in ``docs/perf.md``: identical graph
     structure and tie-breaks, floats equal to 1e-12 relative.  The
     backend only affects flat-materialised compact builds (and
@@ -213,7 +160,7 @@ class CleaningOptions:
 
     truncated_stay_policy: str = "lenient"
     precheck: str = "off"
-    engine: str = "auto"
+    engine: str = "compact"
     materialize: str = "auto"
     backend: str = "python"
     output: Optional[str] = None
@@ -322,25 +269,24 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
 
     ``plan`` is an optional
     :class:`repro.runtime.SharedCleaningPlan` (or any object with the same
-    ``constraints``/``du_row``/``precheck`` surface) holding precomputation
-    shared across the many objects of a batch: cached DU-reachability rows
-    and a run-once analyzer pre-check.  Passing a plan never changes the
-    result — only where the bookkeeping lives.  The plan must be built for
-    this very constraint set.
+    ``constraints``/``engine_cache``/``precheck`` surface) holding
+    precomputation shared across the many objects of a batch: the compact
+    engine's transition cache and a run-once analyzer pre-check.  Passing
+    a plan never changes the result — only where the bookkeeping lives.
+    The plan must be built for this very constraint set.
     """
-    if plan is not None and plan.constraints != constraints:
-        raise ReadingSequenceError(
-            "the shared cleaning plan was built for a different "
-            "constraint set")
-    routed = _route_options(options, lsequence, constraints, plan)
-    if routed.engine == "compact":
+    if options.engine == "compact":
         # The compact engine owns the whole contract (plan validation,
         # pre-check, stats); imported lazily to keep the module DAG simple.
         from repro.core.engine import build_ct_graph_compact
 
-        return build_ct_graph_compact(lsequence, constraints, routed,
+        return build_ct_graph_compact(lsequence, constraints, options,
                                       plan=plan)
     if plan is not None:
+        if plan.constraints != constraints:
+            raise ReadingSequenceError(
+                "the shared cleaning plan was built for a different "
+                "constraint set")
         plan.precheck(lsequence, options)
     elif options.precheck != "off":
         _run_precheck(lsequence, constraints, options)
@@ -352,15 +298,15 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
                         if constraints.tt_sources else None)
     rows = [lsequence.candidates(tau) for tau in range(lsequence.duration)]
     return _condition_levels(sources, rows, constraints, options,
-                             departure_filter=departure_filter, plan=plan)
+                             departure_filter=departure_filter)
 
 
 def _condition_levels(sources: Mapping[NodeState, float],
                       rows: Sequence[Mapping[str, float]],
                       constraints: ConstraintSet, options: CleaningOptions,
                       *, offset: int = 0,
-                      departure_filter: Optional[DepartureFilter] = None,
-                      plan=None) -> Union[CTGraph, FlatCTGraph]:
+                      departure_filter: Optional[DepartureFilter] = None
+                      ) -> Union[CTGraph, FlatCTGraph]:
     """The reference builder: Algorithm 1 from given level-0 node states.
 
     ``sources`` maps each level-0 node state to its prior mass and
@@ -368,10 +314,10 @@ def _condition_levels(sources: Mapping[NodeState, float],
     the sources came from).  The levels are absolute timesteps
     ``offset .. offset + len(rows) - 1``, relabelled from 0 in the
     returned graph, with ``TL`` departure times rebased by ``-offset``.
-    :func:`build_ct_graph` passes the timestep-0 source states, its
-    :class:`~repro.core.nodes.DepartureFilter` and its plan; a
-    streaming window passes its entry frontier at ``offset = base``, and
-    no filter — the filter needs the future support.
+    :func:`build_ct_graph` passes the timestep-0 source states and its
+    :class:`~repro.core.nodes.DepartureFilter`; a streaming window passes
+    its entry frontier at ``offset = base``, and no filter — the filter
+    needs the future support.
     """
     stats = CleaningStats()
     forward_started = time.perf_counter()
@@ -409,33 +355,18 @@ def _condition_levels(sources: Mapping[NodeState, float],
         frontier = levels[tau]
         next_level = levels[tau + 1]
         candidates = rows[tau + 1]
-        # The plan's row cache is keyed on the *sorted* support: the same
-        # location set listed in different orders across levels (or
-        # objects) must hit one row, so the key is canonicalised once per
-        # level and the row is a set filtered through ``candidates`` order.
-        support = tuple(sorted(candidates)) if plan is not None else ()
         filter_binding = options.strict_truncation and tau + 1 == last
         # Rule 2 (DU) is hoisted: the reachable candidates are shared by
-        # every node at the same location of this level.  With a shared
-        # plan the (location, support) -> destinations row is additionally
-        # cached across levels and across the objects of a batch.
+        # every node at the same location of this level.
         reachable: Dict[str, list] = {}
         for state, node in frontier.items():
             location = node.location
             allowed = reachable.get(location)
             if allowed is None:
-                if plan is not None:
-                    row = plan.du_row(location, support)
-                    allowed = [(destination, probability)
-                               for destination, probability
-                               in candidates.items()
-                               if destination in row]
-                else:
-                    allowed = [(destination, probability)
-                               for destination, probability
-                               in candidates.items()
-                               if not constraints.forbids_step(location,
-                                                               destination)]
+                allowed = [(destination, probability)
+                           for destination, probability in candidates.items()
+                           if not constraints.forbids_step(location,
+                                                           destination)]
                 reachable[location] = allowed
             for destination, probability in allowed:
                 successor = _unchecked_successor(offset + tau, state,

@@ -32,7 +32,7 @@ instead of a python dict-of-dicts loop.  Signatures use relative departure
 ages (:func:`repro.core.nodes.relative_departures`), so the same table
 serves every timestep at which the frontier shape recurs, and one kernel
 instance is shared across a whole fleet's sessions (the way
-``SharedCleaningPlan`` shares DU rows) — see
+``SharedCleaningPlan`` shares the engine cache) — see
 :class:`repro.runtime.StreamSessionManager`.
 
 numpy is an **optional** dependency (the ``repro[numpy]`` extra).  When it
@@ -131,7 +131,7 @@ def resolve_backend(backend: str,
     ``"python"`` passes through.  ``"numpy"`` resolves to itself when
     :func:`numpy_available`, else gracefully to ``"python"``.  ``"auto"``
     engages numpy only when it is available *and* ``level_edges`` (the
-    instance's mean edge count per edge level — measured or predicted)
+    instance's measured mean edge count per edge level)
     reaches :data:`KERNEL_MIN_LEVEL_EDGES`; with no width information it
     stays on python.  Unknown names raise :class:`ReproError`.
     """

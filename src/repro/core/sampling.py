@@ -9,7 +9,7 @@ against rejection sampling from the a-priori distribution.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 try:
     import numpy as np

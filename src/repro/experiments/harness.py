@@ -19,7 +19,7 @@ measurement dataclasses; :mod:`repro.experiments.report` renders them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:

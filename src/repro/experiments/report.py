@@ -6,7 +6,7 @@ helpers keep the formatting in one place (and out of the benchmark logic).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.experiments.harness import (
     AccuracyMeasurement,

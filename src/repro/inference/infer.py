@@ -18,7 +18,7 @@ between them would contain a DU-forbidden step already.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.constraints import (
     ConstraintSet,

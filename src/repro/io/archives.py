@@ -38,7 +38,6 @@ from repro.io.jsonio import (
 )
 from repro.io.matrices import load_matrix, save_matrix
 from repro.mapmodel.distances import WalkingDistances
-from repro.mapmodel.grid import Grid
 from repro.rfid.priors import PriorModel
 from repro.simulation.datasets import Dataset, GeneratedTrajectory
 

@@ -19,8 +19,8 @@ The model provides exactly what the rest of the library needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import MapModelError, UnknownLocationError
 from repro.geometry import Point, Rect, Segment

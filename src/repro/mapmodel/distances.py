@@ -23,7 +23,7 @@ which is consistent with the paper generating TT constraints only for pairs
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import networkx as nx
 

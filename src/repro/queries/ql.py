@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List
 
-from repro.errors import PatternSyntaxError, QueryError
+from repro.errors import QueryError
 from repro.queries.session import QuerySession, QueryTarget
 
 __all__ = ["QueryResult", "execute"]

@@ -34,9 +34,9 @@ Guarantees, all pinned by tests:
   still propagate and abort;
 * **shared precomputation** — each worker process keeps one
   :class:`~repro.runtime.plan.SharedCleaningPlan` per distinct constraint
-  set: DU-reachability rows are cached across objects and the analyzer
-  pre-check's static rules run once — in the parent, so pool respawns
-  never repeat them;
+  set: the compact engine's transition rows are cached across objects
+  and the analyzer pre-check's static rules run once — in the parent, so
+  pool respawns never repeat them;
 * **debuggability** — ``workers=1`` runs the exact same code path in
   process (no executor, no pickling), so breakpoints and profilers work.
   Requesting ``timeout_seconds`` opts out of the in-process path (a
@@ -46,6 +46,7 @@ Guarantees, all pinned by tests:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import time
@@ -268,6 +269,29 @@ def _clean_one(index: int, sequence: SequenceLike,
                prior: Optional[object],
                query_plan: Optional[QueryPlan] = None,
                store=None) -> BatchOutcome:
+    """Clean one object with the cyclic garbage collector paused.
+
+    The compact engine's flat and store builds create no reference
+    cycles, so a collection during them frees nothing.  A node graph's
+    ``CTNode`` web is cyclic; it stays collectable, because the
+    collector runs again on the first allocations after this returns.
+    A collector that was already off is left off, and one that was on
+    is re-enabled even when the object fails.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _clean_object(index, sequence, plan, options, prior,
+                             query_plan, store)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _clean_object(index: int, sequence: SequenceLike,
+                  plan: SharedCleaningPlan, options: CleaningOptions,
+                  prior: Optional[object], query_plan: Optional[QueryPlan],
+                  store) -> BatchOutcome:
     started = time.perf_counter()
     try:
         if isinstance(sequence, ReadingSequence):

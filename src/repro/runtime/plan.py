@@ -3,15 +3,15 @@
 Algorithm 1 does two kinds of work that depend only on the constraint set
 (and the location support of a timestep), not on the individual object:
 
-* the rule-2 (DU) filtering of a level's candidate locations — the same
-  ``(source location, support)`` row is recomputed for every level with
-  that support, of every object;
+* the compact engine's successor rows — interned states and memoised
+  transitions (:class:`repro.core.engine.EngineCache`), recomputed for
+  every object that meets the same state under the same support;
 * the static part of the analyzer pre-check (rules C001-C004 of
   :mod:`repro.analysis`), which inspects the constraints alone.
 
 :class:`SharedCleaningPlan` hoists both.  One plan serves every object
 cleaned under the same :class:`~repro.core.constraints.ConstraintSet`:
-``build_ct_graph(..., plan=plan)`` consults the plan's DU-row cache and
+``build_ct_graph(..., plan=plan)`` reuses the plan's engine cache and
 lets the plan decide what the ``precheck`` option still has to do per
 object.  A plan never changes results — only where the bookkeeping lives —
 and is cheap to construct, so ``workers=1`` batches and per-process worker
@@ -21,14 +21,11 @@ state both just build one per constraint set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from repro.core.constraints import ConstraintSet
 from repro.core.lsequence import LSequence
 from repro.errors import BatchConfigurationError, ZeroMassError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.advisor import EngineAdvice
 
 __all__ = ["QueryPlan", "SharedCleaningPlan"]
 
@@ -105,43 +102,12 @@ class SharedCleaningPlan:
     def __init__(self, constraints: ConstraintSet, *,
                  static_checked: bool = False) -> None:
         self.constraints = constraints
-        self._du_rows: Dict[Tuple[str, Tuple[str, ...]],
-                            FrozenSet[str]] = {}
         self._engine_cache = None
-        # Engine-routing advice per support signature (see advice_for).
-        self._advice: Dict[Tuple[bool, Tuple[Tuple[str, ...], ...]],
-                           "EngineAdvice"] = {}
         # ``static_checked=True`` records that the constraints-only
         # analysis already ran elsewhere (the batch parent runs it once
         # before spawning workers, so respawned pools never repeat it and
         # its warnings surface exactly once, in the parent).
         self._static_checked = static_checked
-
-    # ------------------------------------------------------------------
-    # DU-reachability rows
-    # ------------------------------------------------------------------
-    def du_row(self, location: str,
-               support: Tuple[str, ...]) -> FrozenSet[str]:
-        """The subset of ``support`` directly reachable from ``location``.
-
-        Cached per ``(location, support)``: reader patterns repeat heavily
-        both along one l-sequence and across the objects of a batch, so
-        after warm-up the forward pass pays one dict lookup instead of a
-        ``forbids_step`` scan per level.  Callers pass the support in
-        *canonical (sorted) order* — equal location sets listed in
-        different orders by different levels or objects then share one
-        row — and filter their own candidate order through the returned
-        set, which keeps edge insertion order (and with it the float
-        arithmetic) identical to the plan-less path.
-        """
-        key = (location, support)
-        row = self._du_rows.get(key)
-        if row is None:
-            forbids = self.constraints.forbids_step
-            row = frozenset(destination for destination in support
-                            if not forbids(location, destination))
-            self._du_rows[key] = row
-        return row
 
     # ------------------------------------------------------------------
     # the compact engine's transition cache
@@ -159,42 +125,6 @@ class SharedCleaningPlan:
 
             self._engine_cache = EngineCache(self.constraints)
         return self._engine_cache
-
-    # ------------------------------------------------------------------
-    # static engine-routing advice
-    # ------------------------------------------------------------------
-    def advice_for(self, lsequence: LSequence, options) -> "EngineAdvice":
-        """Routing advice for one object, cached per support signature.
-
-        The constraint envelope — and with it the advisor's verdict —
-        depends only on the truncation policy and the per-level location
-        supports, never on the probabilities, so periodic batch workloads
-        (reader cycles, repeated schedules) hit one cached verdict for
-        thousands of objects.  Advice never changes results (the engines
-        are bit-exact); it only picks the cheaper builder.
-        """
-        strict = bool(getattr(options, "strict_truncation", False))
-        key = (strict,
-               tuple(tuple(sorted(lsequence.support(tau)))
-                     for tau in range(lsequence.duration)))
-        advice = self._advice.get(key)
-        if advice is None:
-            from repro.analysis.advisor import advise
-
-            advice = advise(lsequence, self.constraints,
-                            strict_truncation=strict)
-            self._advice[key] = advice
-        return advice
-
-    @property
-    def cached_rows(self) -> int:
-        """How many DU rows the plan has accumulated (observability)."""
-        return len(self._du_rows)
-
-    @property
-    def cached_advice(self) -> int:
-        """How many routing verdicts the plan has cached (observability)."""
-        return len(self._advice)
 
     # ------------------------------------------------------------------
     # run-once analyzer pre-check
@@ -249,5 +179,4 @@ class SharedCleaningPlan:
                     "satisfies the constraints")
 
     def __repr__(self) -> str:
-        return (f"SharedCleaningPlan({self.constraints!r}, "
-                f"cached_rows={self.cached_rows})")
+        return f"SharedCleaningPlan({self.constraints!r})"

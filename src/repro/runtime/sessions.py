@@ -66,9 +66,9 @@ class StreamSessionManager:
         self._sessions: Dict[str, StreamingCleaner] = {}
         self._since_checkpoint: Dict[str, int] = {}
         # One FrontierKernel for the whole fleet (the way
-        # SharedCleaningPlan shares DU rows): every session gets the same
-        # transition-table cache, so a frontier signature compiled while
-        # streaming one object serves every other object too.
+        # SharedCleaningPlan shares the engine cache): every session gets
+        # the same transition-table cache, so a frontier signature
+        # compiled while streaming one object serves every other object.
         self._kernel = None
         if options.backend != "python":
             from repro.core.kernels import FrontierKernel, numpy_available

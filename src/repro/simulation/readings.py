@@ -22,7 +22,6 @@ except ImportError:  # pragma: no cover - no-numpy environments
 
 from repro.core.lsequence import Reading, ReadingSequence
 from repro.errors import MapModelError
-from repro.geometry import Point
 from repro.mapmodel.grid import Grid
 from repro.rfid.calibration import DetectionMatrix
 from repro.simulation.trajectories import GroundTruthTrajectory

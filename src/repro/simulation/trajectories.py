@@ -26,8 +26,8 @@ moves pass through doors.  An integration test asserts this end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 try:
     import numpy as np

@@ -166,7 +166,7 @@ class GraphStore:
         writes the ``.ctg`` directly — and the entry is published
         atomically before the view is returned.  ``plan`` threads a
         :class:`~repro.runtime.plan.SharedCleaningPlan` through, sharing
-        DU rows across the objects of a batch.
+        the engine's transition cache across the objects of a batch.
         """
         from repro.core.algorithm import CleaningOptions, build_ct_graph
         from repro.core.lsequence import LSequence, ReadingSequence

@@ -396,9 +396,14 @@ class StreamingCleaner:
             base = meta["base"]
             duration = meta["duration"]
             output_consumed = meta["output_consumed"]
+            options = meta["options"]
+            if isinstance(options, dict) and options.get("engine") == "auto":
+                # Older checkpoints name the retired "auto" engine, which
+                # routed between the two bit-identical engines.
+                options = dict(options, engine="compact")
             cleaner = cls(constraints_from_dicts(meta["constraints"]),
                           window=meta["window"],
-                          options=CleaningOptions(**meta["options"]),
+                          options=CleaningOptions(**options),
                           prior=prior, frontier_kernel=frontier_kernel)
         except (KeyError, TypeError, AttributeError, ReproError) as error:
             raise StoreFormatError(

@@ -15,7 +15,6 @@ except ImportError:  # pragma: no cover - the no-numpy CI leg
 
 from repro import (
     ConstraintSet,
-    Grid,
     Latency,
     LSequence,
     TravelingTime,

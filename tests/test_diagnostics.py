@@ -1,6 +1,5 @@
 """Tests for inconsistency diagnosis."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithm import CleaningOptions, build_ct_graph

@@ -4,12 +4,8 @@ cache shared through :class:`SharedCleaningPlan`."""
 
 import pytest
 
-from repro.core.algorithm import (
-    AUTO_COMPACT_MIN_DURATION,
-    CleaningOptions,
-    _resolve_engine,
-    build_ct_graph,
-)
+import repro.core.engine as engine_module
+from repro.core.algorithm import ENGINES, CleaningOptions, build_ct_graph
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
@@ -98,34 +94,47 @@ class TestDepartureKeepMask:
 
 
 class TestEngineSelection:
-    def test_resolve_explicit(self):
-        assert _resolve_engine("reference", 10_000) == "reference"
-        assert _resolve_engine("compact", 1) == "compact"
+    def test_resolve_explicit(self, monkeypatch):
+        # The option names the builder that runs; nothing routes.
+        calls = []
+        compact = engine_module.build_ct_graph_compact
 
-    def test_resolve_auto_by_duration(self):
-        assert _resolve_engine(
-            "auto", AUTO_COMPACT_MIN_DURATION - 1) == "reference"
-        assert _resolve_engine(
-            "auto", AUTO_COMPACT_MIN_DURATION) == "compact"
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return compact(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "build_ct_graph_compact", spy)
+        lsequence = _instance(6)
+        build_ct_graph(lsequence, CONSTRAINTS,
+                       CleaningOptions(engine="reference"))
+        assert calls == []
+        build_ct_graph(lsequence, CONSTRAINTS,
+                       CleaningOptions(engine="compact"))
+        assert calls == [lsequence]
+
+    def test_compact_is_the_default_engine(self):
+        assert ENGINES == ("reference", "compact")
+        assert CleaningOptions().engine == "compact"
+        with pytest.raises(ReadingSequenceError):
+            CleaningOptions(engine="auto")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ReadingSequenceError):
             CleaningOptions(engine="turbo")
 
     def test_auto_gives_the_reference_answer(self):
-        # Whatever auto picks, the distribution is the reference one
-        # (flat-form equality; enumerating paths would be exponential at
-        # the compact-engine durations).
-        for duration in (6, AUTO_COMPACT_MIN_DURATION + 5):
+        # The default options give the reference distribution, short
+        # objects and long (flat-form equality; enumerating paths would
+        # be exponential at the longer duration).
+        for duration in (6, 53):
             lsequence = _instance(duration)
-            auto = build_ct_graph(lsequence, CONSTRAINTS,
-                                  CleaningOptions(engine="auto"))
+            default = build_ct_graph(lsequence, CONSTRAINTS)
             reference = build_ct_graph(lsequence, CONSTRAINTS,
                                        CleaningOptions(engine="reference"))
-            auto_state = auto.__getstate__()
+            default_state = default.__getstate__()
             reference_state = reference.__getstate__()
             for key in ("levels", "edges", "sources"):
-                assert auto_state[key] == reference_state[key], key
+                assert default_state[key] == reference_state[key], key
 
 
 class TestEngineCache:

@@ -4,8 +4,8 @@ The load-bearing property suite: for random instances the C007 envelope
 width must dominate the actual per-level width of the built
 ``FlatCTGraph`` while staying under C006's product bound, and a C009
 zero-level verdict must imply ``build_ct_graph`` raising
-``ZeroMassError``.  Plus direct unit coverage of the advisor hook and the
-``engine="auto"`` routing path.
+``ZeroMassError``.  Plus unit coverage of the C010 size estimate, which
+no build path consults.
 """
 
 from __future__ import annotations
@@ -14,13 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.advisor as advisor
 from repro.analysis import analyze
-from repro.analysis.advisor import (
-    AUTO_COMPACT_MIN_STATES,
-    EngineAdvice,
-    advise,
-    recommend_options,
-)
+from repro.analysis.advisor import EngineAdvice, advise
 from repro.analysis.envelope import ConstraintEnvelope, estimate_graph_bytes
 from repro.analysis.rules import ctgraph_size_bounds
 from repro.core.algorithm import CleaningOptions, build_ct_graph
@@ -32,7 +28,8 @@ from repro.core.constraints import (
 )
 from repro.core.lsequence import LSequence
 from repro.errors import ZeroMassError
-from repro.runtime import SharedCleaningPlan
+from repro.runtime import SharedCleaningPlan, clean_many
+from repro.store import GraphStore
 
 _LOCATIONS = ("A", "B", "C")
 
@@ -94,28 +91,6 @@ def test_envelope_width_is_sound_and_tighter_than_c006(instance):
     actual = [graph.level_size(tau) for tau in range(graph.duration)]
     assert all(a <= w for a, w in zip(actual, widths))
     assert graph.num_edges <= sum(envelope.edge_bounds())
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_instances())
-def test_auto_routing_is_bit_exact_with_both_engines(instance):
-    """recommend_options never changes results, only the engine choice."""
-    lsequence, constraints, strict = instance
-    policy = "strict" if strict else "lenient"
-    base = CleaningOptions(truncated_stay_policy=policy, materialize="flat")
-    routed = recommend_options(lsequence, constraints, base)
-    assert routed.engine in ("reference", "compact")
-    try:
-        reference = build_ct_graph(
-            lsequence, constraints,
-            CleaningOptions(engine="reference", materialize="flat",
-                            truncated_stay_policy=policy))
-    except ZeroMassError:
-        with pytest.raises(ZeroMassError):
-            build_ct_graph(lsequence, constraints, base)
-        return
-    auto = build_ct_graph(lsequence, constraints, base)
-    assert auto == reference
 
 
 class TestEnvelope:
@@ -182,83 +157,64 @@ class TestEnvelope:
 class TestAdvisor:
     CONSTRAINTS = TestEnvelope.CONSTRAINTS
 
-    def test_small_instance_routes_to_reference(self):
-        ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
-        advice = advise(ls, self.CONSTRAINTS)
-        assert isinstance(advice, EngineAdvice)
-        assert advice.engine == "reference"
-        assert advice.predicted_states < AUTO_COMPACT_MIN_STATES
-        assert advice.predicted_flat_bytes < advice.predicted_node_bytes
-
-    def test_wide_instance_routes_to_compact(self):
+    def test_estimate_bounds_the_built_graph(self):
         ls = LSequence([{"A": 0.4, "B": 0.35, "C": 0.25},
                         {"B": 0.55, "D": 0.45},
                         {"B": 0.3, "C": 0.4, "D": 0.3},
                         {"A": 0.65, "B": 0.35}] * 30)
         advice = advise(ls, self.CONSTRAINTS)
-        assert advice.engine == "compact"
-        assert advice.predicted_states >= AUTO_COMPACT_MIN_STATES
+        assert isinstance(advice, EngineAdvice)
+        assert not advice.zero_mass
+        assert advice.duration == 120
+        graph = build_ct_graph(ls, self.CONSTRAINTS,
+                               CleaningOptions(materialize="flat"))
+        assert graph.num_nodes <= advice.predicted_states
+        assert max(graph.level_size(tau) for tau in range(graph.duration)) \
+            <= advice.peak_level_width
+        assert advice.predicted_flat_bytes < advice.predicted_node_bytes
+        assert advice.materialize == "nodes"
 
-    def test_recommend_options_respects_explicit_choice(self):
-        ls = LSequence([{"A": 1.0}] * 200)
-        explicit = CleaningOptions(engine="reference")
-        assert recommend_options(ls, self.CONSTRAINTS, explicit) is explicit
-
-    def test_recommend_options_resolves_auto(self):
-        ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
-        routed = recommend_options(ls, self.CONSTRAINTS)
-        assert routed.engine == "reference"
-        assert routed.materialize == "auto"  # untouched
-
-    def test_zero_mass_instances_route_to_reference(self):
+    def test_zero_mass_is_proved(self):
         ls = LSequence([{"A": 1.0}, {"D": 1.0}])
         advice = advise(ls, self.CONSTRAINTS)
         assert advice.zero_mass
-        assert advice.engine == "reference"
-        assert "ZeroMassError" in advice.reason
+        assert advice.predicted_states == 1
+        (c010,) = analyze(self.CONSTRAINTS, readings=ls,
+                          advise=True).by_code("C010")
+        assert "empties at timestep 1" in c010.message
+        assert c010.data["zero_mass"] is True
 
 
-class TestPlanAdviceCache:
+class TestNoAdvisorOnTheBuildPath:
+    """``advise`` is a report: no cleaning run builds an envelope."""
+
     CONSTRAINTS = TestEnvelope.CONSTRAINTS
 
-    def test_advice_cached_per_support_signature(self):
-        plan = SharedCleaningPlan(self.CONSTRAINTS)
-        ls_a = LSequence([{"A": 0.5, "B": 0.5}] * 3)
-        ls_b = LSequence([{"B": 0.9, "A": 0.1}] * 3)  # same supports
-        options = CleaningOptions()
-        first = plan.advice_for(ls_a, options)
-        second = plan.advice_for(ls_b, options)
-        assert second is first
-        assert plan.cached_advice == 1
-        ls_c = LSequence([{"A": 1.0}] * 3)
-        plan.advice_for(ls_c, options)
-        assert plan.cached_advice == 2
+    @pytest.fixture(autouse=True)
+    def advise_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the build path called advise()")
 
-    def test_strictness_keys_separately(self):
-        plan = SharedCleaningPlan(self.CONSTRAINTS)
-        ls = LSequence([{"B": 1.0}] * 3)
-        plan.advice_for(ls, CleaningOptions())
-        plan.advice_for(
-            ls, CleaningOptions(truncated_stay_policy="strict"))
-        assert plan.cached_advice == 2
+        monkeypatch.setattr(advisor, "advise", refuse)
 
-    def test_build_ct_graph_routes_through_the_plan(self, monkeypatch):
-        plan = SharedCleaningPlan(self.CONSTRAINTS)
-        ls = LSequence([{"A": 0.5, "B": 0.5}] * 3)
-        seen = []
-        original = plan.advice_for
+    @pytest.mark.parametrize("options", [
+        CleaningOptions(),
+        CleaningOptions(backend="auto", materialize="flat"),
+    ], ids=["default", "flat-auto"])
+    def test_build_ct_graph(self, options):
+        ls = LSequence([{"A": 0.5, "B": 0.5}] * 12)
+        build_ct_graph(ls, self.CONSTRAINTS, options)
+        build_ct_graph(ls, self.CONSTRAINTS, options,
+                       plan=SharedCleaningPlan(self.CONSTRAINTS))
 
-        def spy(lsequence, options):
-            seen.append(lsequence)
-            return original(lsequence, options)
-
-        monkeypatch.setattr(plan, "advice_for", spy)
-        graph = build_ct_graph(ls, self.CONSTRAINTS, CleaningOptions(),
-                               plan=plan)
-        assert seen == [ls]
-        plain = build_ct_graph(ls, self.CONSTRAINTS,
-                               CleaningOptions(engine="reference"))
-        assert graph.to_flat() == plain.to_flat()
+    def test_clean_many(self, tmp_path):
+        objects = [LSequence([{"A": 0.5, "B": 0.5}] * 12),
+                   LSequence([{"A": 1.0}, {"D": 1.0}])]
+        for store in (None, GraphStore(tmp_path)):
+            result = clean_many(objects, self.CONSTRAINTS, workers=1,
+                                store=store)
+            assert [outcome.error_type for outcome in result] == \
+                [None, "ZeroMassError"]
 
 
 class TestAdviseReport:
@@ -270,8 +226,10 @@ class TestAdviseReport:
         assert "C010" not in {d.code for d in plain}
         advised = analyze(self.CONSTRAINTS, readings=ls, advise=True)
         (c010,) = advised.by_code("C010")
-        assert c010.data["engine"] == "reference"
+        assert "engine" not in c010.data
+        assert c010.data["materialize"] == "nodes"
         assert c010.data["predicted_states"] > 0
+        assert c010.message.startswith("size estimate: <=")
 
     def test_c007_reports_tightening(self):
         ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)

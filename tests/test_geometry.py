@@ -1,7 +1,5 @@
 """Unit tests for the planar geometry primitives."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

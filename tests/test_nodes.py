@@ -1,7 +1,5 @@
 """Tests for location-node states and the successor relation (Definition 3)."""
 
-import pytest
-
 from repro.core.constraints import (
     ConstraintSet,
     Latency,

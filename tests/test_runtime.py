@@ -1,6 +1,8 @@
 """Tests for the batch runtime (repro.runtime): equality with sequential
 cleaning across worker counts, failure isolation, ordering, shared plans."""
 
+import gc
+
 import pytest
 
 from repro.core.algorithm import CleaningOptions, build_ct_graph
@@ -157,42 +159,21 @@ class TestReadingsPath:
 
 
 class TestSharedPlan:
-    def test_du_rows_are_cached_and_correct(self):
-        plan = SharedCleaningPlan(CONSTRAINTS)
-        support = ("A", "B", "C", "D")
-        assert plan.du_row("A", support) == frozenset({"A", "B", "D"})
-        assert plan.du_row("B", support) == frozenset(support)
-        assert plan.cached_rows == 2
-        # Second query hits the cache (same object back).
-        assert plan.du_row("A", support) is plan.du_row("A", support)
-
-    def test_du_rows_deduplicate_permuted_supports(self):
-        # Callers canonicalise (sort) the support before asking the plan;
-        # the same location set must map to ONE cached row no matter what
-        # candidate order the levels enumerate.  (Regression: the key was
-        # once built from dict insertion order, so permutations of one
-        # support piled up as distinct rows.)
-        plan = SharedCleaningPlan(CONSTRAINTS)
-        for permuted in (("B", "A", "D"), ("D", "B", "A"), ("A", "D", "B")):
-            support = tuple(sorted(permuted))
-            assert plan.du_row("A", support) == frozenset({"A", "B", "D"})
-        assert plan.cached_rows == 1
-
     def test_build_ct_graph_canonicalises_plan_support(self):
         # Two l-sequences whose levels list the same support in different
-        # candidate orders share the plan rows — and stay bit-identical
-        # to the plan-less build.
-        plan = SharedCleaningPlan(CONSTRAINTS)
+        # candidate orders, cleaned through one plan, keep each order's
+        # edges: bit-identical to the plan-less build, on both engines.
         forward = LSequence([{"A": 1.0}, {"A": 0.5, "B": 0.3, "D": 0.2}])
         reversed_ = LSequence([{"A": 1.0}, {"D": 0.2, "B": 0.3, "A": 0.5}])
-        options = CleaningOptions(engine="reference")
-        for lsequence in (forward, reversed_):
-            with_plan = build_ct_graph(lsequence, CONSTRAINTS,
-                                       options, plan=plan)
-            without = build_ct_graph(lsequence, CONSTRAINTS, options)
-            assert with_plan.__getstate__()["edges"] == \
-                without.__getstate__()["edges"]
-        assert plan.cached_rows == 1
+        for engine in ("reference", "compact"):
+            plan = SharedCleaningPlan(CONSTRAINTS)
+            options = CleaningOptions(engine=engine)
+            for lsequence in (forward, reversed_):
+                with_plan = build_ct_graph(lsequence, CONSTRAINTS,
+                                           options, plan=plan)
+                without = build_ct_graph(lsequence, CONSTRAINTS, options)
+                assert with_plan.__getstate__()["edges"] == \
+                    without.__getstate__()["edges"]
 
     def test_plan_gives_identical_graphs(self, workload):
         plan = SharedCleaningPlan(CONSTRAINTS)
@@ -200,7 +181,7 @@ class TestSharedPlan:
             with_plan = build_ct_graph(lsequence, CONSTRAINTS, plan=plan)
             without = build_ct_graph(lsequence, CONSTRAINTS)
             assert list(with_plan.paths()) == list(without.paths())
-        assert plan.cached_rows > 0
+        assert plan.engine_cache().cached_transitions > 0
 
     def test_foreign_plan_rejected(self, workload):
         plan = SharedCleaningPlan(ConstraintSet([Unreachable("X", "Y")]))
@@ -215,6 +196,91 @@ class TestSharedPlan:
         # "off" and "warn" never raise.
         plan.precheck(poison, CleaningOptions(precheck="off"))
         plan.precheck(poison, CleaningOptions(precheck="warn"))
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's on/off state after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """``clean_many`` pauses the cyclic GC per object and restores it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_clean_many_leaves_the_collector_as_it_found_it(
+            self, workload, collector, enabled):
+        poison = LSequence([{"A": 1.0}, {"C": 1.0}])
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        result = clean_many([workload[0], poison, workload[1]],
+                            CONSTRAINTS, workers=1)
+        assert [o.error_type for o in result] == [None, "ZeroMassError",
+                                                  None]
+        assert gc.isenabled() is enabled
+
+    def test_the_collector_is_off_during_each_build(self, workload,
+                                                    collector, monkeypatch):
+        import repro.runtime.batch as batch
+
+        seen = []
+        build = batch.build_ct_graph
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "build_ct_graph", spy)
+        gc.enable()
+        clean_many(workload[:3], CONSTRAINTS, workers=1)
+        assert seen == [False, False, False]
+        assert gc.isenabled()
+
+    def test_a_build_bug_still_re_enables_the_collector(
+            self, workload, collector, monkeypatch):
+        import repro.runtime.batch as batch
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(batch, "build_ct_graph", broken)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="engine bug"):
+            clean_many(workload[:2], CONSTRAINTS, workers=1)
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("plan", [False, True], ids=["no-plan", "plan"])
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("materialize", ["flat", "store"])
+def test_compact_columnar_builds_leave_no_cyclic_garbage(
+        tmp_path, collector, materialize, backend, plan):
+    """What makes the per-object pause exact: a compact flat or store
+    build creates no reference cycles, so the collector has nothing to
+    free.  (Node graphs and reference builds are ``CTNode`` webs, which
+    are cyclic.)"""
+    if backend == "numpy":
+        pytest.importorskip("numpy")
+    lsequence = make_lsequence(40)
+    shared = SharedCleaningPlan(CONSTRAINTS) if plan else None
+    options = CleaningOptions(
+        materialize=materialize, backend=backend,
+        output=str(tmp_path / "g.ctg") if materialize == "store" else None)
+    gc.collect()
+    gc.disable()
+    graph = build_ct_graph(lsequence, CONSTRAINTS, options, plan=shared)
+    assert graph.num_edges > 0
+    if materialize == "store":
+        graph.close()
+    del graph
+    assert gc.collect() == 0
 
 
 class TestAggregateStats:

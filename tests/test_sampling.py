@@ -5,7 +5,7 @@ import pytest
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.algorithm import build_ct_graph
-from repro.core.constraints import ConstraintSet, Latency, Unreachable
+from repro.core.constraints import ConstraintSet, Unreachable
 from repro.core.lsequence import LSequence
 from repro.core.naive import NaiveConditioner
 from repro.core.sampling import TrajectorySampler, rejection_sample

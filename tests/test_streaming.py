@@ -325,6 +325,25 @@ class TestCheckpointResume:
         with pytest.raises(StoreFormatError, match=re.escape(str(path))):
             StreamingCleaner.resume(path)
 
+    def test_resume_maps_the_retired_auto_engine(self, constraints,
+                                                 tmp_path):
+        # Checkpoints written while "auto" was an engine still resume.
+        cleaner = StreamingCleaner(constraints, window=3)
+        for row in ({"A": 1.0}, {"A": 0.5, "B": 0.5}, {"B": 1.0}):
+            cleaner.extend(row)
+        path = tmp_path / "s.ckpt"
+        cleaner.checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        meta = dict(payload.meta,
+                    options=dict(payload.meta["options"], engine="auto"))
+        write_stream_checkpoint(path, meta=meta,
+                                location_names=payload.location_names,
+                                rows=payload.rows,
+                                frontiers=payload.frontiers)
+        resumed = StreamingCleaner.resume(path)
+        assert resumed.options.engine == "compact"
+        assert resumed.finalize().to_flat() == cleaner.finalize().to_flat()
+
     def test_unbounded_checkpoint_keeps_only_the_live_frontier(
             self, constraints, tmp_path):
         rows = [{"A": 0.5, "B": 0.5}, {"B": 0.6, "D": 0.4},

@@ -8,7 +8,6 @@ from repro.errors import MapModelError
 from repro.geometry import Rect
 from repro.mapmodel.building import Building
 from repro.simulation.trajectories import (
-    GroundTruthTrajectory,
     MovementParameters,
     TrajectoryGenerator,
 )

@@ -1,7 +1,5 @@
 """Tests for Definition 2 trajectory validity."""
 
-import pytest
-
 from repro.core.constraints import (
     ConstraintSet,
     Latency,

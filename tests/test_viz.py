@@ -1,8 +1,5 @@
 """Tests for the text rendering helpers."""
 
-import pytest
-
-from repro.mapmodel.floorplans import corridor_map, multi_floor_building
 from repro.rfid.readers import place_default_readers
 from repro.viz import (
     render_entropy_sparkline,

@@ -83,13 +83,15 @@ bench-store:
 	$(PYTHON) benchmarks/bench_store.py --check BENCH_store.json
 
 # Bounded-memory streaming: 100k-step stream with window=64, eviction
-# and resume bit-equality gates plus the memory bounds, the vectorized
-# frontier-kernel parity + speedup (>= 4x gate, needs the numpy extra;
-# records available:false and skips the speedup gate without it) and
-# the 2-shard merged-output identity.  BENCH_streaming.json carries the
-# kernel and shard blocks.
+# and resume bit-equality gates plus the memory bounds and the lean
+# checkpoint size; the memoised-row advance against the python oracle on
+# that stream and on a 12 x 90 SYN1 fleet (estimates equal at every
+# step, >= 4x and >= 1.3x ingest gates; the SYN1 simulation needs the
+# numpy extra) and the 2-shard merged-output identity with its spawn
+# and per-reading times.  BENCH_streaming.json carries the rows and
+# shard blocks.
 bench-streaming:
-	$(PYTHON) benchmarks/bench_streaming.py --backend numpy --out BENCH_streaming.json
+	$(PYTHON) benchmarks/bench_streaming.py --out BENCH_streaming.json
 	$(PYTHON) benchmarks/bench_streaming.py --check BENCH_streaming.json
 
 report:

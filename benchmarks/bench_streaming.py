@@ -1,12 +1,13 @@
-"""Bounded-memory streaming: eviction exactness, resume, kernel, shards.
+"""Bounded-memory streaming: eviction exactness, resume, rows, shards.
 
-Schema v2 measures and gates five claims about the streaming stack on a
+Schema v3 measures and gates five claims about the streaming stack on a
 long synthetic reading stream (full run: 100k steps, ``window=64``):
 
 * **bounded memory** — the retained level count never exceeds the
   window and the per-level frontier never exceeds the workload's
   state-space bound, no matter how long the stream runs (the whole
   point of evicting settled prefix levels into the frontier summary);
+  the lean checkpoint's size is recorded;
 * **eviction exactness** — ``filtered_distribution()`` is *bit-equal*
   (``==`` on floats, not approximate) at every step to a
   ``StreamingCleaner(window=None)`` that retains the entire stream, over
@@ -15,35 +16,37 @@ long synthetic reading stream (full run: 100k steps, ``window=64``):
   file and feeding the remainder yields bit-equal filtered estimates
   and a bit-identical ``finalize()`` graph versus the uninterrupted
   run;
-* **kernel parity + speedup** — the vectorized frontier-advance kernel
-  (``backend="numpy"``, :class:`~repro.core.kernels.FrontierKernel`)
-  matches the python oracle (exact discrete structure, tolerance-gated
-  floats, bit-exact numpy-vs-numpy checkpoint/resume) and, on
-  non-smoke runs, ingests at least ``KERNEL_SPEEDUP_GATE``x faster;
+* **memoised rows** — ``backend="auto"`` advances through the compact
+  engine's memoised successor rows
+  (:meth:`~repro.core.engine.EngineCache.advance`).  On the synthetic
+  stream and on a SYN1 fleet stream (12 objects x 90 readings of
+  ``syn1_building`` under inferred DU+LT+TT constraints) its estimates
+  must equal ``backend="python"``'s at every step, and on full runs it
+  must ingest at least ``ROWS_GATES`` times faster;
 * **shard-merge identity** — an in-process
   :class:`~repro.runtime.shards.StreamShardPool` over 2 worker
   processes emits byte-identical merged output to a single
-  :class:`~repro.runtime.shards.ServeEngine`.
+  :class:`~repro.runtime.shards.ServeEngine`; worker spawn and
+  per-reading serve time are recorded apart.
 
 Emits a machine-readable ``BENCH_streaming.json``.  Usage::
 
     python benchmarks/bench_streaming.py                  # full run
     python benchmarks/bench_streaming.py --smoke          # CI-sized
-    python benchmarks/bench_streaming.py --backend python # skip kernel
     python benchmarks/bench_streaming.py --check BENCH_streaming.json
 
 ``--check`` validates an existing result file and exits non-zero on
 problems.  The parity flags, the memory bounds and the shard identity
 are gated in every payload (they are correctness claims, not
-performance numbers); throughput is reported, and the kernel speedup is
-gated only on full (non-smoke) runs where the numpy backend actually
-ran.  Without numpy the kernel block records ``available: false`` and a
-null speedup — the pure-python leg still passes every gate.
+performance numbers); throughput is reported, and the row speedups are
+gated only on full (non-smoke) runs.  The rows need no numpy; the SYN1
+stream is simulated, which does, so without numpy its entry is null.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
 import os
@@ -51,6 +54,7 @@ import random
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.algorithm import CleaningOptions
@@ -60,13 +64,14 @@ from repro.core.constraints import (
     TravelingTime,
     Unreachable,
 )
+from repro.core.engine import EngineCache
 from repro.core.kernels import numpy_available
 from repro.io.jsonio import save_constraints
 from repro.runtime.sessions import StreamSessionManager
 from repro.runtime.shards import ServeEngine, StreamShardPool
 from repro.streaming import StreamingCleaner
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DURATION = 100_000
 SMOKE_DURATION = 2_000
@@ -81,10 +86,17 @@ LOCATIONS = ("A", "B", "C", "D", "E", "F", "G", "H")
 #: shadow is capped; the streaming side continues to the full horizon).
 PARITY_PREFIX = 4_096
 
-#: Minimum numpy-over-python ingest speedup on full runs.  The measured
-#: headline is ~21x on the reference container; 4x leaves headroom for
-#: slow CI hardware while still catching a de-vectorized regression.
-KERNEL_SPEEDUP_GATE = 4.0
+#: Minimum rows-over-python ingest speedup per stream on full runs.  The
+#: synthetic stream's few states hit the row cache almost always; the
+#: SYN1 stream's thousands-of-states frontiers pass the cache's row cap
+#: (``STREAM_ROW_CAP``), past which rows are recomputed.
+ROWS_GATES = {"synthetic": 4.0, "syn1": 1.3}
+
+#: The SYN1 fleet stream: objects, readings each, and the seed of the
+#: simulated objects.  Smoke runs stream a few short objects.
+SYN1_OBJECTS, SYN1_READINGS = 12, 90
+SYN1_SMOKE = (3, 30)
+SYN1_SEED = 17
 
 #: Readings fed through the shard-identity comparison (per leg).  The
 #: guarantee is size-independent; this is enough to cross estimate
@@ -121,87 +133,90 @@ def synthetic_row(rng: random.Random) -> Dict[str, float]:
             for name, weight in zip(LOCATIONS, weights)}
 
 
-def run_kernel_leg(rows: Sequence[Dict[str, float]], window: int,
-                   python_seconds: float, backend: str) -> Dict[str, object]:
-    """Time the numpy kernel over the same stream and gate its parity.
-
-    Three sub-claims: (1) lockstep parity with the python oracle over
-    the parity prefix — identical key order and floats within
-    ``rel 1e-9 / abs 1e-12`` (``np.bincount`` reassociates the
-    per-successor sums, so bit-equality is not promised cross-backend);
-    (2) numpy-vs-numpy checkpoint/resume *is* bit-exact; (3) the
-    full-stream ingest speedup over the already-timed python pass.
-    """
-    import math
-
-    available = numpy_available()
-    block: Dict[str, object] = {"backend": backend, "available": available}
-    if backend != "numpy" or not available:
-        block.update({"backend_resolved": "python", "ingest_seconds": None,
-                      "readings_per_second": None, "kernel_speedup": None,
-                      "parity": None})
-        return block
-
-    options = CleaningOptions(materialize="flat", backend="numpy")
-    kernel = StreamingCleaner(stream_constraints(), window=window,
-                              options=options)
+def lockstep(oracle: StreamingCleaner, compact: StreamingCleaner,
+             row: Dict[str, float]) -> tuple:
+    """Feed ``row`` to the python and the rows cleaner: ``(python
+    seconds, rows seconds, estimates equal)``; the comparison is
+    untimed."""
     started = time.perf_counter()
-    for row in rows:
-        kernel.extend(row)
-    elapsed = time.perf_counter() - started
+    oracle.extend(row)
+    middle = time.perf_counter()
+    compact.extend(row)
+    ended = time.perf_counter()
+    return (middle - started, ended - middle,
+            compact.filtered_distribution()
+            == oracle.filtered_distribution())
 
-    # -- lockstep parity over the prefix (untimed) ---------------------
-    prefix = min(len(rows), PARITY_PREFIX)
-    oracle = StreamingCleaner(stream_constraints(), window=window,
-                              options=CleaningOptions(materialize="flat"))
-    shadow = StreamingCleaner(stream_constraints(), window=window,
-                              options=options)
-    filtered_close = True
-    for row in rows[:prefix]:
-        oracle.extend(row)
-        shadow.extend(row)
-        expected = oracle.filtered_distribution()
-        got = shadow.filtered_distribution()
-        if list(expected) != list(got):
-            filtered_close = False
-            break
-        if not all(math.isclose(got[loc], p, rel_tol=1e-9, abs_tol=1e-12)
-                   for loc, p in expected.items()):
-            filtered_close = False
-            break
 
-    # -- numpy-vs-numpy checkpoint/resume is bit-exact -----------------
-    resume_at = max(1, len(rows) // 2)
-    killed = StreamingCleaner(stream_constraints(), window=window,
-                              options=options)
-    for row in rows[:resume_at]:
-        killed.extend(row)
-    fd, path = tempfile.mkstemp(prefix="bench_kernel_", suffix=".ckpt")
-    os.close(fd)
+def rows_record(readings: int, python_seconds: float, rows_seconds: float,
+                equal: bool, cache: EngineCache) -> Dict[str, object]:
+    """One stream's entry in the payload's ``rows`` block."""
+    return {
+        "readings": readings,
+        "python_seconds": python_seconds,
+        "rows_seconds": rows_seconds,
+        "readings_per_second": readings / rows_seconds,
+        "speedup": python_seconds / rows_seconds,
+        "estimates_equal": equal,
+        "cached_rows": cache.cached_tables,
+    }
+
+
+def syn1_streams(objects: int, readings: int):
+    """``(constraints, per-object candidate rows)`` of a simulated SYN1
+    fleet, or ``None`` when the simulation layer's numpy is missing."""
     try:
-        killed.checkpoint(path)
-        resumed = StreamingCleaner.resume(path)
-        for row in rows[resume_at:]:
-            resumed.extend(row)
-        resume_bit_equal = (resumed.filtered_distribution()
-                            == kernel.filtered_distribution()
-                            and resumed.frontier_size()
-                            == kernel.frontier_size())
-    finally:
-        os.unlink(path)
+        importlib.import_module("numpy")
+    except ImportError:
+        return None
+    from repro.core.lsequence import LSequence
+    from repro.inference import infer_constraints
+    from repro.mapmodel.floorplans import syn1_building
+    from repro.simulation.datasets import build_dataset
 
-    block.update({
-        "backend_resolved": "numpy",
-        "ingest_seconds": elapsed,
-        "readings_per_second": len(rows) / elapsed,
-        "kernel_speedup": python_seconds / elapsed,
-        "parity": {
-            "filtered_close": filtered_close,
-            "parity_prefix": prefix,
-            "resume_bit_equal": resume_bit_equal,
-        },
-    })
-    return block
+    dataset = build_dataset(syn1_building(), durations=(readings,),
+                            per_duration=objects, seed=SYN1_SEED)
+    constraints = infer_constraints(dataset.building,
+                                    kinds=("DU", "LT", "TT"),
+                                    distances=dataset.distances)
+    streams = []
+    for trajectory in dataset.all_trajectories():
+        lsequence = LSequence.from_readings(trajectory.readings,
+                                            dataset.prior)
+        streams.append([lsequence.candidates(tau)
+                        for tau in range(lsequence.duration)])
+    return constraints, streams
+
+
+def run_syn1_leg(window: int, smoke: bool) -> Optional[Dict[str, object]]:
+    """The SYN1 fleet, one reading of every object per timestep, on
+    both backends; the rows cleaners share one cache, as in a fleet."""
+    objects, readings = SYN1_SMOKE if smoke else (SYN1_OBJECTS,
+                                                  SYN1_READINGS)
+    fleet = syn1_streams(objects, readings)
+    if fleet is None:
+        return None
+    constraints, streams = fleet
+    cache = EngineCache(constraints)
+    options = CleaningOptions(materialize="flat")
+    oracles = [StreamingCleaner(constraints, window=window, options=options)
+               for _ in streams]
+    compacts = [StreamingCleaner(constraints, window=window,
+                                 options=replace(options, backend="auto"),
+                                 cache=cache) for _ in streams]
+    python_seconds = rows_seconds = 0.0
+    equal = True
+    count = 0
+    for tau in range(readings):
+        for oracle, compact, stream in zip(oracles, compacts, streams):
+            python_dt, rows_dt, same = lockstep(oracle, compact, stream[tau])
+            python_seconds += python_dt
+            rows_seconds += rows_dt
+            equal = equal and same
+            count += 1
+    record = rows_record(count, python_seconds, rows_seconds, equal, cache)
+    record["objects"] = objects
+    return record
 
 
 def shard_stream_lines(readings: int) -> List[str]:
@@ -217,15 +232,19 @@ def shard_stream_lines(readings: int) -> List[str]:
     return lines
 
 
-def run_shard_leg(window: int, backend: str,
-                  readings: int) -> Dict[str, object]:
-    """Merged shard-pool output vs a single engine, byte for byte."""
+def run_shard_leg(window: int, readings: int) -> Dict[str, object]:
+    """Merged shard-pool output vs a single engine, byte for byte.
+
+    The pool's wall time is split into worker spawn (until every shard
+    reports ready), serving the readings (plus the final lines) and
+    stopping the workers.
+    """
     lines = shard_stream_lines(readings)
     constraints = stream_constraints()
 
     manager = StreamSessionManager(
         constraints, window=window,
-        options=CleaningOptions(backend=backend))
+        options=CleaningOptions(backend="auto"))
     engine = ServeEngine(manager, estimate_every=7)
     single = io.StringIO()
     started = time.perf_counter()
@@ -243,13 +262,19 @@ def run_shard_leg(window: int, backend: str,
         constraints_file = os.path.join(tmp, "constraints.json")
         save_constraints(constraints, constraints_file)
         merged, err = io.StringIO(), io.StringIO()
+        pool = StreamShardPool(SHARDS, constraints_file=constraints_file,
+                               window=window, estimate_every=7,
+                               backend="auto")
         started = time.perf_counter()
-        with StreamShardPool(SHARDS, constraints_file=constraints_file,
-                             window=window, estimate_every=7,
-                             backend=backend) as pool:
+        try:
+            pool.start()
+            spawned = time.perf_counter()
             pool.serve(lines, merged, err)
             pool.finish(merged, err)
-        pool_seconds = time.perf_counter() - started
+            served = time.perf_counter()
+        finally:
+            pool.close()
+        closed = time.perf_counter()
 
     return {
         "shards": SHARDS,
@@ -257,12 +282,15 @@ def run_shard_leg(window: int, backend: str,
         "readings": readings,
         "merged_identical": merged.getvalue() == single.getvalue(),
         "single_seconds": single_seconds,
-        "pool_seconds": pool_seconds,
+        "single_per_reading_ms": 1e3 * single_seconds / readings,
+        "spawn_seconds": spawned - started,
+        "serve_seconds": served - spawned,
+        "pool_per_reading_ms": 1e3 * (served - spawned) / readings,
+        "close_seconds": closed - served,
     }
 
 
-def run(duration: int, window: int, smoke: bool,
-        backend: str) -> Dict[str, object]:
+def run(duration: int, window: int, smoke: bool) -> Dict[str, object]:
     """Execute the streaming workload; returns the JSON payload."""
     constraints = stream_constraints()
     options = CleaningOptions(materialize="flat")
@@ -274,6 +302,10 @@ def run(duration: int, window: int, smoke: bool,
 
     streaming = StreamingCleaner(constraints, window=window,
                                  options=options)
+    cache = EngineCache(constraints)
+    compact = StreamingCleaner(constraints, window=window,
+                               options=replace(options, backend="auto"),
+                               cache=cache)
     shadow = StreamingCleaner(constraints, window=None, options=options)
     reference = StreamingCleaner(constraints, window=window,
                                  options=options)
@@ -281,16 +313,20 @@ def run(duration: int, window: int, smoke: bool,
     retained_max = 0
     frontier_max = 0
     filtered_bit_equal = True
+    rows_equal = True
     resume_bit_equal = True
+    python_seconds = rows_seconds = 0.0
 
     fd, ckpt_path = tempfile.mkstemp(prefix="bench_streaming_",
                                      suffix=".ckpt")
     os.close(fd)
     resumed: Optional[StreamingCleaner] = None
     try:
-        started = time.perf_counter()
         for t, row in enumerate(rows):
-            streaming.extend(row)
+            python_dt, rows_dt, same = lockstep(streaming, compact, row)
+            python_seconds += python_dt
+            rows_seconds += rows_dt
+            rows_equal = rows_equal and same
             retained_max = max(retained_max, streaming.retained_duration)
             frontier_max = max(frontier_max, streaming.frontier_size())
             if t < prefix:
@@ -298,7 +334,6 @@ def run(duration: int, window: int, smoke: bool,
                 if (streaming.filtered_distribution()
                         != shadow.filtered_distribution()):
                     filtered_bit_equal = False
-        elapsed = time.perf_counter() - started
 
         # -- checkpoint/resume against the uninterrupted reference ------
         for row in rows[:resume_at]:
@@ -319,8 +354,10 @@ def run(duration: int, window: int, smoke: bool,
     ckpt_bytes = streaming.checkpoint(ckpt_path + ".size")
     os.unlink(ckpt_path + ".size")
 
-    kernel = run_kernel_leg(rows, window, elapsed, backend)
-    shard = run_shard_leg(window, backend, min(duration, SHARD_READINGS))
+    synthetic = rows_record(duration, python_seconds, rows_seconds,
+                            rows_equal, cache)
+    syn1 = run_syn1_leg(window, smoke)
+    shard = run_shard_leg(window, min(duration, SHARD_READINGS))
 
     # The frontier is one state per (location, live stay counter, live
     # departure log); with L locations, one Latency(limit) and one
@@ -354,12 +391,28 @@ def run(duration: int, window: int, smoke: bool,
             "finalize_bit_equal": finalize_bit_equal,
         },
         "throughput": {
-            "ingest_seconds": elapsed,
-            "readings_per_second": duration / elapsed,
+            "ingest_seconds": python_seconds,
+            "readings_per_second": duration / python_seconds,
         },
-        "kernel": kernel,
+        "rows": {
+            "numpy_available": numpy_available(),
+            "synthetic": synthetic,
+            "syn1": syn1,
+        },
         "shard": shard,
     }
+
+
+def rows_note(rows: Dict[str, object]) -> str:
+    """The row speedups of a payload, one clause per stream."""
+    notes = []
+    for name in ROWS_GATES:
+        stream = rows.get(name)
+        notes.append(f"{name} {stream['speedup']:.1f}x"
+                     if isinstance(stream, dict) else f"{name} skipped")
+        if isinstance(stream, dict):
+            notes[-1] += f" ({stream['readings_per_second']:,.0f}/s)"
+    return "rows " + ", ".join(notes)
 
 
 def validate_payload(payload: Dict[str, object]) -> List[str]:
@@ -425,34 +478,32 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
            and throughput["readings_per_second"] > 0.0,
            "throughput must record positive ingest timings")
 
-    kernel = payload.get("kernel")
-    if not (isinstance(kernel, dict)
-            and isinstance(kernel.get("available"), bool)
-            and isinstance(kernel.get("backend"), str)):
-        problems.append("kernel block missing or malformed")
-    elif kernel.get("backend_resolved") == "numpy":
-        kernel_parity = kernel.get("parity")
-        if not isinstance(kernel_parity, dict):
-            problems.append("kernel.parity block missing")
-        else:
-            expect(kernel_parity.get("filtered_close") is True,
-                   "kernel.parity.filtered_close must be true — the "
-                   "vectorized frontier kernel diverged from the oracle")
-            expect(kernel_parity.get("resume_bit_equal") is True,
-                   "kernel.parity.resume_bit_equal must be true — a "
-                   "numpy checkpoint/resume round-trip changed bits")
-        speedup = kernel.get("kernel_speedup")
-        expect(isinstance(speedup, float) and speedup > 0.0,
-               "kernel_speedup must be a positive float on the numpy leg")
-        if not smoke and isinstance(speedup, float):
-            expect(speedup >= KERNEL_SPEEDUP_GATE,
-                   f"kernel_speedup {speedup:.2f}x is below the "
-                   f"{KERNEL_SPEEDUP_GATE:.0f}x gate — the vectorized "
-                   "frontier advance regressed")
+    rows = payload.get("rows")
+    if not (isinstance(rows, dict)
+            and isinstance(rows.get("numpy_available"), bool)
+            and "syn1" in rows):
+        problems.append("rows block missing or malformed")
     else:
-        expect(kernel.get("kernel_speedup") is None,
-               "kernel_speedup must be null when the numpy kernel "
-               "did not run")
+        if rows.get("syn1") is None:
+            expect(smoke, "rows.syn1 is null — a full run needs the SYN1 "
+                          "stream (the simulation needs numpy)")
+        for name, gate in ROWS_GATES.items():
+            stream = rows.get(name)
+            if stream is None and name == "syn1":
+                continue
+            if not (isinstance(stream, dict)
+                    and isinstance(stream.get("speedup"), float)
+                    and stream["speedup"] > 0.0):
+                problems.append(f"rows.{name} missing or malformed")
+                continue
+            expect(stream.get("estimates_equal") is True,
+                   f"rows.{name}.estimates_equal must be true — the "
+                   "memoised rows diverged from the python oracle")
+            if not smoke:
+                expect(stream["speedup"] >= gate,
+                       f"rows.{name}.speedup {stream['speedup']:.2f}x is "
+                       f"below the {gate}x gate — the row-cached advance "
+                       "regressed")
 
     shard = payload.get("shard")
     if not (isinstance(shard, dict)
@@ -472,17 +523,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--duration", type=int, default=DURATION)
     parser.add_argument("--window", type=int, default=WINDOW)
-    parser.add_argument("--backend", choices=("numpy", "python"),
-                        default="numpy",
-                        help="kernel leg: 'numpy' times the vectorized "
-                             "frontier kernel (falling back gracefully "
-                             "when numpy is absent), 'python' skips the "
-                             "kernel timing entirely")
     parser.add_argument("--out", default="BENCH_streaming.json")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized stream (2k steps; same gates minus "
-                             "the kernel speedup — the bounds and parity "
-                             "are size-independent, the speedup is not)")
+                        help="CI-sized streams (2k synthetic steps, 3 SYN1 "
+                             "objects; same gates minus the row speedups — "
+                             "the bounds and parity are size-independent, "
+                             "the speedups are not)")
     parser.add_argument("--check", metavar="FILE",
                         help="validate an existing result file and exit")
     args = parser.parse_args(argv)
@@ -495,21 +541,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"SCHEMA: {problem}", file=sys.stderr)
         if not problems:
             memory = payload["memory"]
-            speedup = payload["kernel"].get("kernel_speedup")
-            kernel_note = (f"kernel {speedup:.1f}x"
-                           if isinstance(speedup, float)
-                           else "kernel skipped")
             print(f"{args.check}: well-formed "
                   f"({payload['workload']['duration']} steps, retained "
                   f"<= {memory['retained_levels_max']} levels, frontier "
                   f"<= {memory['frontier_states_max']} states, "
-                  f"parity ok, {kernel_note}, shards merged ok)")
+                  f"parity ok, {rows_note(payload['rows'])}, "
+                  "shards merged ok)")
         return 1 if problems else 0
 
     if args.smoke:
         args.duration = min(args.duration, SMOKE_DURATION)
 
-    payload = run(args.duration, args.window, args.smoke, args.backend)
+    payload = run(args.duration, args.window, args.smoke)
     problems = validate_payload(payload)
     if problems:
         for problem in problems:
@@ -520,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handle.write("\n")
     workload, memory = payload["workload"], payload["memory"]
     throughput = payload["throughput"]
-    kernel, shard = payload["kernel"], payload["shard"]
+    shard = payload["shard"]
     print(f"workload: {workload['duration']} steps x "
           f"{workload['locations']} locations, window "
           f"{workload['window']}")
@@ -535,16 +578,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"throughput (python): "
           f"{throughput['readings_per_second']:,.0f} readings/s "
           f"({throughput['ingest_seconds']:.1f} s ingest)")
-    if kernel["backend_resolved"] == "numpy":
-        print(f"kernel (numpy): "
-              f"{kernel['readings_per_second']:,.0f} readings/s, "
-              f"{kernel['kernel_speedup']:.1f}x over python, parity ok")
-    else:
-        print("kernel: numpy unavailable or skipped — python fallback "
-              "exercised")
+    print(f"rows (auto): {rows_note(payload['rows'])}, estimates equal "
+          "to python at every step")
     print(f"shards: {shard['shards']} workers x {shard['objects']} "
           f"objects over {shard['readings']} readings, merged output "
-          f"{'identical' if shard['merged_identical'] else 'DIVERGED'}")
+          f"{'identical' if shard['merged_identical'] else 'DIVERGED'}; "
+          f"spawn {shard['spawn_seconds']:.2f} s, "
+          f"{shard['pool_per_reading_ms']:.3f} ms a reading pooled vs "
+          f"{shard['single_per_reading_ms']:.3f} ms single")
     print(f"wrote {args.out}")
     return 0
 

@@ -301,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "order, byte-identical to --shards 1 "
                             "(default: 1, single process)")
     serve.add_argument("--backend", choices=["auto", "python", "numpy"],
-                       default="python",
-                       help="frontier-advance backend: 'numpy' engages "
-                            "the vectorized kernel when available, "
-                            "'auto' engages it for wide frontiers "
-                            "(default: python, the parity oracle)")
+                       default="auto",
+                       help="frontier-advance backend: 'auto' and 'numpy' "
+                            "run the compact engine's memoised successor "
+                            "rows, shared by the fleet (default: auto); "
+                            "'python' runs the reference recursion, the "
+                            "parity oracle.  Every choice prints the same "
+                            "bytes")
     serve.add_argument("--follow", action="store_true",
                        help="tail the --input file for appended lines "
                             "instead of stopping at EOF")

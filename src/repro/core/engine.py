@@ -33,6 +33,13 @@ single bit of the output:
   instead of per-node dicts, and only the *surviving* nodes and edges are
   materialised as :class:`~repro.core.ctgraph.CTNode` objects at the end.
 
+* **Streaming rows** — the online filtered-forward step
+  (:meth:`EngineCache.advance`) reads the same memoised rows.  Online
+  there is no departure filter, so a row's mask is the
+  ``maxTravelingTime`` horizon rule alone, a pure function of the
+  state, and stream rows are keyed ``(state, support)``.  A live
+  frontier is a :class:`CompactFrontier`.
+
 The result is **bit-exact** with the reference builder: same nodes in the
 same order, same edges in the same insertion order, and identical
 floating-point arithmetic (per-parent mass accumulated in edge order,
@@ -46,7 +53,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core import kernels
 from repro.core.algorithm import CleaningOptions, CleaningStats, _run_precheck
@@ -54,10 +61,18 @@ from repro.core.constraints import ConstraintSet
 from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence
-from repro.core.nodes import _advance_stay, initial_stay
+from repro.core.nodes import (
+    NodeState,
+    _advance_stay,
+    initial_stay,
+    state_departures,
+    state_location,
+    state_stay,
+)
 from repro.errors import ReadingSequenceError, ZeroMassError
 
-__all__ = ["EngineCache", "build_ct_graph_compact"]
+__all__ = ["CompactFrontier", "EngineCache", "STREAM_ROW_CAP",
+           "build_ct_graph_compact"]
 
 #: An interned node state in relative form:
 #: ``(location id, stay, ((age, location id), ...))``.
@@ -66,6 +81,12 @@ RelState = Tuple[int, Optional[int], Tuple[Tuple[int, int], ...]]
 #: A memoised successor row: per legal destination, its position in the
 #: ordered candidate support and the interned state of the successor.
 Row = Tuple[Tuple[int, int], ...]
+
+#: How many stream rows one cache memoises.  Past the cap, the rows and
+#: supports a step needs are computed and used but not stored, so a
+#: long-lived fleet cache stays bounded on streams that keep minting new
+#: states.  Interned states stay: a live frontier refers to them by id.
+STREAM_ROW_CAP = 65_536
 
 
 class EngineCache:
@@ -77,12 +98,15 @@ class EngineCache:
     time-dependence is captured by the mask.  One cache therefore serves
     every object cleaned under the same constraints;
     :meth:`repro.runtime.plan.SharedCleaningPlan.engine_cache` hands one to
-    each object of a batch.  Not thread-safe (plain dicts), like the plan.
+    each object of a batch, and a
+    :class:`~repro.runtime.StreamSessionManager` one to each session of a
+    fleet.  Not thread-safe (plain dicts), like the plan.
     """
 
     __slots__ = ("constraints", "_location_ids", "_location_names",
                  "_state_ids", "_states", "_support_ids", "_supports",
-                 "_support_names", "_du_rows", "_rows", "_levels")
+                 "_support_names", "_du_rows", "_rows", "_levels",
+                 "_stream_rows")
 
     def __init__(self, constraints: ConstraintSet) -> None:
         self.constraints = constraints
@@ -104,6 +128,10 @@ class EngineCache:
         #: positions — is cached as one unit.  Derived purely from
         #: :attr:`_rows` entries, hence exact wherever they are.
         self._levels: Dict[Tuple, Tuple] = {}
+        #: Stream rows keyed ``(state, support)``: online the mask is a
+        #: function of the state (:meth:`_horizon_mask`), so it needs no
+        #: key slot.  At most :data:`STREAM_ROW_CAP` entries.
+        self._stream_rows: Dict[Tuple[int, int], Row] = {}
 
     # ------------------------------------------------------------------
     # interning
@@ -148,26 +176,56 @@ class EngineCache:
         return len(self._rows)
 
     @property
+    def cached_tables(self) -> int:
+        """How many memoised ``(state, support)`` stream rows exist."""
+        return len(self._stream_rows)
+
+    @property
     def interned_states(self) -> int:
         return len(self._states)
 
     def __repr__(self) -> str:
         return (f"EngineCache(states={len(self._states)}, "
-                f"rows={len(self._rows)})")
+                f"rows={len(self._rows)}, "
+                f"stream_rows={len(self._stream_rows)})")
 
     # ------------------------------------------------------------------
     # the memoised transition relation
     # ------------------------------------------------------------------
     def _compute_row(self, sid: int, support_id: int, mask: int) -> Row:
-        """Definition 3 rules 2–6 for one ``(state, support, mask)`` key.
+        """The row of one interned ``(state, support, mask)`` key; the
+        rule-2 positions are memoised per ``(location, support)``."""
+        location_id = self._states[sid][0]
+        support = self._supports[support_id]
+        du_key = (location_id, support_id)
+        positions = self._du_rows.get(du_key)
+        if positions is None:
+            positions = self._reachable(location_id, support)
+            self._du_rows[du_key] = positions
+        return self._successors(sid, support, positions, mask)
+
+    def _reachable(self, location_id: int,
+                   support: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Rule 2: the positions of ``support`` not directly unreachable
+        from the location."""
+        names = self._location_names
+        location = names[location_id]
+        forbids = self.constraints.forbids_step
+        return tuple(pos for pos, dest_id in enumerate(support)
+                     if not forbids(location, names[dest_id]))
+
+    def _successors(self, sid: int, support: Tuple[int, ...],
+                    positions: Tuple[int, ...], mask: int) -> Row:
+        """Definition 3 rules 3–6 for one state over the rule-2 positions.
 
         The mirror of ``_unchecked_successor`` in relative terms: rule 5
         reads ``arrival - time`` as ``age + 1``, and the rule-3/6 ``TL``
         keep decisions come from ``mask`` (bit ``k`` = entry ``k``
         survives; the bit past the last entry = record the new departure).
-        When no :class:`DepartureFilter` exists the constraint set has no
-        TT sources, every ``TL`` is empty and the mask is uniformly 0, so
-        the mask-driven reading is exact in both regimes.  States produced
+        A batch build without a :class:`DepartureFilter` has no TT
+        sources, every ``TL`` is empty and the mask is uniformly 0; the
+        stream, which has TT sources but no filter, passes the horizon
+        rule's bits (:meth:`_horizon_mask`).  States produced
         here keep the canonical invariants of the reference builder: at
         most one entry per location, never the state's own location,
         sorted by ``(-age, location name)`` — the relative image of the
@@ -177,16 +235,6 @@ class EngineCache:
         names = self._location_names
         location_id, stay, rel_deps = self._states[sid]
         location = names[location_id]
-        support = self._supports[support_id]
-
-        du_key = (location_id, support_id)
-        positions = self._du_rows.get(du_key)
-        if positions is None:
-            forbids = constraints.forbids_step
-            positions = tuple(pos for pos, dest_id in enumerate(support)
-                              if not forbids(location, names[dest_id]))
-            self._du_rows[du_key] = positions
-
         traveling_time = constraints.traveling_time
         in_tt_sources = location in constraints.tt_sources
         new_departure = bool(mask >> len(rel_deps) & 1)
@@ -234,6 +282,162 @@ class EngineCache:
                          tuple(entries))
             row.append((pos, self.state_id(child)))
         return tuple(row)
+
+    # ------------------------------------------------------------------
+    # the online filtered-forward step
+    # ------------------------------------------------------------------
+    def _horizon_mask(self, sid: int) -> int:
+        """The rule-3/6 ``TL`` keep bits without a departure filter.
+
+        Entry ``k`` survives iff ``age + 1 < maxTravelingTime(l)``; the
+        new-departure bit is set iff the state's location sources a TT
+        constraint and ``maxTravelingTime > 1`` — exactly what
+        ``_aged_departures`` and rule 6 decide without a filter.
+        """
+        names = self._location_names
+        max_tt = self.constraints.max_traveling_time
+        location_id, _stay, rel_deps = self._states[sid]
+        mask = 0
+        bit = 1
+        for age, dlid in rel_deps:
+            if age + 1 < max_tt(names[dlid]):
+                mask |= bit
+            bit <<= 1
+        location = names[location_id]
+        if location in self.constraints.tt_sources and max_tt(location) > 1:
+            mask |= bit
+        return mask
+
+    def seed(self, row: Mapping[str, float]) -> "CompactFrontier":
+        """The timestep-0 frontier (``advance_frontier`` at ``tau == 0``)."""
+        constraints = self.constraints
+        masses = {self.state_id((self.location_id(location),
+                                 initial_stay(location, constraints), ())):
+                  probability for location, probability in row.items()}
+        return CompactFrontier(self, masses, 0)
+
+    def adopt(self, frontier: Mapping[NodeState, float],
+              tau: int) -> "CompactFrontier":
+        """An oracle-form frontier at timestep ``tau`` in compact form,
+        with its order and float bits unchanged."""
+        location_id = self.location_id
+        masses: Dict[int, float] = {}
+        for state, mass in frontier.items():
+            relative = tuple((tau - time, location_id(location))
+                             for time, location in state_departures(state))
+            masses[self.state_id((location_id(state_location(state)),
+                                  state_stay(state), relative))] = mass
+        return CompactFrontier(self, masses, tau)
+
+    def advance(self, frontier: "CompactFrontier",
+                row: Mapping[str, float]) -> "CompactFrontier":
+        """One step of the filtered-forward recursion over memoised rows.
+
+        Bit-identical to :func:`~repro.core.incremental.advance_frontier`:
+        rows list successors in support order, so the states come out in
+        the oracle's insertion order and each successor's mass is summed
+        in the oracle's order, then peak-rescaled the same way.  Returns
+        an empty (falsy) frontier when no valid continuation exists.
+        """
+        names_key = tuple(row)
+        support_id = self._support_names.get(names_key)
+        support = None
+        if support_id is None:
+            support = tuple([self.location_id(name) for name in names_key])
+            support_id = self._support_ids.get(support)
+            # Past the cap a new support stays un-interned (id None).
+            if len(self._stream_rows) < STREAM_ROW_CAP:
+                if support_id is None:
+                    support_id = self.support_id(support)
+                self._support_names[names_key] = support_id
+        probabilities = tuple(row.values())
+        row_get = self._stream_rows.get
+        advanced: Dict[int, float] = {}
+        get = advanced.get
+        # Rule-2 positions per location, for a support not interned.
+        reachable: Dict[int, Tuple[int, ...]] = {}
+        for sid, mass in frontier.masses.items():
+            successors = row_get((sid, support_id))
+            if successors is None:
+                successors = self._stream_row(sid, support_id, support,
+                                              reachable)
+            for pos, child in successors:
+                advanced[child] = get(child, 0.0) + mass * probabilities[pos]
+        # The oracle's underflow guard, verbatim.
+        peak = max(advanced.values(), default=0.0)
+        if peak > 0.0 and peak != 1.0:
+            advanced = {sid: mass / peak for sid, mass in advanced.items()}
+        return CompactFrontier(self, advanced, frontier.tau + 1)
+
+    def _stream_row(self, sid: int, support_id: Optional[int],
+                    support: Optional[Tuple[int, ...]],
+                    reachable: Dict[int, Tuple[int, ...]]) -> Row:
+        """Compute one stream row; memoise it while under the cap.
+
+        ``support_id`` is ``None`` for a support first seen past the cap,
+        which is never interned: its rows use the ``support`` tuple, and
+        its rule-2 positions live in the step's ``reachable``.
+        """
+        mask = self._horizon_mask(sid)
+        if support_id is None:
+            location_id = self._states[sid][0]
+            positions = reachable.get(location_id)
+            if positions is None:
+                positions = self._reachable(location_id, support)
+                reachable[location_id] = positions
+            return self._successors(sid, support, positions, mask)
+        row = self._compute_row(sid, support_id, mask)
+        if len(self._stream_rows) < STREAM_ROW_CAP:
+            self._stream_rows[(sid, support_id)] = row
+        return row
+
+
+class CompactFrontier:
+    """A live forward frontier: ``{interned state id: mass}`` plus ``tau``.
+
+    The compact twin of the oracle's ``Dict[NodeState, float]``.  The
+    states are relative (:mod:`repro.core.engine`), in the oracle's
+    insertion order; ``tau`` is the timestep the frontier describes,
+    which rebases the relative ages to absolute departure times.  Falsy
+    exactly when no valid continuation exists, like the empty dict.
+    """
+
+    __slots__ = ("cache", "masses", "tau")
+
+    def __init__(self, cache: EngineCache, masses: Dict[int, float],
+                 tau: int) -> None:
+        self.cache = cache
+        self.masses = masses
+        self.tau = tau
+
+    def __len__(self) -> int:
+        return len(self.masses)
+
+    def __bool__(self) -> bool:
+        return bool(self.masses)
+
+    def to_dict(self) -> Dict[NodeState, float]:
+        """The oracle-form dict: absolute states, same order, same bits."""
+        states = self.cache._states
+        names = self.cache._location_names
+        tau = self.tau
+        result: Dict[NodeState, float] = {}
+        for sid, mass in self.masses.items():
+            location_id, stay, rel_deps = states[sid]
+            result[(names[location_id], stay,
+                    tuple((tau - age, names[dlid])
+                          for age, dlid in rel_deps))] = mass
+        return result
+
+    def location_masses(self) -> Dict[str, float]:
+        """Unnormalised mass per location, in the oracle's key order."""
+        states = self.cache._states
+        names = self.cache._location_names
+        raw: Dict[str, float] = {}
+        for sid, mass in self.masses.items():
+            location = names[states[sid][0]]
+            raw[location] = raw.get(location, 0.0) + mass
+        return raw
 
 
 def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,

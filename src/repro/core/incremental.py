@@ -10,9 +10,9 @@ runs on every reading:
 * :func:`coerce_candidate_row` validates and normalises one timestep's
   candidate distribution;
 * :func:`advance_frontier` is one step of the filtered-forward
-  recursion (the python oracle), and :func:`advance_frontier_routed`
-  routes the step to it or to the vectorized
-  :class:`~repro.core.kernels.FrontierKernel`;
+  recursion over :func:`~repro.core.nodes.successor_state` — the python
+  oracle; :meth:`repro.core.engine.EngineCache.advance` takes the same
+  step, bit for bit, over the compact engine's memoised rows;
 * :func:`frontier_to_dict` turns either frontier representation into
   the oracle's dict form.
 
@@ -30,7 +30,7 @@ states than the batch forward phase would.  Probabilities are unaffected.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Union
 
 from repro.core.constraints import ConstraintSet
 from repro.core.nodes import NodeState, source_states, successor_state
@@ -39,7 +39,6 @@ from repro.errors import ReadingSequenceError
 __all__ = [
     "Frontier",
     "advance_frontier",
-    "advance_frontier_routed",
     "coerce_candidate_row",
     "frontier_to_dict",
 ]
@@ -98,11 +97,12 @@ def advance_frontier(frontier: Dict[NodeState, float],
     Returns the unnormalised (peak-rescaled) forward mass over the node
     states of timestep ``tau`` given the mass over timestep ``tau - 1``
     (``tau == 0`` seeds from :func:`source_states` instead).  This is the
-    single implementation of the python recursion —
+    parity oracle: a ``backend="python"``
     :class:`repro.streaming.StreamingCleaner` calls it whatever its
-    ``window``, which is why the window never changes a filtered estimate
-    by a single bit.  Returns an empty dict when no valid continuation
-    exists; the input ``frontier`` is never mutated.
+    ``window``, and the compact step
+    (:meth:`repro.core.engine.EngineCache.advance`) is pinned to it bit
+    for bit.  Returns an empty dict when no valid continuation exists;
+    the input ``frontier`` is never mutated.
     """
     advanced: Dict[NodeState, float] = {}
     if tau == 0:
@@ -134,68 +134,24 @@ def advance_frontier(frontier: Dict[NodeState, float],
 
 
 #: A live forward frontier in either representation: the python oracle's
-#: ``Dict[NodeState, float]`` or the vectorized
-#: :class:`~repro.core.kernels.KernelFrontier` (signature node + float64
-#: mass array).  Both are falsy exactly when no valid continuation exists
-#: and ``len()`` is the state count.
-Frontier = Union[Dict[NodeState, float], "KernelFrontier"]
+#: ``Dict[NodeState, float]`` or the compact engine's
+#: :class:`~repro.core.engine.CompactFrontier` (interned state ids to
+#: masses).  Both are falsy exactly when no valid continuation exists and
+#: ``len()`` is the state count.
+Frontier = Union[Dict[NodeState, float], "CompactFrontier"]
 
 if TYPE_CHECKING:
-    from repro.core.kernels import FrontierKernel, KernelFrontier
+    from repro.core.engine import CompactFrontier
 
 
 def frontier_to_dict(frontier: "Frontier") -> Dict[NodeState, float]:
     """The oracle-form dict of either frontier representation.
 
-    For a kernel frontier this materialises absolute node states in the
-    oracle's key order with the kernel's float bits unchanged — the
-    bridge that lets checkpoints, window conditioning and backend
-    switches treat both representations uniformly.
+    For a compact frontier this rebuilds absolute node states in the
+    oracle's key order with the float bits unchanged — the bridge that
+    lets checkpoints and window conditioning treat both representations
+    uniformly.
     """
     if isinstance(frontier, dict):
         return frontier
     return frontier.to_dict()
-
-
-def advance_frontier_routed(frontier: "Frontier", row: Mapping[str, float],
-                            tau: int, constraints: ConstraintSet, *,
-                            backend: str = "python",
-                            kernel: Optional["FrontierKernel"] = None,
-                            ) -> Tuple["Frontier",
-                                       Optional["FrontierKernel"]]:
-    """One ingest step, routed to the oracle or the vectorized kernel.
-
-    The routing mirrors PR 7's sweep kernels: ``backend="python"`` always
-    runs :func:`advance_frontier`; ``"numpy"`` runs the compiled
-    transition tables of :class:`~repro.core.kernels.FrontierKernel` when
-    numpy is available (falling back silently otherwise); ``"auto"``
-    engages them only from
-    :data:`~repro.core.kernels.KERNEL_MIN_LEVEL_EDGES` predicted
-    transitions per step.  Returns ``(new_frontier, kernel)`` — the
-    kernel is created lazily on first numpy use and must be threaded back
-    in by the caller so its table cache persists across steps (and may be
-    shared across a fleet's sessions).  Representation switches are
-    handled here: a dict frontier entering the kernel path is adopted
-    bit-exactly, a kernel frontier falling back to python is materialised
-    first.
-    """
-    from repro.core import kernels as _kernels
-
-    if backend == "python":
-        resolved = "python"
-    else:
-        predicted_edges = max(1, len(frontier)) * len(row)
-        resolved = _kernels.resolve_backend(backend,
-                                            level_edges=predicted_edges)
-    if resolved == "numpy":
-        if kernel is None:
-            kernel = _kernels.FrontierKernel(constraints)
-        if tau == 0:
-            return kernel.seed(row), kernel
-        if isinstance(frontier, dict):
-            live = kernel.enter(frontier, tau - 1)
-        else:
-            live = frontier
-        return kernel.advance(live, row), kernel
-    return (advance_frontier(frontier_to_dict(frontier), row, tau,
-                             constraints), kernel)

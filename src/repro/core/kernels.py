@@ -20,20 +20,9 @@ whole-level array ops:
   order-independent, so the max-product suffix pass stays bit-exact with
   the python loop).
 
-The streaming ingest hot path — one
-:func:`repro.core.incremental.advance_frontier` step per reading a
-:class:`repro.streaming.StreamingCleaner` ingests, whatever its window —
-is the third such sweep and gets the same treatment through
-:class:`FrontierKernel`: the Definition 3 successor relation is
-*compiled*, per (frontier signature, row support) pair, into a dense
-transition table of int32 index arrays, making one ingest step a
-gather + multiply + ``np.bincount`` scatter-add over the frontier masses
-instead of a python dict-of-dicts loop.  Signatures use relative departure
-ages (:func:`repro.core.nodes.relative_departures`), so the same table
-serves every timestep at which the frontier shape recurs, and one kernel
-instance is shared across a whole fleet's sessions (the way
-``SharedCleaningPlan`` shares the engine cache) — see
-:class:`repro.runtime.StreamSessionManager`.
+The streaming frontier advance has no kernel here: a stream's
+``backend="auto"``/``"numpy"`` runs the compact engine's memoised rows
+(:meth:`repro.core.engine.EngineCache.advance`), with or without numpy.
 
 numpy is an **optional** dependency (the ``repro[numpy]`` extra).  When it
 is missing — or disabled through the ``REPRO_NO_NUMPY`` environment
@@ -60,7 +49,7 @@ is zero, so reassociation can never flip a ``> 0.0`` test.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -72,9 +61,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 __all__ = [
     "BACKENDS",
     "KERNEL_MIN_LEVEL_EDGES",
-    "FrontierKernel",
     "GraphViews",
-    "KernelFrontier",
     "alphas",
     "avoidance_mass",
     "best_suffixes",
@@ -301,284 +288,6 @@ def avoidance_mass(views: GraphViews, lid: int) -> float:
                           minlength=next_count)
         row[views.level_lids(tau + 1) == lid] = 0.0
     return float(row.sum())
-
-
-# ----------------------------------------------------------------------
-# Streaming frontier-advance kernel
-# ----------------------------------------------------------------------
-#: A node state with its TL rebased to *relative ages* — the
-#: timestep-invariant form the transition tables are keyed on:
-#: ``(location, stay, ((age, location), ...))``.
-_RelativeState = Tuple[str, Optional[int], Tuple[Tuple[int, str], ...]]
-
-
-class _SignatureNode:
-    """One interned frontier signature plus its outgoing transition tables.
-
-    A *signature* is the ordered tuple of relative node states a frontier
-    carries — the part of the frontier that determines which successors
-    exist (the masses do not).  Each node caches, per candidate-row
-    support, the compiled :class:`_Transition` leading to the successor
-    signature, so a steady-state stream pays one dict lookup per step.
-    """
-
-    __slots__ = ("signature", "locations", "transitions")
-
-    def __init__(self, signature: Tuple[_RelativeState, ...]) -> None:
-        from repro.core.nodes import state_location
-
-        self.signature = signature
-        #: Per-state location names, for the filtered-marginal fast path.
-        self.locations: Tuple[str, ...] = tuple(state_location(state)
-                                                for state in signature)
-        self.transitions: Dict[Tuple[str, ...], "_Transition"] = {}
-
-
-class _Transition:
-    """One compiled ``(signature, support)`` frontier-advance step.
-
-    ``parent_index[k]`` / ``destination_index[k]`` / ``successor_index[k]``
-    describe the ``k``-th legal Definition 3 transition: frontier state
-    ``parent_index[k]`` moving to support location ``destination_index[k]``
-    lands on successor state ``successor_index[k]`` of ``target``'s
-    signature.  Advancing is then one gather + multiply + ``np.bincount``
-    scatter-add — no per-edge python at all.
-    """
-
-    __slots__ = ("parent_index", "destination_index", "successor_index",
-                 "target")
-
-    def __init__(self, parent_index: Any, destination_index: Any,
-                 successor_index: Any, target: _SignatureNode) -> None:
-        self.parent_index = parent_index
-        self.destination_index = destination_index
-        self.successor_index = successor_index
-        self.target = target
-
-
-class KernelFrontier:
-    """A live forward frontier in kernel form: signature node + mass array.
-
-    The vectorized twin of the oracle's ``Dict[NodeState, float]``: the
-    states live (interned, in the oracle's insertion order) on the
-    signature node, the masses in a float64 ndarray, and ``tau`` is the
-    timestep the frontier describes — needed to rebase the relative
-    departure ages back to the absolute times the dict form carries.
-    :meth:`to_dict` materialises exactly the dict the python oracle's key
-    order would produce, with the kernel's float values bit-preserved, so
-    checkpoints round-trip through the ``rfid-ctg/ckpt@1`` codec unchanged.
-    """
-
-    __slots__ = ("node", "masses", "tau")
-
-    def __init__(self, node: _SignatureNode, masses: Any, tau: int) -> None:
-        self.node = node
-        self.masses = masses
-        self.tau = tau
-
-    def __len__(self) -> int:
-        return len(self.node.signature)
-
-    def __bool__(self) -> bool:
-        return len(self.node.signature) > 0
-
-    def to_dict(self) -> Dict[Tuple, float]:
-        """The frontier as the oracle's absolute-state dict (new floats
-        are plain python; the bits are the ndarray's, unchanged)."""
-        from repro.core.nodes import (
-            absolute_departures,
-            state_departures,
-            state_location,
-            state_stay,
-        )
-
-        tau = self.tau
-        result: Dict[Tuple, float] = {}
-        for state, mass in zip(self.node.signature, self.masses.tolist()):
-            result[(state_location(state), state_stay(state),
-                    absolute_departures(state_departures(state),
-                                        tau))] = mass
-        return result
-
-    def location_masses(self) -> Dict[str, float]:
-        """Unnormalised mass per location, in the oracle's key order."""
-        raw: Dict[str, float] = {}
-        for location, mass in zip(self.node.locations,
-                                  self.masses.tolist()):
-            raw[location] = raw.get(location, 0.0) + mass
-        return raw
-
-
-class FrontierKernel:
-    """Compile-and-cache vectorized frontier advances for one constraint set.
-
-    The cache is sharable: a fleet of sessions under the same constraints
-    (one :class:`~repro.runtime.StreamSessionManager`) passes one kernel
-    to every cleaner, so a signature compiled for one object serves them
-    all.  Tables are compiled *through the python oracle's own*
-    :func:`~repro.core.nodes.successor_state`, which is what makes the
-    kernel's reachable-state structure exact by construction; only the
-    float sums reassociate (``np.bincount``), pinned by the tolerance
-    gate in ``docs/perf.md``.
-
-    ``max_tables`` bounds the cache (adversarial streams could keep
-    minting fresh signatures); past the cap, steps still run — their
-    tables are simply compiled transiently instead of cached.
-    """
-
-    def __init__(self, constraints: Any, *, max_tables: int = 4096) -> None:
-        require_numpy()
-        self.constraints = constraints
-        self.max_tables = max_tables
-        self._states: Dict[_RelativeState, _RelativeState] = {}
-        self._nodes: Dict[Tuple[_RelativeState, ...], _SignatureNode] = {}
-        self._seeds: Dict[Tuple[str, ...], _SignatureNode] = {}
-        self._tables = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def cached_tables(self) -> int:
-        """How many transition tables the cache currently holds."""
-        return self._tables
-
-    def _intern_state(self, state: _RelativeState) -> _RelativeState:
-        return self._states.setdefault(state, state)
-
-    def _node_for(self, signature: Tuple[_RelativeState, ...],
-                  ) -> _SignatureNode:
-        node = self._nodes.get(signature)
-        if node is None:
-            node = _SignatureNode(signature)
-            if len(self._nodes) < self.max_tables:
-                self._nodes[signature] = node
-        return node
-
-    # ------------------------------------------------------------------
-    def seed(self, row: Mapping[str, float]) -> KernelFrontier:
-        """The timestep-0 frontier (mirrors ``advance_frontier`` at tau 0)."""
-        from repro.core.nodes import initial_stay
-
-        np = require_numpy()
-        support = tuple(row)
-        node = self._seeds.get(support)
-        if node is None:
-            signature = tuple(
-                self._intern_state(
-                    (location, initial_stay(location, self.constraints), ()))
-                for location in support)
-            node = self._node_for(signature)
-            if len(self._seeds) < self.max_tables:
-                self._seeds[support] = node
-        masses = np.fromiter(row.values(), dtype=np.float64,
-                             count=len(support))
-        return KernelFrontier(node, masses, 0)
-
-    def enter(self, frontier: Mapping[Tuple, float],
-              tau: int) -> KernelFrontier:
-        """Adopt an oracle-form frontier (dict of absolute node states at
-        timestep ``tau``) into kernel form — the resume/backend-switch
-        entry point.  Float bits and state order are preserved exactly."""
-        from repro.core.nodes import (
-            relative_departures,
-            state_departures,
-            state_location,
-            state_stay,
-        )
-
-        np = require_numpy()
-        signature = tuple(
-            self._intern_state(
-                (state_location(state), state_stay(state),
-                 relative_departures(state_departures(state), tau)))
-            for state in frontier)
-        node = self._node_for(signature)
-        masses = np.fromiter(frontier.values(), dtype=np.float64,
-                             count=len(signature))
-        return KernelFrontier(node, masses, tau)
-
-    def advance(self, frontier: KernelFrontier,
-                row: Mapping[str, float]) -> KernelFrontier:
-        """One vectorized step of the filtered-forward recursion.
-
-        Semantically identical to
-        :func:`repro.core.incremental.advance_frontier` — same surviving
-        states in the same order, same peak-rescale policy — with the
-        per-successor sums reassociated by ``np.bincount``.  An empty
-        result (no valid continuation) comes back as a zero-length
-        frontier, which is falsy like the oracle's empty dict.
-        """
-        np = require_numpy()
-        support = tuple(row)
-        transition = frontier.node.transitions.get(support)
-        if transition is None:
-            transition = self._compile(frontier.node, support)
-        target = transition.target
-        count = len(target.signature)
-        tau = frontier.tau + 1
-        if count == 0:
-            return KernelFrontier(target,
-                                  np.empty(0, dtype=np.float64), tau)
-        probabilities = np.fromiter(row.values(), dtype=np.float64,
-                                    count=len(support))
-        weights = (frontier.masses[transition.parent_index]
-                   * probabilities[transition.destination_index])
-        masses = np.bincount(transition.successor_index, weights=weights,
-                             minlength=count)
-        peak = masses.max()
-        if peak > 0.0 and peak != 1.0:
-            masses /= peak
-        return KernelFrontier(target, masses, tau)
-
-    # ------------------------------------------------------------------
-    def _compile(self, node: _SignatureNode,
-                 support: Tuple[str, ...]) -> _Transition:
-        """Build the transition table for ``(node.signature, support)``.
-
-        Runs the oracle's successor relation once per (state, destination)
-        pair at a symbolic timestep (relative ages make the result valid
-        at every timestep), recording the surviving transitions as index
-        arrays.  Successor order is first-encounter order — exactly the
-        oracle's dict-insertion order.
-        """
-        from repro.core.nodes import (
-            absolute_departures,
-            relative_departures,
-            state_departures,
-            state_location,
-            state_stay,
-            successor_state,
-        )
-
-        np = require_numpy()
-        constraints = self.constraints
-        order: Dict[_RelativeState, int] = {}
-        parents: List[int] = []
-        destinations: List[int] = []
-        successors: List[int] = []
-        for parent_position, state in enumerate(node.signature):
-            absolute = (state_location(state), state_stay(state),
-                        absolute_departures(state_departures(state), 0))
-            for destination_position, destination in enumerate(support):
-                successor = successor_state(0, absolute, destination,
-                                            constraints)
-                if successor is None:
-                    continue
-                relative = self._intern_state(
-                    (state_location(successor), state_stay(successor),
-                     relative_departures(state_departures(successor), 1)))
-                index = order.setdefault(relative, len(order))
-                parents.append(parent_position)
-                destinations.append(destination_position)
-                successors.append(index)
-        transition = _Transition(
-            np.asarray(parents, dtype=np.int32),
-            np.asarray(destinations, dtype=np.int32),
-            np.asarray(successors, dtype=np.int32),
-            self._node_for(tuple(order)))
-        if self._tables < self.max_tables:
-            node.transitions[support] = transition
-            self._tables += 1
-        return transition
 
 
 def span_mass(views: GraphViews, lid: int, start: int, end: int,

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.algorithm import CleaningOptions
 from repro.core.constraints import ConstraintSet
+from repro.core.engine import EngineCache
 from repro.errors import ReadingSequenceError
 from repro.streaming import StreamingCleaner
 from repro.streaming.cleaner import DEFAULT_WINDOW
@@ -65,16 +66,11 @@ class StreamSessionManager:
                                 if checkpoint_dir is not None else None)
         self._sessions: Dict[str, StreamingCleaner] = {}
         self._since_checkpoint: Dict[str, int] = {}
-        # One FrontierKernel for the whole fleet (the way
-        # SharedCleaningPlan shares the engine cache): every session gets
-        # the same transition-table cache, so a frontier signature
-        # compiled while streaming one object serves every other object.
-        self._kernel = None
-        if options.backend != "python":
-            from repro.core.kernels import FrontierKernel, numpy_available
-
-            if numpy_available():
-                self._kernel = FrontierKernel(constraints)
+        # One EngineCache for the whole fleet (the way SharedCleaningPlan
+        # shares it across a batch): a successor row computed while
+        # streaming one object serves every other object.
+        self._cache = (None if options.backend == "python"
+                       else EngineCache(constraints))
         if resume:
             self._resume_all()
 
@@ -95,7 +91,7 @@ class StreamSessionManager:
                     f"{path}: checkpoint carries no object id — it was "
                     "not written by a StreamSessionManager")
             cleaner = StreamingCleaner.resume(path, prior=self.prior,
-                                              frontier_kernel=self._kernel)
+                                              cache=self._cache)
             if cleaner.constraints != self.constraints:
                 raise ReadingSequenceError(
                     f"{path}: object {object_id!r} was checkpointed under "
@@ -109,10 +105,10 @@ class StreamSessionManager:
         return tuple(self._sessions)
 
     @property
-    def frontier_kernel(self):
-        """The fleet-shared transition-table cache (``None`` when the
-        python backend is selected or numpy is unavailable)."""
-        return self._kernel
+    def frontier_kernel(self) -> Optional[EngineCache]:
+        """The fleet-shared successor-row cache (``None`` with the python
+        backend); ``cached_tables`` counts its memoised stream rows."""
+        return self._cache
 
     def session(self, object_id: str) -> StreamingCleaner:
         """The object's cleaner, created on first use."""
@@ -121,7 +117,7 @@ class StreamSessionManager:
             cleaner = StreamingCleaner(self.constraints, window=self.window,
                                        options=self.options,
                                        prior=self.prior,
-                                       frontier_kernel=self._kernel)
+                                       cache=self._cache)
             self._sessions[object_id] = cleaner
         return cleaner
 

@@ -7,9 +7,10 @@ keeps the candidate rows of its retained levels plus forward
 frontiers:
 
 * the *live* frontier — the one after the newest row — is the filtered
-  estimate, advanced through the shared
-  :func:`~repro.core.incremental.advance_frontier` (or its vectorized
-  twin);
+  estimate.  ``backend="python"`` advances it through the oracle
+  :func:`~repro.core.incremental.advance_frontier`; ``"auto"`` and
+  ``"numpy"`` through the compact engine's memoised rows
+  (:meth:`~repro.core.engine.EngineCache.advance`), bit for bit the same;
 * with an int ``window`` it also keeps the frontier after every
   retained row, because the *first* retained frontier is the exact
   compact summary of every evicted level: its per-state forward mass is
@@ -22,10 +23,13 @@ frontiers:
 * with ``window=None`` nothing is ever evicted, so only the live
   frontier is kept and memory grows with the rows alone.
 
-Checkpointing serialises the rows, frontiers, and session meta through
-:func:`repro.store.format.write_stream_checkpoint` (raw float64, dict
-orders preserved), which is what makes a resumed session bit-identical
-to an uninterrupted one — pinned by the hypothesis suite in
+Checkpointing serialises the rows, one frontier, and the session meta
+through :func:`repro.store.format.write_stream_checkpoint` (raw float64,
+dict orders preserved).  Every later frontier is one deterministic
+advance from the one before, so :meth:`StreamingCleaner.resume` replays
+the retained rows from the stored frontier through the session's own
+advance — which is what makes a resumed session bit-identical to an
+uninterrupted one, pinned by the hypothesis suite in
 ``tests/test_streaming.py``.
 """
 
@@ -34,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, replace
-from itertools import chain, repeat
 from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.algorithm import (
@@ -44,16 +47,16 @@ from repro.core.algorithm import (
 )
 from repro.core.constraints import ConstraintSet
 from repro.core.ctgraph import CTGraph
+from repro.core.engine import EngineCache
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.incremental import (
     Frontier,
-    advance_frontier_routed,
+    advance_frontier,
     coerce_candidate_row,
     frontier_to_dict,
 )
 from repro.core.lsequence import LSequence
 from repro.core.nodes import (
-    NodeState,
     state_departures,
     state_location,
     state_stay,
@@ -118,7 +121,7 @@ class StreamingCleaner:
     def __init__(self, constraints: ConstraintSet, *,
                  window: Optional[int] = DEFAULT_WINDOW,
                  options: CleaningOptions = CleaningOptions(),
-                 prior=None, frontier_kernel=None) -> None:
+                 prior=None, cache: Optional[EngineCache] = None) -> None:
         if window is not None and not (_is_count(window) and window >= 1):
             raise ReadingSequenceError(
                 f"window must be a positive integer or None, got "
@@ -136,11 +139,16 @@ class StreamingCleaner:
         # Whether finalize() already wrote the *configured* options.output
         # (an explicit finalize(output=...) never sets this).
         self._output_consumed = False
-        # Transition-table cache of the numpy frontier backend; a
-        # StreamSessionManager passes one shared FrontierKernel to every
-        # session so tables compiled for one object serve the whole
-        # fleet.  Created lazily if the numpy path engages without one.
-        self._kernel = frontier_kernel
+        # The memoised rows the non-python backends advance through.  A
+        # StreamSessionManager passes one cache to every session, so a
+        # row computed for one object serves the whole fleet; a cache
+        # built for other constraints would give wrong rows, so the
+        # session then keeps its own.
+        self._cache: Optional[EngineCache] = None
+        if options.backend != "python":
+            if cache is None or cache.constraints != constraints:
+                cache = EngineCache(constraints)
+            self._cache = cache
 
     # ------------------------------------------------------------------
     # introspection
@@ -193,15 +201,21 @@ class StreamingCleaner:
         nothing is recomputed.
         """
         row = coerce_candidate_row(candidates, self._duration)
-        frontier, self._kernel = advance_frontier_routed(
-            self._live(), row, self._duration, self.constraints,
-            backend=self.options.backend, kernel=self._kernel)
+        frontier = self._advance(self._live(), row, self._duration)
         if not frontier:
             raise InconsistentReadingsError(
                 f"no valid continuation at timestep {self._duration}")
         self._rows.append(row)
         self._frontiers.append(frontier)
         self._duration += 1
+
+    def _advance(self, frontier: Frontier, row: Mapping[str, float],
+                 tau: int) -> Frontier:
+        """The frontier at ``tau`` from the one at ``tau - 1``."""
+        cache = self._cache
+        if cache is None:
+            return advance_frontier(frontier, row, tau, self.constraints)
+        return cache.advance(frontier, row) if tau else cache.seed(row)
 
     # ------------------------------------------------------------------
     # live estimates
@@ -318,11 +332,13 @@ class StreamingCleaner:
         meta section records window, base, duration, the cleaning
         options and the constraint set, so :meth:`resume` needs nothing
         but the file (the ``prior`` is the one runtime object that
-        cannot be serialised and must be supplied again).  An unbounded
-        session writes only its live frontier (on the last level; the
-        earlier levels carry empty frontiers).  ``extra_meta`` entries
-        (e.g. an object id) ride along verbatim under keys that must not
-        collide with the session's own.
+        cannot be serialised and must be supplied again).  The levels
+        carry the retained rows and one frontier: a windowed session
+        writes its entry frontier (on the first level), an unbounded one
+        its live frontier (on the last level); every other level carries
+        an empty frontier.  ``extra_meta`` entries (e.g. an object id)
+        ride along verbatim under keys that must not collide with the
+        session's own.
         """
         from repro.io.jsonio import constraints_to_dicts
         from repro.store.format import write_stream_checkpoint
@@ -335,17 +351,19 @@ class StreamingCleaner:
                 lid = ids[name] = len(ids)
             return lid
 
+        entry = self._entry_level(len(self._rows))
         rows = []
         frontiers = []
-        unkept = repeat({}, len(self._rows) - len(self._frontiers))
-        for row, frontier in zip(self._rows, chain(unkept, self._frontiers)):
+        for level, row in enumerate(self._rows):
             rows.append([(intern(location), probability)
                          for location, probability in row.items()])
+            stored = (frontier_to_dict(self._frontiers[0])
+                      if level == entry else {})
             frontiers.append([
                 (intern(state_location(state)), state_stay(state),
                  tuple((time, intern(location)) for time, location
                        in state_departures(state)), mass)
-                for state, mass in frontier_to_dict(frontier).items()])
+                for state, mass in stored.items()])
         meta = {
             "window": self.window,
             "base": self.base,
@@ -365,18 +383,25 @@ class StreamingCleaner:
             path, meta=meta, location_names=list(ids),
             rows=rows, frontiers=frontiers)
 
+    def _entry_level(self, levels: int) -> int:
+        """The level whose frontier a checkpoint stores: the window's
+        entry, or an unbounded session's live level."""
+        return 0 if self.window is not None else levels - 1
+
     @classmethod
     def resume(cls, path, *, prior=None,
-               frontier_kernel=None) -> "StreamingCleaner":
+               cache: Optional[EngineCache] = None) -> "StreamingCleaner":
         """Rebuild a session from a :meth:`checkpoint` file.
 
         The restored cleaner is bit-identical to the one that wrote the
         checkpoint: same rows, frontiers, dict orders and float bits, so
         continuing the stream gives exactly the uninterrupted results.
-        Frontiers resume in dict form regardless of the backend that
-        wrote them; the kernel backend re-adopts the live frontier on the
-        next :meth:`extend` (``frontier_kernel`` seeds its table cache,
-        e.g. a fleet's shared one).  Raises
+        The stored frontier is adopted into the recorded backend's form
+        and the retained rows after it are replayed through the session's
+        own advance — at most ``window - 1`` steps; the frontiers of
+        later levels, which files written by older versions carry, are
+        ignored.  ``cache`` is a shared :class:`EngineCache` for the
+        non-python backends, e.g. a fleet's.  Raises
         :class:`~repro.errors.StoreFormatError` /
         :class:`~repro.errors.StoreChecksumError` on a damaged file —
         including meta that does not describe a valid session: a window
@@ -384,8 +409,8 @@ class StreamingCleaner:
         that are not non-negative ints with ``base <= duration``, a
         non-bool ``output_consumed``, invalid options or constraints,
         counts that disagree with the stored levels, no stored level
-        after a reading, or an empty frontier where the session keeps
-        one.
+        after a reading, an empty stored frontier, or a retained row that
+        no state of the replayed frontier can legally reach.
         """
         from repro.io.jsonio import constraints_from_dicts
         from repro.store.format import read_stream_checkpoint
@@ -404,7 +429,7 @@ class StreamingCleaner:
             cleaner = cls(constraints_from_dicts(meta["constraints"]),
                           window=meta["window"],
                           options=CleaningOptions(**options),
-                          prior=prior, frontier_kernel=frontier_kernel)
+                          prior=prior, cache=cache)
         except (KeyError, TypeError, AttributeError, ReproError) as error:
             raise StoreFormatError(
                 f"{path}: checkpoint meta is missing or malformed "
@@ -417,8 +442,9 @@ class StreamingCleaner:
                 f"output_consumed={output_consumed!r})")
         window = cleaner.window
         levels = len(payload.rows)
-        kept = payload.frontiers[-1:] if window is None else payload.frontiers
-        if duration - base != levels or not all(kept) or \
+        entry = cleaner._entry_level(levels)
+        if duration - base != levels or \
+                (levels > 0 and not payload.frontiers[entry]) or \
                 (duration > 0 and levels == 0) or \
                 (window is None and base != 0) or \
                 (window is not None and levels > window):
@@ -429,24 +455,36 @@ class StreamingCleaner:
         names = payload.location_names
         rows = [{names[lid]: probability for lid, probability in row_pairs}
                 for row_pairs in payload.rows]
-        frontiers = []
-        for frontier_states in payload.frontiers:
-            frontier: Dict[NodeState, float] = {}
-            for lid, stay, departures, mass in frontier_states:
-                state = (names[lid], stay,
-                         tuple((time, names[departed])
-                               for time, departed in departures))
-                frontier[state] = mass
-            frontiers.append(frontier)
-        cleaner._restore(rows, frontiers, duration=duration,
+        stored = {
+            (names[lid], stay,
+             tuple((time, names[departed])
+                   for time, departed in departures)): mass
+            for lid, stay, departures, mass
+            in (payload.frontiers[entry] if levels else ())}
+        cleaner._restore(path, rows, stored, entry, duration=duration,
                          output_consumed=output_consumed)
         return cleaner
 
-    def _restore(self, rows, frontiers, *, duration: int,
-                 output_consumed: bool) -> None:
-        """Adopt checkpointed state (the tail of :meth:`resume`); the
-        bounded frontier deque keeps only what this window retains."""
+    def _restore(self, path, rows, stored: Dict, entry: int, *,
+                 duration: int, output_consumed: bool) -> None:
+        """Adopt checkpointed state (the tail of :meth:`resume`): the
+        stored frontier of level ``entry``, then one advance per later
+        retained row."""
         self._rows.extend(rows)
-        self._frontiers.extend(frontiers)
         self._duration = duration
         self._output_consumed = output_consumed
+        if not rows:
+            return
+        tau = self.base + entry
+        frontier: Frontier = stored
+        if self._cache is not None:
+            frontier = self._cache.adopt(stored, tau)
+        self._frontiers.append(frontier)
+        for row in rows[entry + 1:]:
+            tau += 1
+            frontier = self._advance(frontier, row, tau)
+            if not frontier:
+                raise StoreFormatError(
+                    f"{path}: the retained row at timestep {tau} has no "
+                    "valid continuation from the stored frontier")
+            self._frontiers.append(frontier)

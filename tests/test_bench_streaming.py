@@ -1,10 +1,11 @@
 """Smoke test for benchmarks/bench_streaming.py: the bench must run on
-a tiny stream, pass its own memory-bound, bit-equality, kernel-parity
-and shard-identity gates, and emit a well-formed BENCH_streaming.json
-(the gates are correctness claims, so unlike the perf numbers they are
-asserted even at smoke size; only the kernel *speedup* gate is
+a tiny stream, pass its own memory-bound, bit-equality, row-parity and
+shard-identity gates, and emit a well-formed BENCH_streaming.json (the
+gates are correctness claims, so unlike the perf numbers they are
+asserted even at smoke size; only the row *speedup* gates are
 full-run-only)."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -40,7 +41,7 @@ def test_smoke_emits_well_formed_json(tmp_path):
 
     payload = json.loads(out.read_text())
     assert payload["benchmark"] == "bench_streaming"
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["smoke"] is True
     workload = payload["workload"]
     assert workload["duration"] == 300
@@ -55,30 +56,35 @@ def test_smoke_emits_well_formed_json(tmp_path):
     assert parity["finalize_bit_equal"] is True
     assert payload["throughput"]["readings_per_second"] > 0.0
 
-    kernel = payload["kernel"]
-    assert kernel["backend"] == "numpy"
-    if kernel["available"]:
-        assert kernel["backend_resolved"] == "numpy"
-        assert kernel["kernel_speedup"] > 0.0
-        assert kernel["parity"]["filtered_close"] is True
-        assert kernel["parity"]["resume_bit_equal"] is True
+    rows = payload["rows"]
+    streams = ["synthetic"]
+    try:
+        importlib.import_module("numpy")
+    except ImportError:
+        # The SYN1 stream is simulated, which needs numpy.
+        assert rows["syn1"] is None
     else:
-        assert kernel["backend_resolved"] == "python"
-        assert kernel["kernel_speedup"] is None
+        streams.append("syn1")
+        assert rows["syn1"]["objects"] == 3
+    for name in streams:
+        assert rows[name]["estimates_equal"] is True
+        assert rows[name]["speedup"] > 0.0
+    assert rows["synthetic"]["readings"] == 300
 
     shard = payload["shard"]
     assert shard["shards"] == 2
     assert shard["merged_identical"] is True
+    assert shard["spawn_seconds"] > 0.0
+    assert shard["pool_per_reading_ms"] > 0.0
 
     # The bench's own --check mode agrees.
     check = _check(out)
     assert check.returncode == 0, check.stderr
 
 
-def test_no_numpy_leg_passes_with_null_speedup(tmp_path):
-    # The pure-python fallback (REPRO_NO_NUMPY) must run the whole
-    # bench — shard identity included — with the kernel leg recorded
-    # as unavailable, and still pass --check.
+def test_rows_run_with_numpy_disabled(tmp_path):
+    # The rows need no numpy: with REPRO_NO_NUMPY the whole bench —
+    # rows and shard identity included — runs and passes --check.
     out = tmp_path / "BENCH_nonp.json"
     env = _bench_env(REPRO_NO_NUMPY="1")
     run = subprocess.run(
@@ -87,17 +93,22 @@ def test_no_numpy_leg_passes_with_null_speedup(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     payload = json.loads(out.read_text())
-    kernel = payload["kernel"]
-    assert kernel["available"] is False
-    assert kernel["backend_resolved"] == "python"
-    assert kernel["kernel_speedup"] is None
+    rows = payload["rows"]
+    assert rows["numpy_available"] is False
+    assert rows["synthetic"]["estimates_equal"] is True
     assert payload["shard"]["merged_identical"] is True
     assert _check(out, env=env).returncode == 0
 
 
-def _valid_v2_payload():
+def _rows_stream(speedup):
+    return {"readings": 300, "python_seconds": 0.1, "rows_seconds": 0.01,
+            "readings_per_second": 30000.0, "speedup": speedup,
+            "estimates_equal": True, "cached_rows": 28}
+
+
+def _valid_v3_payload():
     return {
-        "benchmark": "bench_streaming", "schema_version": 2,
+        "benchmark": "bench_streaming", "schema_version": 3,
         "smoke": True,
         "workload": {"duration": 300, "window": 16},
         "memory": {"retained_levels_max": 16, "frontier_states_max": 5,
@@ -106,54 +117,59 @@ def _valid_v2_payload():
                    "finalize_bit_equal": True},
         "throughput": {"ingest_seconds": 0.1,
                        "readings_per_second": 3000.0},
-        "kernel": {"backend": "numpy", "available": True,
-                   "backend_resolved": "numpy", "ingest_seconds": 0.01,
-                   "readings_per_second": 30000.0, "kernel_speedup": 10.0,
-                   "parity": {"filtered_close": True, "parity_prefix": 300,
-                              "resume_bit_equal": True}},
+        "rows": {"numpy_available": True,
+                 "synthetic": _rows_stream(10.0),
+                 "syn1": dict(_rows_stream(1.7), objects=3)},
         "shard": {"shards": 2, "objects": 4, "readings": 300,
                   "merged_identical": True, "single_seconds": 0.1,
-                  "pool_seconds": 0.1},
+                  "single_per_reading_ms": 0.3, "spawn_seconds": 0.5,
+                  "serve_seconds": 0.1, "pool_per_reading_ms": 0.3,
+                  "close_seconds": 0.05},
     }
 
 
 def test_check_rejects_divergence(tmp_path):
     bad = tmp_path / "bad.json"
-    payload = _valid_v2_payload()
+    payload = _valid_v3_payload()
     payload["memory"]["retained_levels_max"] = 17
     payload["parity"]["resume_bit_equal"] = False
-    payload["kernel"]["parity"]["filtered_close"] = False
+    payload["rows"]["syn1"]["estimates_equal"] = False
     payload["shard"]["merged_identical"] = False
     bad.write_text(json.dumps(payload))
     check = _check(bad)
     assert check.returncode == 1
     assert "retained levels" in check.stderr
     assert "resume_bit_equal" in check.stderr
-    assert "filtered_close" in check.stderr
+    assert "rows.syn1.estimates_equal" in check.stderr
     assert "merged_identical" in check.stderr
 
 
 def test_check_gates_speedup_on_full_runs_only(tmp_path):
-    slow = _valid_v2_payload()
-    slow["kernel"]["kernel_speedup"] = 1.5
+    slow = _valid_v3_payload()
+    slow["rows"]["synthetic"]["speedup"] = 3.0
+    slow["rows"]["syn1"]["speedup"] = 1.1
     path = tmp_path / "slow_smoke.json"
     path.write_text(json.dumps(slow))
-    # Smoke runs report the speedup but do not gate it...
+    # Smoke runs report the speedups but do not gate them...
     assert _check(path).returncode == 0
-    # ...full runs gate it at 4x.
+    # ...full runs gate them at 4x (synthetic) and 1.3x (SYN1).
     slow["smoke"] = False
     path.write_text(json.dumps(slow))
     check = _check(path)
     assert check.returncode == 1
-    assert "below the 4x gate" in check.stderr
+    assert "rows.synthetic.speedup 3.00x is below the 4.0x gate" \
+        in check.stderr
+    assert "rows.syn1.speedup 1.10x is below the 1.3x gate" in check.stderr
 
 
-def test_check_rejects_phantom_speedup_without_numpy(tmp_path):
-    ghost = _valid_v2_payload()
-    ghost["kernel"].update({"available": False,
-                            "backend_resolved": "python"})
-    path = tmp_path / "ghost.json"
-    path.write_text(json.dumps(ghost))
+def test_check_needs_the_syn1_stream_on_full_runs(tmp_path):
+    partial = _valid_v3_payload()
+    partial["rows"]["syn1"] = None
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(partial))
+    assert _check(path).returncode == 0
+    partial["smoke"] = False
+    path.write_text(json.dumps(partial))
     check = _check(path)
     assert check.returncode == 1
-    assert "must be null" in check.stderr
+    assert "rows.syn1 is null" in check.stderr

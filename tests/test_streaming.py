@@ -15,7 +15,7 @@ from repro.core.constraints import (
     TravelingTime,
     Unreachable,
 )
-from repro.core import kernels
+from repro.core.incremental import frontier_to_dict
 from repro.core.lsequence import LSequence
 from repro.core.naive import NaiveConditioner
 from repro.errors import (
@@ -31,6 +31,10 @@ from repro.store.format import (
     write_stream_checkpoint,
 )
 from repro.streaming import StreamingCleaner
+
+#: The stream backends: ``python`` is the oracle recursion, ``auto`` the
+#: compact engine's memoised rows (``numpy`` runs the same rows).
+BACKENDS = ("python", "auto")
 
 
 @pytest.fixture
@@ -369,14 +373,106 @@ class TestCheckpointResume:
             uninterrupted.filtered_distribution()
         assert resumed.finalize().to_flat() == \
             uninterrupted.finalize().to_flat()
-        # A windowed session keeps every level's frontier, so the
-        # unbounded layout read as windowed is a damaged file.
+        # A windowed session stores its entry frontier on the first
+        # level, which the unbounded layout leaves empty, so that layout
+        # read as windowed is a damaged file.
         write_stream_checkpoint(path, meta=dict(payload.meta, window=3),
                                 location_names=payload.location_names,
                                 rows=payload.rows,
                                 frontiers=payload.frontiers)
         with pytest.raises(StoreFormatError, match="inconsistent"):
             StreamingCleaner.resume(path)
+
+
+class TestLeanCheckpoint:
+    """A windowed checkpoint stores the retained rows and the entry
+    frontier only; resume replays the rows after it."""
+
+    ROWS = [{"A": 0.5, "B": 0.5}, {"B": 0.6, "D": 0.4},
+            {"B": 0.5, "D": 0.5}, {"A": 0.3, "B": 0.7},
+            {"B": 1.0}, {"B": 0.2, "C": 0.8}, {"B": 0.5, "D": 0.5}]
+
+    @staticmethod
+    def fed(constraints, rows, backend="python"):
+        cleaner = StreamingCleaner(constraints, window=3,
+                                   options=CleaningOptions(backend=backend))
+        for row in rows:
+            cleaner.extend(row)
+        return cleaner
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_only_the_entry_level_carries_a_frontier(self, constraints,
+                                                     tmp_path, backend):
+        cleaner = self.fed(constraints, self.ROWS[:5], backend)
+        path = tmp_path / "s.ckpt"
+        cleaner.checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        assert [bool(states) for states in payload.frontiers] == \
+            [True, False, False]
+
+    def test_every_level_layout_still_resumes_bit_identically(
+            self, constraints, tmp_path):
+        # The layout older versions wrote: every retained level carries
+        # its frontier.  Resume ignores all but the entry frontier.
+        killed = self.fed(constraints, self.ROWS[:5])
+        names = {}
+
+        def lid(name):
+            return names.setdefault(name, len(names))
+
+        rows = [[(lid(location), p) for location, p in row.items()]
+                for row in killed._rows]
+        frontiers = [[(lid(location), stay,
+                       tuple((time, lid(departed))
+                             for time, departed in departures), mass)
+                      for (location, stay, departures), mass
+                      in frontier_to_dict(frontier).items()]
+                     for frontier in killed._frontiers]
+        assert all(frontiers)
+        path = tmp_path / "s.ckpt"
+        killed.checkpoint(path)
+        meta = read_stream_checkpoint(path).meta
+        write_stream_checkpoint(path, meta=meta, location_names=list(names),
+                                rows=rows, frontiers=frontiers)
+        resumed = StreamingCleaner.resume(path)
+        uninterrupted = self.fed(constraints, self.ROWS)
+        for row in self.ROWS[5:]:
+            resumed.extend(row)
+        assert resumed.filtered_distribution() == \
+            uninterrupted.filtered_distribution()
+        assert resumed.finalize().to_flat() == \
+            uninterrupted.finalize().to_flat()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_entry_frontier_is_a_format_error(self, constraints,
+                                                    tmp_path, backend):
+        path = tmp_path / "s.ckpt"
+        self.fed(constraints, self.ROWS[:5], backend).checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        write_stream_checkpoint(path, meta=payload.meta,
+                                location_names=payload.location_names,
+                                rows=payload.rows,
+                                frontiers=[()] * len(payload.rows))
+        with pytest.raises(StoreFormatError, match="inconsistent"):
+            StreamingCleaner.resume(path)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unreplayable_row_is_a_format_error(self, constraints, tmp_path,
+                                                backend):
+        # The last retained row moves A -> C, which Unreachable forbids
+        # from every state of the replayed frontier.
+        path = tmp_path / "s.ckpt"
+        self.fed(constraints, [{"A": 1.0}] * 3, backend).checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        names = list(payload.location_names) + ["C"]
+        rows = list(payload.rows[:-1]) + [((len(names) - 1, 1.0),)]
+        write_stream_checkpoint(path, meta=payload.meta,
+                                location_names=names, rows=rows,
+                                frontiers=payload.frontiers)
+        with pytest.raises(StoreFormatError,
+                           match="no valid continuation") as raised:
+            StreamingCleaner.resume(path)
+        assert not isinstance(raised.value, InconsistentReadingsError)
 
 
 # ----------------------------------------------------------------------
@@ -473,11 +569,12 @@ def streams(draw, max_duration=10):
 
 
 @settings(max_examples=150, deadline=None)
-@given(streams())
-def test_eviction_is_invisible_to_the_filtered_estimate(stream):
+@given(streams(), st.sampled_from(BACKENDS))
+def test_eviction_is_invisible_to_the_filtered_estimate(stream, backend):
     rows, constraints, window = stream
-    bounded = StreamingCleaner(constraints, window=window)
-    unbounded = StreamingCleaner(constraints, window=None)
+    options = CleaningOptions(backend=backend)
+    bounded = StreamingCleaner(constraints, window=window, options=options)
+    unbounded = StreamingCleaner(constraints, window=None, options=options)
     for row in rows:
         try:
             unbounded.extend(row)
@@ -492,10 +589,12 @@ def test_eviction_is_invisible_to_the_filtered_estimate(stream):
 
 
 @settings(max_examples=150, deadline=None)
-@given(streams(), st.data())
-def test_resume_equals_uninterrupted_run(stream, data):
+@given(streams(), st.sampled_from(BACKENDS), st.data())
+def test_resume_equals_uninterrupted_run(stream, backend, data):
     rows, constraints, window = stream
-    uninterrupted = StreamingCleaner(constraints, window=window)
+    options = CleaningOptions(backend=backend)
+    uninterrupted = StreamingCleaner(constraints, window=window,
+                                     options=options)
     try:
         for row in rows:
             uninterrupted.extend(row)
@@ -503,7 +602,7 @@ def test_resume_equals_uninterrupted_run(stream, data):
         return
     kill_at = data.draw(st.integers(min_value=1, max_value=len(rows)),
                         label="kill_at")
-    killed = StreamingCleaner(constraints, window=window)
+    killed = StreamingCleaner(constraints, window=window, options=options)
     for row in rows[:kill_at]:
         killed.extend(row)
     fd, path = tempfile.mkstemp(suffix=".ckpt")
@@ -511,6 +610,7 @@ def test_resume_equals_uninterrupted_run(stream, data):
     try:
         killed.checkpoint(path)
         resumed = StreamingCleaner.resume(path)
+        assert resumed.options.backend == backend
         for row in rows[kill_at:]:
             resumed.extend(row)
         assert resumed.filtered_distribution() == \
@@ -553,8 +653,7 @@ def routes(draw):
     """A small stream plus a route: window, backend, resume step."""
     rows, constraints, _ = draw(streams(max_duration=8))
     window = draw(st.one_of(st.none(), st.integers(1, 4)))
-    backend = draw(st.sampled_from(
-        ("python", "numpy") if kernels.numpy_available() else ("python",)))
+    backend = draw(st.sampled_from(BACKENDS))
     resume_at = draw(st.one_of(st.none(),
                                st.integers(0, len(rows) - 1)))
     return rows, constraints, window, backend, resume_at

@@ -1,6 +1,6 @@
 """Bounded-memory streaming: eviction exactness, resume, rows, shards.
 
-Schema v3 measures and gates five claims about the streaming stack on a
+Schema v4 measures and gates five claims about the streaming stack on a
 long synthetic reading stream (full run: 100k steps, ``window=64``):
 
 * **bounded memory** — the retained level count never exceeds the
@@ -29,23 +29,21 @@ long synthetic reading stream (full run: 100k steps, ``window=64``):
   :class:`~repro.runtime.shards.ServeEngine`; worker spawn and
   per-reading serve time are recorded apart.
 
-Emits a machine-readable ``BENCH_streaming.json``.  Usage::
+Usage::
 
     python benchmarks/bench_streaming.py                  # full run
     python benchmarks/bench_streaming.py --smoke          # CI-sized
     python benchmarks/bench_streaming.py --check BENCH_streaming.json
 
-``--check`` validates an existing result file and exits non-zero on
-problems.  The parity flags, the memory bounds and the shard identity
-are gated in every payload (they are correctness claims, not
-performance numbers); throughput is reported, and the row speedups are
-gated only on full (non-smoke) runs.  The rows need no numpy; the SYN1
-stream is simulated, which does, so without numpy its entry is null.
+The parity flags, the memory bounds and the shard identity are gated in
+every record (they are correctness claims, not performance numbers);
+throughput is reported, and the row speedups are gated only on full
+runs.  The rows need no numpy; the SYN1 stream is simulated, which
+does, so without numpy its entry is null.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import io
 import json
@@ -55,7 +53,9 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
+
+import harness
 
 from repro.core.algorithm import CleaningOptions
 from repro.core.constraints import (
@@ -71,7 +71,7 @@ from repro.runtime.sessions import StreamSessionManager
 from repro.runtime.shards import ServeEngine, StreamShardPool
 from repro.streaming import StreamingCleaner
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 DURATION = 100_000
 SMOKE_DURATION = 2_000
@@ -150,7 +150,7 @@ def lockstep(oracle: StreamingCleaner, compact: StreamingCleaner,
 
 def rows_record(readings: int, python_seconds: float, rows_seconds: float,
                 equal: bool, cache: EngineCache) -> Dict[str, object]:
-    """One stream's entry in the payload's ``rows`` block."""
+    """One stream's entry in the record's ``rows`` block."""
     return {
         "readings": readings,
         "python_seconds": python_seconds,
@@ -188,7 +188,7 @@ def syn1_streams(objects: int, readings: int):
     return constraints, streams
 
 
-def run_syn1_leg(window: int, smoke: bool) -> Optional[Dict[str, object]]:
+def run_syn1_leg(smoke: bool) -> Optional[Dict[str, object]]:
     """The SYN1 fleet, one reading of every object per timestep, on
     both backends; the rows cleaners share one cache, as in a fleet."""
     objects, readings = SYN1_SMOKE if smoke else (SYN1_OBJECTS,
@@ -199,9 +199,9 @@ def run_syn1_leg(window: int, smoke: bool) -> Optional[Dict[str, object]]:
     constraints, streams = fleet
     cache = EngineCache(constraints)
     options = CleaningOptions(materialize="flat")
-    oracles = [StreamingCleaner(constraints, window=window, options=options)
+    oracles = [StreamingCleaner(constraints, window=WINDOW, options=options)
                for _ in streams]
-    compacts = [StreamingCleaner(constraints, window=window,
+    compacts = [StreamingCleaner(constraints, window=WINDOW,
                                  options=replace(options, backend="auto"),
                                  cache=cache) for _ in streams]
     python_seconds = rows_seconds = 0.0
@@ -232,7 +232,7 @@ def shard_stream_lines(readings: int) -> List[str]:
     return lines
 
 
-def run_shard_leg(window: int, readings: int) -> Dict[str, object]:
+def run_shard_leg(readings: int) -> Dict[str, object]:
     """Merged shard-pool output vs a single engine, byte for byte.
 
     The pool's wall time is split into worker spawn (until every shard
@@ -243,7 +243,7 @@ def run_shard_leg(window: int, readings: int) -> Dict[str, object]:
     constraints = stream_constraints()
 
     manager = StreamSessionManager(
-        constraints, window=window,
+        constraints, window=WINDOW,
         options=CleaningOptions(backend="auto"))
     engine = ServeEngine(manager, estimate_every=7)
     single = io.StringIO()
@@ -263,7 +263,7 @@ def run_shard_leg(window: int, readings: int) -> Dict[str, object]:
         save_constraints(constraints, constraints_file)
         merged, err = io.StringIO(), io.StringIO()
         pool = StreamShardPool(SHARDS, constraints_file=constraints_file,
-                               window=window, estimate_every=7,
+                               window=WINDOW, estimate_every=7,
                                backend="auto")
         started = time.perf_counter()
         try:
@@ -290,8 +290,9 @@ def run_shard_leg(window: int, readings: int) -> Dict[str, object]:
     }
 
 
-def run(duration: int, window: int, smoke: bool) -> Dict[str, object]:
-    """Execute the streaming workload; returns the JSON payload."""
+def run(args) -> Dict[str, object]:
+    """Execute the streaming workload; returns the record's own fields."""
+    duration = SMOKE_DURATION if args.smoke else DURATION
     constraints = stream_constraints()
     options = CleaningOptions(materialize="flat")
     rng = random.Random(SEED)
@@ -300,14 +301,14 @@ def run(duration: int, window: int, smoke: bool) -> Dict[str, object]:
     prefix = min(duration, PARITY_PREFIX)
     resume_at = duration // 2
 
-    streaming = StreamingCleaner(constraints, window=window,
+    streaming = StreamingCleaner(constraints, window=WINDOW,
                                  options=options)
     cache = EngineCache(constraints)
-    compact = StreamingCleaner(constraints, window=window,
+    compact = StreamingCleaner(constraints, window=WINDOW,
                                options=replace(options, backend="auto"),
                                cache=cache)
     shadow = StreamingCleaner(constraints, window=None, options=options)
-    reference = StreamingCleaner(constraints, window=window,
+    reference = StreamingCleaner(constraints, window=WINDOW,
                                  options=options)
 
     retained_max = 0
@@ -356,8 +357,8 @@ def run(duration: int, window: int, smoke: bool) -> Dict[str, object]:
 
     synthetic = rows_record(duration, python_seconds, rows_seconds,
                             rows_equal, cache)
-    syn1 = run_syn1_leg(window, smoke)
-    shard = run_shard_leg(window, min(duration, SHARD_READINGS))
+    syn1 = run_syn1_leg(args.smoke)
+    shard = run_shard_leg(min(duration, SHARD_READINGS))
 
     # The frontier is one state per (location, live stay counter, live
     # departure log); with L locations, one Latency(limit) and one
@@ -366,16 +367,11 @@ def run(duration: int, window: int, smoke: bool) -> Dict[str, object]:
     frontier_gate = len(LOCATIONS) * (3 + 2) * (4 + 2)
 
     return {
-        "benchmark": "bench_streaming",
-        "schema_version": SCHEMA_VERSION,
-        "created_unix": time.time(),
-        "cpu_count": os.cpu_count() or 1,
-        "smoke": smoke,
         "workload": {
             "generator": "full-support seeded stream",
             "locations": len(LOCATIONS),
             "duration": duration,
-            "window": window,
+            "window": WINDOW,
             "parity_prefix": prefix,
             "resume_at": resume_at,
         },
@@ -404,33 +400,20 @@ def run(duration: int, window: int, smoke: bool) -> Dict[str, object]:
 
 
 def rows_note(rows: Dict[str, object]) -> str:
-    """The row speedups of a payload, one clause per stream."""
+    """The row speedups of a record, one clause per stream."""
     notes = []
     for name in ROWS_GATES:
         stream = rows.get(name)
-        notes.append(f"{name} {stream['speedup']:.1f}x"
+        notes.append(f"{name} {stream['speedup']:.1f}x "
+                     f"({stream['readings_per_second']:,.0f}/s)"
                      if isinstance(stream, dict) else f"{name} skipped")
-        if isinstance(stream, dict):
-            notes[-1] += f" ({stream['readings_per_second']:,.0f}/s)"
     return "rows " + ", ".join(notes)
 
 
-def validate_payload(payload: Dict[str, object]) -> List[str]:
-    """Schema + gate check of a ``BENCH_streaming.json`` payload."""
-    problems: List[str] = []
-
-    def expect(condition: bool, message: str) -> None:
-        if not condition:
-            problems.append(message)
-
-    expect(payload.get("benchmark") == "bench_streaming",
-           "benchmark name missing or wrong")
-    expect(payload.get("schema_version") == SCHEMA_VERSION,
-           f"schema_version must be {SCHEMA_VERSION}")
-    expect(isinstance(payload.get("smoke"), bool), "smoke must be a bool")
-    smoke = payload.get("smoke") is True
-
-    workload = payload.get("workload")
+def validate(record, problems):
+    """The streaming record's schema and gates."""
+    smoke = record.get("smoke") is True
+    workload = record.get("workload")
     if not (isinstance(workload, dict)
             and isinstance(workload.get("duration"), int)
             and workload["duration"] > 0
@@ -439,156 +422,104 @@ def validate_payload(payload: Dict[str, object]) -> List[str]:
         problems.append("workload must describe duration/window")
         workload = None
 
-    memory = payload.get("memory")
+    memory = record.get("memory")
     if not (isinstance(memory, dict)
             and isinstance(memory.get("retained_levels_max"), int)
             and isinstance(memory.get("frontier_states_max"), int)
-            and isinstance(memory.get("frontier_states_gate"), int)):
+            and isinstance(memory.get("frontier_states_gate"), int)
+            and isinstance(memory.get("checkpoint_bytes"), int)):
         problems.append("memory block missing or malformed")
         memory = None
 
     if workload is not None and memory is not None:
-        expect(memory["retained_levels_max"] <= workload["window"],
-               "memory is unbounded: retained levels "
-               f"{memory['retained_levels_max']} exceed the window "
-               f"{workload['window']}")
-        expect(memory["frontier_states_max"]
-               <= memory["frontier_states_gate"],
-               "frontier grew past the state-space bound "
-               f"({memory['frontier_states_max']} > "
-               f"{memory['frontier_states_gate']})")
-        expect(workload["duration"] > workload["window"],
-               "workload never evicted — duration must exceed the window")
+        problems.expect(memory["retained_levels_max"] <= workload["window"],
+                        "memory is unbounded: retained levels "
+                        f"{memory['retained_levels_max']} exceed the window "
+                        f"{workload['window']}")
+        problems.expect(memory["frontier_states_max"]
+                        <= memory["frontier_states_gate"],
+                        "frontier grew past the state-space bound "
+                        f"({memory['frontier_states_max']} > "
+                        f"{memory['frontier_states_gate']})")
+        problems.expect(workload["duration"] > workload["window"],
+                        "workload never evicted: duration must exceed the "
+                        "window")
 
-    parity = payload.get("parity")
-    if not isinstance(parity, dict):
-        problems.append("parity block missing")
-    else:
+    parity = problems.block(record, "parity")
+    if parity is not None:
         for flag in ("filtered_bit_equal", "resume_bit_equal",
                      "finalize_bit_equal"):
-            expect(parity.get(flag) is True,
-                   f"parity.{flag} must be true — the streaming path "
-                   "diverged from the exact reference")
+            problems.expect(parity.get(flag) is True,
+                            f"parity.{flag} must be true: the streaming "
+                            "path diverged from the exact reference")
 
-    throughput = payload.get("throughput")
-    expect(isinstance(throughput, dict)
-           and isinstance(throughput.get("ingest_seconds"), float)
-           and throughput["ingest_seconds"] > 0.0
-           and isinstance(throughput.get("readings_per_second"), float)
-           and throughput["readings_per_second"] > 0.0,
-           "throughput must record positive ingest timings")
+    problems.block(record, "throughput", ("ingest_seconds",
+                                          "readings_per_second"))
 
-    rows = payload.get("rows")
+    rows = record.get("rows")
     if not (isinstance(rows, dict)
             and isinstance(rows.get("numpy_available"), bool)
             and "syn1" in rows):
         problems.append("rows block missing or malformed")
     else:
         if rows.get("syn1") is None:
-            expect(smoke, "rows.syn1 is null — a full run needs the SYN1 "
-                          "stream (the simulation needs numpy)")
+            problems.expect(smoke, "rows.syn1 is null: a full run needs "
+                                   "the SYN1 stream (the simulation needs "
+                                   "numpy)")
         for name, gate in ROWS_GATES.items():
             stream = rows.get(name)
             if stream is None and name == "syn1":
                 continue
             if not (isinstance(stream, dict)
                     and isinstance(stream.get("speedup"), float)
-                    and stream["speedup"] > 0.0):
+                    and stream["speedup"] > 0.0
+                    and isinstance(stream.get("readings_per_second"),
+                                   float)):
                 problems.append(f"rows.{name} missing or malformed")
                 continue
-            expect(stream.get("estimates_equal") is True,
-                   f"rows.{name}.estimates_equal must be true — the "
-                   "memoised rows diverged from the python oracle")
+            problems.expect(stream.get("estimates_equal") is True,
+                            f"rows.{name}.estimates_equal must be true: the "
+                            "memoised rows diverged from the python oracle")
             if not smoke:
-                expect(stream["speedup"] >= gate,
-                       f"rows.{name}.speedup {stream['speedup']:.2f}x is "
-                       f"below the {gate}x gate — the row-cached advance "
-                       "regressed")
+                problems.expect(stream["speedup"] >= gate,
+                                f"rows.{name}.speedup "
+                                f"{stream['speedup']:.2f}x is below the "
+                                f"{gate}x gate: the row-cached advance "
+                                "regressed")
 
-    shard = payload.get("shard")
-    if not (isinstance(shard, dict)
-            and isinstance(shard.get("shards"), int)
-            and shard["shards"] >= 2
-            and isinstance(shard.get("readings"), int)
-            and shard["readings"] > 0):
-        problems.append("shard block missing or malformed")
-    else:
-        expect(shard.get("merged_identical") is True,
-               "shard.merged_identical must be true — the sharded "
-               "fleet's merged output diverged from a single engine")
-    return problems
+    shard = problems.block(record, "shard", ("spawn_seconds",
+                                             "pool_per_reading_ms",
+                                             "single_per_reading_ms"))
+    if shard is not None:
+        problems.expect(isinstance(shard.get("shards"), int)
+                        and shard["shards"] >= 2
+                        and isinstance(shard.get("readings"), int)
+                        and shard["readings"] > 0,
+                        "shard block must record shards (>= 2) and "
+                        "readings")
+        problems.expect(shard.get("merged_identical") is True,
+                        "shard.merged_identical must be true: the sharded "
+                        "fleet's merged output diverged from a single "
+                        "engine")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--duration", type=int, default=DURATION)
-    parser.add_argument("--window", type=int, default=WINDOW)
-    parser.add_argument("--out", default="BENCH_streaming.json")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized streams (2k synthetic steps, 3 SYN1 "
-                             "objects; same gates minus the row speedups — "
-                             "the bounds and parity are size-independent, "
-                             "the speedups are not)")
-    parser.add_argument("--check", metavar="FILE",
-                        help="validate an existing result file and exit")
-    args = parser.parse_args(argv)
-
-    if args.check:
-        with open(args.check) as handle:
-            payload = json.load(handle)
-        problems = validate_payload(payload)
-        for problem in problems:
-            print(f"SCHEMA: {problem}", file=sys.stderr)
-        if not problems:
-            memory = payload["memory"]
-            print(f"{args.check}: well-formed "
-                  f"({payload['workload']['duration']} steps, retained "
-                  f"<= {memory['retained_levels_max']} levels, frontier "
-                  f"<= {memory['frontier_states_max']} states, "
-                  f"parity ok, {rows_note(payload['rows'])}, "
-                  "shards merged ok)")
-        return 1 if problems else 0
-
-    if args.smoke:
-        args.duration = min(args.duration, SMOKE_DURATION)
-
-    payload = run(args.duration, args.window, args.smoke)
-    problems = validate_payload(payload)
-    if problems:
-        for problem in problems:
-            print(f"SELF-CHECK: {problem}", file=sys.stderr)
-        return 1
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    workload, memory = payload["workload"], payload["memory"]
-    throughput = payload["throughput"]
-    shard = payload["shard"]
-    print(f"workload: {workload['duration']} steps x "
-          f"{workload['locations']} locations, window "
-          f"{workload['window']}")
-    print(f"memory: retained <= {memory['retained_levels_max']} levels "
-          f"(window {workload['window']}), frontier <= "
-          f"{memory['frontier_states_max']} states (gate "
-          f"{memory['frontier_states_gate']}), checkpoint "
-          f"{memory['checkpoint_bytes']} B")
-    print(f"parity: filtered bit-equal over {workload['parity_prefix']} "
-          f"steps, resume + finalize bit-equal from step "
-          f"{workload['resume_at']}")
-    print(f"throughput (python): "
-          f"{throughput['readings_per_second']:,.0f} readings/s "
-          f"({throughput['ingest_seconds']:.1f} s ingest)")
-    print(f"rows (auto): {rows_note(payload['rows'])}, estimates equal "
-          "to python at every step")
-    print(f"shards: {shard['shards']} workers x {shard['objects']} "
-          f"objects over {shard['readings']} readings, merged output "
-          f"{'identical' if shard['merged_identical'] else 'DIVERGED'}; "
-          f"spawn {shard['spawn_seconds']:.2f} s, "
-          f"{shard['pool_per_reading_ms']:.3f} ms a reading pooled vs "
-          f"{shard['single_per_reading_ms']:.3f} ms single")
-    print(f"wrote {args.out}")
-    return 0
+def summary(record):
+    workload, memory = record["workload"], record["memory"]
+    shard = record["shard"]
+    return (f"{workload['duration']} steps, window {workload['window']}: "
+            f"retained <= {memory['retained_levels_max']} levels, frontier "
+            f"<= {memory['frontier_states_max']} states (gate "
+            f"{memory['frontier_states_gate']}), checkpoint "
+            f"{memory['checkpoint_bytes']} B; parity ok; "
+            f"python {record['throughput']['readings_per_second']:,.0f} "
+            f"readings/s, {rows_note(record['rows'])}, estimates equal; "
+            f"{shard['shards']} shards merged identically, spawn "
+            f"{shard['spawn_seconds']:.2f} s, "
+            f"{shard['pool_per_reading_ms']:.3f} ms a reading "
+            f"pooled vs {shard['single_per_reading_ms']:.3f} ms "
+            "single")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main("streaming", SCHEMA_VERSION, run, validate,
+                          summary, harness.parser(__doc__)))

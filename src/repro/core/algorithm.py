@@ -238,8 +238,8 @@ class CleaningStats:
     #: weights, per-node masses, rescaled survivals — everything before
     #: materialisation starts).  Filled by the compact engine only, for
     #: both backends: this is the slice the optional numpy kernels
-    #: replace, so ``benchmarks/bench_engine``'s ``kernel_speedup`` is
-    #: the ratio of these.  ``backward_seconds`` still covers sweep plus
+    #: replace, so ``benchmarks/bench_kernels``' sweep speedup is the
+    #: ratio of these.  ``backward_seconds`` still covers sweep plus
     #: materialisation.
     sweep_seconds: float = field(default=0.0, compare=False)
 

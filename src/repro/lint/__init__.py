@@ -10,9 +10,8 @@ picklability, bit-exact determinism, ``python -O`` survival, CSR index
 discipline.  ``docs/lint.md`` is the rule catalog.
 
 Entry points: ``python -m repro.lint``, ``rfid-ctg lint`` and ``make
-lint``; ``tools/check_invariants.py`` remains as a deprecated shim over
-the L001-L003 subset.  A trailing ``# lint-ok: <CODE>`` comment (or the
-historical ``# invariant-ok: INVxxx``) suppresses a finding on its line.
+lint``.  A trailing ``# lint-ok: <CODE>`` comment suppresses a finding on
+its line.
 """
 
 from repro.lint.engine import (
@@ -22,18 +21,10 @@ from repro.lint.engine import (
     python_files,
     render_json,
 )
-from repro.lint.findings import (
-    LEGACY_CODES,
-    LEGACY_SUPPRESSION_MARK,
-    SUPPRESSION_MARK,
-    LintFinding,
-    suppressed_lines,
-)
+from repro.lint.findings import SUPPRESSION_MARK, LintFinding, suppressed_lines
 from repro.lint.registry import LintRule, all_rules, register, rule_codes
 
 __all__ = [
-    "LEGACY_CODES",
-    "LEGACY_SUPPRESSION_MARK",
     "LintFinding",
     "LintRule",
     "SUPPRESSION_MARK",

@@ -2,8 +2,7 @@
 
 Stdlib only — this is the lint gate that runs even where ruff/mypy are
 not installed.  Exit code 0 when clean, 1 when any finding is reported,
-2 on usage or parse errors (same contract as the historical
-``tools/check_invariants.py``, which now shims onto this module).
+2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import FrozenSet, Iterator, List, Optional, Sequence
 
-from repro.lint.findings import LEGACY_CODES, LintFinding, suppressed_lines
+from repro.lint.findings import LintFinding, suppressed_lines
 from repro.lint.registry import all_rules, rule_codes
 import repro.lint.rules  # noqa: F401  (importing registers the L-rules)
 
@@ -74,10 +73,7 @@ def render_json(checked: int, findings: Sequence[LintFinding]) -> str:
 def _parse_select(raw: Optional[str]) -> Optional[FrozenSet[str]]:
     if raw is None:
         return None
-    codes = set()
-    for token in raw.replace(",", " ").split():
-        code = token.strip().upper()
-        codes.add(LEGACY_CODES.get(code, code))
+    codes = {token.strip().upper() for token in raw.replace(",", " ").split()}
     unknown = codes - set(rule_codes())
     if unknown:
         raise ValueError(
@@ -98,7 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default="text", help="report format")
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run "
-                             "(default: all; INV001-3 accepted as aliases)")
+                             "(default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
     args = parser.parse_args(argv)

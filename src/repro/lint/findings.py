@@ -5,8 +5,6 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Set, Tuple
 
 __all__ = [
-    "LEGACY_CODES",
-    "LEGACY_SUPPRESSION_MARK",
     "LintFinding",
     "SUPPRESSION_MARK",
     "suppressed_lines",
@@ -15,18 +13,6 @@ __all__ = [
 #: A trailing ``# lint-ok: <CODE>[, <CODE>...]`` comment silences those
 #: findings on its line (used sparingly, and visible in review).
 SUPPRESSION_MARK = "# lint-ok:"
-
-#: The historical ``tools/check_invariants.py`` mark, still honoured so
-#: existing suppressions keep working under the promoted linter.
-LEGACY_SUPPRESSION_MARK = "# invariant-ok:"
-
-#: Historical INV rule codes mapped to their promoted L codes.  Both the
-#: suppression parser and the ``--select`` option accept either spelling.
-LEGACY_CODES: Dict[str, str] = {
-    "INV001": "L001",
-    "INV002": "L002",
-    "INV003": "L003",
-}
 
 
 class LintFinding(NamedTuple):
@@ -48,16 +34,13 @@ class LintFinding(NamedTuple):
 def suppressed_lines(source: str) -> Set[Tuple[int, str]]:
     """The ``(line, code)`` pairs silenced by suppression comments.
 
-    Codes are comma- or space-separated, case-insensitive, and legacy INV
-    codes are normalised to their L equivalents.
+    Codes are comma- or space-separated and case-insensitive.
     """
     suppressed: Set[Tuple[int, str]] = set()
     for lineno, line in enumerate(source.splitlines(), start=1):
-        for mark in (SUPPRESSION_MARK, LEGACY_SUPPRESSION_MARK):
-            at = line.find(mark)
-            if at < 0:
-                continue
-            for raw in line[at + len(mark):].replace(",", " ").split():
-                code = raw.strip().upper()
-                suppressed.add((lineno, LEGACY_CODES.get(code, code)))
+        at = line.find(SUPPRESSION_MARK)
+        if at < 0:
+            continue
+        for raw in line[at + len(SUPPRESSION_MARK):].replace(",", " ").split():
+            suppressed.add((lineno, raw.strip().upper()))
     return suppressed

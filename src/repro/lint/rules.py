@@ -1,7 +1,8 @@
 """The built-in engine-invariant rules, L001-L010.
 
-L001-L003 are the three historical ``tools/check_invariants.py`` rules
-(INV001-INV003), promoted unchanged.  L004-L010 machine-check invariants
+L001-L003 are general hygiene rules: no ``==``/``!=`` against fractional
+float literals, no bare ``except:``, no ``object.__setattr__`` outside
+``__post_init__``.  L004-L010 machine-check invariants
 specific to the cleaning engines that ruff/mypy cannot express: interning
 immutability, worker-boundary picklability, bit-exact determinism,
 ``python -O`` survival, CSR index discipline, aliased mutable

@@ -12,10 +12,9 @@ failure shapes no ``try``/``except`` inside a worker can catch:
   plain ``time.sleep`` ahead of an otherwise ordinary object.
 
 Both classes live here — in an importable module rather than a test file —
-so their instances unpickle inside ``spawn``-started workers too, and so
-``benchmarks/bench_parallel.py --inject-crash/--inject-timeout`` and the
-fault-injection tests share one definition.  They are duck-typed
-l-sequences (``duration`` / ``candidates`` / ``support`` /
+so their instances unpickle inside ``spawn``-started workers too
+(``tests/test_runtime_faults.py`` sends them through the pool).  They are
+duck-typed l-sequences (``duration`` / ``candidates`` / ``support`` /
 ``probability``), the same surface :func:`repro.core.algorithm.build_ct_graph`
 consumes.
 

@@ -1,5 +1,5 @@
-"""Smoke test for benchmarks/bench_streaming.py: the bench must run on
-a tiny stream, pass its own memory-bound, bit-equality, row-parity and
+"""Smoke test for benchmarks/bench_streaming.py: the bench must run its
+CI-sized stream, pass its own memory-bound, bit-equality, row-parity and
 shard-identity gates, and emit a well-formed BENCH_streaming.json (the
 gates are correctness claims, so unlike the perf numbers they are
 asserted even at smoke size; only the row *speedup* gates are
@@ -34,20 +34,21 @@ def _check(path, env=None):
 def test_smoke_emits_well_formed_json(tmp_path):
     out = tmp_path / "BENCH_streaming.json"
     run = subprocess.run(
-        [sys.executable, str(BENCH), "--duration", "300",
-         "--window", "16", "--smoke", "--out", str(out)],
+        [sys.executable, str(BENCH), "--smoke", "--out", str(out)],
         capture_output=True, text=True, env=_bench_env(), timeout=300)
     assert run.returncode == 0, run.stderr
 
     payload = json.loads(out.read_text())
     assert payload["benchmark"] == "bench_streaming"
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["smoke"] is True
+    assert set(payload["host"]) == {"cpu_count", "cpu_model", "python",
+                                    "platform"}
     workload = payload["workload"]
-    assert workload["duration"] == 300
-    assert workload["window"] == 16
+    assert workload["duration"] == 2000
+    assert workload["window"] == 64
     memory = payload["memory"]
-    assert 0 < memory["retained_levels_max"] <= 16
+    assert 0 < memory["retained_levels_max"] <= 64
     assert 0 < memory["frontier_states_max"] <= memory["frontier_states_gate"]
     assert memory["checkpoint_bytes"] > 0
     parity = payload["parity"]
@@ -69,7 +70,7 @@ def test_smoke_emits_well_formed_json(tmp_path):
     for name in streams:
         assert rows[name]["estimates_equal"] is True
         assert rows[name]["speedup"] > 0.0
-    assert rows["synthetic"]["readings"] == 300
+    assert rows["synthetic"]["readings"] == 2000
 
     shard = payload["shard"]
     assert shard["shards"] == 2
@@ -88,8 +89,7 @@ def test_rows_run_with_numpy_disabled(tmp_path):
     out = tmp_path / "BENCH_nonp.json"
     env = _bench_env(REPRO_NO_NUMPY="1")
     run = subprocess.run(
-        [sys.executable, str(BENCH), "--duration", "120",
-         "--window", "8", "--smoke", "--out", str(out)],
+        [sys.executable, str(BENCH), "--smoke", "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     payload = json.loads(out.read_text())
@@ -106,9 +106,11 @@ def _rows_stream(speedup):
             "estimates_equal": True, "cached_rows": 28}
 
 
-def _valid_v3_payload():
+def _valid_payload():
     return {
-        "benchmark": "bench_streaming", "schema_version": 3,
+        "benchmark": "bench_streaming", "schema_version": 4,
+        "host": {"cpu_count": None, "cpu_model": None, "python": "3.12.0",
+                 "platform": None},
         "smoke": True,
         "workload": {"duration": 300, "window": 16},
         "memory": {"retained_levels_max": 16, "frontier_states_max": 5,
@@ -130,7 +132,7 @@ def _valid_v3_payload():
 
 def test_check_rejects_divergence(tmp_path):
     bad = tmp_path / "bad.json"
-    payload = _valid_v3_payload()
+    payload = _valid_payload()
     payload["memory"]["retained_levels_max"] = 17
     payload["parity"]["resume_bit_equal"] = False
     payload["rows"]["syn1"]["estimates_equal"] = False
@@ -145,7 +147,7 @@ def test_check_rejects_divergence(tmp_path):
 
 
 def test_check_gates_speedup_on_full_runs_only(tmp_path):
-    slow = _valid_v3_payload()
+    slow = _valid_payload()
     slow["rows"]["synthetic"]["speedup"] = 3.0
     slow["rows"]["syn1"]["speedup"] = 1.1
     path = tmp_path / "slow_smoke.json"
@@ -163,7 +165,7 @@ def test_check_gates_speedup_on_full_runs_only(tmp_path):
 
 
 def test_check_needs_the_syn1_stream_on_full_runs(tmp_path):
-    partial = _valid_v3_payload()
+    partial = _valid_payload()
     partial["rows"]["syn1"] = None
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(partial))

@@ -5,10 +5,14 @@ builder, on randomly generated instances.
 enumeration; this suite pins :mod:`repro.core.engine` to the reference
 builder — not approximately, *bitwise*: the flat (pickle) forms of the
 two graphs must be equal (every path, every float), the construction
-counters must agree, and zero-mass inputs must fail identically.  Random
-map plans (``random_building`` + ``infer_constraints``) cover inferred
-constraint sets beyond the hand-written strategies.
+counters must agree, and zero-mass inputs must fail identically.  The
+compact engine's straight-to-flat build must equal the reference graph's
+``to_flat()``, counters included.  Random map plans (``random_building``
++ ``infer_constraints``) cover inferred constraint sets beyond the
+hand-written strategies.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,12 +101,13 @@ def _assert_engines_agree(lsequence, constraints, strict, *, plan=None):
                                         engine="reference")
     options_compact = CleaningOptions("strict" if strict else "lenient",
                                       engine="compact")
+    options_flat = replace(options_compact, materialize="flat")
     try:
         reference = build_ct_graph(lsequence, constraints, options_reference)
     except InconsistentReadingsError as error:
-        with pytest.raises(type(error)):
-            build_ct_graph(lsequence, constraints, options_compact,
-                           plan=plan)
+        for options in (options_compact, options_flat):
+            with pytest.raises(type(error)):
+                build_ct_graph(lsequence, constraints, options, plan=plan)
         return
     compact = build_ct_graph(lsequence, constraints, options_compact,
                              plan=plan)
@@ -110,6 +115,11 @@ def _assert_engines_agree(lsequence, constraints, strict, *, plan=None):
         "compact engine diverged from the reference builder"
     assert reference.stats == compact.stats, \
         "construction counters diverged"
+    flat = build_ct_graph(lsequence, constraints, options_flat, plan=plan)
+    assert flat == reference.to_flat(), \
+        "compact flat build diverged from the reference graph's to_flat()"
+    assert flat.stats == reference.stats, \
+        "flat build's construction counters diverged"
 
 
 @settings(max_examples=250, deadline=None)

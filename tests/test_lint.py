@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    LEGACY_CODES,
     LintFinding,
     LintRule,
     all_rules,
@@ -187,9 +186,6 @@ class TestSuppression:
     def test_lint_ok_comment_suppresses(self):
         assert lint_source("ok = p == 0.5  # lint-ok: L001\n") == []
 
-    def test_legacy_invariant_ok_comment_suppresses(self):
-        assert lint_source("ok = p == 0.5  # invariant-ok: INV001\n") == []
-
     def test_suppression_is_code_specific(self):
         (finding,) = lint_source("ok = p == 0.5  # lint-ok: L002\n")
         assert finding.code == "L001"
@@ -198,11 +194,9 @@ class TestSuppression:
         source = "assert p == 0.5  # lint-ok: L001, L007\n"
         assert lint_source(source) == []
 
-    def test_legacy_codes_normalised(self):
-        assert suppressed_lines("x = 1  # invariant-ok: inv003\n") == {
-            (1, "L003")}
-        assert LEGACY_CODES == {"INV001": "L001", "INV002": "L002",
-                                "INV003": "L003"}
+    def test_codes_normalised(self):
+        assert suppressed_lines("x = 1  # lint-ok: l003 L001\n") == {
+            (1, "L003"), (1, "L001")}
 
 
 class TestSelect:
@@ -244,12 +238,6 @@ class TestMain:
         assert main([str(tmp_path), "--select", "L999"]) == 2
         assert "unknown lint rule" in capsys.readouterr().err
 
-    def test_legacy_select_aliases_accepted(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text("flag = p == 0.5\nassert flag\n")
-        assert main([str(tmp_path), "--select", "INV001"]) == 1
-        out = capsys.readouterr().out
-        assert "L001" in out and "L007" not in out
-
     def test_json_format(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("flag = p == 0.5\n")
         assert main([str(tmp_path), "--format", "json"]) == 1
@@ -266,7 +254,7 @@ class TestMain:
             assert code in out
 
     def test_repo_sources_are_clean(self, capsys):
-        assert main([str(REPO_ROOT / "src"), str(REPO_ROOT / "tools")]) == 0
+        assert main([str(REPO_ROOT / "src")]) == 0
 
     def test_fixture_directory_fails_the_gate(self, capsys):
         # The self-test CI job relies on the fixtures being red.

@@ -3,8 +3,9 @@
 The paper reports ~25 MB per 120-minute trajectory with DU+LT+TT versus
 ~640 kB with DU only — a factor of roughly 40.  The absolute bytes depend
 on the representation (theirs vs CPython objects), but the shape — TT
-constraints inflating the graph by orders of magnitude via the ``TL``
-state — must reproduce.
+constraints inflating the graph via the ``TL`` state — must reproduce.
+With dead ``TL`` entries pruned (DESIGN.md §3 item 9) the factor here is
+a few-fold, not the paper's 40 (EXPERIMENTS.md, Section 6.7).
 """
 
 from __future__ import annotations

@@ -289,7 +289,8 @@ class ConstraintEnvelope:
             lo, hi = 1, 0
         deps: Dict[str, _Dep] = {}
         for source, dep in cell.deps.items():
-            aged = self._aged(dep, source, arrival, departure_filter)
+            aged = self._aged(dep, source, location, arrival,
+                              departure_filter)
             if aged is not None:
                 deps[source] = aged
         return _Cell(stay_none, lo, hi, deps)
@@ -326,7 +327,8 @@ class ConstraintEnvelope:
             if source == destination:
                 # Rule 6 drops every entry about the arrival location.
                 continue
-            aged = self._aged(dep, source, arrival, departure_filter)
+            aged = self._aged(dep, source, location, arrival,
+                              departure_filter)
             if aged is None:
                 continue
             steps = constraints.traveling_time(source, destination)
@@ -344,7 +346,7 @@ class ConstraintEnvelope:
         # recorded iff the deterministic keep test holds.
         if location in constraints.tt_sources:
             if departure_filter is not None:
-                kept = arrival <= departure_filter.alive_until(tau, location)
+                kept = departure_filter.keep(tau, location, tau, location)
             else:
                 kept = arrival - tau < constraints.max_traveling_time(location)
             if kept:
@@ -354,11 +356,11 @@ class ConstraintEnvelope:
             return _Cell(True, 1, 0, deps)
         return _Cell(False, stay, stay, deps)
 
-    def _aged(self, dep: _Dep, source: str, arrival: int,
+    def _aged(self, dep: _Dep, source: str, location: str, arrival: int,
               departure_filter: Optional[DepartureFilter]) -> Optional[_Dep]:
-        """Age one entry to node time ``arrival`` (the expiry half of rule
-        2/3/6), evaluating each drop test at the endpoint that makes it
-        conservative."""
+        """Age one entry as a node at ``location`` hands it to node time
+        ``arrival`` (the expiry half of rule 2/3/6), evaluating each drop
+        test at the endpoint that makes it conservative."""
         constraints = self._constraints
         keep_from = arrival - constraints.max_traveling_time(source) + 1
         absent = dep.absent
@@ -369,10 +371,10 @@ class ConstraintEnvelope:
             absent = True
             lo = keep_from
         if (departure_filter is not None and not absent
-                and arrival > departure_filter.alive_until(lo, source)):
-            # ``alive_until`` is monotone nondecreasing in the departure
-            # time, so the earliest entry is the first the exact filter
-            # drops.
+                and not departure_filter.keep(arrival - 1, location, lo,
+                                              source)):
+            # An older entry has a narrower window, so the earliest entry
+            # is the first the exact filter drops.
             absent = True
         if lo > hi:
             # No covered departure time survives: definitely absent.

@@ -294,18 +294,16 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
     sources = {state: lsequence.probability(0, location)
                for location, state
                in source_states(lsequence.support(0), constraints).items()}
-    departure_filter = (DepartureFilter(lsequence, constraints)
-                        if constraints.tt_sources else None)
     rows = [lsequence.candidates(tau) for tau in range(lsequence.duration)]
     return _condition_levels(sources, rows, constraints, options,
-                             departure_filter=departure_filter)
+                             lsequence=lsequence)
 
 
 def _condition_levels(sources: Mapping[NodeState, float],
                       rows: Sequence[Mapping[str, float]],
                       constraints: ConstraintSet, options: CleaningOptions,
                       *, offset: int = 0,
-                      departure_filter: Optional[DepartureFilter] = None
+                      lsequence: Optional[LSequence] = None
                       ) -> Union[CTGraph, FlatCTGraph]:
     """The reference builder: Algorithm 1 from given level-0 node states.
 
@@ -314,13 +312,17 @@ def _condition_levels(sources: Mapping[NodeState, float],
     the sources came from).  The levels are absolute timesteps
     ``offset .. offset + len(rows) - 1``, relabelled from 0 in the
     returned graph, with ``TL`` departure times rebased by ``-offset``.
-    :func:`build_ct_graph` passes the timestep-0 source states and its
+    :func:`build_ct_graph` passes the timestep-0 source states and the
+    whole ``lsequence``, whose supports drive the
     :class:`~repro.core.nodes.DepartureFilter`; a streaming window passes
-    its entry frontier at ``offset = base``, and no filter — the filter
-    needs the future support.
+    its entry frontier at ``offset = base``, and no l-sequence — the
+    filter needs the future support.
     """
     stats = CleaningStats()
     forward_started = time.perf_counter()
+    departure_filter = (DepartureFilter(lsequence, constraints)
+                        if lsequence is not None and constraints.tt_sources
+                        else None)
     duration = len(rows)
     last = duration - 1
 

@@ -20,6 +20,7 @@ can no longer invalidate anything).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Dict,
     FrozenSet,
@@ -217,6 +218,13 @@ class ConstraintSet:
     def tt_sources(self) -> FrozenSet[str]:
         """Locations appearing as the source of at least one TT constraint."""
         return self._tt_sources
+
+    @cached_property
+    def sorted_statements(self) -> Tuple[str, ...]:
+        """Every statement as text, sorted, repeats kept: the constraints
+        part of a store key (:func:`repro.store.content_key`).  Computed
+        once, since the set is immutable."""
+        return tuple(sorted(str(constraint) for constraint in self._items))
 
     @property
     def unreachable_pairs(self) -> FrozenSet[Tuple[str, str]]:

@@ -18,12 +18,13 @@ single bit of the output:
   express directly, so the full successor row of a state under an ordered
   candidate support is a pure function of ``(state, support)`` — except
   where the :class:`~repro.core.nodes.DepartureFilter` prunes ``TL``
-  entries by *absolute* support windows.  Those per-entry keep decisions
-  are folded into a bitmask (:func:`repro.core.nodes.departure_keep_mask`)
-  that widens the cache key: rows are keyed ``(state, support, mask)`` and
-  stay exact — the engine never approximates, it only caches more finely
-  where the filter makes transitions time-dependent.  The cache lives in
-  an :class:`EngineCache`, which a
+  entries by what a walk from the node's *timestep* can still reach.
+  Those per-entry keep decisions are folded into a bitmask
+  (:func:`_keep_masks`) that widens the cache key: rows are keyed
+  ``(state, support, mask)`` and stay exact — the engine never
+  approximates, it only caches more finely where the filter makes
+  transitions time-dependent.  The cache lives in an
+  :class:`EngineCache`, which a
   :class:`~repro.runtime.plan.SharedCleaningPlan` carries across the
   objects of a batch (rows depend on the constraint set, not the object).
 
@@ -62,6 +63,7 @@ from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import LSequence
 from repro.core.nodes import (
+    DepartureFilter,
     NodeState,
     _advance_stay,
     initial_stay,
@@ -440,6 +442,39 @@ class CompactFrontier:
         return raw
 
 
+def _keep_masks(frontier: Tuple[int, ...], states: List[RelState],
+                windows: Mapping[int, Tuple[int, ...]],
+                ahead: Mapping[int, int]) -> List[int]:
+    """The rule-3/6 ``TL`` keep bits of each frontier state at one level.
+
+    Bit ``k`` is set when the state hands its ``k``-th entry on to its
+    children, and the bit past the last entry when a move out of the
+    state's location records the implicit departure: the
+    :class:`~repro.core.nodes.DepartureFilter` test, read by location
+    id — ``windows`` per TT source and ``ahead`` the level's reach.  The
+    level enters through ``ahead`` alone; the masks join the row keys,
+    so memoised rows stay exact.
+    """
+    masks: List[int] = []
+    append = masks.append
+    for sid in frontier:
+        lid, _stay, rel_deps = states[sid]
+        reach = ahead[lid]
+        mask = 0
+        if reach:
+            bit = 1
+            for age, dlid in rel_deps:
+                window = windows[dlid]
+                if age < len(window) and reach & window[age]:
+                    mask |= bit
+                bit <<= 1
+            window = windows.get(lid)
+            if window and reach & window[0]:
+                mask |= bit
+        append(mask)
+    return masks
+
+
 def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                            options: CleaningOptions = CleaningOptions(), *,
                            plan=None) -> CTGraph:
@@ -496,53 +531,16 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
     # ------------------------------------------------------------------
     # forward phase: columnar levels, memoised successor rows
     # ------------------------------------------------------------------
-    # The DepartureFilter keep test ``arrival <= alive_until(t, l)`` is
-    # re-derived here as pure integer compares: the maxTravelingTime
-    # horizon becomes ``age <= maxtt(l) - 2`` (tau cancels), and the
-    # binding part becomes "some destination of ``l`` has prior support
-    # inside the constraint window", answered by per-destination
-    # next-support-at-or-after arrays.  ``alive_until`` caches by the
-    # *absolute* departure timestep, which never repeats across levels,
-    # so calling it from the hot loop would recompute every level.
-    tt_sources = constraints.tt_sources
-    use_filter = bool(tt_sources)
-    tt_source_ids = frozenset(location_id(name) for name in tt_sources)
-    horizon_age: Dict[int, int] = {}
-    bindings: Dict[int, Tuple[Tuple[List[int], int], ...]] = {}
-    if use_filter:
-        support_times: Dict[str, List[int]] = {}
-        for t in range(duration):
-            for name in lsequence.candidates(t):
-                support_times.setdefault(name, []).append(t)
-        by_source: Dict[str, List[Tuple[str, int]]] = {}
-        for (source, dest), steps in \
-                constraints.traveling_time_bounds.items():
-            by_source.setdefault(source, []).append((dest, steps))
-        # Sentinel for "no support left": must exceed every binding
-        # window ``departed_at + steps - 1`` (bounded by duration plus
-        # the largest TT bound), or an empty lookup would pass the test.
-        never = duration + max(
-            constraints.traveling_time_bounds.values(), default=0) + 2
-        for name in tt_sources:
-            lid = location_id(name)
-            horizon_age[lid] = constraints.max_traveling_time(name) - 2
-            pairs: List[Tuple[List[int], int]] = []
-            for dest, steps in by_source.get(name, ()):
-                times = support_times.get(dest)
-                if not times:
-                    continue
-                # next_support[t] = the earliest timestep >= t where
-                # ``dest`` has prior support (``never`` when none left).
-                next_support = [0] * (duration + 2)
-                current = never
-                j = len(times) - 1
-                for t in range(duration + 1, -1, -1):
-                    while j >= 0 and times[j] >= t:
-                        current = times[j]
-                        j -= 1
-                    next_support[t] = current
-                pairs.append((next_support, steps))
-            bindings[lid] = tuple(pairs)
+    # The DepartureFilter decides which ``TL`` entries a frontier state
+    # hands on; its per-level reach and per-(source, age) windows are
+    # read by location id, so each keep decision is one ``&``.
+    departure_filter = (DepartureFilter(lsequence, constraints)
+                        if constraints.tt_sources else None)
+    windows: Dict[int, Tuple[int, ...]] = {}
+    if departure_filter is not None:
+        windows = {location_id(name): departure_filter.windows(name)
+                   for name in constraints.tt_sources}
+    location_ids = cache._location_ids
     level_sids: List[Tuple[int, ...]] = [tuple(source_sids)]
     # The run's edges live in two flat arrays shared by every level; level
     # ``tau`` owns the slice described by its (absolute) CSR offsets —
@@ -593,33 +591,10 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
         # the per-node masks join the key (they capture all of the
         # filter's time-dependence); the strict last level bypasses the
         # memo (its rows are post-filtered).
-        if use_filter:
-            # Entry (age, l) survives to arrival tau + 1 iff the horizon
-            # holds (age <= maxtt(l) - 2) and some destination of ``l``
-            # has support in [tau + 2, departed_at + steps - 1] — the
-            # exact ``arrival <= alive_until`` test, tau folded away.
-            next_index = tau + 2
-            window_base = tau - 1
-            masks: List[int] = []
-            append_mask = masks.append
-            for sid in frontier:
-                lid, _stay, rel_deps = states[sid]
-                mask = 0
-                bit = 1
-                for age, dlid in rel_deps:
-                    if age <= horizon_age[dlid]:
-                        cutoff = window_base - age
-                        for next_support, steps in bindings[dlid]:
-                            if next_support[next_index] <= cutoff + steps:
-                                mask |= bit
-                                break
-                    bit <<= 1
-                if lid in tt_source_ids and horizon_age[lid] >= 0:
-                    for next_support, steps in bindings[lid]:
-                        if next_support[next_index] <= window_base + steps:
-                            mask |= bit
-                            break
-                append_mask(mask)
+        if departure_filter is not None:
+            masks = _keep_masks(frontier, states, windows, {
+                location_ids[name]: bits
+                for name, bits in departure_filter.ahead(tau).items()})
             level_key = (frontier, support_id, tuple(masks))
         else:
             masks = []

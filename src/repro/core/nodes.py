@@ -14,7 +14,9 @@ A location node carries ``(tau, location, stay, departures)``:
   pairs recording, for each location that (a) the object left in the recent
   past and (b) sources at least one TT constraint, the last timestep spent
   there.  Entries expire as soon as ``now - time >= maxTravelingTime(loc)``
-  and only the latest departure per location is kept (an older departure is
+  — with a :class:`DepartureFilter`, as soon as no walk through the
+  l-sequence's supports can still reach a destination they bind — and only
+  the latest departure per location is kept (an older departure is
   strictly weaker), so states stay canonical and finite.
 
 Given the node state, validity of any *future* is independent of how the
@@ -33,8 +35,9 @@ Two interpretation choices (see DESIGN.md §3) are encoded here:
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.constraints import ConstraintSet
 
@@ -47,7 +50,6 @@ __all__ = [
     "source_states",
     "relative_departures",
     "absolute_departures",
-    "departure_keep_mask",
     "state_location",
     "state_stay",
     "state_departures",
@@ -93,78 +95,113 @@ def state_departures(state: NodeState) -> Departures:
 class DepartureFilter:
     """Exact, l-sequence-aware pruning of ``TL`` entries.
 
-    A departure entry ``(t, l)`` can only ever invalidate an *arrival* at
-    some TT destination ``d`` of ``l`` at a timestep ``ta`` with
-    ``ta - t < v`` — and an arrival at ``d`` at ``ta`` can only happen if
-    ``d`` is in the l-sequence's support at ``ta``.  Given the l-sequence,
-    an entry whose every destination is absent from every support in its
-    remaining binding window is dead weight: dropping it merges node states
-    without changing the set of valid trajectories or their probabilities
-    (the property tests against the naive enumerator cover this).
+    Rule 5 is the only reader of ``TL``: an entry ``(t, l)`` can only
+    forbid an arrival at a TT destination ``d`` of ``l``
+    (``travelingTime(l, d, v)``) at a timestep ``T`` with ``T - t < v``.
+    A node at timestep ``tau`` and location ``x`` hands its entries to
+    children at ``tau + 1``, whose own moves arrive at ``T >= tau + 2``,
+    and every valid continuation of the node is a walk from ``x`` through
+    the l-sequence's supports whose moves ``unreachable`` allows (LT and
+    TT only remove walks).  So the node passes ``(t, l)`` on iff such a
+    walk — staying is always a legal step — is at some destination ``d``
+    at some ``T`` with ``tau + 2 <= T <= t + v - 1``, and a move out of
+    ``x`` records its implicit departure ``(tau, x)`` under the same
+    test.  No valid continuation can consult a dropped entry, so dropping
+    it merges node states without changing the valid trajectories or
+    their probabilities (the brute-force tests against
+    :mod:`repro.core.naive` cover this).  The window implies the paper's
+    ``maxTravelingTime`` horizon, the only expiry its printed rule 6 has.
 
-    This pruning is what keeps the ``TL`` state space tractable on long
-    ambiguous stretches; it is an optimisation over the paper's printed
-    rule 6, which only expires entries by the global ``maxTravelingTime``
-    horizon.
+    The walks are bitsets.  Bit ``r * D + i`` of ``ahead(tau)[x]`` says a
+    walk from ``x`` at ``tau`` can be at the ``i``-th of the ``D`` TT
+    destinations at ``T = tau + 1 + r``.  One backward pass over the
+    supports builds them, one ``|`` per DU-legal support pair, and keeps
+    only the rows a window can read (``r <= maxV - 2``), so an int holds
+    at most ``(maxV - 1) * D`` bits whatever the duration.  Rows count
+    from the node, so the bits an entry of age ``tau - t`` can still bind
+    depend on its location and age alone (:meth:`windows`), and the test
+    is one ``&``.
     """
 
     def __init__(self, lsequence, constraints: ConstraintSet) -> None:
-        self._constraints = constraints
-        # Per destination location: the sorted timesteps where it has
-        # positive prior support.
-        support_times: Dict[str, List[int]] = {}
-        for tau in range(lsequence.duration):
+        self._windows, index, width, limit = _departure_windows(constraints)
+        unreachable = constraints.unreachable_pairs
+        last = lsequence.duration - 1
+        ahead: List[Dict[str, int]] = [{} for _ in range(last + 1)]
+        ahead[last] = dict.fromkeys(lsequence.candidates(last), 0)
+        for tau in range(last - 1, -1, -1):
+            # What one step onto each candidate of tau + 1 brings within
+            # reach, in tau's rows: the candidate itself at row 0, and
+            # its own reach one row further.
+            steps = []
+            for location, bits in ahead[tau + 1].items():
+                bits = (bits << width) & limit
+                if location in index:
+                    bits |= 1 << index[location]
+                if bits:
+                    steps.append((location, bits))
+            level = ahead[tau]
             for location in lsequence.candidates(tau):
-                support_times.setdefault(location, []).append(tau)
-        self._support_times = support_times
-        # Per TT source: its (destination, min steps) constraints.
-        self._destinations: Dict[str, Tuple[Tuple[str, int], ...]] = {}
-        by_source: Dict[str, List[Tuple[str, int]]] = {}
-        for (source, dest), steps in constraints.traveling_time_bounds.items():
-            by_source.setdefault(source, []).append((dest, steps))
-        self._destinations = {s: tuple(pairs) for s, pairs in by_source.items()}
-        self._last_binding: Dict[Tuple[int, str], int] = {}
-        self._alive_until: Dict[Tuple[int, str], int] = {}
+                bits = 0
+                for step, step_bits in steps:
+                    if step == location or \
+                            (location, step) not in unreachable:
+                        bits |= step_bits
+                level[location] = bits
+        self._ahead = ahead
 
-    def last_binding(self, departed_at: int, location: str) -> int:
-        """The last node timestep at which entry ``(departed_at, location)``
-        can still matter (-1 if it never can)."""
-        key = (departed_at, location)
-        cached = self._last_binding.get(key)
-        if cached is not None:
-            return cached
-        best = -1
-        for destination, steps in self._destinations.get(location, ()):
-            times = self._support_times.get(destination)
-            if not times:
-                continue
-            # The latest support time of ``destination`` not beyond the
-            # constraint's binding window [.., departed_at + steps - 1].
-            index = bisect_right(times, departed_at + steps - 1)
-            if index:
-                best = max(best, times[index - 1] - 1)
-        self._last_binding[key] = best
-        return best
+    def ahead(self, tau: int) -> Dict[str, int]:
+        """Per candidate location at ``tau``: the bits of what a DU-legal
+        walk from it can reach (see the class docs).  Do not mutate."""
+        return self._ahead[tau]
 
-    def alive_until(self, departed_at: int, location: str) -> int:
-        """The last node timestep at which the entry must be carried.
+    def windows(self, location: str) -> Tuple[int, ...]:
+        """Per age ``0, 1, ...``: the bits an entry about TT source
+        ``location`` can still bind; ages past the tuple bind nothing."""
+        return self._windows[location]
 
-        Combines the ``maxTravelingTime`` horizon (entry expires once every
-        constraint window closed) with :meth:`last_binding` (no reachable
-        destination left).  Cached — the hot loop pays one dict lookup.
-        """
-        key = (departed_at, location)
-        cached = self._alive_until.get(key)
-        if cached is None:
-            horizon = (departed_at
-                       + self._constraints.max_traveling_time(location) - 1)
-            cached = min(horizon, self.last_binding(departed_at, location))
-            self._alive_until[key] = cached
-        return cached
+    def keep(self, tau: int, location: str, departed_at: int,
+             departed_loc: str) -> bool:
+        """Whether a node at ``(tau, location)`` passes the entry
+        ``(departed_at, departed_loc)`` on to its children."""
+        windows = self._windows[departed_loc]
+        age = tau - departed_at
+        return age < len(windows) and \
+            bool(self._ahead[tau].get(location, 0) & windows[age])
 
-    def keep(self, node_time: int, departed_at: int, location: str) -> bool:
-        """Whether a node at ``node_time`` still needs this entry."""
-        return node_time <= self.alive_until(departed_at, location)
+
+@lru_cache(maxsize=16)
+def _departure_windows(constraints: ConstraintSet,
+                       ) -> Tuple[Mapping[str, Tuple[int, ...]],
+                                  Mapping[str, int], int, int]:
+    """The constraint set's half of a :class:`DepartureFilter`: per TT
+    source its window bits by age, each destination's bit, the row width
+    ``D`` and the mask of the rows a window reads.  Memoised, because a
+    batch cleans every object under one set; read-only, because every
+    caller shares the result."""
+    bounds = constraints.traveling_time_bounds
+    index = {destination: i for i, destination
+             in enumerate(sorted({dest for _src, dest in bounds}))}
+    width = len(index)
+    by_source: Dict[str, List[Tuple[int, int]]] = {}
+    for (source, dest), steps in bounds.items():
+        by_source.setdefault(source, []).append((index[dest], steps))
+    # An entry of age a binds rows 1 .. v - a - 2 of each destination
+    # (tau + 2 <= T <= t + v - 1): one more row per step younger, and
+    # none once a > maxV - 3.
+    windows: Dict[str, Tuple[int, ...]] = {}
+    for source, pairs in by_source.items():
+        bits = 0
+        per_age: List[int] = []
+        for age in range(constraints.max_traveling_time(source) - 3, -1, -1):
+            for i, steps in pairs:
+                row = steps - age - 2
+                if row >= 1:
+                    bits |= 1 << (row * width + i)
+            per_age.append(bits)
+        windows[source] = tuple(reversed(per_age))
+    limit = (1 << ((max(bounds.values(), default=1) - 1) * width)) - 1
+    return MappingProxyType(windows), MappingProxyType(index), width, limit
 
 
 def initial_stay(location: str, constraints: ConstraintSet) -> Optional[int]:
@@ -191,33 +228,24 @@ def _advance_stay(stay: Optional[int], location: str,
     return new_stay
 
 
-def _keep_entry(arrival: int, departed_at: int, location: str,
-                constraints: ConstraintSet,
-                departure_filter: Optional[DepartureFilter]) -> bool:
-    """Whether a ``TL`` entry is still worth carrying at ``arrival``.
-
-    An entry ``(t, l)`` is alive while ``arrival - t < maxTravelingTime(l)``
-    (some TT constraint sourced at ``l`` could still forbid an arrival);
-    with a :class:`DepartureFilter` it must additionally have a reachable
-    destination left in its binding window.
-    """
-    if departure_filter is not None:
-        return departure_filter.keep(arrival, departed_at, location)
-    return arrival - departed_at < constraints.max_traveling_time(location)
-
-
-def _aged_departures(departures: Departures, arrival: int,
+def _aged_departures(departures: Departures, tau: int, location: str,
                      constraints: ConstraintSet,
                      departure_filter: Optional[DepartureFilter],
                      ) -> Departures:
-    """``TL`` after one timestep of ageing; reuses the tuple if unchanged."""
+    """``TL`` of a node at ``(tau, location)`` as its child at ``tau + 1``
+    carries it (rules 3 and 6); reuses the tuple if unchanged.
+
+    Without a :class:`DepartureFilter` an entry ``(t, l)`` lives while
+    ``tau + 1 - t < maxTravelingTime(l)``.
+    """
     if departure_filter is not None:
-        alive_until = departure_filter.alive_until
+        keep = departure_filter.keep
         for t, l in departures:
-            if arrival > alive_until(t, l):
-                return tuple(entry for entry in departures
-                             if arrival <= alive_until(*entry))
+            if not keep(tau, location, t, l):
+                return tuple((t, l) for (t, l) in departures
+                             if keep(tau, location, t, l))
         return departures
+    arrival = tau + 1
     max_tt = constraints.max_traveling_time
     for t, l in departures:
         if arrival - t >= max_tt(l):
@@ -242,8 +270,8 @@ def _unchecked_successor(tau: int, state: NodeState, destination: str,
     if destination == location:
         # Rule 3 — staying: bump the stay counter, age the departures.
         new_stay = _advance_stay(stay, location, constraints)
-        new_departures = _aged_departures(departures, arrival, constraints,
-                                          departure_filter)
+        new_departures = _aged_departures(departures, tau, location,
+                                          constraints, departure_filter)
         return (destination, new_stay, new_departures)
 
     # Rule 4 — leaving is only legal once the latency bound is met.
@@ -271,9 +299,9 @@ def _unchecked_successor(tau: int, state: NodeState, destination: str,
         if location in constraints.tt_sources:
             entries[location] = tau
         if departure_filter is not None:
-            alive_until = departure_filter.alive_until
+            keep = departure_filter.keep
             kept = [(t, l) for l, t in entries.items()
-                    if l != destination and arrival <= alive_until(t, l)]
+                    if l != destination and keep(tau, location, t, l)]
         else:
             max_tt = constraints.max_traveling_time
             kept = [(t, l) for l, t in entries.items()
@@ -324,38 +352,6 @@ def relative_departures(departures: Departures, tau: int) -> RelativeDepartures:
 def absolute_departures(relative: RelativeDepartures, tau: int) -> Departures:
     """The inverse of :func:`relative_departures` at node timestep ``tau``."""
     return tuple((tau - age, location) for age, location in relative)
-
-
-def departure_keep_mask(relative: RelativeDepartures, location: str, tau: int,
-                        constraints: ConstraintSet,
-                        departure_filter: Optional[DepartureFilter]) -> int:
-    """The rule-3/6 ``TL`` keep decisions at ``tau`` as a bitmask.
-
-    Bit ``k`` is set when the ``k``-th entry of ``relative`` survives ageing
-    to ``arrival = tau + 1``; the bit after the last entry describes the
-    *implicit new departure* ``(tau, location)`` and is meaningful only when
-    ``location`` sources a TT constraint.  With a :class:`DepartureFilter`
-    these decisions depend on absolute time (the filter prunes by the
-    l-sequence's remaining support windows), so they cannot be derived from
-    relative ages alone — the compact engine widens its transition-cache
-    keys by this mask, keeping memoisation exact instead of approximating.
-    Without a filter the decisions are pure functions of the ages and the
-    mask is uniformly 0 (no widening needed).
-    """
-    if departure_filter is None:
-        return 0
-    arrival = tau + 1
-    alive_until = departure_filter.alive_until
-    mask = 0
-    bit = 1
-    for age, departed_loc in relative:
-        if arrival <= alive_until(tau - age, departed_loc):
-            mask |= bit
-        bit <<= 1
-    if location in constraints.tt_sources and \
-            arrival <= alive_until(tau, location):
-        mask |= bit
-    return mask
 
 
 def source_states(locations: Iterable[str],

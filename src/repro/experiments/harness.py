@@ -70,6 +70,12 @@ CONSTRAINT_CONFIGS: Dict[str, Tuple[str, ...]] = {
 #: The no-cleaning baseline label (raw a-priori interpretation).
 RAW_CONFIG = "RAW"
 
+#: Builds per trajectory in :func:`run_cleaning_experiment`, which keeps
+#: the fastest: a single build's time also holds whatever collector pause
+#: or scheduler stall lands on it, enough to invert milliseconds-long
+#: configurations at small scales.
+CLEANING_REPEATS = 3
+
 
 @dataclass(frozen=True)
 class CleaningMeasurement:
@@ -162,7 +168,10 @@ def run_cleaning_experiment(dataset: Dataset,
                             profile: MotilityProfile = MotilityProfile(),
                             durations: Optional[Sequence[int]] = None,
                             ) -> List[CleaningMeasurement]:
-    """Fig. 8(a)/8(b): average cleaning cost per duration and configuration."""
+    """Fig. 8(a)/8(b): average cleaning cost per duration and configuration.
+
+    A trajectory's cost is the fastest of :data:`CLEANING_REPEATS` builds.
+    """
     results: List[CleaningMeasurement] = []
     chosen = tuple(durations) if durations is not None else dataset.durations
     for config_name, kinds in configs.items():
@@ -176,9 +185,12 @@ def run_cleaning_experiment(dataset: Dataset,
             for trajectory in group:
                 lsequence = LSequence.from_readings(trajectory.readings,
                                                     dataset.prior)
-                started = time.perf_counter()
-                graph = build_ct_graph(lsequence, constraints)
-                seconds.append(time.perf_counter() - started)
+                best = float("inf")
+                for _ in range(CLEANING_REPEATS):
+                    started = time.perf_counter()
+                    graph = build_ct_graph(lsequence, constraints)
+                    best = min(best, time.perf_counter() - started)
+                seconds.append(best)
                 nodes.append(graph.num_nodes)
                 edges.append(graph.num_edges)
                 sizes.append(graph.estimate_size_bytes())

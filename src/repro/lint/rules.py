@@ -39,7 +39,7 @@ EXACT_FLOAT_SENTINELS = (0.0, 1.0, -1.0)
 INTERNED_CACHE_ATTRS = frozenset({
     "_states", "_state_ids", "_location_ids", "_location_names",
     "_supports", "_support_ids", "_support_names", "_du_rows",
-    "_rows", "_levels", "_advice", "_stream_rows",
+    "_rows", "_levels", "_stream_rows",
 })
 
 #: Method names that mutate their receiver in place.

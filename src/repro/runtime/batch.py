@@ -228,38 +228,53 @@ def _clean_one_stored(index: int, lsequence: LSequence,
                       query_plan: Optional[QueryPlan], store,
                       started: float) -> BatchOutcome:
     """Store-mode cleaning of one object: consult the cache, write a
-    ``.ctg`` segment on a miss, ship only the *path* back to the parent.
+    ``.ctg`` segment on a miss, and return its path.
 
-    No graph ever crosses the process pipe: a miss is cleaned with
-    ``materialize="store"`` (the engine writes its arrays straight into
-    the entry's staging file, published atomically), queries run against
-    the worker-local mmap view, and the outcome carries ``ctg_path`` for
-    the parent to re-open.  A hit skips Algorithm 1 entirely.
+    A miss is cleaned with ``materialize="store"``: the engine writes its
+    arrays straight into the entry's staging file, published atomically,
+    and maps the file once.  Queries run against that view (a hit maps
+    the entry).  The outcome keeps the view as its graph when the parent
+    wants one and the store maps, so an in-process job parses each file
+    once; :func:`_worker_clean_chunk` closes it before the outcome
+    crosses the pipe, so workers ship only ``ctg_path``.  A hit skips
+    Algorithm 1 entirely.
     """
     key = store.key_for(lsequence, plan.constraints, options)
     path = store.path_for(key)
     cache_hit = path.exists()
-    if not cache_hit:
-        temp = store.temp_path_for(key)
-        try:
-            graph = build_ct_graph(
-                lsequence, plan.constraints,
-                dataclasses.replace(options, materialize="store",
-                                    output=str(temp)),
-                plan=plan)
-            graph.close()
-            store.commit(temp, key)
-        except BaseException:
-            if temp.exists():
-                temp.unlink()
-            raise
-    queries: Optional[Tuple[QueryResult, ...]] = None
-    if query_plan is not None:
-        with store.load(key) as graph:
+    graph: Optional[GraphLike] = None
+    try:
+        if not cache_hit:
+            temp = store.temp_path_for(key)
+            try:
+                graph = build_ct_graph(
+                    lsequence, plan.constraints,
+                    dataclasses.replace(options, materialize="store",
+                                        output=str(temp)),
+                    plan=plan)
+                store.commit(temp, key)
+            except BaseException:
+                if temp.exists():
+                    temp.unlink()
+                raise
+            graph.path = str(path)
+        queries: Optional[Tuple[QueryResult, ...]] = None
+        if query_plan is not None:
+            if graph is None:
+                graph = store.load(key)
             session = QuerySession(graph)
             queries = tuple(_execute_statement(session, statement)
                             for statement in query_plan.statements)
-    return BatchOutcome(index=index, queries=queries,
+        if graph is not None and not (
+                store.mmap and (query_plan is None
+                                or query_plan.keep_graphs)):
+            graph.close()
+            graph = None
+    except BaseException:
+        if graph is not None:
+            graph.close()
+        raise
+    return BatchOutcome(index=index, graph=graph, queries=queries,
                         seconds=time.perf_counter() - started,
                         ctg_path=str(path), cache_hit=cache_hit)
 
@@ -330,9 +345,16 @@ def _worker_clean_chunk(chunk: Sequence[_Task]) -> List[BatchOutcome]:
     if _worker_state is None:
         raise RuntimeError("worker initializer did not run")
     plans, options, prior, query_plan, store = _worker_state
-    return [_clean_one(index, sequence, plans[key], options, prior,
-                       query_plan, store)
-            for index, key, sequence in chunk]
+    outcomes = [_clean_one(index, sequence, plans[key], options, prior,
+                           query_plan, store)
+                for index, key, sequence in chunk]
+    if store is None:
+        return outcomes
+    # Store mode ships paths only; the parent maps each entry itself.
+    for outcome in outcomes:
+        if outcome.graph is not None:
+            outcome.graph.close()
+    return [dataclasses.replace(outcome, graph=None) for outcome in outcomes]
 
 
 def _pool_context(start_method: Optional[str] = None):
@@ -779,13 +801,15 @@ class BatchCleaner:
                         self.store.misses += 1
         if self.store is not None and (self.query_plan is None
                                        or self.query_plan.keep_graphs):
-            # Workers shipped paths, not graphs: re-open every entry as a
-            # zero-copy mmap view in the parent.
+            # Workers shipped paths, not graphs, and a store that does not
+            # map wants private memory: open those entries here.  An
+            # in-process miss already holds its mapped view.
             outcomes = [
                 dataclasses.replace(
                     outcome,
                     graph=load_ctg(outcome.ctg_path, mmap=self.store.mmap))
-                if outcome.ok and outcome.ctg_path is not None else outcome
+                if outcome.ok and outcome.ctg_path is not None
+                and outcome.graph is None else outcome
                 for outcome in outcomes]
         return BatchResult(outcomes=tuple(outcomes),
                            wall_seconds=time.perf_counter() - started,

@@ -72,7 +72,7 @@ def content_key(lsequence, constraints, options=None, *,
     payload = {
         "format": KEY_FORMAT,
         "levels": levels,
-        "constraints": sorted(str(constraint) for constraint in constraints),
+        "constraints": constraints.sorted_statements,
         "truncated_stay_policy": options.truncated_stay_policy,
         "backend": options.backend,
         "extra": extra,
@@ -163,8 +163,8 @@ class GraphStore:
         raw :class:`~repro.core.lsequence.ReadingSequence` (then
         ``prior`` is required, exactly as in the batch runtime).  On a
         miss, Algorithm 1 runs with ``materialize="store"`` — the engine
-        writes the ``.ctg`` directly — and the entry is published
-        atomically before the view is returned.  ``plan`` threads a
+        writes the ``.ctg`` directly and maps it — and the entry is
+        published atomically before that view is returned.  ``plan`` threads a
         :class:`~repro.runtime.plan.SharedCleaningPlan` through, sharing
         the engine's transition cache across the objects of a batch.
         """
@@ -186,19 +186,26 @@ class GraphStore:
             self.hits += 1
             return self.load(key)
         temp = self.temp_path_for(key)
+        graph = None
         try:
             graph = build_ct_graph(
                 lsequence, constraints,
                 replace(options, materialize="store", output=str(temp)),
                 plan=plan)
-            graph.close()
             self.commit(temp, key)
         except BaseException:
+            if graph is not None:
+                graph.close()
             if temp.exists():
                 temp.unlink()
             raise
         self.misses += 1
-        return self.load(key)
+        if not self.mmap:
+            # The engine's view is mapped; this store serves private memory.
+            graph.close()
+            return self.load(key)
+        graph.path = path
+        return graph
 
     def __repr__(self) -> str:
         return (f"GraphStore(root={str(self.root)!r}, entries={len(self)}, "

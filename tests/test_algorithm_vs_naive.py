@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.algorithm import CleaningOptions, build_ct_graph
+from repro.core.algorithm import ENGINES, CleaningOptions, build_ct_graph
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
@@ -17,6 +17,7 @@ from repro.core.constraints import (
 from repro.core.lsequence import LSequence
 from repro.core.naive import NaiveConditioner
 from repro.errors import InconsistentReadingsError
+from repro.runtime.plan import SharedCleaningPlan
 
 LOCATIONS = ("A", "B", "C", "D")
 
@@ -55,6 +56,34 @@ def constraint_sets(draw):
     return ConstraintSet(constraints)
 
 
+@st.composite
+def tt_du_heavy_instances(draw):
+    """``(lsequence, constraints)`` where the departure filter's
+    reachability test bites: 5 locations, up to 9 steps of 1-3
+    candidates, 2-6 TT bounds of 2-6 steps, 0-3 DU pairs that cut walks
+    through the supports, and an optional LT."""
+    five = st.sampled_from(("A", "B", "C", "D", "E"))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        support = draw(st.lists(five, min_size=1, max_size=3, unique=True))
+        weights = [draw(st.floats(min_value=0.05, max_value=1.0))
+                   for _ in support]
+        total = sum(weights)
+        rows.append({loc: w / total for loc, w in zip(support, weights)})
+    constraints = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        a = draw(five)
+        b = draw(five.filter(lambda x: x != a))
+        constraints.append(TravelingTime(
+            a, b, draw(st.integers(min_value=2, max_value=6))))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        constraints.append(Unreachable(draw(five), draw(five)))
+    if draw(st.booleans()):
+        constraints.append(Latency(
+            draw(five), draw(st.integers(min_value=2, max_value=4))))
+    return LSequence(rows), ConstraintSet(constraints)
+
+
 def _run_both(lsequence, constraints, strict):
     options = CleaningOptions("strict" if strict else "lenient")
     naive = NaiveConditioner(lsequence, constraints, strict_truncation=strict)
@@ -81,6 +110,46 @@ def test_same_valid_set_and_probabilities(lsequence, constraints, strict):
     assert set(got) == set(expected)
     for trajectory, probability in expected.items():
         assert got[trajectory] == pytest.approx(probability, abs=1e-9)
+
+
+@settings(max_examples=600, deadline=None)
+@given(tt_du_heavy_instances(), st.booleans(), st.booleans())
+def test_same_valid_set_on_tt_du_heavy_instances(instance, strict, shared):
+    """Both engines against enumeration where DU pairs leave supported TT
+    destinations unreachable, so the filter drops most ``TL`` entries.
+    A shared plan is first warmed on the reversed l-sequence, so the
+    checked object reuses memoised rows keyed by other objects' masks."""
+    lsequence, constraints = instance
+    naive = NaiveConditioner(lsequence, constraints, strict_truncation=strict)
+    try:
+        expected = naive.conditioned_distribution()
+    except InconsistentReadingsError:
+        expected = None
+    for engine in ENGINES:
+        options = CleaningOptions("strict" if strict else "lenient",
+                                  engine=engine)
+        plan = None
+        if shared:
+            plan = SharedCleaningPlan(constraints)
+            reversed_rows = [lsequence.candidates(tau) for tau
+                             in range(lsequence.duration - 1, -1, -1)]
+            try:
+                build_ct_graph(LSequence(reversed_rows), constraints,
+                               options, plan=plan)
+            except InconsistentReadingsError:
+                pass
+        try:
+            graph = build_ct_graph(lsequence, constraints, options,
+                                   plan=plan)
+        except InconsistentReadingsError:
+            graph = None
+        assert (expected is None) == (graph is None), engine
+        if expected is None:
+            continue
+        got = dict(graph.paths())
+        assert set(got) == set(expected), engine
+        for trajectory, probability in expected.items():
+            assert got[trajectory] == pytest.approx(probability, abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)

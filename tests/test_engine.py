@@ -1,6 +1,7 @@
 """Unit tests for the compact engine's building blocks: relative-age
-departure interning, the keep mask, engine selection, and the transition
-cache shared through :class:`SharedCleaningPlan`."""
+departure interning, the keep mask and the departure filter's
+reachability test, engine selection, and the transition cache shared
+through :class:`SharedCleaningPlan`."""
 
 import pytest
 
@@ -14,10 +15,10 @@ from repro.core.constraints import (
 )
 from repro.core.engine import EngineCache, build_ct_graph_compact
 from repro.core.lsequence import LSequence
+from repro.core.naive import NaiveConditioner
 from repro.core.nodes import (
     DepartureFilter,
     absolute_departures,
-    departure_keep_mask,
     relative_departures,
 )
 from repro.errors import ReadingSequenceError, ZeroMassError
@@ -60,37 +61,107 @@ class TestRelativeDepartures:
         assert absolute_departures((), 9) == ()
 
 
+def _engine_masks(departure_filter, tau, states):
+    """The compact engine's keep masks for ``states`` (absolute-name
+    ``(location, stay, ((age, location), ...))`` tuples) at ``tau``."""
+    cache = EngineCache(CONSTRAINTS)
+    lid = cache.location_id
+    windows = {lid(name): departure_filter.windows(name)
+               for name in CONSTRAINTS.tt_sources}
+    ahead = {lid(name): bits
+             for name, bits in departure_filter.ahead(tau).items()}
+    sids = tuple(cache.state_id((lid(location), stay,
+                                 tuple((age, lid(name))
+                                       for age, name in departures)))
+                 for location, stay, departures in states)
+    return engine_module._keep_masks(sids, cache._states, windows, ahead)
+
+
 class TestDepartureKeepMask:
     def test_no_filter_is_mask_zero(self):
-        assert departure_keep_mask(((1, "A"),), "B", 5, CONSTRAINTS,
-                                   None) == 0
+        # No TT source, no filter: every memoised row is keyed with mask 0.
+        constraints = ConstraintSet([Unreachable("A", "C"), Latency("B", 3)])
+        plan = SharedCleaningPlan(constraints)
+        build_ct_graph(_instance(12), constraints, plan=plan)
+        keys = list(plan.engine_cache()._rows)
+        assert keys and all(mask == 0 for _sid, _support, mask in keys)
 
     def test_mask_matches_the_filter_keep_decision(self):
         lsequence = _instance(12)
         departure_filter = DepartureFilter(lsequence, CONSTRAINTS)
+        seen = set()
         for tau in range(1, 11):
             for age in (1, 2, 3):
                 if age > tau:
                     continue
-                relative = ((age, "A"),)
-                mask = departure_keep_mask(relative, "B", tau, CONSTRAINTS,
-                                           departure_filter)
-                expected = departure_filter.keep(tau + 1, tau - age, "A")
+                [mask] = _engine_masks(departure_filter, tau,
+                                       [("B", None, ((age, "A"),))])
+                expected = departure_filter.keep(tau, "B", tau - age, "A")
                 assert bool(mask & 1) == expected, (tau, age)
+                seen.add(expected)
+        assert seen == {True, False}
 
     def test_new_departure_bit(self):
         lsequence = _instance(12)
         departure_filter = DepartureFilter(lsequence, CONSTRAINTS)
         tau = 4
         # "A" is a TT source; leaving it at tau records (tau, "A") iff the
-        # entry would survive to the arrival timestep.
-        mask = departure_keep_mask((), "A", tau, CONSTRAINTS,
-                                   departure_filter)
-        expected = departure_filter.keep(tau + 1, tau, "A")
-        assert bool(mask & 1) == expected
+        # filter keeps that entry at (tau, "A").
+        [mask] = _engine_masks(departure_filter, tau, [("A", None, ())])
+        assert bool(mask & 1) == departure_filter.keep(tau, "A", tau, "A")
         # "B" is not a TT source: no departure is ever recorded for it.
-        assert departure_keep_mask((), "B", tau, CONSTRAINTS,
-                                   departure_filter) == 0
+        assert _engine_masks(departure_filter, tau, [("B", None, ())]) == [0]
+
+
+class TestReachabilityFilter:
+    """The keep test asks whether a DU-legal walk through the supports
+    can still reach a TT destination inside the entry's window, not
+    merely whether the destination has support there."""
+
+    @staticmethod
+    def _departures_by_level(lsequence, constraints):
+        graphs = [build_ct_graph(lsequence, constraints,
+                                 CleaningOptions(engine=engine))
+                  for engine in ENGINES]
+        levels = [[sorted((node.location, node.departures)
+                          for node in graph.level(tau))
+                   for tau in range(lsequence.duration)]
+                  for graph in graphs]
+        assert levels[0] == levels[1]
+        return levels[0], graphs[0]
+
+    def test_supported_but_unreachable_destination_is_dropped(self):
+        # D has support at timesteps 3 and 4, inside the window [2, 4] of
+        # the departure (0, A), but Unreachable(B, D) bars every walk from
+        # the B-only stretch to it.
+        constraints = ConstraintSet([TravelingTime("A", "D", 5),
+                                     Unreachable("B", "D")])
+        lsequence = LSequence([{"A": 1.0}, {"B": 1.0}, {"B": 1.0},
+                               {"B": 0.5, "D": 0.5}, {"B": 0.5, "D": 0.5},
+                               {"B": 1.0}])
+        levels, _graph = self._departures_by_level(lsequence, constraints)
+        assert levels[1] == [("B", ())]
+        assert not DepartureFilter(lsequence, constraints).keep(
+            0, "A", 0, "A")
+
+    def test_entry_reachable_at_the_window_end_is_kept(self):
+        # TT(A, D, 4) after leaving A at 0: the window closes at
+        # T = t + v - 1 = 3, the only timestep D can be reached in it.
+        constraints = ConstraintSet([TravelingTime("A", "D", 4)])
+        lsequence = LSequence([{"A": 1.0}, {"B": 1.0}, {"B": 1.0},
+                               {"B": 0.5, "D": 0.5}, {"B": 0.5, "D": 0.5}])
+        departure_filter = DepartureFilter(lsequence, constraints)
+        assert departure_filter.keep(0, "A", 0, "A")
+        assert departure_filter.keep(1, "B", 0, "A")
+        assert not departure_filter.keep(2, "B", 0, "A")
+        levels, graph = self._departures_by_level(lsequence, constraints)
+        assert levels[1] == [("B", ((0, "A"),))]
+        assert levels[2] == [("B", ((0, "A"),))]
+        # The kept entry is what forbids A -> B -> B -> D.
+        assert levels[3] == [("B", ())]
+        assert dict(graph.paths()) == pytest.approx(
+            NaiveConditioner(lsequence, constraints)
+            .conditioned_distribution())
 
 
 class TestEngineSelection:

@@ -44,6 +44,7 @@ from repro.queries.session import QuerySession
 from repro.queries.trajectory import TrajectoryQuery
 from repro.store import load_ctg, save_ctg
 
+from tests.test_algorithm_vs_naive import tt_du_heavy_instances
 from tests.test_engine_vs_reference import (
     LOCATIONS,
     constraint_sets,
@@ -52,7 +53,8 @@ from tests.test_engine_vs_reference import (
 )
 from tests.test_groups import joint_by_enumeration
 
-QUERY_LOCATIONS = LOCATIONS + ("Z",)  # "Z" never appears in any graph
+#: "E" appears only in the TT+DU-heavy family's graphs, "Z" in none.
+QUERY_LOCATIONS = LOCATIONS + ("E", "Z")
 
 
 def approx(value):
@@ -197,6 +199,15 @@ def test_query_parity_on_tt_heavy_instances(lsequence, constraints):
     """TT constraints prune mid-sequence levels — the zero-mass-pruned
     node/edge paths the flat emission must drop identically."""
     _check_all_routes(lsequence, constraints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tt_du_heavy_instances())
+def test_query_parity_on_tt_du_heavy_instances(instance):
+    """DU pairs that leave supported TT destinations unreachable: the
+    departure filter drops most ``TL`` entries before expansion, and
+    every query must still see the enumerated distribution."""
+    _check_all_routes(*instance)
 
 
 def test_joint_graph_queries_run_on_its_flat_form():

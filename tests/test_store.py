@@ -386,6 +386,32 @@ class TestGraphStore:
         assert base == content_key(
             lsequence, constraints, CleaningOptions(engine="compact"))
 
+    def test_key_bytes_are_pinned(self):
+        # A key written by earlier releases: existing stores stay valid.
+        # Repeated statements stay in the key, as they always were.
+        lsequence = LSequence([{"A": 0.6, "B": 0.4}, {"A": 0.5, "C": 0.5},
+                               {"B": 1.0}])
+        constraints = ConstraintSet([
+            TravelingTime("A", "C", 3), Unreachable("C", "A"),
+            Latency("B", 2), Unreachable("C", "A")])
+        assert content_key(lsequence, constraints) == (
+            "8d32fd2d5a7674f8fbf0ffcaee33523e47e03730b81db43abfd1f985a13fc97c")
+
+    def test_constraints_are_stringified_once_per_set(self, monkeypatch):
+        calls = []
+        for kind in (Unreachable, TravelingTime, Latency):
+            def counted(self, original=kind.__str__):
+                calls.append(self)
+                return original(self)
+            monkeypatch.setattr(kind, "__str__", counted)
+        lsequence, _ = small_instance()
+        constraints = ConstraintSet([
+            Unreachable("A", "C"), TravelingTime("A", "B", 3),
+            Latency("B", 2)])
+        keys = {content_key(lsequence, constraints) for _ in range(5)}
+        assert len(keys) == 1
+        assert len(calls) == len(constraints)
+
 
 # ----------------------------------------------------------------------
 # batch store mode: nothing big crosses the pipe
@@ -438,6 +464,37 @@ class TestBatchStoreMode:
                            options=CleaningOptions(materialize="flat"))
         for stored, direct in zip(result, plain):
             assert stored.graph.materialize() == direct.graph
+
+    def test_in_process_job_parses_each_entry_once(self, tmp_path,
+                                                   monkeypatch):
+        import repro.runtime.batch as batch
+        import repro.store as store_package
+        import repro.store.format as store_format
+        import repro.store.graphstore as graphstore
+        from repro.runtime.batch import clean_many
+
+        loads = []
+        for module in (store_package, store_format, batch, graphstore):
+            def counted(path, *args, original=module.load_ctg, **kwargs):
+                loads.append(str(path))
+                return original(path, *args, **kwargs)
+            monkeypatch.setattr(module, "load_ctg", counted)
+        constraints = ConstraintSet([Unreachable("A", "C")])
+        plain = clean_many(self._sequences(), constraints, workers=1,
+                           options=CleaningOptions(materialize="flat"))
+        for mmap, backing in ((True, "mmap"), (False, "bytes")):
+            store = GraphStore(tmp_path / f"store-{mmap}", mmap=mmap)
+            for _job in ("misses", "hits"):
+                loads.clear()
+                result = clean_many(self._sequences(), constraints,
+                                    workers=1, store=store)
+                if mmap:
+                    assert len(loads) == len(result)
+                for stored, direct in zip(result, plain):
+                    assert stored.graph.backing == backing
+                    assert stored.graph.path == stored.ctg_path
+                    assert stored.graph.materialize() == direct.graph
+                    stored.graph.close()
 
     def test_query_plan_rides_the_store(self, tmp_path):
         from repro.runtime.batch import clean_many

@@ -18,8 +18,12 @@ locations a level, thousands of edges a level):
   answer a six-query analysis bundle *identically* to one over the
   in-memory graph (``==`` on the python backend, floats within 1e-12
   relative on the numpy backend), at comparable latency:
-  ``mmap_query_penalty`` (mmap over in-memory bundle time) must stay at
-  most ``MMAP_QUERY_PENALTY_GATE`` on full numpy-backend runs.
+  ``mmap_query_penalty`` must stay at most ``MMAP_QUERY_PENALTY_GATE``
+  on full numpy-backend runs.  Each repeat times both bundles back to
+  back, the arms alternating which goes first, and the penalty is the
+  median of the repeats' mmap-over-memory ratios: a paired measure,
+  so a shared host's drift between repeats moves both arms of a ratio
+  alike.
 
 ``--backend`` picks the cleaning and query backend of both sides: the
 python backend holds the mmap answers to ``==``, the numpy backend is
@@ -37,8 +41,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import statistics
 import sys
 import tempfile
+import time
 from typing import List
 
 import harness
@@ -47,7 +53,7 @@ from repro.core.algorithm import BACKENDS, CleaningOptions, build_ct_graph
 from repro.queries.session import QuerySession
 from repro.store import load_ctg
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DURATION, SMOKE_DURATION = 1600, 96
 REPEATS, SMOKE_REPEATS = 3, 2
@@ -124,14 +130,23 @@ def run(args):
 
         mmap_load_seconds, _ = harness.best_of(repeats, mmap_load)
 
-        # -- warm queries off the mmap: parity + latency -----------------
+        # -- warm queries off the mmap: parity + paired latency ----------
         view = load_ctg(ctg_path, mmap=True)
-        memory_query_seconds, memory_bundle = harness.best_of(
-            repeats, lambda: _bundle(QuerySession(flat, backend=backend),
-                                     names, duration))
-        mmap_query_seconds, mapped_bundle = harness.best_of(
-            repeats, lambda: _bundle(QuerySession(view, backend=backend),
-                                     names, duration))
+        graphs = {"memory": flat, "mmap": view}
+        seconds = {"memory": [], "mmap": []}
+        bundles = {}
+        for repeat in range(repeats):
+            arms = ("memory", "mmap") if repeat % 2 == 0 else ("mmap",
+                                                                "memory")
+            for arm in arms:
+                started = time.perf_counter()
+                bundles[arm] = _bundle(
+                    QuerySession(graphs[arm], backend=backend), names,
+                    duration)
+                seconds[arm].append(time.perf_counter() - started)
+        memory_bundle, mapped_bundle = bundles["memory"], bundles["mmap"]
+        penalties = [mapped / memory for mapped, memory
+                     in zip(seconds["mmap"], seconds["memory"])]
         parity = (view.materialize() == flat
                   and all(harness.agree(memory_bundle[key],
                                         mapped_bundle[key],
@@ -167,9 +182,10 @@ def run(args):
             "speedup": pickle_load_seconds / mmap_load_seconds,
         },
         "warm_queries": {
-            "memory_seconds": memory_query_seconds,
-            "mmap_seconds": mmap_query_seconds,
-            "mmap_query_penalty": mmap_query_seconds / memory_query_seconds,
+            "memory_seconds": min(seconds["memory"]),
+            "mmap_seconds": min(seconds["mmap"]),
+            "penalties": penalties,
+            "mmap_query_penalty": statistics.median(penalties),
         },
         "parity": parity,
     }
@@ -199,6 +215,12 @@ def validate(record, problems):
     warm = problems.block(record, "warm_queries", ("memory_seconds",
                                                    "mmap_seconds",
                                                    "mmap_query_penalty"))
+    problems.expect(warm is None or (
+        isinstance(warm.get("penalties"), list) and warm["penalties"]
+        and all(isinstance(value, float) and value > 0.0
+                for value in warm["penalties"])),
+                    "warm_queries.penalties must list each repeat's "
+                    "positive mmap-over-memory ratio")
     problems.expect(record.get("parity") is True,
                     "parity must be true: the mmap-served QuerySession "
                     "diverged from the in-memory answers")
@@ -235,7 +257,8 @@ def summary(record):
             f"{cold['pickle_seconds'] * 1e3:.1f} -> "
             f"{cold['mmap_seconds'] * 1e3:.2f} ms ({cold['speedup']:.2f}x); "
             f"warm bundle {warm['memory_seconds'] * 1e3:.1f} ms in memory, "
-            f"{warm['mmap_seconds'] * 1e3:.1f} ms mapped (penalty "
+            f"{warm['mmap_seconds'] * 1e3:.1f} ms mapped (penalty, median "
+            f"of {len(warm['penalties'])} paired repeats, "
             f"{warm['mmap_query_penalty']:.2f}x), parity ok")
 
 

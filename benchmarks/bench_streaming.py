@@ -134,16 +134,22 @@ def synthetic_row(rng: random.Random) -> Dict[str, float]:
 
 
 def lockstep(oracle: StreamingCleaner, compact: StreamingCleaner,
-             row: Dict[str, float]) -> tuple:
-    """Feed ``row`` to the python and the rows cleaner: ``(python
-    seconds, rows seconds, estimates equal)``; the comparison is
-    untimed."""
+             row: Dict[str, float], python_first: bool) -> tuple:
+    """Feed ``row`` to the python and the rows cleaner, in the order
+    ``python_first`` says: ``(python seconds, rows seconds, estimates
+    equal)``; the comparison is untimed.  Callers alternate the order
+    per reading, so neither cleaner always runs on the caches the other
+    warmed."""
+    first, second = (oracle, compact) if python_first else (compact, oracle)
     started = time.perf_counter()
-    oracle.extend(row)
+    first.extend(row)
     middle = time.perf_counter()
-    compact.extend(row)
+    second.extend(row)
     ended = time.perf_counter()
-    return (middle - started, ended - middle,
+    python_seconds, rows_seconds = ((middle - started, ended - middle)
+                                    if python_first
+                                    else (ended - middle, middle - started))
+    return (python_seconds, rows_seconds,
             compact.filtered_distribution()
             == oracle.filtered_distribution())
 
@@ -209,7 +215,8 @@ def run_syn1_leg(smoke: bool) -> Optional[Dict[str, object]]:
     count = 0
     for tau in range(readings):
         for oracle, compact, stream in zip(oracles, compacts, streams):
-            python_dt, rows_dt, same = lockstep(oracle, compact, stream[tau])
+            python_dt, rows_dt, same = lockstep(oracle, compact, stream[tau],
+                                                count % 2 == 0)
             python_seconds += python_dt
             rows_seconds += rows_dt
             equal = equal and same
@@ -324,7 +331,8 @@ def run(args) -> Dict[str, object]:
     resumed: Optional[StreamingCleaner] = None
     try:
         for t, row in enumerate(rows):
-            python_dt, rows_dt, same = lockstep(streaming, compact, row)
+            python_dt, rows_dt, same = lockstep(streaming, compact, row,
+                                                t % 2 == 0)
             python_seconds += python_dt
             rows_seconds += rows_dt
             rows_equal = rows_equal and same

@@ -17,6 +17,12 @@ reduced alphabet {mentioned locations} ∪ {OTHER}.  The DFA is what the
 query evaluator uses: determinism guarantees each trajectory contributes
 its probability exactly once to the match mass (an NFA would double count
 trajectories reachable along several accepting runs).
+
+Before anything compiles, :attr:`Pattern.named_locations` lets a caller
+settle a pattern from a name table alone: every named condition needs at
+least one visit, so a pattern naming a location a graph never holds
+matches nothing.  :meth:`PatternDFA.colive` then settles what the
+graph's per-level location sets can: which states can still accept.
 """
 
 from __future__ import annotations
@@ -77,12 +83,21 @@ class PatternAtom:
 
 
 class Pattern:
-    """A parsed trajectory-query pattern."""
+    """A parsed trajectory-query pattern.
+
+    ``named_locations`` is the set of locations its conditions name,
+    taken once at construction: a trajectory that never visits one of
+    them cannot match, which lets a query answer ``0.0`` from a graph's
+    name table before the DFA is compiled (:meth:`dfa`, cached).
+    """
 
     def __init__(self, atoms: Sequence[PatternAtom]) -> None:
         if not atoms:
             raise PatternSyntaxError("a pattern needs at least one condition")
         self.atoms: Tuple[PatternAtom, ...] = tuple(atoms)
+        self.named_locations: FrozenSet[str] = frozenset(
+            atom.location for atom in self.atoms
+            if atom.location is not None)
         self._dfa: Optional[PatternDFA] = None
 
     @classmethod
@@ -161,6 +176,8 @@ class PatternDFA:
 
     States are dense integers; ``step`` maps unmentioned locations to the
     ``OTHER`` symbol internally, so callers feed raw location names.
+    :meth:`colive` gives, per step of a graph, the states from which an
+    accepting state is still reachable over that graph's later levels.
     """
 
     def __init__(self, start: int,
@@ -184,27 +201,57 @@ class PatternDFA:
         """The successor state after reading ``location``."""
         return self.transitions[state][self.symbol(location)]
 
-    def live_states(self, symbols: Iterable[str]) -> FrozenSet[int]:
-        """The states from which an accepting state can still be reached
-        reading only ``symbols`` (alphabet symbols, ``OTHER`` included).
+    def colive(self, levels: Sequence[FrozenSet[str]]) -> List[int]:
+        """Per level, the states that can still accept: bitsets.
 
-        The complement is closed under those symbols: a dead state steps
-        only to dead states, so a run that enters one never accepts.
+        ``levels[tau]`` is the set of alphabet symbols (``OTHER``
+        included) a trajectory may read at step ``tau``.  Entry ``tau``
+        of the result has bit ``q`` set iff reading one symbol of each of
+        ``levels[tau:]``, in order, can take state ``q`` to an accepting
+        state; the last entry (``tau == len(levels)``) is the accepting
+        set.  So a run is still possible from the start iff its bit is
+        set in entry 0, and a state reached after reading step ``tau``
+        is *co-live* iff its bit is set in entry ``tau + 1``.
+
+        One backward pass, each step memoised on (symbol set, the next
+        entry's bits): equal level sets hit, so a long graph whose levels
+        repeat a few sets costs a few steps.  Closure: a state whose bit
+        is clear in entry ``tau`` steps, on every symbol of
+        ``levels[tau]``, only to states whose bit is clear in entry
+        ``tau + 1``.
         """
-        allowed = frozenset(symbols)
-        predecessors: List[List[int]] = [[] for _ in self.transitions]
-        for state, row in enumerate(self.transitions):
-            for symbol, target in row.items():
-                if symbol in allowed:
-                    predecessors[target].append(state)
-        live = set(self.accepting)
-        stack = list(live)
-        while stack:
-            for state in predecessors[stack.pop()]:
-                if state not in live:
-                    live.add(state)
-                    stack.append(state)
-        return frozenset(live)
+        bits = _bitset(self.accepting)
+        masks = [0] * (len(levels) + 1)
+        masks[-1] = bits
+        # Per symbol set, each state's successors on it as one bitset.
+        successors: Dict[FrozenSet[str], List[int]] = {}
+        memo: Dict[Tuple[FrozenSet[str], int], int] = {}
+        for tau in range(len(levels) - 1, -1, -1):
+            if not bits:
+                break
+            symbols = levels[tau]
+            key = (symbols, bits)
+            earlier = memo.get(key)
+            if earlier is None:
+                reach = successors.get(symbols)
+                if reach is None:
+                    reach = successors[symbols] = [
+                        _bitset(row[symbol] for symbol in symbols)
+                        for row in self.transitions]
+                earlier = 0
+                for state in range(len(reach)):
+                    if reach[state] & bits:
+                        earlier |= 1 << state
+                memo[key] = earlier
+            bits = masks[tau] = earlier
+        return masks
+
+
+def _bitset(states: Iterable[int]) -> int:
+    bits = 0
+    for state in states:
+        bits |= 1 << state
+    return bits
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +270,7 @@ def _compile(pattern: Pattern) -> PatternDFA:
     def add_edge(src: int, symbol: str, dst: int) -> None:
         nfa_transitions[src].setdefault(symbol, set()).add(dst)
 
-    alphabet = frozenset(pattern.mentioned_locations)
+    alphabet = pattern.named_locations
     symbols = tuple(alphabet) + (OTHER,)
 
     # Build a chain of fragments; ``current`` is the fragment's exit state.

@@ -58,14 +58,23 @@ from __future__ import annotations
 import heapq
 import math
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core import kernels
 from repro.core.ctgraph import NodeWebGraph
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import Trajectory
 from repro.errors import QueryError
-from repro.queries.pattern import Pattern
+from repro.queries.pattern import OTHER, Pattern
 
 if TYPE_CHECKING:
     from repro.queries.trajectory import TrajectoryQuery
@@ -108,6 +117,9 @@ class QuerySession:
         self._entropies: Optional[List[float]] = None
         self._visit_counts: Optional[Dict[str, float]] = None
         self._map: Optional[Tuple[Trajectory, float]] = None
+        self._names: Optional[FrozenSet[str]] = None
+        self._level_sets: Optional[Tuple[Tuple[FrozenSet[int], ...],
+                                         List[int]]] = None
 
     @classmethod
     def ensure(cls, graph: QueryTarget) -> "QuerySession":
@@ -618,34 +630,62 @@ class QuerySession:
         The pattern's DFA runs in lock-step with a forward pass over the
         levels: the DP state is a probability per ``(node, DFA state)``
         pair, and determinism of the DFA counts each trajectory through
-        exactly one run.  Only *live* DFA states — those from which an
-        accepting state is reachable over the symbols of the graph's
-        location names (:meth:`PatternDFA.live_states
-        <repro.queries.pattern.PatternDFA.live_states>`) — enter the
-        frontier; a pattern whose start state is dead (say, one naming a
-        location the graph never holds) answers ``0.0`` without a sweep.
-        This is exact: a dead state steps only to dead states, so every
-        live pair receives the same terms in the same order as in the
-        unpruned DP.
+        exactly one run.  What the graph's location sets can settle is
+        settled first, cheapest first:
+
+        1. *The name table.*  Every named condition needs at least one
+           visit, so a pattern naming a location missing from
+           ``graph.location_names`` answers ``0.0`` — one set test, and
+           a string pattern is not even compiled.
+        2. *The level pass.*  :meth:`PatternDFA.colive
+           <repro.queries.pattern.PatternDFA.colive>` over the graph's
+           per-level location sets (built once per session, O(nodes))
+           gives, per level, the *co-live* states: those from which
+           reading one location of each later level's set can still
+           reach an accepting state.  When the start state reaches none,
+           the answer is ``0.0`` without a sweep.
+        3. *The sweep* stores a pair at a level only if its state is
+           co-live there, and answers ``0.0`` as soon as a level's
+           frontier is empty.
+
+        Exact, bit for bit: a state that is not co-live at a level steps,
+        on every location of the next level, only to states that are not
+        co-live there.  So a pruned pair contributes only to pruned
+        pairs, every kept pair receives the same terms in the same order
+        as in the unpruned DP, and the pairs left at the last level are
+        exactly its accepting ones, in the same order.
         """
-        dfa = (Pattern.parse(pattern) if isinstance(pattern, str)
-               else pattern).dfa()
+        if isinstance(pattern, str):
+            pattern = Pattern.parse(pattern)
+        elif not isinstance(pattern, Pattern):
+            pattern = pattern.pattern  # a TrajectoryQuery
         graph = self.graph
-        symbols = [dfa.symbol(name) for name in graph.location_names]
-        live = dfa.live_states(symbols)
-        if dfa.start not in live:
+        if self._names is None:
+            self._names = frozenset(graph.location_names)
+        if not pattern.named_locations <= self._names:
             return 0.0
-        # The live successor per (DFA state, interned location id),
-        # computed once (-1 for a dead one), and ``(node index, dfa
-        # state)`` frontier keys packed into one int (``index *
-        # num_states + state``) — a bijection, so insertion order and
-        # float accumulation match a tuple-keyed frontier.
+        dfa = pattern.dfa()
+        alphabet = dfa.alphabet
+        symbols = [name if name in alphabet else OTHER
+                   for name in graph.location_names]
+        level_sets, set_of_level = self._level_location_sets()
+        symbol_sets = [frozenset([symbols[lid] for lid in lids])
+                       for lids in level_sets]
+        colive = dfa.colive([symbol_sets[k] for k in set_of_level])
+        if not colive[0] >> dfa.start & 1:
+            return 0.0
+        # Per co-live bitset and DFA state, the successor per interned
+        # location id, -1 where it is not co-live: a row is filled when a
+        # frontier first holds its state.  ``(node index, dfa state)``
+        # frontier keys are packed into one int (``index * num_states +
+        # state``) — a bijection, so insertion order and float
+        # accumulation match a tuple-keyed frontier.
         transitions = dfa.transitions
         num_states = len(transitions)
-        moves = [[row[symbol] if row[symbol] in live else -1
-                  for symbol in symbols] for row in transitions]
+        tables: Dict[int, List[Optional[List[int]]]] = {}
         lids = graph.locations[0]
-        start_moves = moves[dfa.start]
+        start_moves = _co_live_moves(transitions[dfa.start], symbols,
+                                     colive[1])
         forward: Dict[int, float] = {}
         for i in range(len(lids)):
             mass = graph.source_probabilities[i]
@@ -656,6 +696,12 @@ class QuerySession:
             forward[key] = forward.get(key, 0.0) + mass
 
         for tau in range(graph.duration - 1):
+            if not forward:
+                return 0.0
+            bits = colive[tau + 2]
+            table = tables.get(bits)
+            if table is None:
+                table = tables[bits] = [None] * num_states
             offsets = graph.edge_offsets[tau]
             children = graph.edge_children[tau]
             probabilities = graph.edge_probabilities[tau]
@@ -664,7 +710,10 @@ class QuerySession:
             step_get = step.get
             for key, mass in forward.items():
                 i, state = divmod(key, num_states)
-                move = moves[state]
+                move = table[state]
+                if move is None:
+                    move = table[state] = _co_live_moves(
+                        transitions[state], symbols, bits)
                 for e in range(offsets[i], offsets[i + 1]):
                     child = children[e]
                     target = move[next_lids[child]]
@@ -674,12 +723,33 @@ class QuerySession:
                     step[next_key] = (step_get(next_key, 0.0)
                                       + mass * probabilities[e])
             forward = step
+        return sum(forward.values(), 0.0)
 
-        return sum((mass for key, mass in forward.items()
-                    if key % num_states in dfa.accepting), 0.0)
+    def _level_location_sets(self) -> Tuple[Tuple[FrozenSet[int], ...],
+                                            List[int]]:
+        """The graph's distinct per-level location-id sets, and per level
+        the index of its set; built on first use, O(nodes)."""
+        if self._level_sets is None:
+            distinct: Dict[FrozenSet[int], int] = {}
+            set_of_level = [distinct.setdefault(frozenset(level),
+                                                len(distinct))
+                            for level in self.graph.locations]
+            self._level_sets = (tuple(distinct), set_of_level)
+        return self._level_sets
 
     def __repr__(self) -> str:
         return f"QuerySession({self.graph!r})"
+
+
+def _co_live_moves(row: Dict[str, int], symbols: List[str],
+                   bits: int) -> List[int]:
+    """A DFA state's successor per location id (``symbols[lid]``), or -1
+    where the successor's bit is clear in ``bits``."""
+    moves = []
+    for symbol in symbols:
+        target = row[symbol]
+        moves.append(target if bits >> target & 1 else -1)
+    return moves
 
 
 def _entropy(distribution: Dict[str, float]) -> float:

@@ -144,56 +144,45 @@ def _section_plan(duration: int) -> Iterator[Tuple[str, int, int]]:
 def _native(values: object, code: str) -> bool:
     """Whether ``values`` already holds the column's little-endian bytes:
     a ``memoryview`` column of a loaded ``.ctg`` on a little-endian host,
-    which re-encodes with one ``tobytes()`` instead of a per-item copy."""
+    whose bytes are copied as they are instead of item by item."""
     return (isinstance(values, memoryview) and values.format == code
             and sys.byteorder == "little")
 
 
-def _encode_i32(values: Sequence[int]) -> bytes:
+def _i32_bytes(values: Sequence[int]):
+    """An int32 column as a buffer of its little-endian bytes."""
     if _np is not None and isinstance(values, _np.ndarray):
-        return _np.ascontiguousarray(values, dtype="<i4").tobytes()
+        return memoryview(_np.ascontiguousarray(values, dtype="<i4")
+                          ).cast("B")
     if _native(values, _I32):
-        return values.tobytes()  # type: ignore[attr-defined]
+        return values.cast("B")  # type: ignore[attr-defined]
     encoded = array(_I32, values)
     if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
         encoded.byteswap()
-    return encoded.tobytes()
+    return encoded
 
 
-def _encode_f64(values: Sequence[float]) -> bytes:
+def _f64_bytes(values: Sequence[float]):
+    """A float64 column as a buffer of its little-endian bytes."""
     if _np is not None and isinstance(values, _np.ndarray):
-        return _np.ascontiguousarray(values, dtype="<f8").tobytes()
+        return memoryview(_np.ascontiguousarray(values, dtype="<f8")
+                          ).cast("B")
     if _native(values, "d"):
-        return values.tobytes()  # type: ignore[attr-defined]
+        return values.cast("B")  # type: ignore[attr-defined]
     encoded = array("d", values)
     if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
         encoded.byteswap()
-    return encoded.tobytes()
+    return encoded
 
 
-def _encode_stays(row: Sequence[Optional[int]]) -> bytes:
+def _stay_bytes(row: Sequence[Optional[int]]):
     if _np is not None and isinstance(row, _np.ndarray):
-        return _encode_i32(row)  # already sentinel-encoded
-    return _encode_i32([-1 if stay is None else stay for stay in row])
+        return _i32_bytes(row)  # already sentinel-encoded
+    return _i32_bytes([-1 if stay is None else stay for stay in row])
 
 
-class _CrcWriter:
-    """Streams payload chunks, tracking position and the running CRC-32."""
-
-    def __init__(self, fh, position: int) -> None:
-        self._fh = fh
-        self.position = position
-        self.crc = 0
-
-    def write(self, data: bytes) -> None:
-        self._fh.write(data)
-        self.crc = zlib.crc32(data, self.crc)
-        self.position += len(data)
-
-    def align(self) -> None:
-        pad = -self.position % _ALIGN
-        if pad:
-            self.write(b"\x00" * pad)
+def _aligned(position: int) -> int:
+    return position + (-position % _ALIGN)
 
 
 def write_ctg(path, *, location_names: Sequence[str],
@@ -212,6 +201,10 @@ def write_ctg(path, *, location_names: Sequence[str],
     tuple materialisation entirely.  ``stays`` rows may hold ``None``
     (encoded as ``-1``) unless passed as an ndarray, which must already
     be sentinel-encoded.
+
+    The layout is planned first, so the payload is assembled in one
+    ``bytearray`` of exactly its size (padding is its zero fill), takes
+    one CRC-32 and goes out in two writes: header, payload.
     """
     duration = len(locations)
     if duration < 1:
@@ -231,48 +224,53 @@ def write_ctg(path, *, location_names: Sequence[str],
             {field.name: getattr(stats, field.name)
              for field in dataclasses.fields(stats)},
             sort_keys=True).encode("utf-8")
+    names = [name.encode("utf-8") for name in location_names]
+    position = HEADER_BYTES + sum(_LENGTH.size + len(name) for name in names)
+    stats_at = position = _aligned(position)
+    if stats_blob:
+        position = _aligned(position + _LENGTH.size + len(stats_blob))
+    by_kind = {"loc": (locations, _i32_bytes), "stay": (stays, _stay_bytes),
+               "off": (edge_offsets, _i32_bytes),
+               "child": (edge_children, _i32_bytes),
+               "prob": (edge_probabilities, _f64_bytes),
+               "source": ((source_probabilities,), _f64_bytes)}
+    sections = []
+    table: List[int] = []
+    for kind, tau, itemsize in _section_plan(duration):
+        columns, encode = by_kind[kind]
+        column = columns[tau]
+        position = _aligned(position)
+        size = itemsize * len(column)
+        sections.append((position - HEADER_BYTES, size, column, encode))
+        table += (position, len(column))
+        position += size
+    table_offset = _aligned(position)
+    payload_length = (table_offset + _SECTION_ENTRY.size * len(sections)
+                      - HEADER_BYTES)
+
+    payload = bytearray(payload_length)
+    at = 0
+    for name in names:
+        _LENGTH.pack_into(payload, at, len(name))
+        payload[at + _LENGTH.size:at + _LENGTH.size + len(name)] = name
+        at += _LENGTH.size + len(name)
+    if stats_blob:
+        at = stats_at - HEADER_BYTES
+        _LENGTH.pack_into(payload, at, len(stats_blob))
+        payload[at + _LENGTH.size:at + _LENGTH.size + len(stats_blob)] = \
+            stats_blob
+    for at, size, column, encode in sections:
+        payload[at:at + size] = encode(column)
+    struct.pack_into(f"<{len(table)}Q", payload,
+                     table_offset - HEADER_BYTES, *table)
+    if len(payload) != payload_length:
+        raise StoreFormatError("a column's length disagrees with its bytes")
     with open(path, "wb") as fh:
-        fh.write(b"\x00" * HEADER_BYTES)  # patched after the payload
-        writer = _CrcWriter(fh, HEADER_BYTES)
-        for name in location_names:
-            encoded = name.encode("utf-8")
-            writer.write(_LENGTH.pack(len(encoded)))
-            writer.write(encoded)
-        writer.align()
-        if stats_blob:
-            writer.write(_LENGTH.pack(len(stats_blob)))
-            writer.write(stats_blob)
-            writer.align()
-        table: List[Tuple[int, int]] = []
-        for kind, tau, _itemsize in _section_plan(duration):
-            if kind == "loc":
-                column, data = locations[tau], _encode_i32(locations[tau])
-            elif kind == "stay":
-                column, data = stays[tau], _encode_stays(stays[tau])
-            elif kind == "off":
-                column = edge_offsets[tau]
-                data = _encode_i32(column)
-            elif kind == "child":
-                column = edge_children[tau]
-                data = _encode_i32(column)
-            elif kind == "prob":
-                column = edge_probabilities[tau]
-                data = _encode_f64(column)
-            else:
-                column = source_probabilities
-                data = _encode_f64(column)
-            writer.align()
-            table.append((writer.position, len(column)))
-            writer.write(data)
-        writer.align()
-        table_offset = writer.position
-        for offset, count in table:
-            writer.write(_SECTION_ENTRY.pack(offset, count))
-        payload_length = writer.position - HEADER_BYTES
-        fh.seek(0)
         fh.write(_HEADER.pack(
             CTG_MAGIC, CTG_VERSION, flags, duration, len(location_names),
-            num_nodes, num_edges, table_offset, payload_length, writer.crc))
+            num_nodes, num_edges, table_offset, payload_length,
+            zlib.crc32(payload)))
+        fh.write(payload)
     return HEADER_BYTES + payload_length
 
 

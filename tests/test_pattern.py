@@ -123,20 +123,55 @@ class TestDFA:
                 assert dfa.step(state, symbol) < dfa.num_states
 
     def test_live_states_depend_on_the_symbols(self):
+        """``colive`` per level: which states can still accept depends on
+        the symbols of the levels still to read, and on how many."""
         dfa = Pattern.parse("? A ? B ?").dfa()
-        assert dfa.start not in dfa.live_states({"A", OTHER})
-        assert dfa.live_states({"A", OTHER}) == dfa.accepting
-        assert dfa.live_states({"A", "B", OTHER}) == set(
-            range(dfa.num_states))
+        accepting = _bits(dfa.accepting)
+        # Without B, only an accepting state can still accept.
+        assert dfa.colive([frozenset({"A", OTHER})] * 3) == [accepting] * 4
+        masks = dfa.colive([frozenset({"A", "B", OTHER})] * 2)
+        assert masks[0] == _bits(range(dfa.num_states))
+        # One step left cannot read both A and B.
+        assert not masks[1] >> dfa.start & 1
+        assert masks[1] != masks[0]
+        assert masks[2] == accepting
+        # Per level: B only at the first step, then A -- B must come
+        # after A, so the start is dead although every symbol appears.
+        assert not dfa.colive([frozenset({"B"}),
+                               frozenset({"A"})])[0] >> dfa.start & 1
+        assert dfa.colive([frozenset({"A"}),
+                           frozenset({"B"})])[0] >> dfa.start & 1
 
     def test_dead_states_step_only_to_dead_states(self):
+        """The closure ``match_probability``'s pruning rests on: a state
+        that is not co-live at a level steps, on every symbol of the next
+        level, only to states that are not co-live there."""
         dfa = Pattern.parse("? A[2] ? B C ?").dfa()
-        for symbols in ({"A", OTHER}, {"B", "C"}, {"A", "B", OTHER}):
-            live = dfa.live_states(symbols)
-            assert dfa.accepting <= live
-            for state in set(range(dfa.num_states)) - live:
-                assert all(dfa.transitions[state][symbol] not in live
-                           for symbol in symbols)
+        for levels in ([{"A", OTHER}] * 4, [{"B", "C"}] * 3,
+                       [{"A", "B", OTHER}] * 5,
+                       [{"A"}, {"A"}, {"B", OTHER}, {"B", "C"}, {"C"}],
+                       [{"A"}, {"A"}, {"B"}, {"C"}]):
+            levels = [frozenset(level) for level in levels]
+            masks = dfa.colive(levels)
+            assert len(masks) == len(levels) + 1
+            assert masks[-1] == _bits(dfa.accepting)
+            for tau, symbols in enumerate(levels):
+                for state in range(dfa.num_states):
+                    if masks[tau] >> state & 1:
+                        continue
+                    assert all(not masks[tau + 1]
+                               >> dfa.transitions[state][symbol] & 1
+                               for symbol in symbols)
+        assert dfa.colive([frozenset({"A"}), frozenset({"A"}),
+                           frozenset({"B"}), frozenset({"C"})])[0] \
+            >> dfa.start & 1
+
+
+def _bits(states):
+    bits = 0
+    for state in states:
+        bits |= 1 << state
+    return bits
 
 
 def naive_match(atoms, trajectory):

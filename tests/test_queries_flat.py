@@ -40,6 +40,7 @@ from repro.queries import (
     stay_query,
     top_k_trajectories,
 )
+from repro.queries.pattern import Pattern, PatternAtom
 from repro.queries.session import QuerySession
 from repro.queries.trajectory import TrajectoryQuery
 from repro.store import load_ctg, save_ctg
@@ -251,6 +252,146 @@ def test_match_probability_is_always_a_float(tmp_path):
             assert answers == {"? Z ?": 0.0, "? B[3] ?": 0.0,
                                "? A ?": 0.5, "B ?": 0.5}
             assert all(type(answer) is float for answer in answers.values())
+
+
+# ----------------------------------------------------------------------
+# trajectory queries: the pruned sweep against the unpruned DP
+# ----------------------------------------------------------------------
+def unpruned_match(graph, pattern):
+    """The pattern DP with no liveness filter: every ``(node, DFA
+    state)`` pair of every level, keys packed as ``QuerySession`` packs
+    them, accepting pairs summed at the end."""
+    dfa = pattern.dfa()
+    num_states = dfa.num_states
+    names = graph.location_names
+    forward = {}
+    for i, lid in enumerate(graph.locations[0]):
+        mass = graph.source_probabilities[i]
+        if mass <= 0.0:
+            continue
+        key = i * num_states + dfa.step(dfa.start, names[lid])
+        forward[key] = forward.get(key, 0.0) + mass
+    for tau in range(graph.duration - 1):
+        offsets = graph.edge_offsets[tau]
+        children = graph.edge_children[tau]
+        probabilities = graph.edge_probabilities[tau]
+        next_lids = graph.locations[tau + 1]
+        step = {}
+        for key, mass in forward.items():
+            i, state = divmod(key, num_states)
+            for e in range(offsets[i], offsets[i + 1]):
+                child = children[e]
+                next_key = child * num_states + dfa.step(
+                    state, names[next_lids[child]])
+                step[next_key] = (step.get(next_key, 0.0)
+                                  + mass * probabilities[e])
+        forward = step
+    return sum((mass for key, mass in forward.items()
+                if key % num_states in dfa.accepting), 0.0)
+
+
+@st.composite
+def match_cases(draw):
+    """An instance from one of the suite's families and three grammar
+    patterns over its locations plus "Z", which no instance draws: 1-4
+    named conditions with runs of 1 to duration + 1, each gap and end a
+    wildcard or not."""
+    lsequence, constraints = draw(st.one_of(
+        st.tuples(lsequences(), constraint_sets()),
+        st.tuples(lsequences(max_duration=8), tt_heavy_constraint_sets()),
+        tt_du_heavy_instances()))
+    drawn = sorted({location for tau in range(lsequence.duration)
+                    for location in lsequence.candidates(tau)})
+    names = st.sampled_from(drawn + ["Z"])
+    runs = st.integers(min_value=1, max_value=lsequence.duration + 1)
+    patterns = []
+    for _ in range(3):
+        atoms = [PatternAtom(None)] if draw(st.booleans()) else []
+        for n in range(draw(st.integers(min_value=1, max_value=4))):
+            if n and draw(st.booleans()):
+                atoms.append(PatternAtom(None))
+            atoms.append(PatternAtom(draw(names), draw(runs)))
+        if draw(st.booleans()):
+            atoms.append(PatternAtom(None))
+        patterns.append(Pattern(atoms))
+    return lsequence, constraints, patterns
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_cases())
+def test_pruned_match_equals_the_unpruned_dp(case):
+    """Bit for bit on the flat, node and mapped forms, whatever the
+    argument type, and to rounding against enumeration."""
+    lsequence, constraints, patterns = case
+    try:
+        nodes = build_ct_graph(lsequence, constraints)
+    except InconsistentReadingsError:
+        return
+    flat = build_ct_graph(lsequence, constraints,
+                          CleaningOptions(materialize="flat"))
+    distribution = NaiveConditioner(
+        lsequence, constraints).conditioned_distribution()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.ctg"
+        save_ctg(flat, path)
+        with load_ctg(path, mmap=True) as view:
+            for pattern in patterns:
+                expected = unpruned_match(flat, pattern)
+                assert QuerySession(flat).match_probability(pattern) \
+                    == expected
+                query = TrajectoryQuery(str(pattern))
+                assert query.probability(nodes) == expected
+                assert unpruned_match(nodes.to_flat(), pattern) == expected
+                assert QuerySession(view).match_probability(str(pattern)) \
+                    == expected
+                assert unpruned_match(view, pattern) == expected
+                assert expected == approx(sum(
+                    p for t, p in distribution.items() if query.matches(t)))
+
+
+class _EdgesRaise:
+    """A flat-shaped wrapper whose edge columns raise: a query that
+    sweeps the graph fails."""
+
+    def __init__(self, graph):
+        self._graph = graph
+
+    def __getattr__(self, name):
+        if name.startswith("edge_"):
+            raise AssertionError(f"the query read {name}")
+        return getattr(self._graph, name)
+
+
+def test_table_dead_pattern_compiles_and_sweeps_nothing(monkeypatch):
+    """A pattern naming a location the graph never holds answers 0.0
+    from the name table: a string is not even compiled."""
+    flat = build_ct_graph(LSequence([{"A": 0.5, "B": 0.5}, {"B": 1.0}]),
+                          ConstraintSet(), CleaningOptions(materialize="flat"))
+    query = TrajectoryQuery("? Z ?")
+    compiled = []
+    original = Pattern.dfa
+    monkeypatch.setattr(Pattern, "dfa",
+                        lambda self: compiled.append(self) or original(self))
+    session = QuerySession(_EdgesRaise(flat))
+    assert session.match_probability("? A ? Z[2] ?") == 0.0
+    assert session.match_probability(Pattern.parse("Z")) == 0.0
+    assert session.match_probability(query) == 0.0
+    assert compiled == []
+
+
+def test_level_dead_pattern_sweeps_nothing():
+    """Every named location is in the graph, but no run of the levels
+    fits the pattern: the level pass answers 0.0 without a sweep."""
+    lsequence = LSequence([{"A": 0.5, "B": 0.5}, {"B": 1.0},
+                           {"A": 0.5, "C": 0.5}, {"A": 0.5, "B": 0.5}])
+    flat = build_ct_graph(lsequence, ConstraintSet(),
+                          CleaningOptions(materialize="flat"))
+    session = QuerySession(_EdgesRaise(flat))
+    for text in ("? A[3] ?", "? C ? B ? C ?", "? C B[2] ?", "C ?"):
+        assert set(Pattern.parse(text).mentioned_locations) <= set(
+            flat.location_names)
+        assert session.match_probability(text) == 0.0
+    assert QuerySession(flat).match_probability("? A[2] ?") == 0.25
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,8 @@ Four layers are pinned here:
 * the advisor's ``.ctg`` size prediction, pinned within 2x of measured.
 """
 
+import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.algorithm import CleaningOptions, build_ct_graph
+from repro.core.algorithm import CleaningOptions, CleaningStats, build_ct_graph
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
@@ -50,6 +52,7 @@ from repro.store import (
     content_key,
     load_ctg,
     save_ctg,
+    write_ctg,
 )
 
 try:
@@ -260,6 +263,75 @@ class TestMappedColumns:
         with load_ctg(first, mmap=mmap) as view:
             save_ctg(view, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestPinnedBytes:
+    """The writer's bytes, pinned by digest: a flat graph with ``None``
+    and counted stays, a non-ASCII name and a stats block; the same
+    graph through ndarray columns; a mapped re-save; and the graph
+    without stats.  A writer change that moves one byte fails here."""
+
+    GRAPH = FlatCTGraph(
+        location_names=("A", "B", "Hall-\u00df"),
+        locations=((0, 1), (1, 2, 0), (2,)),
+        stays=((None, 1), (2, None, None), (None,)),
+        edge_offsets=((0, 2, 3), (0, 1, 2, 3)),
+        edge_children=((0, 1, 2), (0, 0, 0)),
+        edge_probabilities=((0.25, 0.75, 1.0), (1.0, 1.0, 1.0)),
+        source_probabilities=(0.375, 0.625),
+        stats=CleaningStats(nodes_created=9, nodes_removed=3,
+                            edges_created=8, edges_removed=2,
+                            forward_seconds=0.5, backward_seconds=0.25,
+                            sweep_seconds=0.125))
+    WITH_STATS = (648, "a830dabd8ab3a9cc2acd5dc690c854da"
+                       "752c80f854eedf0eefe1830f9b330830")
+    WITHOUT_STATS = (488, "bbf3614ce987eaae47610e14793d6745"
+                          "0ae088374d02b0174ae545e751da960a")
+
+    @staticmethod
+    def pin(path, written):
+        data = path.read_bytes()
+        assert written == len(data)
+        return len(data), hashlib.sha256(data).hexdigest()
+
+    def test_flat_graph(self, tmp_path):
+        self.GRAPH.validate()
+        path = tmp_path / "g.ctg"
+        assert self.pin(path, save_ctg(self.GRAPH, path)) == self.WITH_STATS
+        path = tmp_path / "bare.ctg"
+        bare = dataclasses.replace(self.GRAPH, stats=None)
+        assert self.pin(path, save_ctg(bare, path)) == self.WITHOUT_STATS
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+    def test_ndarray_columns(self, tmp_path):
+        import numpy
+
+        graph = self.GRAPH
+        path = tmp_path / "g.ctg"
+        written = write_ctg(
+            path, location_names=graph.location_names,
+            locations=[numpy.array(level, dtype=numpy.int64)
+                       for level in graph.locations],
+            stays=[numpy.array([-1 if stay is None else stay
+                                for stay in level], dtype=numpy.int64)
+                   for level in graph.stays],
+            edge_offsets=[numpy.array(level, dtype=numpy.int64)
+                          for level in graph.edge_offsets],
+            edge_children=[numpy.array(level, dtype=numpy.int64)
+                           for level in graph.edge_children],
+            edge_probabilities=[numpy.array(level)
+                                for level in graph.edge_probabilities],
+            source_probabilities=numpy.array(graph.source_probabilities),
+            stats=graph.stats)
+        assert self.pin(path, written) == self.WITH_STATS
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_mapped_resave(self, tmp_path, mmap):
+        first, second = tmp_path / "first.ctg", tmp_path / "second.ctg"
+        save_ctg(self.GRAPH, first)
+        with load_ctg(first, mmap=mmap) as view:
+            written = save_ctg(view, second)
+        assert self.pin(second, written) == self.WITH_STATS
 
 
 def flat_probability_of(flat, trajectory):

@@ -174,8 +174,11 @@ class ConstraintSet:
 
         Statement order and duplicate statements do not matter — equality
         compares the *sets* of constraints, which is what determines the
-        cleaning semantics.
+        cleaning semantics.  A set is equal to itself at once, without
+        walking its constraints.
         """
+        if self is other:
+            return True
         if not isinstance(other, ConstraintSet):
             return NotImplemented
         return self._item_set == other._item_set

@@ -29,11 +29,12 @@ class TrajectoryQuery:
     def __init__(self, pattern: Union[Pattern, str]) -> None:
         self.pattern = (Pattern.parse(pattern) if isinstance(pattern, str)
                         else pattern)
-        self._dfa = self.pattern.dfa()
 
     def dfa(self) -> PatternDFA:
-        """The pattern's compiled DFA."""
-        return self._dfa
+        """The pattern's compiled DFA, compiled on first use (the
+        :class:`Pattern` caches it), so a query the graph's name table
+        settles never compiles."""
+        return self.pattern.dfa()
 
     # ------------------------------------------------------------------
     def probability(self, graph: QueryTarget) -> float:
@@ -46,7 +47,7 @@ class TrajectoryQuery:
 
     def probability_prior(self, lsequence: LSequence) -> float:
         """P(match) under the raw independence-assumption interpretation."""
-        dfa = self._dfa
+        dfa = self.dfa()
         forward: Dict[int, float] = {}
         for location, probability in lsequence.candidates(0).items():
             state = dfa.step(dfa.start, location)

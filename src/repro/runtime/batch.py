@@ -51,6 +51,7 @@ import multiprocessing
 import os
 import time
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -279,28 +280,74 @@ def _clean_one_stored(index: int, lsequence: LSequence,
                         ctg_path=str(path), cache_hit=cache_hit)
 
 
-def _clean_one(index: int, sequence: SequenceLike,
-               plan: SharedCleaningPlan, options: CleaningOptions,
-               prior: Optional[object],
-               query_plan: Optional[QueryPlan] = None,
-               store=None) -> BatchOutcome:
-    """Clean one object with the cyclic garbage collector paused.
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block.
 
-    The compact engine's flat and store builds create no reference
-    cycles, so a collection during them frees nothing.  A node graph's
-    ``CTNode`` web is cyclic; it stays collectable, because the
-    collector runs again on the first allocations after this returns.
-    A collector that was already off is left off, and one that was on
-    is re-enabled even when the object fails.
+    A collector that was already off is left off, and one that was on is
+    re-enabled even when the block raises.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _clean_object(index, sequence, plan, options, prior,
-                             query_plan, store)
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def _cycle_free(options: CleaningOptions, query_plan: Optional[QueryPlan],
+                store) -> bool:
+    """Whether every build under ``options`` leaves no cyclic garbage.
+
+    The compact engine's flat and ``.ctg`` builds create no reference
+    cycles (``test_compact_columnar_builds_leave_no_cyclic_garbage``),
+    so a collection during a job of them frees nothing.  A node graph's
+    ``CTNode`` web is cyclic, and the reference builder always builds
+    one.
+    """
+    if options.engine != "compact":
+        return False
+    if store is not None:
+        return True  # a store job always materialises "store"
+    materialize = options.materialize
+    if (materialize == "auto" and query_plan is not None
+            and not query_plan.keep_graphs):
+        materialize = "flat"  # as _clean_object resolves it
+    return materialize in ("flat", "store")
+
+
+def _clean_tasks(tasks: Sequence[_Task], plans: Dict[int, SharedCleaningPlan],
+                 options: CleaningOptions, prior: Optional[object],
+                 query_plan: Optional[QueryPlan], store
+                 ) -> List[BatchOutcome]:
+    """Clean ``tasks`` in order, with the cyclic collector paused.
+
+    When every build is cycle-free (:func:`_cycle_free`) the collector
+    pauses once around all the objects: a collection between them would
+    only traverse the plans' memoised rows and the outcomes, and free
+    nothing.  Otherwise it pauses per object, so a node graph's cyclic
+    garbage is collected between objects and stays bounded.
+
+    ``plans`` maps each task's constraint-table key to its plan.  Under
+    the once-per-job pause it is emptied before the collector resumes,
+    so that plans nobody else holds are freed by reference counting,
+    rows and all, instead of traversed by the first collection after
+    the job.  A caller that keeps its plans passes a copy.
+    """
+    if _cycle_free(options, query_plan, store):
+        with _collector_paused():
+            outcomes = [_clean_object(index, sequence, plans[key], options,
+                                      prior, query_plan, store)
+                        for index, key, sequence in tasks]
+            plans.clear()
+        return outcomes
+    outcomes = []
+    for index, key, sequence in tasks:
+        with _collector_paused():
+            outcomes.append(_clean_object(index, sequence, plans[key],
+                                          options, prior, query_plan, store))
+    return outcomes
 
 
 def _clean_object(index: int, sequence: SequenceLike,
@@ -345,9 +392,9 @@ def _worker_clean_chunk(chunk: Sequence[_Task]) -> List[BatchOutcome]:
     if _worker_state is None:
         raise RuntimeError("worker initializer did not run")
     plans, options, prior, query_plan, store = _worker_state
-    outcomes = [_clean_one(index, sequence, plans[key], options, prior,
-                           query_plan, store)
-                for index, key, sequence in chunk]
+    # A copy: the worker keeps its plans, rows and all, for later chunks.
+    outcomes = _clean_tasks(chunk, dict(plans), options, prior, query_plan,
+                            store)
     if store is None:
         return outcomes
     # Store mode ships paths only; the parent maps each entry itself.
@@ -756,12 +803,10 @@ class BatchCleaner:
                 chunk = max(1, len(tasks) // (workers * 4))
         respawns = 0
         if workers == 1 and self.timeout_seconds is None:
-            plans = {key: SharedCleaningPlan(constraints)
-                     for key, constraints in table.items()}
-            outcomes = [_clean_one(index, sequence, plans[key],
-                                   self.options, self.prior,
-                                   self.query_plan, self.store)
-                        for index, key, sequence in tasks]
+            outcomes = _clean_tasks(
+                tasks, {key: SharedCleaningPlan(constraints)
+                        for key, constraints in table.items()},
+                self.options, self.prior, self.query_plan, self.store)
         else:
             static_checked = False
             if self.options.precheck != "off":

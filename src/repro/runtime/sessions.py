@@ -123,25 +123,23 @@ class StreamSessionManager:
 
     # ------------------------------------------------------------------
     def ingest(self, object_id: str,
-               candidates: Mapping[str, float]) -> Dict[str, float]:
-        """Feed one reading to the object's session; return the live estimate.
+               candidates: Mapping[str, float]) -> None:
+        """Feed one reading to the object's session.
 
-        Exceptions propagate from
+        The live estimate is
+        ``session(object_id).filtered_distribution()``, computed only
+        when asked for.  Exceptions propagate from
         :meth:`~repro.streaming.StreamingCleaner.extend` with the
         session state unchanged, so the caller may drop the offending
         reading and keep the object alive.
         """
-        cleaner = self.session(object_id)
-        cleaner.extend(candidates)
+        self.session(object_id).extend(candidates)
         self._after_ingest(object_id)
-        return cleaner.filtered_distribution()
 
-    def ingest_reading(self, object_id: str, readers) -> Dict[str, float]:
+    def ingest_reading(self, object_id: str, readers) -> None:
         """Like :meth:`ingest` with a raw reading (needs the prior)."""
-        cleaner = self.session(object_id)
-        cleaner.extend_reading(readers)
+        self.session(object_id).extend_reading(readers)
         self._after_ingest(object_id)
-        return cleaner.filtered_distribution()
 
     def _after_ingest(self, object_id: str) -> None:
         count = self._since_checkpoint.get(object_id, 0) + 1

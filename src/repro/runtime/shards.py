@@ -122,7 +122,7 @@ class ServeEngine:
         if seen <= self._resumed_duration.get(object_id, 0):
             return False, [], []
         try:
-            estimate = self.manager.ingest(object_id, candidates)
+            self.manager.ingest(object_id, candidates)
         except (InconsistentReadingsError, ReadingSequenceError) as error:
             return False, [_render({
                 "object": object_id, "t": seen - 1,
@@ -135,7 +135,7 @@ class ServeEngine:
                 cleaner.duration % self.estimate_every == 0:
             out.append(_render({"object": object_id,
                                 "t": cleaner.duration - 1,
-                                "estimate": estimate}))
+                                "estimate": cleaner.filtered_distribution()}))
         if self.stats_every:
             now = time.perf_counter()
             count = self._object_counts.get(object_id, 0) + 1

@@ -35,15 +35,17 @@ laid out so a loader can hand out per-level array views over a single
     columns to find one.
 
 The 8-byte alignment means every section can be viewed in place:
-:func:`load_ctg` serves each column as a ``memoryview.cast`` of the
-buffer, which the pure-python query DPs index as plain ints and floats
-and :class:`~repro.core.kernels.GraphViews` wraps zero-copy as an
-ndarray.  The CRC-32 makes corruption detectable (:func:`load_ctg`
-verifies it on ``verify=True``).
-Structural bounds — magic, version, section offsets and counts against
-the payload — are *always* validated at load, so a truncated file fails
-with a typed :class:`~repro.errors.StoreFormatError` instead of an
-out-of-bounds read later.
+:func:`load_ctg` casts the buffer once per dtype and serves each column
+as a slice of that ``memoryview`` cast, which the pure-python query DPs
+index as plain ints and floats and
+:class:`~repro.core.kernels.GraphViews` wraps zero-copy as an ndarray.
+The CRC-32 makes corruption detectable (:func:`load_ctg` verifies it on
+``verify=True``).
+Structural bounds — magic, version, section offsets, alignment and
+counts against the payload and the header — are *always* validated at
+load, so a truncated or misaligned file fails with a typed
+:class:`~repro.errors.StoreFormatError` instead of an out-of-bounds or
+misread column later.
 
 This module is the **one authoritative codec** for the format: lint rule
 L010 forbids raw ``struct`` packing/unpacking of ``.ctg`` bytes anywhere
@@ -73,6 +75,9 @@ import struct
 import sys
 import zlib
 from array import array
+from bisect import bisect_right
+from itertools import accumulate, chain, islice, repeat
+from operator import add, floordiv, mod, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.flatgraph import FlatCTGraph
@@ -126,21 +131,29 @@ except ImportError:  # pragma: no cover - exercised on the no-numpy leg
 Column = Union[memoryview, array]
 
 
-def _section_plan(duration: int) -> Iterator[Tuple[str, int, int]]:
-    """The canonical ``(kind, level, itemsize)`` order of the sections."""
-    for tau in range(duration):
-        yield ("loc", tau, 4)
-        yield ("stay", tau, 4)
-    for tau in range(duration - 1):
-        yield ("off", tau, 4)
-        yield ("child", tau, 4)
-        yield ("prob", tau, 8)
-    yield ("source", 0, 8)
+def _itemsizes(duration: int) -> Tuple[int, ...]:
+    """The item size of every section, in canonical order: per level
+    ``loc`` and ``stay`` (int32), per edge level ``off`` and ``child``
+    (int32) and ``prob`` (float64), then ``source`` (float64)."""
+    return (4,) * (2 * duration) + (4, 4, 8) * (duration - 1) + (8,)
 
 
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
+#: Payload bytes the writer joins into one chunk before it writes them
+#: out: a small file goes out in one write, and a large one holds about
+#: this much beyond its own columns.  A section larger than this is a
+#: chunk of its own.
+_SPOOL_BYTES = 1 << 20
+#: Zero padding by length, up to the next 8-byte boundary.
+_PADS = tuple(bytes(length) for length in range(_ALIGN))
+#: Level containers whose whole column kind converts in one pack.
+_PLAIN = frozenset((tuple, list))
+#: The little-endian ``struct`` code of each column's array typecode.
+_STRUCT_CODES = {_I32: "i", "d": "d"}
+
+
 def _native(values: object, code: str) -> bool:
     """Whether ``values`` already holds the column's little-endian bytes:
     a ``memoryview`` column of a loaded ``.ctg`` on a little-endian host,
@@ -149,40 +162,53 @@ def _native(values: object, code: str) -> bool:
             and sys.byteorder == "little")
 
 
-def _i32_bytes(values: Sequence[int]):
-    """An int32 column as a buffer of its little-endian bytes."""
-    if _np is not None and isinstance(values, _np.ndarray):
-        return memoryview(_np.ascontiguousarray(values, dtype="<i4")
-                          ).cast("B")
-    if _native(values, _I32):
-        return values.cast("B")  # type: ignore[attr-defined]
-    encoded = array(_I32, values)
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
-        encoded.byteswap()
-    return encoded
+def _level_view(level, code: str, stays: bool) -> memoryview:
+    """One level of a column as a typed view of its little-endian bytes:
+    an ndarray converts to the on-disk dtype (``stays`` ndarrays must
+    already hold the ``-1`` sentinel), a native memoryview passes
+    through, anything else converts through ``array``."""
+    if _np is not None and isinstance(level, _np.ndarray):
+        view = memoryview(_np.ascontiguousarray(
+            level, dtype="<i4" if code == _I32 else "<f8"))
+    elif _native(level, code):
+        view = level
+    else:
+        encoded = array(code, [-1 if stay is None else stay
+                               for stay in level] if stays else level)
+        if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
+            encoded.byteswap()
+        view = memoryview(encoded)
+    if view.nbytes != view.itemsize * len(level):
+        raise StoreFormatError("a column's length disagrees with its bytes")
+    return view
 
 
-def _f64_bytes(values: Sequence[float]):
-    """A float64 column as a buffer of its little-endian bytes."""
-    if _np is not None and isinstance(values, _np.ndarray):
-        return memoryview(_np.ascontiguousarray(values, dtype="<f8")
-                          ).cast("B")
-    if _native(values, "d"):
-        return values.cast("B")  # type: ignore[attr-defined]
-    encoded = array("d", values)
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts only
-        encoded.byteswap()
-    return encoded
+def _kind_views(columns, code: str, stays: bool = False
+                ) -> Iterator[memoryview]:
+    """Every level of one column kind as a typed view, in level order.
+
+    Tuple and list levels convert together: one ``struct.pack`` of the
+    whole kind, little-endian on any host, that each level's view
+    slices.  Any other level (an ndarray, a mapped memoryview) converts
+    on its own, when its section is written, so a large ndarray graph
+    holds one level's conversion at a time.
+    """
+    if not set(map(type, columns)) <= _PLAIN:
+        return map(_level_view, columns, repeat(code), repeat(stays))
+    values = chain.from_iterable(columns)
+    items = (tuple(values) if not stays
+             else [-1 if stay is None else stay for stay in values])
+    view = memoryview(struct.pack(f"<{len(items)}{_STRUCT_CODES[code]}",
+                                  *items)).cast(code)
+    bounds = list(accumulate(map(len, columns), initial=0))
+    return map(view.__getitem__, map(slice, bounds, bounds[1:]))
 
 
-def _stay_bytes(row: Sequence[Optional[int]]):
-    if _np is not None and isinstance(row, _np.ndarray):
-        return _i32_bytes(row)  # already sentinel-encoded
-    return _i32_bytes([-1 if stay is None else stay for stay in row])
-
-
-def _aligned(position: int) -> int:
-    return position + (-position % _ALIGN)
+def _write_chunk(fh, chunk: bytes, crc: int) -> int:
+    """Write one chunk of the payload; returns the running CRC-32.  The
+    chunk dies on return, before the next one is joined."""
+    fh.write(chunk)
+    return zlib.crc32(chunk, crc)
 
 
 def write_ctg(path, *, location_names: Sequence[str],
@@ -202,9 +228,15 @@ def write_ctg(path, *, location_names: Sequence[str],
     (encoded as ``-1``) unless passed as an ndarray, which must already
     be sentinel-encoded.
 
-    The layout is planned first, so the payload is assembled in one
-    ``bytearray`` of exactly its size (padding is its zero fill), takes
-    one CRC-32 and goes out in two writes: header, payload.
+    Tuple and list columns convert once per column kind (see
+    :func:`_kind_views`).  The layout — every section's count, padding
+    and offset, and so the section table — follows from the column
+    lengths before a byte is written.  The payload then goes out in
+    canonical order, joined into chunks of about ``_SPOOL_BYTES`` whose
+    CRC-32 is taken as they go, and the header, which carries the CRC,
+    is written last over a placeholder: no copy of the whole payload is
+    ever held.  A write that fails part-way leaves a file whose zeroed
+    header fails to load.
     """
     duration = len(locations)
     if duration < 1:
@@ -214,64 +246,67 @@ def write_ctg(path, *, location_names: Sequence[str],
             and len(edge_children) == duration - 1
             and len(edge_probabilities) == duration - 1):
         raise StoreFormatError("level array lengths disagree")
-    num_nodes = sum(len(level) for level in locations)
-    num_edges = sum(len(children) for children in edge_children)
+    num_nodes = sum(map(len, locations))
+    num_edges = sum(map(len, edge_children))
+    head = bytearray()
+    for name in location_names:
+        encoded = name.encode("utf-8")
+        head += _LENGTH.pack(len(encoded))
+        head += encoded
+    head += _PADS[-len(head) % _ALIGN]
     flags = 0
-    stats_blob = b""
     if stats is not None:
         flags |= _FLAG_STATS
         stats_blob = json.dumps(
             {field.name: getattr(stats, field.name)
              for field in dataclasses.fields(stats)},
             sort_keys=True).encode("utf-8")
-    names = [name.encode("utf-8") for name in location_names]
-    position = HEADER_BYTES + sum(_LENGTH.size + len(name) for name in names)
-    stats_at = position = _aligned(position)
-    if stats_blob:
-        position = _aligned(position + _LENGTH.size + len(stats_blob))
-    by_kind = {"loc": (locations, _i32_bytes), "stay": (stays, _stay_bytes),
-               "off": (edge_offsets, _i32_bytes),
-               "child": (edge_children, _i32_bytes),
-               "prob": (edge_probabilities, _f64_bytes),
-               "source": ((source_probabilities,), _f64_bytes)}
-    sections = []
-    table: List[int] = []
-    for kind, tau, itemsize in _section_plan(duration):
-        columns, encode = by_kind[kind]
-        column = columns[tau]
-        position = _aligned(position)
-        size = itemsize * len(column)
-        sections.append((position - HEADER_BYTES, size, column, encode))
-        table += (position, len(column))
-        position += size
-    table_offset = _aligned(position)
-    payload_length = (table_offset + _SECTION_ENTRY.size * len(sections)
-                      - HEADER_BYTES)
-
-    payload = bytearray(payload_length)
-    at = 0
-    for name in names:
-        _LENGTH.pack_into(payload, at, len(name))
-        payload[at + _LENGTH.size:at + _LENGTH.size + len(name)] = name
-        at += _LENGTH.size + len(name)
-    if stats_blob:
-        at = stats_at - HEADER_BYTES
-        _LENGTH.pack_into(payload, at, len(stats_blob))
-        payload[at + _LENGTH.size:at + _LENGTH.size + len(stats_blob)] = \
-            stats_blob
-    for at, size, column, encode in sections:
-        payload[at:at + size] = encode(column)
-    struct.pack_into(f"<{len(table)}Q", payload,
-                     table_offset - HEADER_BYTES, *table)
-    if len(payload) != payload_length:
-        raise StoreFormatError("a column's length disagrees with its bytes")
+        head += _LENGTH.pack(len(stats_blob))
+        head += stats_blob
+        head += _PADS[-len(head) % _ALIGN]
+    # -- the layout, in canonical section order -------------------------
+    counts = list(chain(
+        chain.from_iterable(zip(map(len, locations), map(len, stays))),
+        chain.from_iterable(zip(map(len, edge_offsets),
+                                map(len, edge_children),
+                                map(len, edge_probabilities))),
+        (len(source_probabilities),)))
+    sizes = list(map(mul, counts, _itemsizes(duration)))
+    pads = [-size % _ALIGN for size in sizes]
+    positions = list(accumulate(map(add, sizes, pads),
+                                initial=HEADER_BYTES + len(head)))
+    table = struct.pack(f"<{2 * len(counts)}Q",
+                        *chain.from_iterable(zip(positions, counts)))
+    table_offset = positions[-1]
+    end = table_offset + len(table)
+    # -- the payload -----------------------------------------------------
+    sections = chain(
+        chain.from_iterable(zip(_kind_views(locations, _I32),
+                                _kind_views(stays, _I32, stays=True))),
+        chain.from_iterable(zip(_kind_views(edge_offsets, _I32),
+                                _kind_views(edge_children, _I32),
+                                _kind_views(edge_probabilities, "d"))),
+        _kind_views((source_probabilities,), "d"))
+    pieces = chain((head,), chain.from_iterable(
+        zip(sections, map(_PADS.__getitem__, pads))), (table,))
+    piece_ends = list(accumulate(chain((len(head),), chain.from_iterable(
+        zip(sizes, pads)), (len(table),))))
+    crc = 0
     with open(path, "wb") as fh:
+        fh.write(bytes(HEADER_BYTES))  # rewritten once the CRC is known
+        done = 0
+        while done < len(piece_ends):
+            # The pieces that end within _SPOOL_BYTES, and at least one.
+            limit = (piece_ends[done - 1] if done else 0) + _SPOOL_BYTES
+            stop = max(done + 1, bisect_right(piece_ends, limit, done))
+            crc = _write_chunk(fh, b"".join(islice(pieces, stop - done)),
+                               crc)
+            done = stop
+        fh.seek(0)
         fh.write(_HEADER.pack(
             CTG_MAGIC, CTG_VERSION, flags, duration, len(location_names),
-            num_nodes, num_edges, table_offset, payload_length,
-            zlib.crc32(payload)))
-        fh.write(payload)
-    return HEADER_BYTES + payload_length
+            num_nodes, num_edges, table_offset, end - HEADER_BYTES, crc))
+    return end
 
 
 def save_ctg(graph, path) -> int:
@@ -301,19 +336,50 @@ def save_ctg(graph, path) -> int:
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
-def _decode(buffer: memoryview, offset: int, count: int,
-            itemsize: int) -> Column:
-    """One little-endian column of ``buffer`` — int32 for ``itemsize``
-    4, float64 for 8 — as a zero-copy ``memoryview`` cast, or as a
-    byteswapped ``array.array`` copy on big-endian hosts."""
-    code = _I32 if itemsize == 4 else "d"
-    view = buffer[offset:offset + itemsize * count]
-    if sys.byteorder == "little":
-        return view.cast(code)
-    decoded = array(code)  # pragma: no cover - big-endian hosts only
-    decoded.frombytes(view)
-    decoded.byteswap()
-    return decoded
+class _Swapped:  # pragma: no cover - big-endian hosts only
+    """A big-endian host's stand-in for a cast of the buffer: each slice
+    is a byteswapped ``array.array`` copy of the little-endian items."""
+
+    def __init__(self, whole: memoryview, code: str) -> None:
+        self.whole = whole
+        self.code = code
+
+    def __getitem__(self, items: slice) -> array:
+        column = array(self.code)
+        size = column.itemsize
+        column.frombytes(self.whole[items.start * size:items.stop * size])
+        column.byteswap()
+        return column
+
+
+def _slices(view, itemsize: int, offsets: Sequence[int],
+            counts: Sequence[int]) -> Tuple[Column, ...]:
+    """The columns of ``counts[i]`` items at byte ``offsets[i]`` of a
+    cast of the buffer (each offset a multiple of ``itemsize``)."""
+    starts = list(map(floordiv, offsets, repeat(itemsize)))
+    return tuple(map(view.__getitem__,
+                     map(slice, starts, map(add, starts, counts))))
+
+
+def _section_error(path, duration: int, offsets: Sequence[int],
+                   counts: Sequence[int], itemsizes: Sequence[int],
+                   end: int) -> StoreFormatError:
+    """The error naming the first section out of bounds or misaligned."""
+    names = ([f"{kind}[{tau}]" for tau in range(duration)
+              for kind in ("loc", "stay")]
+             + [f"{kind}[{tau}]" for tau in range(duration - 1)
+                for kind in ("off", "child", "prob")]
+             + ["source[0]"])
+    for name, offset, count, size in zip(names, offsets, counts, itemsizes):
+        if offset % size:
+            return _bounds_error(
+                path, f"section {name} at offset {offset} is not aligned "
+                      f"to its {size}-byte items")
+        if offset < HEADER_BYTES or offset + count * size > end:
+            return _bounds_error(
+                path, f"section {name} out of bounds "
+                      f"(offset {offset}, count {count})")
+    raise AssertionError("no section is out of bounds")  # pragma: no cover
 
 
 def _to_tuple(column: Column) -> tuple:
@@ -746,10 +812,12 @@ def load_ctg(path, *, mmap: bool = True, verify: bool = False
     floats from it, and the numpy kernels wrap it zero-copy through
     ``np.asarray``.
 
-    Structural validation (magic, version, every section offset/count
-    against the payload) always runs and raises
-    :class:`~repro.errors.StoreFormatError` on any violation — a
-    truncated download fails here, not as an out-of-bounds read later.
+    Structural validation (magic, version, every section's offset,
+    alignment and count against the payload and the header, the CSR
+    shape of every edge level) always runs, over the whole section table
+    at once, and raises :class:`~repro.errors.StoreFormatError` naming
+    the path on any violation — a truncated or misaligned file fails
+    here, not as an out-of-bounds or misread column later.
     ``verify=True`` additionally checks the payload CRC-32 (reads the
     whole file) and raises :class:`~repro.errors.StoreChecksumError` on a
     mismatch.
@@ -840,51 +908,70 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
         except (ValueError, TypeError) as error:
             raise _bounds_error(path, f"malformed stats section ({error})")
     # -- section table -------------------------------------------------
-    plan = list(_section_plan(duration))
-    table_end = table_offset + len(plan) * _SECTION_ENTRY.size
+    last = duration - 1
+    sections = 5 * duration - 2  # the canonical order of _itemsizes
+    table_end = table_offset + sections * _SECTION_ENTRY.size
     if not HEADER_BYTES <= table_offset <= table_end <= end:
         raise _bounds_error(path, "section table out of bounds")
-    entries = [_SECTION_ENTRY.unpack_from(
-                   buffer, table_offset + i * _SECTION_ENTRY.size)
-               for i in range(len(plan))]
-    whole = memoryview(buffer)
-    columns: List[Column] = []
-    for (kind, tau, itemsize), (offset, count) in zip(plan, entries):
-        if not (HEADER_BYTES <= offset
-                and offset + count * itemsize <= end):
-            raise _bounds_error(
-                path, f"section {kind}[{tau}] out of bounds "
-                      f"(offset {offset}, count {count})")
-        columns.append(_decode(whole, offset, count, itemsize))
-    locations = tuple(columns[2 * tau] for tau in range(duration))
-    stay_columns = tuple(columns[2 * tau + 1] for tau in range(duration))
-    base = 2 * duration
-    edge_offsets = tuple(columns[base + 3 * tau]
-                         for tau in range(duration - 1))
-    edge_children = tuple(columns[base + 3 * tau + 1]
-                          for tau in range(duration - 1))
-    edge_probabilities = tuple(columns[base + 3 * tau + 2]
-                               for tau in range(duration - 1))
-    source = columns[-1]
-    # -- cheap structural cross-checks (full checks: ``validate()``) ---
-    if sum(len(level) for level in locations) != num_nodes:
+    if table_offset % _ALIGN:
+        raise _bounds_error(
+            path, f"section table offset {table_offset} is not "
+                  f"{_ALIGN}-byte aligned")
+    itemsizes = _itemsizes(duration)
+    entries = struct.unpack_from(f"<{2 * sections}Q", buffer, table_offset)
+    offsets, counts = entries[0::2], entries[1::2]
+    # -- bounds and alignment, over the whole table --------------------
+    # The columns are slices of casts of the buffer up to its last whole
+    # 8 bytes, so every section must end there.
+    whole = memoryview(buffer)[:end - end % _ALIGN]
+    if (min(offsets) < HEADER_BYTES
+            or max(map(add, offsets, map(mul, counts, itemsizes)))
+            > len(whole)
+            or any(map(mod, offsets, itemsizes))):
+        raise _section_error(path, duration, offsets, counts, itemsizes,
+                             len(whole))
+    nodes = 2 * duration
+    edges = nodes + 3 * last
+    loc_counts, stay_counts = counts[0:nodes:2], counts[1:nodes:2]
+    off_counts = counts[nodes:edges:3]
+    child_counts = counts[nodes + 1:edges:3]
+    # -- counts (full structural checks: ``validate()``) ---------------
+    if sum(loc_counts) != num_nodes:
         raise _bounds_error(path, "node sections disagree with the header")
-    if sum(len(children) for children in edge_children) != num_edges:
+    if sum(child_counts) != num_edges:
         raise _bounds_error(path, "edge sections disagree with the header")
-    if len(source) != len(locations[0]):
+    if counts[-1] != loc_counts[0]:
         raise _bounds_error(
             path, "source distribution length disagrees with level 0")
-    for tau in range(duration):
-        if len(stay_columns[tau]) != len(locations[tau]):
-            raise _bounds_error(path, f"stay row {tau} length disagrees")
-        if tau == duration - 1:
-            continue
-        if (len(edge_offsets[tau]) != len(locations[tau]) + 1
-                or len(edge_children[tau]) != len(edge_probabilities[tau])
-                or (len(edge_offsets[tau]) > 0
-                    and edge_offsets[tau][-1] != len(edge_children[tau]))):
-            raise _bounds_error(path, f"CSR sections of level {tau} "
-                                      "are inconsistent")
+    if stay_counts != loc_counts:
+        tau = next(tau for tau in range(duration)
+                   if stay_counts[tau] != loc_counts[tau])
+        raise _bounds_error(path, f"stay row {tau} length disagrees")
+    # One cast of the buffer per dtype; every column slices one of them.
+    if sys.byteorder == "little":
+        i32, f64 = whole.cast(_I32), whole.cast("d")
+    else:  # pragma: no cover - big-endian hosts only
+        i32, f64 = _Swapped(whole, _I32), _Swapped(whole, "d")
+    prob_counts = counts[nodes + 2:edges:3]
+    edge_offsets = _slices(i32, 4, offsets[nodes:edges:3], off_counts)
+    # Short-circuits: a CSR column is read only once its count is right.
+    if (off_counts != tuple(count + 1 for count in loc_counts[:last])
+            or prob_counts != child_counts
+            or tuple(column[-1] for column in edge_offsets)
+            != child_counts):
+        tau = next(tau for tau in range(last)
+                   if off_counts[tau] != loc_counts[tau] + 1
+                   or prob_counts[tau] != child_counts[tau]
+                   or edge_offsets[tau][-1] != child_counts[tau])
+        raise _bounds_error(path, f"CSR sections of level {tau} "
+                                  "are inconsistent")
+    locations = _slices(i32, 4, offsets[0:nodes:2], loc_counts)
+    stay_columns = _slices(i32, 4, offsets[1:nodes:2], stay_counts)
+    edge_children = _slices(i32, 4, offsets[nodes + 1:edges:3],
+                            child_counts)
+    edge_probabilities = _slices(f64, 8, offsets[nodes + 2:edges:3],
+                                 prob_counts)
+    (source,) = _slices(f64, 8, offsets[-1:], counts[-1:])
     return MappedCTGraph(
         path=path, backing=backing, location_names=tuple(names),
         locations=locations, stay_columns=stay_columns,

@@ -35,8 +35,9 @@ import hashlib
 import json
 import os
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ReadingSequenceError, StoreError
 from repro.store.format import MappedCTGraph, load_ctg, save_ctg
@@ -46,6 +47,28 @@ __all__ = ["GraphStore", "content_key"]
 #: The version tag hashed into every key — bump when the key payload (or
 #: anything that changes stored bytes for the same payload) changes.
 KEY_FORMAT = "rfid-ctg/ctg-key@1"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@lru_cache(maxsize=16)
+def _key_prefix(statements: Tuple[str, ...], backend: str,
+                extra_json: str):
+    """The SHA-256 state over the key payload's text up to its levels.
+
+    ``json.dumps(sort_keys=True)`` writes the payload's keys in the
+    order ``backend``, ``constraints``, ``extra``, ``format``,
+    ``levels``, ``truncated_stay_policy``, so everything before
+    ``levels`` depends on the constraint set, the backend and ``extra``
+    alone.
+    """
+    head = ('{"backend":' + _dumps(backend)
+            + ',"constraints":' + _dumps(statements)
+            + ',"extra":' + extra_json
+            + ',"format":' + _dumps(KEY_FORMAT) + ',"levels":')
+    return hashlib.sha256(head.encode("utf-8"))
 
 
 def content_key(lsequence, constraints, options=None, *,
@@ -59,6 +82,15 @@ def content_key(lsequence, constraints, options=None, *,
     (it determines edge order, hence bit-exact output), and every
     probability is hashed via ``float.hex`` so distinct doubles never
     collide through decimal rounding.
+
+    The key is the SHA-256 of one JSON text, ``json.dumps(payload,
+    sort_keys=True, separators=(",", ":"))``.  The part of that text
+    before the levels is hashed once per (constraint statements,
+    backend, ``extra``) and kept in a small cache of hash states, which
+    each key copies before it hashes its own levels: a batch whose
+    objects share one constraint set encodes and hashes the statements
+    once.  A batch whose objects each carry a distinct set pays the full
+    encoding for every object, as an uncached key would.
     """
     if options is None:
         from repro.core.algorithm import CleaningOptions  # lazy
@@ -69,16 +101,12 @@ def content_key(lsequence, constraints, options=None, *,
         levels.append([[location, float(probability).hex()]
                        for location, probability
                        in lsequence.candidates(tau).items()])
-    payload = {
-        "format": KEY_FORMAT,
-        "levels": levels,
-        "constraints": constraints.sorted_statements,
-        "truncated_stay_policy": options.truncated_stay_policy,
-        "backend": options.backend,
-        "extra": extra,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    digest = _key_prefix(constraints.sorted_statements, options.backend,
+                         _dumps(extra)).copy()
+    digest.update((_dumps(levels) + ',"truncated_stay_policy":'
+                   + _dumps(options.truncated_stay_policy) + "}"
+                   ).encode("utf-8"))
+    return digest.hexdigest()
 
 
 class GraphStore:

@@ -130,6 +130,18 @@ class TestConstraintSet:
         assert hash(a) == hash(b)
         assert a != ConstraintSet([Unreachable("A", "B")])
 
+    def test_a_set_equals_itself_without_a_walk(self):
+        class Unwalkable(frozenset):
+            def __eq__(self, other):
+                raise AssertionError("the constraints were compared")
+
+            __hash__ = frozenset.__hash__
+
+        cs = ConstraintSet([Unreachable("A", "B"), Latency("C", 2)])
+        cs._item_set = Unwalkable(cs._item_set)
+        assert cs == cs
+        assert not cs != cs
+
     def test_equality_against_foreign_types(self):
         cs = ConstraintSet([Unreachable("A", "B")])
         assert cs != {Unreachable("A", "B")}

@@ -379,6 +379,26 @@ def test_table_dead_pattern_compiles_and_sweeps_nothing(monkeypatch):
     assert compiled == []
 
 
+def test_table_dead_trajectory_query_is_never_compiled(monkeypatch):
+    """``TrajectoryQuery`` compiles its DFA on first use, so a query the
+    name table settles costs no compile (``rfid-ctg query --pattern``
+    and Fig. 8(c)'s harness wrap every pattern in one)."""
+    flat = build_ct_graph(LSequence([{"A": 0.5, "B": 0.5}, {"B": 1.0}]),
+                          ConstraintSet(), CleaningOptions(materialize="flat"))
+    compiled = []
+    original = Pattern.dfa
+    monkeypatch.setattr(Pattern, "dfa",
+                        lambda self: compiled.append(self) or original(self))
+    assert TrajectoryQuery("? A ? Z[2] ?").probability(flat) == 0.0
+    assert TrajectoryQuery(Pattern.parse("Z")).probability(
+        QuerySession(_EdgesRaise(flat))) == 0.0
+    assert compiled == []
+    query = TrajectoryQuery("? B")
+    assert query.probability(flat) == 1.0
+    assert compiled == [query.pattern]
+    assert query.dfa() is query.dfa()  # the pattern's cached DFA
+
+
 def test_level_dead_pattern_sweeps_nothing():
     """Every named location is in the graph, but no run of the levels
     fits the pattern: the level pass answers 0.0 without a sweep."""

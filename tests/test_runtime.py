@@ -209,8 +209,33 @@ def collector():
         gc.disable()
 
 
+def _spy_on_the_collector(monkeypatch):
+    """Record the batch runtime's pauses and resumes of the collector."""
+    import repro.runtime.batch as batch
+
+    calls = []
+
+    class Spy:
+        isenabled = staticmethod(gc.isenabled)
+
+        @staticmethod
+        def disable():
+            calls.append("pause")
+            gc.disable()
+
+        @staticmethod
+        def enable():
+            calls.append("resume")
+            gc.enable()
+
+    monkeypatch.setattr(batch, "gc", Spy)
+    return calls
+
+
 class TestCollectorPause:
-    """``clean_many`` pauses the cyclic GC per object and restores it."""
+    """``clean_many`` pauses the cyclic GC once per job when every build
+    is cycle-free (compact engine, flat or store output), per object
+    otherwise, and restores it."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_clean_many_leaves_the_collector_as_it_found_it(
@@ -255,6 +280,93 @@ class TestCollectorPause:
         with pytest.raises(RuntimeError, match="engine bug"):
             clean_many(workload[:2], CONSTRAINTS, workers=1)
         assert gc.isenabled()
+
+
+    @pytest.mark.parametrize("output", ["flat", "store", "query-plan"])
+    def test_a_cycle_free_job_pauses_once(self, workload, collector,
+                                          monkeypatch, tmp_path, output):
+        from repro.runtime import QueryPlan
+        from repro.store import GraphStore
+
+        calls = _spy_on_the_collector(monkeypatch)
+        gc.enable()
+        result = clean_many(
+            workload[:3], CONSTRAINTS,
+            options=CleaningOptions(
+                materialize="flat" if output == "flat" else "auto"),
+            store=GraphStore(tmp_path) if output == "store" else None,
+            query_plan=(QueryPlan("STAY 1") if output == "query-plan"
+                        else None))
+        assert result.cleaned == 3
+        assert calls == ["pause", "resume"]
+        assert gc.isenabled()
+        for outcome in result:
+            if output == "store":
+                outcome.graph.close()
+
+    @pytest.mark.parametrize("options", [
+        CleaningOptions(),
+        CleaningOptions(engine="reference", materialize="flat"),
+    ], ids=["nodes", "reference-flat"])
+    def test_cyclic_builds_pause_per_object(self, workload, collector,
+                                            monkeypatch, options):
+        calls = _spy_on_the_collector(monkeypatch)
+        gc.enable()
+        clean_many(workload[:3], CONSTRAINTS, options=options)
+        assert calls == ["pause", "resume"] * 3
+
+    def test_plans_are_freed_before_the_collector_resumes(
+            self, workload, collector, monkeypatch, tmp_path):
+        import weakref
+
+        import repro.runtime.batch as batch
+        from repro.store import GraphStore
+
+        plans = []
+
+        class Tracked(SharedCleaningPlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(weakref.ref(self))
+
+        alive_at_resume = []
+
+        class Spy:
+            isenabled = staticmethod(gc.isenabled)
+            disable = staticmethod(gc.disable)
+
+            @staticmethod
+            def enable():
+                alive_at_resume.extend(ref for ref in plans
+                                       if ref() is not None)
+                gc.enable()
+
+        monkeypatch.setattr(batch, "SharedCleaningPlan", Tracked)
+        monkeypatch.setattr(batch, "gc", Spy)
+        gc.enable()
+        result = clean_many(workload[:4], [CONSTRAINTS, ConstraintSet()] * 2,
+                            store=GraphStore(tmp_path))
+        assert len(plans) == 2
+        assert alive_at_resume == []
+        for outcome in result:
+            outcome.graph.close()
+
+    def test_a_store_job_leaves_no_cyclic_garbage(self, workload,
+                                                  collector, tmp_path):
+        from repro.store import GraphStore
+
+        poison = LSequence([{"A": 1.0}, {"C": 1.0}])
+        gc.collect()
+        gc.disable()
+        result = clean_many([workload[0], poison, workload[1]], CONSTRAINTS,
+                            store=GraphStore(tmp_path))
+        assert [o.error_type for o in result] == [None, "ZeroMassError",
+                                                  None]
+        for outcome in result:
+            if outcome.graph is not None:
+                outcome.graph.close()
+        del result, outcome
+        assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("plan", [False, True], ids=["no-plan", "plan"])

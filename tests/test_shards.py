@@ -93,6 +93,25 @@ class TestServeEngine:
         assert json.loads(out[0])["estimate"] == {"A": 1.0}
         assert engine.ingested == 2
 
+    def test_estimates_are_computed_only_for_printed_lines(self,
+                                                          monkeypatch):
+        from repro.streaming import StreamingCleaner
+
+        computed = []
+        original = StreamingCleaner.filtered_distribution
+        monkeypatch.setattr(
+            StreamingCleaner, "filtered_distribution",
+            lambda self: computed.append(self.duration) or original(self))
+        manager = StreamSessionManager(CONSTRAINTS)
+        assert manager.ingest("u", {"A": 1.0}) is None
+        engine = ServeEngine(manager, estimate_every=5)
+        printed = []
+        for seed in range(12):
+            _, out, _ = engine.process("t", self.row(seed))
+            printed += [json.loads(line)["t"] for line in out]
+        assert printed == [4, 9]
+        assert computed == [5, 10]
+
     def test_resume_skipping(self, tmp_path):
         manager = StreamSessionManager(CONSTRAINTS,
                                        checkpoint_dir=tmp_path)

@@ -45,6 +45,7 @@ from repro.errors import (
     StoreFormatError,
 )
 from repro.queries.session import QuerySession
+from repro.store.format import HEADER_BYTES, _HEADER, _SECTION_ENTRY
 from repro.store import (
     CTG_MAGIC,
     GraphStore,
@@ -483,6 +484,265 @@ class TestGraphStore:
         keys = {content_key(lsequence, constraints) for _ in range(5)}
         assert len(keys) == 1
         assert len(calls) == len(constraints)
+
+
+def reference_key(lsequence, constraints, options=None, extra=None):
+    """The key as one JSON text hashed in one go: what the cached-prefix
+    ``content_key`` must reproduce byte for byte."""
+    options = options or CleaningOptions()
+    payload = {
+        "format": "rfid-ctg/ctg-key@1",
+        "levels": [[[location, float(probability).hex()]
+                    for location, probability
+                    in lsequence.candidates(tau).items()]
+                   for tau in range(lsequence.duration)],
+        "constraints": constraints.sorted_statements,
+        "truncated_stay_policy": options.truncated_stay_policy,
+        "backend": options.backend,
+        "extra": extra,
+    }
+    return hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+
+
+class TestKeyPrefix:
+    """``content_key`` hashes the constraint part of its payload once per
+    (statements, backend, ``extra``) and copies that hash state per key;
+    every key still equals the one-shot digest of the whole payload."""
+
+    LSEQUENCES = (
+        LSequence([{"A": 0.6, "B": 0.4}, {"A": 0.5, "C": 0.5}]),
+        LSequence([{"B": 1.0}, {"C": 0.25, "A": 0.75}, {"A": 1.0}]),
+        LSequence([{"Hall-\u00df": 0.5, "A": 0.5}]),
+    )
+    FIRST = ConstraintSet([Unreachable("A", "C"), TravelingTime("A", "B", 3),
+                           Latency("B", 2)])
+    SECOND = ConstraintSet([Unreachable("C", "A"), Latency("A", 3)])
+
+    @pytest.mark.parametrize("extra", [
+        None,
+        "map-rev-7",
+        {"zeta": [3, {"b": 1, "a": [None, True]}], "alpha": {"y": 2.5,
+                                                              "x": "\u00e9"},
+         "mid": []},
+    ], ids=["none", "string", "nested-dict"])
+    @pytest.mark.parametrize("backend", ["auto", "python", "numpy"])
+    @pytest.mark.parametrize("policy", ["lenient", "strict"])
+    def test_keys_equal_the_one_shot_digest(self, extra, backend, policy):
+        options = CleaningOptions(backend=backend,
+                                  truncated_stay_policy=policy)
+        for lsequence in self.LSEQUENCES:
+            for _ in range(2):  # a cache miss, then a hit
+                assert content_key(lsequence, self.FIRST, options,
+                                   extra=extra) == reference_key(
+                    lsequence, self.FIRST, options, extra)
+
+    def test_constraint_sets_taking_turns(self):
+        # An equal set that repeats a statement has a different key: the
+        # cache is keyed by the statements, not by set equality.
+        repeated = ConstraintSet(list(self.FIRST) + [Unreachable("A", "C")])
+        assert repeated == self.FIRST
+        keys = set()
+        for _ in range(3):
+            for constraints in (self.FIRST, self.SECOND, repeated,
+                                ConstraintSet()):
+                for lsequence in self.LSEQUENCES:
+                    key = content_key(lsequence, constraints)
+                    assert key == reference_key(lsequence, constraints)
+                    keys.add(key)
+        assert len(keys) == 4 * len(self.LSEQUENCES)
+
+    def test_statements_are_encoded_once_per_prefix(self):
+        from repro.store.graphstore import _key_prefix
+
+        _key_prefix.cache_clear()
+        calls = 0
+        for lsequence in self.LSEQUENCES * 3:
+            content_key(lsequence, self.FIRST)
+            content_key(lsequence, self.FIRST, extra={"b": 1, "a": 2})
+            calls += 2
+        info = _key_prefix.cache_info()
+        assert (info.misses, info.hits) == (2, calls - 2)
+
+
+# ----------------------------------------------------------------------
+# hostile files against the loader
+# ----------------------------------------------------------------------
+#: Section indices of a 3-level graph in canonical order.
+LOC_1, PROB_0, OFF_0, CHILD_0 = 2, 8, 6, 7
+
+
+class TestHostileFiles:
+    """Files a broken or hostile writer could produce.  Each must raise
+    :class:`StoreFormatError` naming the path, on either backing — never
+    an ``IndexError`` or a silently misread column."""
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        path = tmp_path / "hostile.ctg"
+        save_ctg(TestPinnedBytes.GRAPH, path)
+        return path
+
+    @staticmethod
+    def header(data):
+        return list(_HEADER.unpack_from(data, 0))
+
+    @staticmethod
+    def entry(data, index):
+        table_offset = _HEADER.unpack_from(data, 0)[7]
+        return _SECTION_ENTRY.unpack_from(
+            data, table_offset + index * _SECTION_ENTRY.size)
+
+    @staticmethod
+    def set_entry(data, index, offset, count):
+        table_offset = _HEADER.unpack_from(data, 0)[7]
+        _SECTION_ENTRY.pack_into(
+            data, table_offset + index * _SECTION_ENTRY.size, offset, count)
+
+    @staticmethod
+    def rejects(path, mmap, match):
+        with pytest.raises(StoreFormatError, match=match) as caught:
+            load_ctg(path, mmap=mmap)
+        assert str(path) in str(caught.value)
+
+    def test_the_untouched_file_loads(self, good):
+        with load_ctg(good) as view:
+            assert view.materialize() == TestPinnedBytes.GRAPH
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    @pytest.mark.parametrize("index, shift", [(LOC_1, 2), (PROB_0, 4)],
+                             ids=["int32-by-2", "float64-by-4"])
+    def test_misaligned_column(self, good, mmap, index, shift):
+        data = bytearray(good.read_bytes())
+        offset, count = self.entry(data, index)
+        self.set_entry(data, index, offset + shift, count)
+        good.write_bytes(bytes(data))
+        self.rejects(good, mmap, "not aligned")
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_misaligned_section_table(self, good, mmap):
+        data = bytearray(good.read_bytes())
+        header = self.header(data)
+        table_offset = header[7]
+        data[table_offset:table_offset] = bytes(4)
+        header[7] += 4
+        header[8] += 4
+        _HEADER.pack_into(data, 0, *header)
+        good.write_bytes(bytes(data))
+        self.rejects(good, mmap, "not 8-byte aligned")
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_section_table_past_the_payload(self, good, mmap):
+        data = bytearray(good.read_bytes())
+        header = self.header(data)
+        header[7] = HEADER_BYTES + header[8] - 8
+        _HEADER.pack_into(data, 0, *header)
+        good.write_bytes(bytes(data))
+        self.rejects(good, mmap, "section table out of bounds")
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_more_levels_than_the_table_holds(self, good, mmap):
+        """Refused before anything is sized by the claimed level count."""
+        import tracemalloc
+
+        data = bytearray(good.read_bytes())
+        header = self.header(data)
+        header[3] = 200_000
+        _HEADER.pack_into(data, 0, *header)
+        good.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            self.rejects(good, mmap, "section table out of bounds")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_column_past_the_payload(self, good, mmap):
+        data = bytearray(good.read_bytes())
+        offset, count = self.entry(data, CHILD_0)
+        self.set_entry(data, CHILD_0, len(data) - 8, count)
+        good.write_bytes(bytes(data))
+        self.rejects(good, mmap, r"section child\[0\] out of bounds")
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_last_csr_offset_disagrees(self, good, mmap):
+        data = bytearray(good.read_bytes())
+        offset, count = self.entry(data, OFF_0)
+        _, children = self.entry(data, CHILD_0)
+        last = offset + 4 * (count - 1)
+        data[last:last + 4] = (children + 1).to_bytes(4, "little")
+        good.write_bytes(bytes(data))
+        self.rejects(good, mmap, "CSR sections of level 0")
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    @pytest.mark.parametrize("field, match", [(5, "node sections"),
+                                              (6, "edge sections")],
+                             ids=["nodes", "edges"])
+    def test_totals_disagree_with_the_header(self, good, mmap, field,
+                                             match):
+        data = bytearray(good.read_bytes())
+        header = self.header(data)
+        header[field] += 1
+        _HEADER.pack_into(data, 0, *header)
+        good.write_bytes(bytes(data))
+        self.rejects(good, mmap, match)
+
+
+# ----------------------------------------------------------------------
+# the writer's memory
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["memoryview", "ndarray"])
+def test_the_writer_holds_no_copy_of_the_payload(tmp_path, kind):
+    """A wide graph whose columns arrive as buffers is written with
+    less extra memory than its payload: the bytes stream out in bounded
+    chunks, and a column converts one level at a time."""
+    import random
+    import tracemalloc
+    from array import array
+
+    if kind == "ndarray" and not HAVE_NUMPY:
+        pytest.skip("needs numpy")
+    rng = random.Random(5)
+    levels, width, fanout = 40, 2000, 4
+    edges = width * fanout
+    columns = {
+        "locations": [array("i", [0] * width) for _ in range(levels)],
+        "stays": [array("i", [-1] * width) for _ in range(levels)],
+        "edge_offsets": [array("i", range(0, edges + 1, fanout))
+                         for _ in range(levels - 1)],
+        "edge_children": [array("i", [rng.randrange(width)
+                                      for _ in range(edges)])
+                          for _ in range(levels - 1)],
+        "edge_probabilities": [array("d", [1.0 / fanout] * edges)
+                               for _ in range(levels - 1)],
+    }
+    if kind == "memoryview":
+        columns = {name: [memoryview(level) for level in levels_]
+                   for name, levels_ in columns.items()}
+    else:
+        # int64 index columns, as the engine's numpy sweep hands them in.
+        columns = {name: [numpy.array(level,
+                                      dtype="f8" if level.typecode == "d"
+                                      else "i8") for level in levels_]
+                   for name, levels_ in columns.items()}
+    path = tmp_path / "wide.ctg"
+    tracemalloc.start()
+    try:
+        written = write_ctg(path, location_names=("A",),
+                            source_probabilities=[1.0 / width] * width,
+                            **columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written > 2_000_000
+    assert peak < written // 2
+    with load_ctg(path, verify=True) as view:
+        assert view.num_edges == edges * (levels - 1)
+        assert list(view.edge_children[3]) == list(
+            columns["edge_children"][3])
 
 
 # ----------------------------------------------------------------------

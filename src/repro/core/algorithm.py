@@ -230,8 +230,11 @@ class CleaningStats:
     edges_removed: int = 0
     #: Wall-clock seconds of the forward expansion and of the backward
     #: survival sweep (conditioning and materialisation included), filled
-    #: by both engines so wins are attributable per phase.  Excluded from
-    #: equality — two identical cleanings never time identically.
+    #: by both engines so wins are attributable per phase.  A store build
+    #: (``materialize="store"``) stamps ``backward_seconds`` before it
+    #: writes the ``.ctg``, because the file's stats block carries it, so
+    #: the write is in neither field.  Excluded from equality — two
+    #: identical cleanings never time identically.
     forward_seconds: float = field(default=0.0, compare=False)
     backward_seconds: float = field(default=0.0, compare=False)
     #: Wall-clock seconds of the backward survival sweep *proper* (edge

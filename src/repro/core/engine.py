@@ -36,10 +36,12 @@ single bit of the output:
 
 * **Streaming rows** — the online filtered-forward step
   (:meth:`EngineCache.advance`) reads the same memoised rows.  Online
-  there is no departure filter, so a row's mask is the
-  ``maxTravelingTime`` horizon rule alone, a pure function of the
-  state, and stream rows are keyed ``(state, support)``.  A live
-  frontier is a :class:`CompactFrontier`.
+  there is no departure filter: each child keeps the ``TL`` entries
+  that a walk from its own ``(location, stay)`` can still bind
+  (:func:`~repro.core.nodes.binding_ages`), and the child is a pure
+  function of the parent state and the destination, so stream rows are
+  keyed ``(state, support)``.  A live frontier is a
+  :class:`CompactFrontier`.
 
 The result is **bit-exact** with the reference builder: same nodes in the
 same order, same edges in the same insertion order, and identical
@@ -66,6 +68,7 @@ from repro.core.nodes import (
     DepartureFilter,
     NodeState,
     _advance_stay,
+    binding_ages,
     initial_stay,
     state_departures,
     state_location,
@@ -130,9 +133,10 @@ class EngineCache:
         #: positions — is cached as one unit.  Derived purely from
         #: :attr:`_rows` entries, hence exact wherever they are.
         self._levels: Dict[Tuple, Tuple] = {}
-        #: Stream rows keyed ``(state, support)``: online the mask is a
-        #: function of the state (:meth:`_horizon_mask`), so it needs no
-        #: key slot.  At most :data:`STREAM_ROW_CAP` entries.
+        #: Stream rows keyed ``(state, support)``: online each child's
+        #: ``TL`` is pruned by its own ``(location, stay)``, a function
+        #: of the state and the destination, so no mask needs a key
+        #: slot.  At most :data:`STREAM_ROW_CAP` entries.
         self._stream_rows: Dict[Tuple[int, int], Row] = {}
 
     # ------------------------------------------------------------------
@@ -194,8 +198,10 @@ class EngineCache:
     # ------------------------------------------------------------------
     # the memoised transition relation
     # ------------------------------------------------------------------
-    def _compute_row(self, sid: int, support_id: int, mask: int) -> Row:
-        """The row of one interned ``(state, support, mask)`` key; the
+    def _compute_row(self, sid: int, support_id: int,
+                     mask: Optional[int]) -> Row:
+        """The row of one interned ``(state, support, mask)`` key, or
+        with ``mask=None`` of a ``(state, support)`` stream row; the
         rule-2 positions are memoised per ``(location, support)``."""
         location_id = self._states[sid][0]
         support = self._supports[support_id]
@@ -217,17 +223,19 @@ class EngineCache:
                      if not forbids(location, names[dest_id]))
 
     def _successors(self, sid: int, support: Tuple[int, ...],
-                    positions: Tuple[int, ...], mask: int) -> Row:
+                    positions: Tuple[int, ...], mask: Optional[int]) -> Row:
         """Definition 3 rules 3–6 for one state over the rule-2 positions.
 
         The mirror of ``_unchecked_successor`` in relative terms: rule 5
-        reads ``arrival - time`` as ``age + 1``, and the rule-3/6 ``TL``
-        keep decisions come from ``mask`` (bit ``k`` = entry ``k``
-        survives; the bit past the last entry = record the new departure).
-        A batch build without a :class:`DepartureFilter` has no TT
-        sources, every ``TL`` is empty and the mask is uniformly 0; the
-        stream, which has TT sources but no filter, passes the horizon
-        rule's bits (:meth:`_horizon_mask`).  States produced
+        reads ``arrival - time`` as ``age + 1``.  A batch row's rule-3/6
+        ``TL`` keep decisions come from ``mask`` (bit ``k`` = entry ``k``
+        survives; the bit past the last entry = record the new
+        departure); a build without a :class:`DepartureFilter` has no TT
+        sources, every ``TL`` is empty and the mask is uniformly 0.  A
+        stream row (``mask is None``) hands every entry on, and each child
+        keeps the entries its own ``(location, stay)`` row of
+        :func:`~repro.core.nodes.binding_ages` allows, as in the oracle
+        ``advance_frontier``.  States produced
         here keep the canonical invariants of the reference builder: at
         most one entry per location, never the state's own location,
         sorted by ``(-age, location name)`` — the relative image of the
@@ -238,18 +246,20 @@ class EngineCache:
         location_id, stay, rel_deps = self._states[sid]
         location = names[location_id]
         traveling_time = constraints.traveling_time
-        in_tt_sources = location in constraints.tt_sources
-        new_departure = bool(mask >> len(rel_deps) & 1)
+        online = mask is None
+        if online:
+            mask = -1
+        new_departure = location in constraints.tt_sources and \
+            bool(mask >> len(rel_deps) & 1)
         row: List[Tuple[int, int]] = []
         for pos in positions:
             dest_id = support[pos]
             if dest_id == location_id:
                 # Rule 3 — staying: bump the stay, age the departures.
-                kept = tuple((age + 1, dlid)
-                             for bit, (age, dlid) in enumerate(rel_deps)
-                             if mask >> bit & 1)
-                child = (location_id,
-                         _advance_stay(stay, location, constraints), kept)
+                child_stay = _advance_stay(stay, location, constraints)
+                entries = [(age + 1, dlid)
+                           for bit, (age, dlid) in enumerate(rel_deps)
+                           if mask >> bit & 1]
             else:
                 # Rule 4 — leaving before the latency bound is met.
                 if stay is not None:
@@ -275,41 +285,23 @@ class EngineCache:
                 entries = [(age + 1, dlid)
                            for bit, (age, dlid) in enumerate(rel_deps)
                            if dlid != dest_id and mask >> bit & 1]
-                if in_tt_sources and new_departure:
+                if new_departure:
                     entries.append((1, location_id))
                 if len(entries) > 1:
                     entries.sort(key=lambda entry: (-entry[0],
                                                     names[entry[1]]))
-                child = (dest_id, initial_stay(destination, constraints),
-                         tuple(entries))
-            row.append((pos, self.state_id(child)))
+                child_stay = initial_stay(destination, constraints)
+            if online and entries:
+                ages = binding_ages(names[dest_id], child_stay, constraints)
+                entries = [(age, dlid) for age, dlid in entries
+                           if age <= ages.get(names[dlid], -1)]
+            row.append((pos, self.state_id((dest_id, child_stay,
+                                            tuple(entries)))))
         return tuple(row)
 
     # ------------------------------------------------------------------
     # the online filtered-forward step
     # ------------------------------------------------------------------
-    def _horizon_mask(self, sid: int) -> int:
-        """The rule-3/6 ``TL`` keep bits without a departure filter.
-
-        Entry ``k`` survives iff ``age + 1 < maxTravelingTime(l)``; the
-        new-departure bit is set iff the state's location sources a TT
-        constraint and ``maxTravelingTime > 1`` — exactly what
-        ``_aged_departures`` and rule 6 decide without a filter.
-        """
-        names = self._location_names
-        max_tt = self.constraints.max_traveling_time
-        location_id, _stay, rel_deps = self._states[sid]
-        mask = 0
-        bit = 1
-        for age, dlid in rel_deps:
-            if age + 1 < max_tt(names[dlid]):
-                mask |= bit
-            bit <<= 1
-        location = names[location_id]
-        if location in self.constraints.tt_sources and max_tt(location) > 1:
-            mask |= bit
-        return mask
-
     def seed(self, row: Mapping[str, float]) -> "CompactFrontier":
         """The timestep-0 frontier (``advance_frontier`` at ``tau == 0``)."""
         constraints = self.constraints
@@ -380,15 +372,14 @@ class EngineCache:
         which is never interned: its rows use the ``support`` tuple, and
         its rule-2 positions live in the step's ``reachable``.
         """
-        mask = self._horizon_mask(sid)
         if support_id is None:
             location_id = self._states[sid][0]
             positions = reachable.get(location_id)
             if positions is None:
                 positions = self._reachable(location_id, support)
                 reachable[location_id] = positions
-            return self._successors(sid, support, positions, mask)
-        row = self._compute_row(sid, support_id, mask)
+            return self._successors(sid, support, positions, None)
+        row = self._compute_row(sid, support_id, None)
         if len(self._stream_rows) < STREAM_ROW_CAP:
             self._stream_rows[(sid, support_id)] = row
         return row

@@ -21,9 +21,12 @@ The live frontier yields the *filtered* estimate
 online quantity (it conditions on validity of the prefix only, so it
 will generally differ from the final smoothed marginal).
 
-One caveat: the exact ``TL`` pruning of the batch algorithm
+One caveat: the batch algorithm's ``TL`` pruning
 (:class:`repro.core.nodes.DepartureFilter`) needs the *future* support and
-is therefore unavailable online; the live frontier can carry more node
+is therefore unavailable online.  A stream step prunes instead by what
+the map's DU and LT constraints let a walk from each child's own
+``(location, stay)`` reach (:func:`repro.core.nodes.binding_ages`),
+which is exact too but weaker, so the live frontier can carry more node
 states than the batch forward phase would.  Probabilities are unaffected.
 """
 
@@ -33,7 +36,12 @@ import math
 from typing import TYPE_CHECKING, Dict, Mapping, Union
 
 from repro.core.constraints import ConstraintSet
-from repro.core.nodes import NodeState, source_states, successor_state
+from repro.core.nodes import (
+    NodeState,
+    _binding_departures,
+    source_states,
+    successor_state,
+)
 from repro.errors import ReadingSequenceError
 
 __all__ = [
@@ -120,6 +128,10 @@ def advance_frontier(frontier: Dict[NodeState, float],
             successor = successor_state(tau - 1, state, destination,
                                         constraints)
             if successor is not None:
+                # No departure filter online: each successor keeps the
+                # TL entries its own (location, stay) can still bind.
+                successor = _binding_departures(successor, tau,
+                                                constraints)
                 successor = interned.setdefault(successor, successor)
                 advanced[successor] = (advanced.get(successor, 0.0)
                                        + mass * probability)

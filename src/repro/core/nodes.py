@@ -15,9 +15,11 @@ A location node carries ``(tau, location, stay, departures)``:
   past and (b) sources at least one TT constraint, the last timestep spent
   there.  Entries expire as soon as ``now - time >= maxTravelingTime(loc)``
   — with a :class:`DepartureFilter`, as soon as no walk through the
-  l-sequence's supports can still reach a destination they bind — and only
-  the latest departure per location is kept (an older departure is
-  strictly weaker), so states stay canonical and finite.
+  l-sequence's supports can still reach a destination they bind; online,
+  as soon as no walk from the node's own ``(location, stay)`` can
+  (:func:`binding_ages`) — and only the latest departure per location is
+  kept (an older departure is strictly weaker), so states stay canonical
+  and finite.
 
 Given the node state, validity of any *future* is independent of how the
 state was reached — the Markov property that makes the ct-graph's per-node
@@ -45,6 +47,7 @@ __all__ = [
     "NodeState",
     "RelativeDepartures",
     "DepartureFilter",
+    "binding_ages",
     "initial_stay",
     "successor_state",
     "source_states",
@@ -202,6 +205,99 @@ def _departure_windows(constraints: ConstraintSet,
         windows[source] = tuple(reversed(per_age))
     limit = (1 << ((max(bounds.values(), default=1) - 1) * width)) - 1
     return MappingProxyType(windows), MappingProxyType(index), width, limit
+
+
+def binding_ages(location: str, stay: Optional[int],
+                 constraints: ConstraintSet) -> Mapping[str, int]:
+    """Per TT source, the oldest age (``now - time``) at which a ``TL``
+    entry held by a node at ``(location, stay)`` can still bind; an
+    older entry, or one about a location missing here, binds nothing.
+
+    The online twin of :class:`DepartureFilter`, for streams, whose
+    future supports are unknown.  An entry ``(t, l)`` held at ``now``
+    can only forbid an arrival at a destination ``d`` of
+    ``travelingTime(l, d, v)`` at some ``T`` with
+    ``now + 1 <= T <= t + v - 1``.  Every valid continuation is a walk
+    from the node that moves only where ``unreachable`` allows, leaves a
+    location only once its latency stay counter allows, and may always
+    stay (TT only removes walks), so the entry binds only if such a walk
+    can be at ``d`` by ``t + v - 1``.  The earliest such ``T`` is
+    ``now + 1`` when the node is at ``d``; otherwise the walk first
+    waits out the stay, ``w = bound - stay`` steps (0 once the bound is
+    met), and arrives at ``now + w + 1`` if ``unreachable`` allows the
+    direct move, else at ``now + w + 2`` through any location no
+    constraint names, which every move may enter and leave (a stream
+    may read one at any time).  Locations no constraint names share one
+    wildcard row, which keeps the most (ages ``v - 2``), so looking up
+    any other ``(location, stay)`` there is safe.  Memoised per
+    constraint set and shared by every caller: do not mutate.
+    """
+    rows, wildcard = _binding_ages(constraints)
+    return rows.get((location, stay), wildcard)
+
+
+@lru_cache(maxsize=16)
+def _binding_ages(constraints: ConstraintSet,
+                  ) -> Tuple[Dict[Tuple[str, Optional[int]],
+                                  Dict[str, int]],
+                             Dict[str, int]]:
+    """The table behind :func:`binding_ages`: a row per named
+    ``(location, stay)`` and the wildcard row.  Plain dicts, read on
+    every stream successor; shared, so read-only."""
+    bounds = constraints.traveling_time_bounds
+    unreachable = constraints.unreachable_pairs
+    latencies = constraints.latency_bounds
+    # Per source its (steps, destination) pairs, longest bound first: a
+    # destination adds at most ``steps - 2``, so a row's scan stops at
+    # the first bound that cannot beat the age found so far.
+    by_source: Dict[str, List[Tuple[int, str]]] = {}
+    for (source, dest), steps in bounds.items():
+        by_source.setdefault(source, []).append((steps, dest))
+    for pairs in by_source.values():
+        pairs.sort(reverse=True)
+
+    def row(location: Optional[str], wait: int) -> Dict[str, int]:
+        ages: Dict[str, int] = {}
+        for source, pairs in by_source.items():
+            oldest = -1
+            for steps, dest in pairs:
+                if steps - 2 <= oldest:
+                    break
+                if dest == location:
+                    first = 1
+                elif (location, dest) in unreachable:
+                    first = wait + 2
+                else:
+                    first = wait + 1
+                oldest = max(oldest, steps - 1 - first)
+            ages[source] = oldest
+        return ages
+
+    named = set(latencies)
+    for pair in list(unreachable) + list(bounds):
+        named.update(pair)
+    rows: Dict[Tuple[str, Optional[int]], Dict[str, int]] = {}
+    for location in named:
+        rows[(location, None)] = row(location, 0)
+        bound = latencies.get(location, 1)
+        for stay in range(1, bound):
+            rows[(location, stay)] = row(location, bound - stay)
+    return rows, row(None, 0)
+
+
+def _binding_departures(state: NodeState, tau: int,
+                        constraints: ConstraintSet) -> NodeState:
+    """``state`` at timestep ``tau`` with only the ``TL`` entries its
+    row of :func:`binding_ages` keeps; reuses the tuple if unchanged."""
+    location, stay, departures = state
+    if not departures:
+        return state
+    rows, wildcard = _binding_ages(constraints)
+    oldest = rows.get((location, stay), wildcard).get
+    kept = tuple([(t, l) for t, l in departures if tau - t <= oldest(l, -1)])
+    if len(kept) == len(departures):
+        return state
+    return (location, stay, kept)
 
 
 def initial_stay(location: str, constraints: ConstraintSet) -> Optional[int]:

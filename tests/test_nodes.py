@@ -1,12 +1,21 @@
 """Tests for location-node states and the successor relation (Definition 3)."""
 
+from hypothesis import given, settings, strategies as st
+
+from repro.core import nodes
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
     TravelingTime,
     Unreachable,
 )
-from repro.core.nodes import initial_stay, source_states, successor_state
+from repro.core.nodes import (
+    _advance_stay,
+    binding_ages,
+    initial_stay,
+    source_states,
+    successor_state,
+)
 
 
 def succ(tau, state, dest, constraints):
@@ -177,3 +186,70 @@ class TestStateAccessors:
         # is ever added to NodeState, this equality breaks loudly.
         assert (state_location(state), state_stay(state),
                 state_departures(state)) == state
+
+
+# ----------------------------------------------------------------------
+# binding_ages: the online TL table against breadth-first walks
+# ----------------------------------------------------------------------
+
+def walk_ages(location, stay, constraints, relay):
+    """Per TT source, the oldest age at which an entry held at
+    ``(location, stay)`` binds, by breadth-first search over the walks
+    the table assumes: moves ``unreachable`` allows, leaving only once
+    the stay counter is ``None``, staying always legal, over every
+    location a constraint names plus ``relay``, which none names."""
+    places = {relay, location}
+    for pair in list(constraints.unreachable_pairs) + \
+            list(constraints.traveling_time_bounds):
+        places.update(pair)
+    places.update(constraints.latency_bounds)
+    earliest = {}
+    level = {(location, stay)}
+    horizon = max(constraints.latency_bounds.values(), default=1) + 3
+    for step in range(1, horizon + 1):
+        following = set()
+        for here, counter in level:
+            following.add((here, _advance_stay(counter, here, constraints)))
+            if counter is not None:
+                continue
+            for there in places:
+                if there != here and \
+                        not constraints.forbids_step(here, there):
+                    following.add((there, initial_stay(there, constraints)))
+        level = following
+        for here, _counter in level:
+            earliest.setdefault(here, step)
+    ages = {}
+    for (source, dest), steps in \
+            constraints.traveling_time_bounds.items():
+        ages[source] = max(ages.get(source, -1),
+                           steps - 1 - earliest[dest])
+    return ages
+
+
+five = st.sampled_from("ABCDE")
+
+
+@st.composite
+def tt_constraint_sets(draw):
+    constraints = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        a = draw(five)
+        b = draw(five.filter(lambda x: x != a))
+        constraints.append(TravelingTime(a, b, draw(st.integers(2, 8))))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        constraints.append(Unreachable(draw(five), draw(five)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        constraints.append(Latency(draw(five), draw(st.integers(2, 5))))
+    return ConstraintSet(constraints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tt_constraint_sets())
+def test_binding_ages_equal_breadth_first_walks(constraints):
+    rows, wildcard = nodes._binding_ages(constraints)
+    for (location, stay), ages in rows.items():
+        assert dict(ages) == walk_ages(location, stay, constraints, "X")
+        assert binding_ages(location, stay, constraints) is ages
+    assert dict(wildcard) == walk_ages("X", None, constraints, "Y")
+    assert binding_ages("X", None, constraints) is wildcard

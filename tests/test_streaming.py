@@ -8,6 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import incremental, nodes
 from repro.core.algorithm import CleaningOptions, build_ct_graph
 from repro.core.constraints import (
     ConstraintSet,
@@ -15,9 +16,15 @@ from repro.core.constraints import (
     TravelingTime,
     Unreachable,
 )
-from repro.core.incremental import frontier_to_dict
+from repro.core.engine import EngineCache
+from repro.core.incremental import (
+    advance_frontier,
+    coerce_candidate_row,
+    frontier_to_dict,
+)
 from repro.core.lsequence import LSequence
 from repro.core.naive import NaiveConditioner
+from repro.core.nodes import binding_ages
 from repro.errors import (
     InconsistentReadingsError,
     ReadingSequenceError,
@@ -707,3 +714,254 @@ def test_streaming_routes_match_brute_force(route):
         assert_matches_oracle(graph.location_marginal(relative),
                               oracle.location_marginal(cleaner.base
                                                        + relative))
+
+
+# ----------------------------------------------------------------------
+# online TL pruning: a child keeps the entries a walk from its own
+# (location, stay) can still bind
+# ----------------------------------------------------------------------
+
+def frontier_bits(frontier):
+    """A dict frontier as ``(state, mass bits)`` pairs, in key order."""
+    return [(state, mass.hex()) for state, mass in frontier.items()]
+
+
+class TestOnlineDeparturePruning:
+    """``travelingTime(A, D, 4)``: a departure from A at 0 forbids
+    arriving at D until timestep 3."""
+
+    @staticmethod
+    def fed(constraints, rows, backend):
+        cleaner = StreamingCleaner(constraints, window=None,
+                                   options=CleaningOptions(backend=backend))
+        for row in rows:
+            cleaner.extend(row)
+        return cleaner
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_binding_stay_drops_what_the_parent_keeps(self, backend):
+        # A child at B at 1 with stay 1 of latency 3 reaches D at 4 the
+        # earliest, after the entry's window.  The parent at A, and the
+        # same child once its stay is met, reach D at 2, so only the
+        # child's binding stay drops the entry.
+        constraints = ConstraintSet([TravelingTime("A", "D", 4),
+                                     Latency("B", 3)])
+        assert binding_ages("B", 1, constraints)["A"] == 0
+        assert binding_ages("B", 2, constraints)["A"] == 1
+        assert binding_ages("B", None, constraints)["A"] == 2
+        assert binding_ages("A", None, constraints)["A"] == 2
+        cleaner = self.fed(constraints, [{"A": 1.0}, {"B": 1.0}], backend)
+        assert list(frontier_to_dict(cleaner._live())) == [("B", 1, ())]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_unnamed_location_relays_the_walk(self, backend):
+        # No walk over the named locations reaches D from B (B -> D and
+        # A -> D are cut), but X, which no constraint names, relays
+        # B -> X -> D by 3: the entry binds and must stay.
+        constraints = ConstraintSet([TravelingTime("A", "D", 4),
+                                     Unreachable("B", "D"),
+                                     Unreachable("A", "D")])
+        assert binding_ages("B", None, constraints)["A"] == 1
+        assert binding_ages("X", None, constraints)["A"] == 2
+        rows = [{"A": 1.0}, {"B": 1.0}, {"X": 1.0}]
+        cleaner = self.fed(constraints, rows[:2], backend)
+        assert list(frontier_to_dict(cleaner._live())) == \
+            [("B", None, ((0, "A"),))]
+        cleaner.extend(rows[2])
+        with pytest.raises(InconsistentReadingsError):
+            cleaner.extend({"D": 1.0})
+        with pytest.raises(ZeroMassError):
+            NaiveConditioner(LSequence(rows + [{"D": 1.0}]),
+                             constraints).conditioned_distribution()
+
+    def test_no_row_keeps_an_entry_past_the_horizon(self):
+        constraints = ConstraintSet([
+            TravelingTime("A", "D", 6), TravelingTime("A", "C", 3),
+            TravelingTime("D", "A", 2), Latency("B", 4), Latency("D", 2),
+            Unreachable("B", "D"), Unreachable("C", "A")])
+        rows, wildcard = nodes._binding_ages(constraints)
+        assert dict(wildcard) == {
+            source: constraints.max_traveling_time(source) - 2
+            for source in constraints.tt_sources}
+        # A and C one row each, B one per stay None, 1, 2, 3, D per
+        # None, 1.
+        assert len(rows) == 1 + 1 + 4 + 2
+        for ages in rows.values():
+            assert ages.keys() == wildcard.keys()
+            assert all(ages[source] <= wildcard[source]
+                       for source in ages)
+
+
+@st.composite
+def pruned_routes(draw):
+    """A stream where the online pruning bites, plus a route.
+
+    Rows and bounds are drawn like ``tt_du_heavy_instances`` (five
+    locations, 1-3 candidates a step, 2-6 TT bounds of 2-6 steps, 0-3
+    DU pairs); a latency always sits on a location in front of a TT
+    destination, so a child's binding stay keeps entries from it.  A
+    location no constraint names relays walks when drawn.
+    """
+    five = st.sampled_from(("A", "B", "C", "D", "E"))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        support = draw(st.lists(five, min_size=1, max_size=3, unique=True))
+        weights = [draw(st.floats(min_value=0.05, max_value=1.0))
+                   for _ in support]
+        total = sum(weights)
+        rows.append({loc: w / total for loc, w in zip(support, weights)})
+    constraints = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        a = draw(five)
+        b = draw(five.filter(lambda x: x != a))
+        constraints.append(TravelingTime(
+            a, b, draw(st.integers(min_value=2, max_value=6))))
+    destination = draw(st.sampled_from(sorted(
+        {bound.loc_b for bound in constraints})))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        constraints.append(Unreachable(draw(five), draw(five)))
+    constraints.append(Latency(
+        draw(five.filter(lambda x: x != destination)),
+        draw(st.integers(min_value=2, max_value=4))))
+    window = draw(st.one_of(st.none(), st.integers(1, 4)))
+    backend = draw(st.sampled_from(BACKENDS))
+    resume_at = draw(st.one_of(st.none(),
+                               st.integers(0, len(rows) - 1)))
+    return rows, ConstraintSet(constraints), window, backend, resume_at
+
+
+@settings(max_examples=250, deadline=None)
+@given(pruned_routes())
+def test_pruned_streams_match_brute_force(route):
+    """Where the online pruning drops entries: every step's compact
+    frontier equals ``advance_frontier``'s in key order and float bits,
+    so does the route's own live frontier, no entry outlives the
+    horizon rule, and filtered estimates and ``finalize()`` marginals
+    equal the enumerated conditioning."""
+    rows, constraints, window, backend, resume_at = route
+    cleaner = StreamingCleaner(constraints, window=window,
+                               options=CleaningOptions(backend=backend))
+    cache = EngineCache(constraints)
+    expected = {}
+    compact = None
+    accepted = []
+    oracle = None
+    for step, row in enumerate(rows):
+        if step == resume_at:
+            cleaner = checkpoint_round_trip(cleaner)
+        tau = len(accepted)
+        coerced = coerce_candidate_row(row, tau)
+        advanced = advance_frontier(expected, coerced, tau, constraints)
+        stepped = (cache.advance(compact, coerced) if tau
+                   else cache.seed(coerced))
+        assert frontier_bits(stepped.to_dict()) == frontier_bits(advanced)
+        try:
+            cleaner.extend(row)
+        except InconsistentReadingsError:
+            assert not advanced
+            with pytest.raises(ZeroMassError):
+                NaiveConditioner(LSequence(accepted + [row]),
+                                 constraints).conditioned_distribution()
+            continue
+        expected, compact = advanced, stepped
+        accepted.append(row)
+        assert frontier_bits(frontier_to_dict(cleaner._live())) == \
+            frontier_bits(expected)
+        for state in expected:
+            for departed_at, departed in state[2]:
+                assert tau - departed_at < \
+                    constraints.max_traveling_time(departed)
+        oracle = NaiveConditioner(LSequence(accepted), constraints)
+        assert_matches_oracle(cleaner.filtered_distribution(),
+                              oracle.location_marginal(tau))
+    if oracle is None:
+        return
+    graph = cleaner.finalize()
+    for relative in range(cleaner.retained_duration):
+        assert_matches_oracle(graph.location_marginal(relative),
+                              oracle.location_marginal(cleaner.base
+                                                       + relative))
+
+
+class TestCheckpointFromBeforeOnlinePruning:
+    """Streams used to keep every ``TL`` entry the ``maxTravelingTime``
+    horizon kept, so checkpoints written then store entry frontiers
+    with entries the online pruning drops.  They resume and continue,
+    equal to enumeration up to rounding: the pruned states merge at the
+    next advance, which sums their masses in another order."""
+
+    CONSTRAINTS = ConstraintSet([
+        TravelingTime("A", "D", 5), Latency("B", 3),
+        Unreachable("C", "D"), Unreachable("D", "C")])
+    ROWS = [{"A": 0.6, "C": 0.4}, {"B": 0.5, "C": 0.5},
+            {"B": 0.7, "C": 0.3}, {"B": 0.6, "E": 0.4},
+            {"B": 0.5, "D": 0.5}, {"B": 0.4, "D": 0.6},
+            {"A": 0.5, "D": 0.5}, {"B": 0.3, "D": 0.7}]
+
+    @pytest.mark.parametrize("window", [None, 3])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unpruned_entry_frontier_resumes(self, tmp_path, monkeypatch,
+                                             backend, window):
+        kill_at = 5
+        with monkeypatch.context() as patch:
+            # The python oracle as it ran before: the horizon rule alone.
+            patch.setattr(incremental, "_binding_departures",
+                          lambda state, tau, constraints: state)
+            legacy = StreamingCleaner(
+                self.CONSTRAINTS, window=window,
+                options=CleaningOptions(backend="python"))
+            for row in self.ROWS[:kill_at]:
+                legacy.extend(row)
+        entry_tau = legacy.base if window else kill_at - 1
+        stored = frontier_to_dict(legacy._frontiers[0])
+        assert any(nodes._binding_departures(state, entry_tau,
+                                             self.CONSTRAINTS) != state
+                   for state in stored)
+
+        options = CleaningOptions(backend=backend)
+        killed = StreamingCleaner(self.CONSTRAINTS, window=window,
+                                  options=options)
+        for row in self.ROWS[:kill_at]:
+            killed.extend(row)
+        path = tmp_path / "s.ckpt"
+        killed.checkpoint(path)
+        payload = read_stream_checkpoint(path)
+        names = list(payload.location_names)
+
+        def lid(name):
+            if name not in names:
+                names.append(name)
+            return names.index(name)
+
+        entry = 0 if window else len(payload.rows) - 1
+        frontiers = [()] * len(payload.rows)
+        frontiers[entry] = [
+            (lid(location), stay,
+             tuple((time, lid(departed)) for time, departed in departures),
+             mass)
+            for (location, stay, departures), mass in stored.items()]
+        write_stream_checkpoint(path, meta=payload.meta,
+                                location_names=names, rows=payload.rows,
+                                frontiers=frontiers)
+
+        resumed = StreamingCleaner.resume(path)
+        assert resumed.options.backend == backend
+        for row in self.ROWS[kill_at:]:
+            resumed.extend(row)
+        enumerated = NaiveConditioner(LSequence(self.ROWS),
+                                      self.CONSTRAINTS)
+        last = len(self.ROWS) - 1
+
+        def assert_close(got, expected):
+            assert set(got) == set(expected)
+            for location, probability in expected.items():
+                assert math.isclose(got[location], probability,
+                                    rel_tol=1e-12)
+
+        assert_close(resumed.filtered_distribution(),
+                     enumerated.location_marginal(last))
+        graph = resumed.finalize()
+        for relative in range(resumed.retained_duration):
+            assert_close(graph.location_marginal(relative),
+                         enumerated.location_marginal(resumed.base
+                                                      + relative))

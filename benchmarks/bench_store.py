@@ -19,11 +19,12 @@ locations a level, thousands of edges a level):
   in-memory graph (``==`` on the python backend, floats within 1e-12
   relative on the numpy backend), at comparable latency:
   ``mmap_query_penalty`` must stay at most ``MMAP_QUERY_PENALTY_GATE``
-  on full numpy-backend runs.  Each repeat times both bundles back to
-  back, the arms alternating which goes first, and the penalty is the
-  median of the repeats' mmap-over-memory ratios: a paired measure,
-  so a shared host's drift between repeats moves both arms of a ratio
-  alike.
+  on full numpy-backend runs.  Each of ``PAIRED_REPEATS`` repeats times
+  both bundles back to back, the arms alternating which goes first, and
+  the penalty is the median of the repeats' mmap-over-memory ratios: a
+  paired measure, so a shared host's drift between repeats moves both
+  arms of a ratio alike, and one slow bundle moves the median of seven
+  by one rank only.
 
 ``--backend`` picks the cleaning and query backend of both sides: the
 python backend holds the mmap answers to ``==``, the numpy backend is
@@ -57,6 +58,8 @@ SCHEMA_VERSION = 3
 
 DURATION, SMOKE_DURATION = 1600, 96
 REPEATS, SMOKE_REPEATS = 3, 2
+#: Paired repeats of the warm-query bundles, whose median ratio is gated.
+PAIRED_REPEATS, SMOKE_PAIRED_REPEATS = 7, 2
 
 #: The full-run gate: a cold mmap load must be at least this much
 #: faster than ``pickle.loads`` of the equivalent flat graph.
@@ -85,6 +88,7 @@ def run(args):
     """Execute the comparison; returns the record's own fields."""
     duration = SMOKE_DURATION if args.smoke else DURATION
     repeats = SMOKE_REPEATS if args.smoke else REPEATS
+    paired_repeats = SMOKE_PAIRED_REPEATS if args.smoke else PAIRED_REPEATS
     backend = args.backend
     lsequence, constraints, names = make_wide_instance(duration)
     with tempfile.TemporaryDirectory(prefix="bench_store_") as root:
@@ -135,7 +139,7 @@ def run(args):
         graphs = {"memory": flat, "mmap": view}
         seconds = {"memory": [], "mmap": []}
         bundles = {}
-        for repeat in range(repeats):
+        for repeat in range(paired_repeats):
             arms = ("memory", "mmap") if repeat % 2 == 0 else ("mmap",
                                                                 "memory")
             for arm in arms:

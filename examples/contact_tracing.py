@@ -53,7 +53,8 @@ def main() -> None:
     grid = Grid(building)
     readers = place_default_readers(building)
     truth_matrix = exact_matrix(readers, grid)
-    prior = PriorModel(calibrate(readers, grid, rng=rng))
+    prior = PriorModel(calibrate(readers, grid, rng=rng,
+                                 expected=truth_matrix))
 
     generator = TrajectoryGenerator(building, rng=rng)
     reading_generator = ReadingGenerator(truth_matrix, rng)

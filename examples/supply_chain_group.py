@@ -51,7 +51,8 @@ def main() -> None:
     grid = Grid(warehouse)
     readers = place_default_readers(warehouse)
     truth_matrix = exact_matrix(readers, grid)
-    prior = PriorModel(calibrate(readers, grid, rng=rng))
+    prior = PriorModel(calibrate(readers, grid, rng=rng,
+                                 expected=truth_matrix))
 
     # One physical route, two independent tag streams.
     movement = MovementParameters(velocity_range=(0.8, 1.5),

@@ -470,10 +470,18 @@ def _condition_levels(sources: Mapping[NodeState, float],
         # is a conversion here (the compact engine emits it natively).
         flat = graph.to_flat()
         if options.store_materialize:
-            from repro.store.format import load_ctg, save_ctg
+            from repro.store.format import write_mapped_ctg
 
-            save_ctg(flat, options.output)
-            return load_ctg(options.output, mmap=True)
+            return write_mapped_ctg(
+                options.output,
+                location_names=flat.location_names,
+                locations=flat.locations,
+                stays=flat.stays,
+                edge_offsets=flat.edge_offsets,
+                edge_children=flat.edge_children,
+                edge_probabilities=flat.edge_probabilities,
+                source_probabilities=flat.source_probabilities,
+                stats=flat.stats)
         return flat
     return graph
 

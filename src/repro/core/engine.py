@@ -820,7 +820,23 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
             raise ZeroMassError(
                 "the valid trajectories have zero total prior probability")
         stats.backward_seconds = time.perf_counter() - backward_started
-        flat = FlatCTGraph(
+        if options.store_materialize:
+            # The python backend still builds the tuples (they *are* its
+            # sweep output); the mapped write gives callers the same
+            # mmap-view contract as the numpy direct-write route.
+            from repro.store.format import write_mapped_ctg
+
+            return write_mapped_ctg(
+                options.output,
+                location_names=flat_names,
+                locations=flat_locations,
+                stays=flat_stays,
+                edge_offsets=flat_offsets,
+                edge_children=flat_children,
+                edge_probabilities=flat_probabilities,
+                source_probabilities=[p / total for p in source_row],
+                stats=stats)
+        return FlatCTGraph(
             location_names=tuple(flat_names),
             locations=tuple(flat_locations),
             stays=tuple(flat_stays),
@@ -829,15 +845,6 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
             edge_probabilities=tuple(flat_probabilities),
             source_probabilities=tuple(p / total for p in source_row),
             stats=stats)
-        if options.store_materialize:
-            # The python backend still builds the tuples (they *are* its
-            # sweep output); the store write + reload gives callers the
-            # same mmap-view contract as the numpy direct-write route.
-            from repro.store.format import load_ctg, save_ctg
-
-            save_ctg(flat, options.output)
-            return load_ctg(options.output, mmap=True)
-        return flat
 
     # ------------------------------------------------------------------
     # materialisation: surviving nodes and edges, reference order
@@ -1084,18 +1091,18 @@ def _build_flat_numpy(duration: int, level_sids, states, names,
         # win of ``materialize="store"``.  The returned view mmaps the
         # freshly written file, so downstream QuerySessions read the
         # same bytes a later cold load would.
-        from repro.store.format import load_ctg, write_ctg
+        from repro.store.format import write_mapped_ctg
 
-        write_ctg(output,
-                  location_names=flat_names,
-                  locations=flat_locations,
-                  stays=flat_stays,
-                  edge_offsets=kept_offset_arrays,
-                  edge_children=kept_child_arrays,
-                  edge_probabilities=kept_probability_arrays,
-                  source_probabilities=[p / total for p in source_row],
-                  stats=stats)
-        return load_ctg(output, mmap=True)
+        return write_mapped_ctg(
+            output,
+            location_names=flat_names,
+            locations=flat_locations,
+            stays=flat_stays,
+            edge_offsets=kept_offset_arrays,
+            edge_children=kept_child_arrays,
+            edge_probabilities=kept_probability_arrays,
+            source_probabilities=[p / total for p in source_row],
+            stats=stats)
     return FlatCTGraph(
         location_names=tuple(flat_names),
         locations=tuple(flat_locations),

@@ -37,6 +37,10 @@ LOCATION_KINDS = ("room", "corridor", "staircase")
 #: by the trajectory generator (short rests).
 TRANSIT_KINDS = frozenset({"corridor", "staircase"})
 
+#: One wall of a floor (see :func:`_wall`): the edge, whether it runs
+#: along x, the coordinate of its line and the margin of the side test.
+_Wall = Tuple[Segment, bool, float, float]
+
 
 @dataclass(frozen=True)
 class Location:
@@ -138,6 +142,8 @@ class Building:
         self._order: List[str] = []
         self._doors: List[Door] = []
         self._doors_by_location: Dict[str, List[Door]] = {}
+        # floor -> its wall table (see _floor_walls); add_location drops it.
+        self._walls: Dict[int, Tuple[_Wall, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -160,6 +166,7 @@ class Building:
         self._locations[name] = location
         self._order.append(name)
         self._doors_by_location[name] = []
+        self._walls = {}
         return location
 
     def add_door(self, loc_a: str, loc_b: str, *,
@@ -279,14 +286,33 @@ class Building:
         between adjacent rooms are stored once per room, so a single physical
         wall between two rooms counts twice — the attenuation constant is
         calibrated with that convention in mind.
+
+        A wall is skipped untested when both ends of the segment lie on
+        one side of its line by more than its margin (see :func:`_wall`),
+        where ``_properly_crosses`` would reject it anyway.
         """
         path = Segment(a, b)
         crossings = 0
-        for loc in self.locations_on_floor(floor):
-            for edge in loc.rect.edges():
-                if _properly_crosses(path, edge):
-                    crossings += 1
+        for wall, horizontal, level, margin in self._floor_walls(floor):
+            if horizontal:
+                offset_a, offset_b = a.y - level, b.y - level
+            else:
+                offset_a, offset_b = a.x - level, b.x - level
+            if ((offset_a > margin and offset_b > margin)
+                    or (offset_a < -margin and offset_b < -margin)):
+                continue
+            if _properly_crosses(path, wall):
+                crossings += 1
         return crossings
+
+    def _floor_walls(self, floor: int) -> Tuple[_Wall, ...]:
+        """Every footprint edge on ``floor``, built once per floor."""
+        walls = self._walls.get(floor)
+        if walls is None:
+            walls = self._walls[floor] = tuple(
+                _wall(edge) for loc in self.locations_on_floor(floor)
+                for edge in loc.rect.edges())
+        return walls
 
     # ------------------------------------------------------------------
     # validation
@@ -344,6 +370,29 @@ def _interiors_overlap(a: Rect, b: Rect, tol: float = 1e-9) -> bool:
     """Whether the two rectangles overlap on more than a boundary."""
     return (a.x0 + tol < b.x1 and b.x0 + tol < a.x1
             and a.y0 + tol < b.y1 and b.y0 + tol < a.y1)
+
+
+def _wall(edge: Segment) -> _Wall:
+    """A footprint edge with its line and its skip margin.
+
+    Footprints are :class:`Rect` s, so every edge runs along x (its line
+    is ``y = level``) or along y (``x = level``).  A path whose two ends
+    lie on one side of that line, farther than
+    ``2 * max(1e-12, 1e-12 / length)``, cannot cross the edge under
+    ``_properly_crosses``: ``Segment.intersects`` then finds each end's
+    orientation against the edge at about ``length * offset > 2e-12``, on
+    one side and not collinear, and the 1e-12 box ``_on_segment`` draws
+    around the path stays clear of the line.  The factor 2 absorbs the
+    rounding.  Nothing is skipped by distance *along* the line: the 1e-12
+    collinearity tolerance lets a tiny or nearly parallel path count an
+    edge that lies far along it.
+    """
+    horizontal = edge.a.y == edge.b.y
+    if horizontal:
+        level, length = edge.a.y, abs(edge.b.x - edge.a.x)
+    else:
+        level, length = edge.a.x, abs(edge.b.y - edge.a.y)
+    return edge, horizontal, level, 2.0 * max(1e-12, 1e-12 / length)
 
 
 def _properly_crosses(path: Segment, wall: Segment) -> bool:

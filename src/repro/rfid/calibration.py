@@ -12,7 +12,7 @@ paper treats as ground truth).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 try:
     import numpy as np
@@ -22,7 +22,7 @@ except ImportError:  # pragma: no cover - no-numpy environments
     np = missing_dependency("numpy", "repro[numpy]")  # type: ignore[assignment]
 
 from repro.errors import CalibrationError
-from repro.mapmodel.grid import Grid
+from repro.mapmodel.grid import Cell, Grid
 from repro.rfid.readers import ReaderModel
 
 __all__ = ["DetectionMatrix", "exact_matrix", "calibrate"]
@@ -84,28 +84,46 @@ class DetectionMatrix:
 
 
 def exact_matrix(model: ReaderModel, grid: Grid) -> DetectionMatrix:
-    """The expected detection matrix implied by the reader model."""
+    """The expected detection matrix implied by the reader model.
+
+    A reader detects nothing off its own floor, so only the cells on each
+    reader's floor are evaluated; every other entry is 0.0.
+    """
     values = np.zeros((len(model), grid.num_cells), dtype=np.float64)
+    cells_by_floor: Dict[int, List[Cell]] = {}
+    for cell in grid.cells:
+        cells_by_floor.setdefault(cell.floor, []).append(cell)
     for r, reader in enumerate(model.readers):
-        for cell in grid.cells:
-            values[r, cell.index] = model.detection_probability(
+        row = values[r]
+        for cell in cells_by_floor.get(reader.floor, ()):
+            row[cell.index] = model.detection_probability(
                 reader, cell.floor, cell.center)
     return DetectionMatrix(values, grid, model.reader_names)
 
 
 def calibrate(model: ReaderModel, grid: Grid,
               epochs: int = DEFAULT_CALIBRATION_EPOCHS,
-              rng: Optional[np.random.Generator] = None) -> DetectionMatrix:
+              rng: Optional[np.random.Generator] = None, *,
+              expected: Optional[DetectionMatrix] = None) -> DetectionMatrix:
     """Simulate the paper's calibration run.
 
     For each cell, a tag is 'held' in the cell for ``epochs`` independent
     one-second epochs and each reader's detections are counted;
     ``F[r, c] = detections / epochs``.  Deterministic given ``rng``.
+
+    The detections are drawn around :func:`exact_matrix`; a caller that
+    already holds it passes it as ``expected`` (it must be for this grid
+    and these readers) and it is not computed again.
     """
     if epochs < 1:
         raise CalibrationError(f"epochs must be >= 1, got {epochs}")
+    if expected is None:
+        expected = exact_matrix(model, grid)
+    elif (expected.grid is not grid
+          or expected.reader_names != model.reader_names):
+        raise CalibrationError(
+            "expected= is a detection matrix for another grid or reader set")
     if rng is None:
         rng = np.random.default_rng()
-    expected = exact_matrix(model, grid).values
-    counts = rng.binomial(epochs, expected)
+    counts = rng.binomial(epochs, expected.values)
     return DetectionMatrix(counts / float(epochs), grid, model.reader_names)

@@ -78,7 +78,8 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain, islice, repeat
 from operator import add, floordiv, mod, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.flatgraph import FlatCTGraph
 from repro.errors import QueryError, StoreChecksumError, StoreFormatError
@@ -99,6 +100,7 @@ __all__ = [
     "read_shard_manifest",
     "save_ctg",
     "write_ctg",
+    "write_mapped_ctg",
     "write_stream_checkpoint",
 ]
 
@@ -238,6 +240,51 @@ def write_ctg(path, *, location_names: Sequence[str],
     ever held.  A write that fails part-way leaves a file whose zeroed
     header fails to load.
     """
+    _check_levels(locations, stays, edge_offsets, edge_children,
+                  edge_probabilities)
+    with open(path, "wb") as fh:
+        return _encode(fh, location_names, locations, stays, edge_offsets,
+                       edge_children, edge_probabilities,
+                       source_probabilities, stats).end
+
+
+def write_mapped_ctg(path, *, location_names: Sequence[str],
+                     locations: Sequence[Sequence[int]],
+                     stays: Sequence[Sequence[Optional[int]]],
+                     edge_offsets: Sequence[Sequence[int]],
+                     edge_children: Sequence[Sequence[int]],
+                     edge_probabilities: Sequence[Sequence[float]],
+                     source_probabilities: Sequence[float],
+                     stats=None) -> "MappedCTGraph":
+    """Write a ``.ctg`` exactly as :func:`write_ctg` does and return the
+    :class:`MappedCTGraph` view of it, as ``load_ctg(path, mmap=True)``
+    would.
+
+    The file is written through a read-write descriptor that is then
+    mapped, and the columns are sliced from the offsets and counts the
+    encoder planned: the file is not opened again by path and the layout
+    the writer has just produced is not re-validated.  The view keeps
+    its mapping across a rename of the file (the store's atomic
+    publish).  This is how the engines' ``materialize="store"`` builds
+    hand back the graph they wrote.
+    """
+    _check_levels(locations, stays, edge_offsets, edge_children,
+                  edge_probabilities)
+    with open(path, "w+b") as fh:
+        layout = _encode(fh, location_names, locations, stays, edge_offsets,
+                         edge_children, edge_probabilities,
+                         source_probabilities, stats)
+        fh.flush()
+        mapped = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
+    return _view(path, mapped, mapped, "mmap", tuple(location_names), stats,
+                 layout.offsets, layout.counts, layout.num_nodes,
+                 layout.num_edges, layout.end)
+
+
+def _check_levels(locations, stays, edge_offsets, edge_children,
+                  edge_probabilities) -> None:
+    """Reject level lists that cannot form a graph, before any file is
+    created."""
     duration = len(locations)
     if duration < 1:
         raise StoreFormatError("a .ctg graph needs at least one level")
@@ -246,6 +293,26 @@ def write_ctg(path, *, location_names: Sequence[str],
             and len(edge_children) == duration - 1
             and len(edge_probabilities) == duration - 1):
         raise StoreFormatError("level array lengths disagree")
+
+
+class _Layout(NamedTuple):
+    """What the encoder planned and wrote: the file's length, every
+    section's absolute offset and item count in canonical order, and the
+    header's totals."""
+
+    end: int
+    offsets: List[int]
+    counts: List[int]
+    num_nodes: int
+    num_edges: int
+
+
+def _encode(fh, location_names, locations, stays, edge_offsets,
+            edge_children, edge_probabilities, source_probabilities,
+            stats) -> _Layout:
+    """Write one graph's ``.ctg`` bytes to the binary file ``fh``, open
+    for writing at offset 0 (see :func:`write_ctg`)."""
+    duration = len(locations)
     num_nodes = sum(map(len, locations))
     num_edges = sum(map(len, edge_children))
     head = bytearray()
@@ -292,21 +359,19 @@ def write_ctg(path, *, location_names: Sequence[str],
     piece_ends = list(accumulate(chain((len(head),), chain.from_iterable(
         zip(sizes, pads)), (len(table),))))
     crc = 0
-    with open(path, "wb") as fh:
-        fh.write(bytes(HEADER_BYTES))  # rewritten once the CRC is known
-        done = 0
-        while done < len(piece_ends):
-            # The pieces that end within _SPOOL_BYTES, and at least one.
-            limit = (piece_ends[done - 1] if done else 0) + _SPOOL_BYTES
-            stop = max(done + 1, bisect_right(piece_ends, limit, done))
-            crc = _write_chunk(fh, b"".join(islice(pieces, stop - done)),
-                               crc)
-            done = stop
-        fh.seek(0)
-        fh.write(_HEADER.pack(
-            CTG_MAGIC, CTG_VERSION, flags, duration, len(location_names),
-            num_nodes, num_edges, table_offset, end - HEADER_BYTES, crc))
-    return end
+    fh.write(bytes(HEADER_BYTES))  # rewritten once the CRC is known
+    done = 0
+    while done < len(piece_ends):
+        # The pieces that end within _SPOOL_BYTES, and at least one.
+        limit = (piece_ends[done - 1] if done else 0) + _SPOOL_BYTES
+        stop = max(done + 1, bisect_right(piece_ends, limit, done))
+        crc = _write_chunk(fh, b"".join(islice(pieces, stop - done)), crc)
+        done = stop
+    fh.seek(0)
+    fh.write(_HEADER.pack(
+        CTG_MAGIC, CTG_VERSION, flags, duration, len(location_names),
+        num_nodes, num_edges, table_offset, end - HEADER_BYTES, crc))
+    return _Layout(end, positions[:-1], counts, num_nodes, num_edges)
 
 
 def save_ctg(graph, path) -> int:
@@ -923,13 +988,12 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
     # -- bounds and alignment, over the whole table --------------------
     # The columns are slices of casts of the buffer up to its last whole
     # 8 bytes, so every section must end there.
-    whole = memoryview(buffer)[:end - end % _ALIGN]
+    limit = end - end % _ALIGN
     if (min(offsets) < HEADER_BYTES
-            or max(map(add, offsets, map(mul, counts, itemsizes)))
-            > len(whole)
+            or max(map(add, offsets, map(mul, counts, itemsizes))) > limit
             or any(map(mod, offsets, itemsizes))):
         raise _section_error(path, duration, offsets, counts, itemsizes,
-                             len(whole))
+                             limit)
     nodes = 2 * duration
     edges = nodes + 3 * last
     loc_counts, stay_counts = counts[0:nodes:2], counts[1:nodes:2]
@@ -947,13 +1011,10 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
         tau = next(tau for tau in range(duration)
                    if stay_counts[tau] != loc_counts[tau])
         raise _bounds_error(path, f"stay row {tau} length disagrees")
-    # One cast of the buffer per dtype; every column slices one of them.
-    if sys.byteorder == "little":
-        i32, f64 = whole.cast(_I32), whole.cast("d")
-    else:  # pragma: no cover - big-endian hosts only
-        i32, f64 = _Swapped(whole, _I32), _Swapped(whole, "d")
+    view = _view(path, buffer, mapped, backing, tuple(names), stats,
+                 offsets, counts, num_nodes, num_edges, end)
     prob_counts = counts[nodes + 2:edges:3]
-    edge_offsets = _slices(i32, 4, offsets[nodes:edges:3], off_counts)
+    edge_offsets = view.edge_offsets
     # Short-circuits: a CSR column is read only once its count is right.
     if (off_counts != tuple(count + 1 for count in loc_counts[:last])
             or prob_counts != child_counts
@@ -965,18 +1026,34 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
                    or edge_offsets[tau][-1] != child_counts[tau])
         raise _bounds_error(path, f"CSR sections of level {tau} "
                                   "are inconsistent")
-    locations = _slices(i32, 4, offsets[0:nodes:2], loc_counts)
-    stay_columns = _slices(i32, 4, offsets[1:nodes:2], stay_counts)
-    edge_children = _slices(i32, 4, offsets[nodes + 1:edges:3],
-                            child_counts)
-    edge_probabilities = _slices(f64, 8, offsets[nodes + 2:edges:3],
-                                 prob_counts)
-    (source,) = _slices(f64, 8, offsets[-1:], counts[-1:])
+    return view
+
+
+def _view(path, buffer, mapped, backing: str, names: Tuple[str, ...], stats,
+          offsets: Sequence[int], counts: Sequence[int], num_nodes: int,
+          num_edges: int, end: int) -> MappedCTGraph:
+    """The view whose columns are the sections at byte ``offsets`` with
+    ``counts`` items, in canonical order, of a ``.ctg`` buffer ``end``
+    bytes long; the sections must lie in bounds and be aligned."""
+    nodes = 2 * ((len(counts) + 2) // 5)  # 5 * duration - 2 sections
+    edges = len(counts) - 1
+    # One cast of the buffer per dtype; every column slices one of them.
+    whole = memoryview(buffer)[:end - end % _ALIGN]
+    if sys.byteorder == "little":
+        i32, f64 = whole.cast(_I32), whole.cast("d")
+    else:  # pragma: no cover - big-endian hosts only
+        i32, f64 = _Swapped(whole, _I32), _Swapped(whole, "d")
     return MappedCTGraph(
-        path=path, backing=backing, location_names=tuple(names),
-        locations=locations, stay_columns=stay_columns,
-        edge_offsets=edge_offsets, edge_children=edge_children,
-        edge_probabilities=edge_probabilities, source_probabilities=source,
+        path=path, backing=backing, location_names=names,
+        locations=_slices(i32, 4, offsets[0:nodes:2], counts[0:nodes:2]),
+        stay_columns=_slices(i32, 4, offsets[1:nodes:2], counts[1:nodes:2]),
+        edge_offsets=_slices(i32, 4, offsets[nodes:edges:3],
+                             counts[nodes:edges:3]),
+        edge_children=_slices(i32, 4, offsets[nodes + 1:edges:3],
+                              counts[nodes + 1:edges:3]),
+        edge_probabilities=_slices(f64, 8, offsets[nodes + 2:edges:3],
+                                   counts[nodes + 2:edges:3]),
+        source_probabilities=_slices(f64, 8, offsets[-1:], counts[-1:])[0],
         num_nodes=num_nodes, num_edges=num_edges, stats=stats,
         mapped=mapped)
 

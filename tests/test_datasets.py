@@ -1,10 +1,15 @@
 """Tests for dataset assembly (SYN1/SYN2 and custom builds)."""
 
+import hashlib
+
 import pytest
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
+from repro.core.lsequence import LSequence
 from repro.errors import ReproError
+from repro.mapmodel.floorplans import multi_floor_building
+from repro.rfid.calibration import calibrate, exact_matrix
 from repro.simulation.datasets import (
     SCALES,
     active_scale,
@@ -77,3 +82,43 @@ class TestSynDatasets:
         assert dataset.building.name == "SYN1"
         assert dataset.durations == (30, 60)
         assert len(dataset.all_trajectories()) == 4
+
+
+def dataset_digest(dataset):
+    """SHA-256 over both matrices' bytes and every object's truth,
+    readings and ``LSequence.from_readings`` rows (in row order)."""
+    digest = hashlib.sha256()
+    digest.update(dataset.true_matrix.values.astype("<f8").tobytes())
+    digest.update(dataset.calibrated_matrix.values.astype("<f8").tobytes())
+    for trajectory in dataset.all_trajectories():
+        digest.update(repr(trajectory.truth.locations).encode())
+        for reading in trajectory.readings:
+            digest.update(
+                repr((reading.time, sorted(reading.readers))).encode())
+        lsequence = LSequence.from_readings(trajectory.readings,
+                                            dataset.prior)
+        for tau in range(lsequence.duration):
+            digest.update(
+                repr(list(lsequence.candidates(tau).items())).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedDataset:
+    """Geometry, calibration and the rng's draw order, pinned: the
+    figures in EXPERIMENTS.md rest on all three."""
+
+    DIGEST = "9e981436e81a4e1f9450c840e57fb3fa31770408750f2e51515ca0ad680478a5"
+
+    def test_digest(self):
+        dataset = build_dataset(multi_floor_building(1), durations=(40,),
+                                per_duration=2, seed=17)
+        assert dataset_digest(dataset) == self.DIGEST
+
+    def test_matrices_equal_their_own_draws(self):
+        dataset = build_dataset(multi_floor_building(1), durations=(40,),
+                                per_duration=1, seed=17)
+        exact = exact_matrix(dataset.readers, dataset.grid)
+        drawn = calibrate(dataset.readers, dataset.grid,
+                          rng=np.random.default_rng(17))
+        assert np.array_equal(dataset.true_matrix.values, exact.values)
+        assert np.array_equal(dataset.calibrated_matrix.values, drawn.values)

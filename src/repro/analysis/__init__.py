@@ -25,19 +25,24 @@ cleaning run consults it.  ``docs/analysis.md`` documents every rule
 code.
 """
 
-from repro.analysis.advisor import EngineAdvice, advise
-from repro.analysis.analyzer import RULES, ZERO_MASS_RULE, RuleSpec, analyze
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-from repro.analysis.envelope import (
-    AbstractState,
-    ConstraintEnvelope,
-    DepartureInterval,
-    estimate_ctg_bytes,
-    estimate_graph_bytes,
-)
-from repro.analysis.precheck import first_dead_timestep, predict_zero_mass
-from repro.analysis.reachability import ReachabilityIndex, location_universe
-from repro.analysis.rules import AnalysisContext, ctgraph_size_bounds
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.advisor import EngineAdvice, advise
+    from repro.analysis.analyzer import RULES, ZERO_MASS_RULE, RuleSpec, analyze
+    from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+    from repro.analysis.envelope import (
+        AbstractState,
+        ConstraintEnvelope,
+        DepartureInterval,
+        estimate_ctg_bytes,
+        estimate_graph_bytes,
+    )
+    from repro.analysis.precheck import first_dead_timestep, predict_zero_mass
+    from repro.analysis.reachability import ReachabilityIndex, location_universe
+    from repro.analysis.rules import AnalysisContext, ctgraph_size_bounds
 
 __all__ = [
     "AbstractState",
@@ -61,3 +66,18 @@ __all__ = [
     "location_universe",
     "predict_zero_mass",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.analysis.advisor": ("EngineAdvice", "advise"),
+    "repro.analysis.analyzer": (
+        "RULES", "ZERO_MASS_RULE", "RuleSpec", "analyze",
+    ),
+    "repro.analysis.diagnostics": ("AnalysisReport", "Diagnostic", "Severity"),
+    "repro.analysis.envelope": (
+        "AbstractState", "ConstraintEnvelope", "DepartureInterval",
+        "estimate_ctg_bytes", "estimate_graph_bytes",
+    ),
+    "repro.analysis.precheck": ("first_dead_timestep", "predict_zero_mass"),
+    "repro.analysis.reachability": ("ReachabilityIndex", "location_universe"),
+    "repro.analysis.rules": ("AnalysisContext", "ctgraph_size_bounds"),
+})

@@ -15,8 +15,19 @@ conditioning under integrity constraints beats constraint-free smoothing,
 and the exact ct-graph beats sampling/approximation at comparable cost.
 """
 
-from repro.baselines.beam import BeamCleaner
-from repro.baselines.particles import ParticleFilter
-from repro.baselines.smoothing import SmoothingFilter
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.beam import BeamCleaner
+    from repro.baselines.particles import ParticleFilter
+    from repro.baselines.smoothing import SmoothingFilter
 
 __all__ = ["SmoothingFilter", "ParticleFilter", "BeamCleaner"]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.baselines.beam": ("BeamCleaner",),
+    "repro.baselines.particles": ("ParticleFilter",),
+    "repro.baselines.smoothing": ("SmoothingFilter",),
+})

@@ -11,6 +11,10 @@ Examples::
 The CLI works on the synthetic SYN1/SYN2 datasets (regenerated
 deterministically from the seed) — it exists to make the reproduction
 explorable without writing Python.
+
+Each command imports the layers it runs when it runs: ``serve --shards N``
+starts its workers by re-importing this module, and ``--help`` needs none
+of them.
 """
 
 from __future__ import annotations
@@ -20,35 +24,17 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from repro.core.algorithm import (
-    BACKENDS,
-    ENGINES,
-    CleaningOptions,
-    build_ct_graph,
-)
-from repro.core.lsequence import LSequence
-from repro.experiments.harness import (
-    run_cleaning_experiment,
-    run_query_time_experiment,
-    run_stay_accuracy_experiment,
-    run_trajectory_accuracy_experiment,
-)
-from repro.experiments.report import (
-    accuracy_table,
-    cleaning_table,
-    query_time_table,
-)
-from repro.inference import MotilityProfile, infer_constraints
-from repro.queries.session import QuerySession
-from repro.queries.trajectory import TrajectoryQuery
-from repro.simulation.datasets import SCALES, syn1_dataset, syn2_dataset
-
 __all__ = ["main", "build_parser"]
 
-_DATASETS = {"syn1": syn1_dataset, "syn2": syn2_dataset}
+#: The synthetic datasets, named after their builders in
+#: :mod:`repro.simulation.datasets`.
+_DATASETS = ("syn1", "syn2")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.algorithm import BACKENDS, ENGINES
+    from repro.simulation.scales import SCALES
+
     parser = argparse.ArgumentParser(
         prog="rfid-ctg",
         description="Clean RFID trajectory data by conditioning under "
@@ -56,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", choices=sorted(_DATASETS), default="syn1",
+        p.add_argument("--dataset", choices=_DATASETS, default="syn1",
                        help="synthetic dataset to (re)generate")
         p.add_argument("--scale", choices=sorted(SCALES), default="tiny",
                        help="dataset scale (durations x trajectories)")
@@ -330,9 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(args: argparse.Namespace):
-    builder = _DATASETS[args.dataset]
-    return builder(scale=args.scale, seed=args.seed)
+def _load_dataset(args: argparse.Namespace, name: Optional[str] = None):
+    from repro.simulation.datasets import syn1_dataset, syn2_dataset
+
+    builders = {"syn1": syn1_dataset, "syn2": syn2_dataset}
+    return builders[name or args.dataset](scale=args.scale, seed=args.seed)
 
 
 def _parse_kinds(text: str) -> List[str]:
@@ -340,14 +328,23 @@ def _parse_kinds(text: str) -> List[str]:
     return kinds
 
 
+def _inferred_constraints(dataset, kinds: Sequence[str]):
+    from repro.inference import MotilityProfile, infer_constraints
+
+    return infer_constraints(dataset.building, MotilityProfile(),
+                             kinds=kinds, distances=dataset.distances)
+
+
 def _cleaned_graph(dataset, args, materialize: str = "auto"):
+    from repro.core.algorithm import CleaningOptions, build_ct_graph
+    from repro.core.lsequence import LSequence
+
     trajectories = dataset.all_trajectories()
     if not 0 <= args.index < len(trajectories):
         raise SystemExit(f"--index must be in [0, {len(trajectories)})")
     trajectory = trajectories[args.index]
-    kinds = _parse_kinds(args.constraints)
-    constraints = infer_constraints(dataset.building, MotilityProfile(),
-                                    kinds=kinds, distances=dataset.distances)
+    constraints = _inferred_constraints(dataset,
+                                        _parse_kinds(args.constraints))
     lsequence = LSequence.from_readings(trajectory.readings, dataset.prior)
     # Commands without --engine/--backend funnel through here with the
     # defaults (compact engine, python backend); commands that only query
@@ -403,6 +400,7 @@ def _command_clean(args: argparse.Namespace) -> int:
 
 
 def _command_clean_many(args: argparse.Namespace) -> int:
+    from repro.core.algorithm import CleaningOptions
     from repro.runtime import clean_many
 
     dataset = _load_dataset(args)
@@ -413,8 +411,7 @@ def _command_clean_many(args: argparse.Namespace) -> int:
         print("nothing to clean", file=sys.stderr)
         return 2
     kinds = _parse_kinds(args.constraints)
-    constraints = infer_constraints(dataset.building, MotilityProfile(),
-                                    kinds=kinds, distances=dataset.distances)
+    constraints = _inferred_constraints(dataset, kinds)
     # Raw readings go in; the workers interpret them through the prior.
     result = clean_many([t.readings for t in trajectories], constraints,
                         options=CleaningOptions(engine=args.engine,
@@ -475,6 +472,7 @@ def _command_clean_many(args: argparse.Namespace) -> int:
 
 
 def _command_store(args: argparse.Namespace) -> int:
+    from repro.core.algorithm import CleaningOptions
     from repro.runtime import clean_many
     from repro.store import GraphStore
 
@@ -493,9 +491,8 @@ def _command_store(args: argparse.Namespace) -> int:
     if not trajectories:
         print("nothing to clean", file=sys.stderr)
         return 2
-    kinds = _parse_kinds(args.constraints)
-    constraints = infer_constraints(dataset.building, MotilityProfile(),
-                                    kinds=kinds, distances=dataset.distances)
+    constraints = _inferred_constraints(dataset,
+                                        _parse_kinds(args.constraints))
     result = clean_many([t.readings for t in trajectories], constraints,
                         options=CleaningOptions(engine=args.engine,
                                                 backend=args.backend),
@@ -518,6 +515,9 @@ def _command_store(args: argparse.Namespace) -> int:
 
 
 def _command_query(args: argparse.Namespace) -> int:
+    from repro.queries.session import QuerySession
+    from repro.queries.trajectory import TrajectoryQuery
+
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
     trajectory, lsequence, graph = _cleaned_graph(dataset, args, "flat")
@@ -551,6 +551,18 @@ def _command_query(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.harness import (
+        run_cleaning_experiment,
+        run_query_time_experiment,
+        run_stay_accuracy_experiment,
+        run_trajectory_accuracy_experiment,
+    )
+    from repro.experiments.report import (
+        accuracy_table,
+        cleaning_table,
+        query_time_table,
+    )
+
     dataset = _load_dataset(args)
     name = args.name
     if name in ("fig8a", "fig8b", "size"):
@@ -618,9 +630,8 @@ def _command_export(args: argparse.Namespace) -> int:
 
     dataset = _load_dataset(args)
     trajectory, lsequence, graph = _cleaned_graph(dataset, args)
-    kinds = _parse_kinds(args.constraints)
-    constraints = infer_constraints(dataset.building, MotilityProfile(),
-                                    kinds=kinds, distances=dataset.distances)
+    constraints = _inferred_constraints(dataset,
+                                        _parse_kinds(args.constraints))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -642,8 +653,7 @@ def _command_report(args: argparse.Namespace) -> int:
     from repro.experiments.suite import render_report, run_full_suite
 
     if args.both:
-        datasets = [_DATASETS[name](scale=args.scale, seed=args.seed)
-                    for name in sorted(_DATASETS)]
+        datasets = [_load_dataset(args, name) for name in _DATASETS]
     else:
         datasets = [_load_dataset(args)]
     result = run_full_suite(datasets, scale=args.scale, progress=print)
@@ -654,6 +664,7 @@ def _command_report(args: argparse.Namespace) -> int:
 
 def _command_ql(args: argparse.Namespace) -> int:
     from repro.queries.ql import execute
+    from repro.queries.session import QuerySession
 
     dataset = _load_dataset(args)
     clean_started = time.perf_counter()
@@ -686,10 +697,8 @@ def _command_analyze(args: argparse.Namespace) -> int:
                          advise=args.advise)
     else:
         dataset = _load_dataset(args)
-        kinds = _parse_kinds(args.constraints)
-        constraints = infer_constraints(dataset.building, MotilityProfile(),
-                                        kinds=kinds,
-                                        distances=dataset.distances)
+        constraints = _inferred_constraints(dataset,
+                                            _parse_kinds(args.constraints))
         readings = None
         if args.index is not None:
             trajectories = dataset.all_trajectories()

@@ -13,24 +13,29 @@
 * :mod:`repro.core.sampling` — drawing valid trajectories from a ct-graph.
 """
 
-from repro.core.algorithm import (
-    CleaningOptions,
-    CleaningStats,
-    build_ct_graph,
-    clean,
-)
-from repro.core.engine import EngineCache, build_ct_graph_compact
-from repro.core.constraints import (
-    ConstraintSet,
-    Latency,
-    TravelingTime,
-    Unreachable,
-)
-from repro.core.ctgraph import CTGraph, CTNode
-from repro.core.lsequence import LSequence, Reading, ReadingSequence
-from repro.core.naive import NaiveConditioner
-from repro.core.sampling import TrajectorySampler
-from repro.core.validity import is_valid_trajectory
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.algorithm import (
+        CleaningOptions,
+        CleaningStats,
+        build_ct_graph,
+        clean,
+    )
+    from repro.core.engine import EngineCache, build_ct_graph_compact
+    from repro.core.constraints import (
+        ConstraintSet,
+        Latency,
+        TravelingTime,
+        Unreachable,
+    )
+    from repro.core.ctgraph import CTGraph, CTNode
+    from repro.core.lsequence import LSequence, Reading, ReadingSequence
+    from repro.core.naive import NaiveConditioner
+    from repro.core.sampling import TrajectorySampler
+    from repro.core.validity import is_valid_trajectory
 
 __all__ = [
     "ConstraintSet",
@@ -52,3 +57,18 @@ __all__ = [
     "TrajectorySampler",
     "is_valid_trajectory",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.algorithm": (
+        "CleaningOptions", "CleaningStats", "build_ct_graph", "clean",
+    ),
+    "repro.core.engine": ("EngineCache", "build_ct_graph_compact"),
+    "repro.core.constraints": (
+        "ConstraintSet", "Latency", "TravelingTime", "Unreachable",
+    ),
+    "repro.core.ctgraph": ("CTGraph", "CTNode"),
+    "repro.core.lsequence": ("LSequence", "Reading", "ReadingSequence"),
+    "repro.core.naive": ("NaiveConditioner",),
+    "repro.core.sampling": ("TrajectorySampler",),
+    "repro.core.validity": ("is_valid_trajectory",),
+})

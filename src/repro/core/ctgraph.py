@@ -372,9 +372,16 @@ class CTGraph(NodeWebGraph):
         Nodes are dense integer ids with ``tau``/``location``/``stay``/
         ``departures``/``source_probability`` attributes; edges carry the
         conditioned ``probability``.  The conversion is read-only —
-        mutating the result does not touch this graph.
+        mutating the result does not touch this graph.  It needs the
+        ``repro[graph]`` extra (networkx); without it the call raises
+        :class:`~repro.errors.ReproError` naming the extra.
         """
-        import networkx as nx
+        try:
+            import networkx as nx
+        except ImportError:
+            from repro.optional import missing_dependency
+
+            nx = missing_dependency("networkx", "repro[graph]")  # type: ignore[assignment]
 
         ids = {node: index for index, node in enumerate(self.nodes())}
         digraph = nx.DiGraph(duration=self.duration)

@@ -24,7 +24,8 @@ The streaming frontier advance has no kernel here: a stream's
 ``backend="auto"``/``"numpy"`` runs the compact engine's memoised rows
 (:meth:`repro.core.engine.EngineCache.advance`), with or without numpy.
 
-numpy is an **optional** dependency (the ``repro[numpy]`` extra).  When it
+numpy is an **optional** dependency (the ``repro[numpy]`` extra), imported
+on the first kernel call, so importing the core loads no numpy.  When it
 is missing — or disabled through the ``REPRO_NO_NUMPY`` environment
 variable, which the no-numpy CI leg and the fallback tests use — every
 entry point degrades to the pure-python implementations, which remain the
@@ -48,15 +49,12 @@ is zero, so reassociation can never flip a ``> 0.0`` test.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from functools import lru_cache
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import ReproError
-
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _numpy = None  # type: ignore[assignment]
 
 __all__ = [
     "BACKENDS",
@@ -86,14 +84,21 @@ BACKENDS = ("auto", "python", "numpy")
 KERNEL_MIN_LEVEL_EDGES = 64
 
 
+@lru_cache(maxsize=None)
+def _numpy_installed() -> bool:
+    """Whether numpy can be imported, found without importing it."""
+    return importlib.util.find_spec("numpy") is not None
+
+
 def numpy_available() -> bool:
     """Whether the numpy backend can run right now.
 
     False when numpy is not importable *or* the ``REPRO_NO_NUMPY``
     environment variable is set (read dynamically so tests and the
     no-numpy CI leg can gate the fallback without uninstalling anything).
+    Answering imports no numpy.
     """
-    return _numpy is not None and not os.environ.get("REPRO_NO_NUMPY")
+    return _numpy_installed() and not os.environ.get("REPRO_NO_NUMPY")
 
 
 def require_numpy() -> Any:
@@ -108,7 +113,9 @@ def require_numpy() -> Any:
             "the numpy kernel backend is unavailable (numpy not installed "
             "or REPRO_NO_NUMPY set); use backend='python' or install the "
             "repro[numpy] extra")
-    return _numpy
+    import numpy
+
+    return numpy
 
 
 def resolve_backend(backend: str,

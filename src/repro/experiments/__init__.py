@@ -10,22 +10,27 @@ Each benchmark under ``benchmarks/`` wires one figure or table of the paper
 to these functions; ``EXPERIMENTS.md`` records the measured outcomes.
 """
 
-from repro.experiments.harness import (
-    CONSTRAINT_CONFIGS,
-    AccuracyMeasurement,
-    CleaningMeasurement,
-    QueryTimeMeasurement,
-    clean_trajectory,
-    run_cleaning_experiment,
-    run_query_time_experiment,
-    run_stay_accuracy_experiment,
-    run_trajectory_accuracy_experiment,
-)
-from repro.experiments.report import format_table
-from repro.experiments.workloads import (
-    random_stay_queries,
-    random_trajectory_queries,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.harness import (
+        CONSTRAINT_CONFIGS,
+        AccuracyMeasurement,
+        CleaningMeasurement,
+        QueryTimeMeasurement,
+        clean_trajectory,
+        run_cleaning_experiment,
+        run_query_time_experiment,
+        run_stay_accuracy_experiment,
+        run_trajectory_accuracy_experiment,
+    )
+    from repro.experiments.report import format_table
+    from repro.experiments.workloads import (
+        random_stay_queries,
+        random_trajectory_queries,
+    )
 
 __all__ = [
     "CONSTRAINT_CONFIGS",
@@ -41,3 +46,16 @@ __all__ = [
     "random_trajectory_queries",
     "format_table",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.experiments.harness": (
+        "CONSTRAINT_CONFIGS", "AccuracyMeasurement", "CleaningMeasurement",
+        "QueryTimeMeasurement", "clean_trajectory", "run_cleaning_experiment",
+        "run_query_time_experiment", "run_stay_accuracy_experiment",
+        "run_trajectory_accuracy_experiment",
+    ),
+    "repro.experiments.report": ("format_table",),
+    "repro.experiments.workloads": (
+        "random_stay_queries", "random_trajectory_queries",
+    ),
+})

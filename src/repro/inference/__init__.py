@@ -7,13 +7,18 @@ monitored objects.  This package implements that inference; the only inputs
 are the :class:`~repro.mapmodel.building.Building` and a motility profile.
 """
 
-from repro.inference.infer import (
-    MotilityProfile,
-    infer_constraints,
-    infer_du_constraints,
-    infer_lt_constraints,
-    infer_tt_constraints,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.inference.infer import (
+        MotilityProfile,
+        infer_constraints,
+        infer_du_constraints,
+        infer_lt_constraints,
+        infer_tt_constraints,
+    )
 
 __all__ = [
     "MotilityProfile",
@@ -22,3 +27,10 @@ __all__ = [
     "infer_tt_constraints",
     "infer_lt_constraints",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.inference.infer": (
+        "MotilityProfile", "infer_constraints", "infer_du_constraints",
+        "infer_lt_constraints", "infer_tt_constraints",
+    ),
+})

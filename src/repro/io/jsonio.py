@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Union
 
 from repro.core.constraints import (
     Constraint,
@@ -22,7 +22,12 @@ from repro.core.lsequence import Reading, ReadingSequence
 from repro.errors import ReproError
 from repro.geometry import Point, Rect
 from repro.mapmodel.building import Building
-from repro.simulation.trajectories import GroundTruthTrajectory
+
+if TYPE_CHECKING:
+    # load_trajectory imports it when called: the simulation layer loads
+    # numpy, which serve and its shard workers, reading their
+    # constraints here, do not need.
+    from repro.simulation.trajectories import GroundTruthTrajectory
 
 __all__ = [
     "save_building", "load_building", "building_to_dict", "building_from_dict",
@@ -247,6 +252,8 @@ def save_trajectory(trajectory: GroundTruthTrajectory, path: PathLike) -> None:
 def load_trajectory(path: PathLike,
                     building: Building) -> GroundTruthTrajectory:
     """Read a ground-truth trajectory written by :func:`save_trajectory`."""
+    from repro.simulation.trajectories import GroundTruthTrajectory
+
     payload = _read(path, "rfid-ctg/trajectory@1")
     if payload["building"] != building.name:
         raise ReproError(

@@ -14,15 +14,20 @@ lint``.  A trailing ``# lint-ok: <CODE>`` comment suppresses a finding on
 its line.
 """
 
-from repro.lint.engine import (
-    lint_path,
-    lint_source,
-    main,
-    python_files,
-    render_json,
-)
-from repro.lint.findings import SUPPRESSION_MARK, LintFinding, suppressed_lines
-from repro.lint.registry import LintRule, all_rules, register, rule_codes
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lint.engine import (
+        lint_path,
+        lint_source,
+        main,
+        python_files,
+        render_json,
+    )
+    from repro.lint.findings import SUPPRESSION_MARK, LintFinding, suppressed_lines
+    from repro.lint.registry import LintRule, all_rules, register, rule_codes
 
 __all__ = [
     "LintFinding",
@@ -38,3 +43,13 @@ __all__ = [
     "rule_codes",
     "suppressed_lines",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.lint.engine": (
+        "lint_path", "lint_source", "main", "python_files", "render_json",
+    ),
+    "repro.lint.findings": (
+        "SUPPRESSION_MARK", "LintFinding", "suppressed_lines",
+    ),
+    "repro.lint.registry": ("LintRule", "all_rules", "register", "rule_codes"),
+})

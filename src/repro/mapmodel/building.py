@@ -347,18 +347,22 @@ class Building:
 
     def connected_location_pairs(self) -> Set[Tuple[str, str]]:
         """Ordered pairs of distinct locations connected by *some* path."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.location_names)
-        graph.add_edges_from((door.loc_a, door.loc_b) for door in self._doors)
         pairs: Set[Tuple[str, str]] = set()
-        for component in nx.connected_components(graph):
-            members = sorted(component)
-            for a in members:
-                for b in members:
-                    if a != b:
-                        pairs.add((a, b))
+        seen: Set[str] = set()
+        for start in self._order:
+            if start in seen:
+                continue
+            # Breadth-first over the doors: the component holding start.
+            component = [start]
+            seen.add(start)
+            for name in component:
+                for door in self._doors_by_location[name]:
+                    other = door.other(name)
+                    if other not in seen:
+                        seen.add(other)
+                        component.append(other)
+            pairs.update((a, b) for a in component for b in component
+                         if a != b)
         return pairs
 
     def __repr__(self) -> str:

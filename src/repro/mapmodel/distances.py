@@ -18,19 +18,25 @@ may start arbitrarily close to one of its room's doors, so no intra-room
 start-up distance is added.  Adjacent locations therefore get distance 0,
 which is consistent with the paper generating TT constraints only for pairs
 *connected but not directly connected*.
+
+The shortest paths come from one multi-source Dijkstra per location over
+the door sides' adjacency lists (stdlib ``heapq``); SYN2's door graph has
+158 sides.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict
-
-import networkx as nx
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import MapModelError, UnknownLocationError
 from repro.mapmodel.building import Building
 
 __all__ = ["WalkingDistances"]
+
+#: One side of a door: the door's index and the location it faces.
+Side = Tuple[int, str]
 
 
 class WalkingDistances:
@@ -38,8 +44,10 @@ class WalkingDistances:
 
     def __init__(self, building: Building) -> None:
         self.building = building
-        self._graph = nx.Graph()
-        self._sides: Dict[str, list] = {name: [] for name in building.location_names}
+        self._sides: Dict[str, List[Side]] = {
+            name: [] for name in building.location_names}
+        # side -> [(neighbouring side, walking length)]
+        self._adjacency: Dict[Side, List[Tuple[Side, float]]] = {}
         self._build_graph()
         self._distances: Dict[str, Dict[str, float]] = {}
         self._compute_all_pairs()
@@ -48,7 +56,7 @@ class WalkingDistances:
         for door_id, door in enumerate(self.building.doors):
             side_a = (door_id, door.loc_a)
             side_b = (door_id, door.loc_b)
-            self._graph.add_edge(side_a, side_b, weight=door.length)
+            self._add_edge(side_a, side_b, door.length)
             self._sides[door.loc_a].append(side_a)
             self._sides[door.loc_b].append(side_b)
         # Intra-location edges: straight-line walks between doors of the room.
@@ -59,15 +67,34 @@ class WalkingDistances:
                     door_i = self.building.doors[sides[i][0]]
                     door_j = self.building.doors[sides[j][0]]
                     length = door_i.point_in(name).distance_to(door_j.point_in(name))
-                    self._graph.add_edge(sides[i], sides[j], weight=length)
+                    self._add_edge(sides[i], sides[j], length)
+
+    def _add_edge(self, side_a: Side, side_b: Side, length: float) -> None:
+        self._adjacency.setdefault(side_a, []).append((side_b, length))
+        self._adjacency.setdefault(side_b, []).append((side_a, length))
+
+    def _shortest_lengths(self, sources: Iterable[Side]) -> Dict[Side, float]:
+        """Multi-source Dijkstra: the shortest walk from any of
+        ``sources`` to every door side it reaches."""
+        lengths: Dict[Side, float] = {}
+        heap = [(0.0, side) for side in sources]
+        heapq.heapify(heap)
+        while heap:
+            length, side = heapq.heappop(heap)
+            if side in lengths:
+                continue
+            lengths[side] = length
+            for neighbour, step in self._adjacency[side]:
+                if neighbour not in lengths:
+                    heapq.heappush(heap, (length + step, neighbour))
+        return lengths
 
     def _compute_all_pairs(self) -> None:
         for name in self.building.location_names:
             sources = self._sides[name]
             row: Dict[str, float] = {}
             if sources:
-                lengths = nx.multi_source_dijkstra_path_length(
-                    self._graph, sources, weight="weight")
+                lengths = self._shortest_lengths(sources)
                 for other in self.building.location_names:
                     if other == name:
                         row[other] = 0.0

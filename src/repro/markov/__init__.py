@@ -7,6 +7,15 @@ export: per-timestep location marginals plus per-timestep transition
 matrices.
 """
 
-from repro.markov.stream import MarkovianStream
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.markov.stream import MarkovianStream
 
 __all__ = ["MarkovianStream"]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.markov.stream": ("MarkovianStream",),
+})

@@ -1,9 +1,12 @@
-"""Optional-dependency placeholders (the ``repro[numpy]`` extra).
+"""Optional-dependency placeholders (the ``repro[numpy]`` and
+``repro[graph]`` extras).
 
-The cleaning core — l-sequences, constraints, both engines, the flat
-query layer — is dependency-free.  The simulation, calibration and
-experiment layers use numpy when present; since the kernels PR numpy is
-an *optional extra*, so those modules bind their ``np`` through::
+The package has no required dependency: the cleaning core — l-sequences,
+constraints, both engines, the flat query layer — and constraint
+inference from a map, whose walking distances are a stdlib Dijkstra,
+run on the standard library alone.  The simulation, calibration and experiment layers use
+numpy, an *optional extra*, so those modules bind their ``np``
+through::
 
     try:
         import numpy as np
@@ -14,7 +17,10 @@ an *optional extra*, so those modules bind their ``np`` through::
 Importing the package then never requires numpy — only *calling* into a
 numpy-backed feature does, and the failure is a typed
 :class:`~repro.errors.ReproError` naming the extra to install instead of
-an ``AttributeError`` on ``None``.  (The level-sweep kernels in
+an ``AttributeError`` on ``None``.  networkx is optional the same way:
+only :meth:`~repro.core.ctgraph.CTGraph.to_networkx` imports it, when
+called, and without the ``repro[graph]`` extra it raises the same typed
+error.  (The level-sweep kernels in
 :mod:`repro.core.kernels` go further: they *fall back* to the pure
 python oracle rather than raising, because there the python path is a
 complete implementation, not a degraded one.)

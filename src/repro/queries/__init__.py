@@ -15,32 +15,37 @@ evaluated against the raw (unconditioned) l-sequence, which is the "no
 cleaning" baseline of the accuracy experiments.
 """
 
-from repro.queries.accuracy import (
-    stay_accuracy,
-    trajectory_query_accuracy,
-)
-from repro.queries.analytics import (
-    entropy_profile,
-    entropy_profile_prior,
-    expected_visit_counts,
-    first_visit_distribution,
-    most_likely_trajectory,
-    span_probability,
-    time_at_location_distribution,
-    top_k_trajectories,
-    uncertainty_reduction,
-    visit_probability,
-)
-from repro.queries.meeting import (
-    colocation_profile,
-    meeting_probability,
-    meeting_time_distribution,
-)
-from repro.queries.pattern import Pattern, PatternAtom
-from repro.queries.ql import QueryResult, execute
-from repro.queries.session import QuerySession
-from repro.queries.stay import stay_query, stay_query_prior
-from repro.queries.trajectory import TrajectoryQuery
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.queries.accuracy import (
+        stay_accuracy,
+        trajectory_query_accuracy,
+    )
+    from repro.queries.analytics import (
+        entropy_profile,
+        entropy_profile_prior,
+        expected_visit_counts,
+        first_visit_distribution,
+        most_likely_trajectory,
+        span_probability,
+        time_at_location_distribution,
+        top_k_trajectories,
+        uncertainty_reduction,
+        visit_probability,
+    )
+    from repro.queries.meeting import (
+        colocation_profile,
+        meeting_probability,
+        meeting_time_distribution,
+    )
+    from repro.queries.pattern import Pattern, PatternAtom
+    from repro.queries.ql import QueryResult, execute
+    from repro.queries.session import QuerySession
+    from repro.queries.stay import stay_query, stay_query_prior
+    from repro.queries.trajectory import TrajectoryQuery
 
 __all__ = [
     "Pattern",
@@ -67,3 +72,22 @@ __all__ = [
     "meeting_time_distribution",
     "colocation_profile",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.queries.accuracy": ("stay_accuracy", "trajectory_query_accuracy"),
+    "repro.queries.analytics": (
+        "entropy_profile", "entropy_profile_prior", "expected_visit_counts",
+        "first_visit_distribution", "most_likely_trajectory",
+        "span_probability", "time_at_location_distribution",
+        "top_k_trajectories", "uncertainty_reduction", "visit_probability",
+    ),
+    "repro.queries.meeting": (
+        "colocation_profile", "meeting_probability",
+        "meeting_time_distribution",
+    ),
+    "repro.queries.pattern": ("Pattern", "PatternAtom"),
+    "repro.queries.ql": ("QueryResult", "execute"),
+    "repro.queries.session": ("QuerySession",),
+    "repro.queries.stay": ("stay_query", "stay_query_prior"),
+    "repro.queries.trajectory": ("TrajectoryQuery",),
+})

@@ -10,9 +10,14 @@ This package simulates the hardware side of the paper's setup:
   Section 6.2, computed from ``F``.
 """
 
-from repro.rfid.calibration import DetectionMatrix, calibrate, exact_matrix
-from repro.rfid.priors import PriorModel
-from repro.rfid.readers import Reader, ReaderModel, place_default_readers
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.rfid.calibration import DetectionMatrix, calibrate, exact_matrix
+    from repro.rfid.priors import PriorModel
+    from repro.rfid.readers import Reader, ReaderModel, place_default_readers
 
 __all__ = [
     "Reader",
@@ -23,3 +28,9 @@ __all__ = [
     "exact_matrix",
     "PriorModel",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.rfid.calibration": ("DetectionMatrix", "calibrate", "exact_matrix"),
+    "repro.rfid.priors": ("PriorModel",),
+    "repro.rfid.readers": ("Reader", "ReaderModel", "place_default_readers"),
+})

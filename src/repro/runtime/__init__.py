@@ -14,15 +14,20 @@ by object-id hash with ordered output merging (``serve --shards N``).
 See ``docs/runtime.md``.
 """
 
-from repro.runtime.batch import (
-    BatchCleaner,
-    BatchOutcome,
-    BatchResult,
-    clean_many,
-)
-from repro.runtime.plan import QueryPlan, SharedCleaningPlan
-from repro.runtime.sessions import StreamSessionManager
-from repro.runtime.shards import ServeEngine, StreamShardPool, shard_of
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runtime.batch import (
+        BatchCleaner,
+        BatchOutcome,
+        BatchResult,
+        clean_many,
+    )
+    from repro.runtime.plan import QueryPlan, SharedCleaningPlan
+    from repro.runtime.sessions import StreamSessionManager
+    from repro.runtime.shards import ServeEngine, StreamShardPool, shard_of
 
 __all__ = [
     "BatchCleaner",
@@ -36,3 +41,12 @@ __all__ = [
     "clean_many",
     "shard_of",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.runtime.batch": (
+        "BatchCleaner", "BatchOutcome", "BatchResult", "clean_many",
+    ),
+    "repro.runtime.plan": ("QueryPlan", "SharedCleaningPlan"),
+    "repro.runtime.sessions": ("StreamSessionManager",),
+    "repro.runtime.shards": ("ServeEngine", "StreamShardPool", "shard_of"),
+})

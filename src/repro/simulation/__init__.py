@@ -12,19 +12,24 @@ Two modules mirror the paper's two generator components:
 (building + readers + calibration + trajectories + readings).
 """
 
-from repro.simulation.datasets import (
-    Dataset,
-    GeneratedTrajectory,
-    build_dataset,
-    syn1_dataset,
-    syn2_dataset,
-)
-from repro.simulation.readings import ReadingGenerator
-from repro.simulation.trajectories import (
-    GroundTruthTrajectory,
-    MovementParameters,
-    TrajectoryGenerator,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.simulation.datasets import (
+        Dataset,
+        GeneratedTrajectory,
+        build_dataset,
+        syn1_dataset,
+        syn2_dataset,
+    )
+    from repro.simulation.readings import ReadingGenerator
+    from repro.simulation.trajectories import (
+        GroundTruthTrajectory,
+        MovementParameters,
+        TrajectoryGenerator,
+    )
 
 __all__ = [
     "GroundTruthTrajectory",
@@ -37,3 +42,14 @@ __all__ = [
     "syn1_dataset",
     "syn2_dataset",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.simulation.datasets": (
+        "Dataset", "GeneratedTrajectory", "build_dataset", "syn1_dataset",
+        "syn2_dataset",
+    ),
+    "repro.simulation.readings": ("ReadingGenerator",),
+    "repro.simulation.trajectories": (
+        "GroundTruthTrajectory", "MovementParameters", "TrajectoryGenerator",
+    ),
+})

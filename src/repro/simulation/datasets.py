@@ -15,7 +15,6 @@ are preserved).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,6 @@ except ImportError:  # pragma: no cover - no-numpy environments
 
     np = missing_dependency("numpy", "repro[numpy]")  # type: ignore[assignment]
 
-from repro.errors import ReproError
 from repro.mapmodel.building import Building
 from repro.mapmodel.distances import WalkingDistances
 from repro.mapmodel.floorplans import syn1_building, syn2_building
@@ -41,6 +39,7 @@ from repro.rfid.priors import PriorModel
 from repro.rfid.readers import ReaderModel, place_default_readers
 from repro.core.lsequence import ReadingSequence
 from repro.simulation.readings import ReadingGenerator
+from repro.simulation.scales import SCALES, active_scale
 from repro.simulation.trajectories import (
     GroundTruthTrajectory,
     MovementParameters,
@@ -56,25 +55,6 @@ __all__ = [
     "syn1_dataset",
     "syn2_dataset",
 ]
-
-#: Named experiment scales: duration list (in timesteps = seconds) and the
-#: number of trajectories per duration.  ``paper`` is the EDBT setup.
-SCALES: Dict[str, Tuple[Tuple[int, ...], int]] = {
-    "tiny": ((30, 60), 2),
-    "small": ((120, 240, 360, 480), 3),
-    "medium": ((300, 600, 900, 1200), 5),
-    "paper": ((1800, 3600, 5400, 7200), 25),
-}
-
-
-def active_scale(default: str = "small") -> str:
-    """The scale selected via the ``REPRO_SCALE`` environment variable."""
-    scale = os.environ.get("REPRO_SCALE", default)
-    if scale not in SCALES:
-        raise ReproError(
-            f"unknown REPRO_SCALE {scale!r}; expected one of {sorted(SCALES)}")
-    return scale
-
 
 @dataclass(frozen=True)
 class GeneratedTrajectory:

@@ -25,21 +25,26 @@ The engines write the format natively via
 keying rules, and ``benchmarks/bench_store.py`` for the numbers.
 """
 
-from repro.errors import StoreChecksumError, StoreError, StoreFormatError
-from repro.store.format import (
-    CKPT_MAGIC,
-    CKPT_VERSION,
-    CTG_MAGIC,
-    CTG_VERSION,
-    CheckpointPayload,
-    MappedCTGraph,
-    load_ctg,
-    read_stream_checkpoint,
-    save_ctg,
-    write_ctg,
-    write_stream_checkpoint,
-)
-from repro.store.graphstore import GraphStore, content_key
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.errors import StoreChecksumError, StoreError, StoreFormatError
+    from repro.store.format import (
+        CKPT_MAGIC,
+        CKPT_VERSION,
+        CTG_MAGIC,
+        CTG_VERSION,
+        CheckpointPayload,
+        MappedCTGraph,
+        load_ctg,
+        read_stream_checkpoint,
+        save_ctg,
+        write_ctg,
+        write_stream_checkpoint,
+    )
+    from repro.store.graphstore import GraphStore, content_key
 
 __all__ = [
     "CKPT_MAGIC",
@@ -59,3 +64,14 @@ __all__ = [
     "write_ctg",
     "write_stream_checkpoint",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.errors": ("StoreChecksumError", "StoreError", "StoreFormatError"),
+    "repro.store.format": (
+        "CKPT_MAGIC", "CKPT_VERSION", "CTG_MAGIC", "CTG_VERSION",
+        "CheckpointPayload", "MappedCTGraph", "load_ctg",
+        "read_stream_checkpoint", "save_ctg", "write_ctg",
+        "write_stream_checkpoint",
+    ),
+    "repro.store.graphstore": ("GraphStore", "content_key"),
+})

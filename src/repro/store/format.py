@@ -123,11 +123,6 @@ _ALIGN = 8
 #: platform CPython supports; ``"l"`` is the documented fallback).
 _I32 = "i" if array("i").itemsize == 4 else "l"
 
-try:  # the *writer* accepts ndarrays whenever numpy is importable at all
-    import numpy as _np  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised on the no-numpy leg
-    _np = None  # type: ignore[assignment]
-
 #: One column of a loaded graph: a ``memoryview`` cast, or a byteswapped
 #: ``array.array`` copy (big-endian hosts only).
 Column = Union[memoryview, array]
@@ -169,8 +164,10 @@ def _level_view(level, code: str, stays: bool) -> memoryview:
     an ndarray converts to the on-disk dtype (``stays`` ndarrays must
     already hold the ``-1`` sentinel), a native memoryview passes
     through, anything else converts through ``array``."""
-    if _np is not None and isinstance(level, _np.ndarray):
-        view = memoryview(_np.ascontiguousarray(
+    # No numpy loaded means no column is an ndarray: the writer imports none.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(level, np.ndarray):
+        view = memoryview(np.ascontiguousarray(
             level, dtype="<i4" if code == _I32 else "<f8"))
     elif _native(level, code):
         view = level

@@ -18,6 +18,15 @@ through the ``rfid-ctg/ckpt@1`` binary format so a killed process
 resumes bit-exactly without reingesting.  See ``docs/streaming.md``.
 """
 
-from repro.streaming.cleaner import StreamingCleaner
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.streaming.cleaner import StreamingCleaner
 
 __all__ = ["StreamingCleaner"]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.streaming.cleaner": ("StreamingCleaner",),
+})

@@ -11,7 +11,7 @@ from repro.core.algorithm import build_ct_graph
 from repro.core.constraints import ConstraintSet, Unreachable
 from repro.core.ctgraph import NodeWebGraph
 from repro.core.lsequence import LSequence
-from repro.errors import GraphInvariantError, QueryError
+from repro.errors import GraphInvariantError, QueryError, ReproError
 from repro.queries import (
     TrajectoryQuery,
     entropy_profile,
@@ -230,6 +230,10 @@ class TestValidateAndSize:
 
 
 class TestNetworkxExport:
+    @pytest.fixture(autouse=True)
+    def _needs_networkx(self):
+        pytest.importorskip("networkx")
+
     def test_structure_round_trips(self, diamond_graph):
         digraph = diamond_graph.to_networkx()
         assert digraph.number_of_nodes() == diamond_graph.num_nodes
@@ -254,3 +258,10 @@ class TestNetworkxExport:
                    for _, _, data in digraph.out_edges(node, data=True)]
             if out:
                 assert sum(out) == pytest.approx(1.0)
+
+
+def test_export_without_networkx_names_the_graph_extra(diamond_graph,
+                                                      monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with pytest.raises(ReproError, match=r"repro\[graph\]"):
+        diamond_graph.to_networkx()

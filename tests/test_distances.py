@@ -99,3 +99,87 @@ class TestTravelingTime:
         assert table["A"]["B"] == d.distance("A", "B")
         table["A"]["B"] = 999.0          # mutating the copy is harmless
         assert d.distance("A", "B") == 0.0
+
+
+# ----------------------------------------------------------------------
+# the stdlib Dijkstra and BFS against networkx
+# ----------------------------------------------------------------------
+def networkx_answers(building):
+    """``as_dict()`` and ``connected_location_pairs()`` as networkx
+    computes them over the same door graph: the reference."""
+    nx = pytest.importorskip("networkx")
+    names = building.location_names
+    doors = building.doors
+    sides = {name: [] for name in names}
+    graph = nx.Graph()
+    for door_id, door in enumerate(doors):
+        side_a, side_b = (door_id, door.loc_a), (door_id, door.loc_b)
+        graph.add_edge(side_a, side_b, weight=door.length)
+        sides[door.loc_a].append(side_a)
+        sides[door.loc_b].append(side_b)
+    for name in names:
+        for i, side_i in enumerate(sides[name]):
+            for side_j in sides[name][i + 1:]:
+                walk = doors[side_i[0]].point_in(name).distance_to(
+                    doors[side_j[0]].point_in(name))
+                graph.add_edge(side_i, side_j, weight=walk)
+    table = {}
+    for name in names:
+        lengths = (nx.multi_source_dijkstra_path_length(graph, sides[name])
+                   if sides[name] else {})
+        table[name] = {
+            other: 0.0 if other == name else min(
+                (lengths[side] for side in sides[other] if side in lengths),
+                default=math.inf)
+            for other in names}
+    locations = nx.Graph()
+    locations.add_nodes_from(names)
+    locations.add_edges_from((door.loc_a, door.loc_b) for door in doors)
+    pairs = {(a, b) for component in nx.connected_components(locations)
+             for a in component for b in component if a != b}
+    return table, pairs
+
+
+def assert_matches_networkx(building):
+    table, pairs = networkx_answers(building)
+    assert WalkingDistances(building).as_dict() == table
+    assert building.connected_location_pairs() == pairs
+
+
+class TestAgainstNetworkx:
+    @pytest.mark.parametrize("name", ["floor1", "syn1", "syn2"])
+    def test_paper_buildings(self, name):
+        from repro.mapmodel.floorplans import (
+            multi_floor_building,
+            syn1_building,
+            syn2_building,
+        )
+
+        builders = {"floor1": lambda: multi_floor_building(1),
+                    "syn1": syn1_building, "syn2": syn2_building}
+        assert_matches_networkx(builders[name]())
+
+    def test_random_plans(self):
+        import random
+
+        np = pytest.importorskip("numpy", exc_type=ImportError)
+        from repro.mapmodel.random_plans import random_building
+
+        shapes = random.Random(26)
+        for seed in range(210):
+            building = random_building(
+                num_floors=1 + seed % 3, rooms_x=shapes.randint(2, 4),
+                rooms_y=shapes.randint(1, 3),
+                extra_door_fraction=shapes.choice((0.0, 0.3, 0.7)),
+                rng=np.random.default_rng(seed))
+            assert_matches_networkx(building)
+
+    def test_disconnected_plan(self):
+        b = Building()
+        for index, name in enumerate("ABCD"):
+            b.add_location(name, 0, Rect(10 * index, 0, 10 * index + 5, 5))
+        b.add_location("E", 0, Rect(5, 0, 10, 5))
+        b.add_door("A", "E")
+        b.add_door("E", "B")
+        assert_matches_networkx(b)
+        assert ("C", "D") not in b.connected_location_pairs()

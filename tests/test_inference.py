@@ -116,3 +116,29 @@ class TestFullInference:
         cs = infer_constraints(corridor4, profile)
         assert cs.latency_of("room1") == 9
         assert cs.traveling_time("room1", "room4") == 15  # 15 m at 1 m/s
+
+
+class TestPinnedConstraintSets:
+    """SYN1's and SYN2's inferred DU+LT+TT sets, pinned by a digest of
+    every constraint in order: the walking distances and connected
+    pairs under TT are computed without networkx since it was made
+    optional, and these digests were taken with it."""
+
+    DIGESTS = {
+        "syn1": (1828, "1f69331266fe564434795c5e1ca2ed32"
+                       "d5801fbe3fa24d2a3d74644e4a3786aa"),
+        "syn2": (7748, "0c63c60d5c6a2a006ccb79082b23e517"
+                       "d3df8c4a6c742ef87792d3d531819fbb"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        import hashlib
+
+        from repro.mapmodel.floorplans import syn1_building, syn2_building
+
+        building = {"syn1": syn1_building, "syn2": syn2_building}[name]()
+        constraints = infer_constraints(building)
+        text = "\n".join(repr(constraint) for constraint in constraints)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (len(constraints), digest) == self.DIGESTS[name]

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck check bench bench-paper bench-kernels bench-store bench-streaming report examples loc clean
+.PHONY: install test lint typecheck check bench bench-paper bench-store bench-streaming report examples loc clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -38,20 +38,14 @@ bench-paper:
 	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The JSON benches (benchmarks/harness.py): each writes its record,
-# then checks it against its own gates.  bench-kernels and bench-store
-# need the numpy extra.
+# then checks it against its own gates.
 
-# Numpy level-sweep kernels vs the python oracle on the wide workload:
-# parity on every run, both speedups >= 3x on full runs.
-bench-kernels:
-	$(PYTHON) benchmarks/bench_kernels.py --out BENCH_kernels.json
-	$(PYTHON) benchmarks/bench_kernels.py --check BENCH_kernels.json
-
-# Binary graph store vs pickle: engine -> .ctg direct write vs pickle,
-# cold mmap load (>= 5x gate), warm mmap-served query parity and penalty
-# (<= 1.2x gate on the numpy backend).
+# Binary graph store vs pickle on a 96-wide, 1,600-step graph (14.7M
+# edges; gigabytes of RSS): engine -> .ctg write vs engine -> pickle and
+# the warm mmap-over-memory query penalty (both reported), cold mmap
+# load (>= 5x gate) and mmap-served query parity (==).
 bench-store:
-	$(PYTHON) benchmarks/bench_store.py --backend numpy --out BENCH_store.json
+	$(PYTHON) benchmarks/bench_store.py --out BENCH_store.json
 	$(PYTHON) benchmarks/bench_store.py --check BENCH_store.json
 
 # Bounded-memory streaming: 100k-step stream with window=64, eviction

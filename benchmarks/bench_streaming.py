@@ -45,6 +45,7 @@ does, so without numpy its entry is null.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -65,7 +66,6 @@ from repro.core.constraints import (
     Unreachable,
 )
 from repro.core.engine import EngineCache
-from repro.core.kernels import numpy_available
 from repro.io.jsonio import save_constraints
 from repro.runtime.sessions import StreamSessionManager
 from repro.runtime.shards import ServeEngine, StreamShardPool
@@ -399,7 +399,7 @@ def run(args) -> Dict[str, object]:
             "readings_per_second": duration / python_seconds,
         },
         "rows": {
-            "numpy_available": numpy_available(),
+            "numpy_available": importlib.util.find_spec("numpy") is not None,
             "synthetic": synthetic,
             "syn1": syn1,
         },
@@ -530,4 +530,4 @@ def summary(record):
 
 if __name__ == "__main__":
     sys.exit(harness.main("streaming", SCHEMA_VERSION, run, validate,
-                          summary, harness.parser(__doc__)))
+                          summary, __doc__))

@@ -1,9 +1,8 @@
-"""The one harness of the JSON benches: bench_kernels, bench_store and
-bench_streaming.
+"""The one harness of the JSON benches: bench_store and bench_streaming.
 
 A bench hands :func:`main` three functions (``run``, ``validate``,
-``summary``) and the command line of :func:`parser`, and gets the rest:
-``--out/--smoke/--check``, the fields every record carries
+``summary``) and its docstring, and gets the rest: the command line
+(``--out/--smoke/--check``), the fields every record carries
 (bench name, schema version, creation time, the :func:`host` it ran on,
 whether it was a smoke run), a check of the record before it is written,
 and the exit code.  Every bench runs the same loop::
@@ -25,27 +24,19 @@ import os
 import platform
 import sys
 import time
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 Record = Dict[str, object]
 
 
-def best_of(repeats: int, call: Callable[[], object],
-            seconds: Optional[Callable[[object], float]] = None
-            ) -> Tuple[float, object]:
-    """The fastest of ``repeats`` calls, in seconds, and the last result.
-
-    A call is timed by the wall clock, or by ``seconds(result)`` when the
-    call times the part being measured itself (a build's
-    ``CleaningStats.sweep_seconds``).
-    """
-    best, result = math.inf, None
+def best_of(repeats: int, call: Callable[[], object]) -> float:
+    """The fastest of ``repeats`` calls, in wall-clock seconds."""
+    best = math.inf
     for _ in range(repeats):
         started = time.perf_counter()
-        result = call()
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed if seconds is None else seconds(result))
-    return best, result
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 def host() -> Dict[str, object]:
@@ -88,27 +79,6 @@ class Problems(list):
         return block
 
 
-def agree(left: object, right: object, exact: bool) -> bool:
-    """Whether two query answers agree.
-
-    ``exact``: ``==``.  Otherwise the numpy kernels' tolerance gate
-    (``docs/perf.md``): container shapes, key sets and lengths exact,
-    floats within 1e-12 relative (1e-12 absolute near zero).  Key order
-    may differ: the numpy reductions emit in location-id order.
-    """
-    if exact:
-        return left == right
-    if isinstance(left, float) and isinstance(right, float):
-        return math.isclose(left, right, rel_tol=1e-12, abs_tol=1e-12)
-    if isinstance(left, dict) and isinstance(right, dict):
-        return (set(left) == set(right)
-                and all(agree(left[key], right[key], False) for key in left))
-    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-        return (len(left) == len(right)
-                and all(agree(a, b, False) for a, b in zip(left, right)))
-    return left == right
-
-
 def check(record: Record, name: str, schema_version: int,
           validate: Callable[[Record, Problems], None]) -> Problems:
     """The common fields of a record, then the bench's own gates."""
@@ -140,8 +110,14 @@ def _host_ok(machine: object) -> bool:
                     for key in ("cpu_model", "python", "platform")))
 
 
-def parser(description: str) -> argparse.ArgumentParser:
-    """The command line every bench shares; a bench may add to it."""
+def main(name: str, schema_version: int,
+         run: Callable[[argparse.Namespace], Record],
+         validate: Callable[[Record, Problems], None],
+         summary: Callable[[Record], str], description: str) -> int:
+    """Check a record (``--check``), or run the bench, check the record
+    and write it.  Exit code 1 when any check fails, else 0.
+    ``description`` is the bench's docstring; its first line heads
+    ``--help``."""
     cli = argparse.ArgumentParser(description=description.splitlines()[0])
     cli.add_argument("--out", help="where to write the record "
                      "(default BENCH_<name>.json)")
@@ -149,16 +125,6 @@ def parser(description: str) -> argparse.ArgumentParser:
                      help="CI-sized workload: correctness gates only")
     cli.add_argument("--check", metavar="FILE",
                      help="check an existing record and exit")
-    return cli
-
-
-def main(name: str, schema_version: int,
-         run: Callable[[argparse.Namespace], Record],
-         validate: Callable[[Record, Problems], None],
-         summary: Callable[[Record], str],
-         cli: argparse.ArgumentParser) -> int:
-    """Check a record (``--check``), or run the bench, check the record
-    and write it.  Exit code 1 when any check fails, else 0."""
     args = cli.parse_args()
     if args.check:
         with open(args.check) as handle:

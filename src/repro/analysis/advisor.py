@@ -8,9 +8,8 @@ total and peak level width, the byte size of each materialised shape
 hint, and whether the envelope already proves ``ZeroMassError``.
 
 Nothing on the build path consults it: ``build_ct_graph`` always runs
-the compact engine, whose ``backend="auto"`` resolves on the edges per
-level the forward pass actually measured.  ``rfid-ctg analyze --advise``
-reports the estimate.
+the compact engine.  ``rfid-ctg analyze --advise`` reports the
+estimate.
 """
 
 from __future__ import annotations

@@ -62,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cleaning engine: reference is the test "
                             "oracle (both are bit-identical)")
     clean.add_argument("--backend", choices=BACKENDS, default="python",
-                       help="level-sweep backend: numpy vectorises the "
-                            "backward sweep on flat builds, auto picks by "
-                            "level width (results match the python oracle)")
+                       help="sweep backend; builds run the python sweep "
+                            "for every value")
     clean.add_argument("--stats", action="store_true",
                        help="also print the construction counters and "
                             "per-phase timings")
@@ -93,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="cleaning engine used by the workers")
     clean_many_cmd.add_argument("--backend", choices=BACKENDS,
                                 default="python",
-                                help="level-sweep backend used by the "
-                                     "workers")
+                                help="sweep backend; builds run the "
+                                     "python sweep for every value")
     clean_many_cmd.add_argument("--timeout", type=float, default=None,
                                 metavar="SECONDS",
                                 help="per-object wall-clock budget; an "
@@ -128,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_cmd.add_argument("--engine", choices=ENGINES, default="compact",
                            help="cleaning engine used on cache misses")
     store_cmd.add_argument("--backend", choices=BACKENDS, default="python",
-                           help="level-sweep backend used on cache misses")
+                           help="sweep backend; builds run the python "
+                                "sweep for every value")
     store_cmd.add_argument("--list", dest="list_only", action="store_true",
                            help="list the store's entries and exit "
                                 "(no cleaning)")
@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cleaning engine feeding the query (results "
                             "are bit-identical)")
     query.add_argument("--backend", choices=BACKENDS, default="python",
-                       help="level-sweep backend for cleaning and for the "
-                            "QuerySession sweeps")
+                       help="sweep backend; cleaning and queries run the "
+                            "python sweep for every value")
     query.add_argument("--stats", action="store_true",
                        help="print cleaning and query timings")
 
@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     ql.add_argument("--engine", choices=ENGINES, default="compact",
                     help="cleaning engine feeding the statements")
     ql.add_argument("--backend", choices=BACKENDS, default="python",
-                    help="level-sweep backend for cleaning and for the "
-                         "QuerySession sweeps all statements share")
+                    help="sweep backend; cleaning and queries run the "
+                         "python sweep for every value")
     ql.add_argument("--stats", action="store_true",
                     help="print the engine and timings")
     ql.add_argument("statements", nargs="+",

@@ -55,7 +55,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 from repro.core.constraints import ConstraintSet
 from repro.core.ctgraph import CTGraph, CTNode
 from repro.core.flatgraph import FlatCTGraph
-from repro.core.kernels import BACKENDS as _kernel_backends
 from repro.core.lsequence import LSequence, ReadingSequence
 from repro.core.nodes import (
     DepartureFilter,
@@ -86,11 +85,11 @@ ENGINES = ("reference", "compact")
 #: :class:`~repro.store.format.MappedCTGraph` view of the file).
 MATERIALIZE_MODES = ("auto", "nodes", "flat", "store")
 
-#: The sweep backends (see :mod:`repro.core.kernels`): pure-python loops
-#: (default, the parity oracle), optional numpy level kernels, or
-#: ``"auto"``, which the compact engine resolves after its forward pass
-#: on the measured edges per level.
-BACKENDS = _kernel_backends
+#: The accepted ``backend`` values.  Batch builds and query sessions run
+#: the python sweep for every value; streams read it (``"python"``
+#: advances through the oracle recursion, ``"auto"`` and ``"numpy"``
+#: through the compact engine's memoised rows).
+BACKENDS = ("auto", "python", "numpy")
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,8 @@ class CleaningOptions:
     both faster and smaller when the caller only runs queries (through
     :class:`repro.queries.session.QuerySession`).  ``"store"`` goes one
     step further: the flat columns are written straight into the
-    ``output=`` path as a ``rfid-ctg/ctg@1`` binary file (on the numpy
-    route the engine's ndarrays go to disk without ever becoming Python
-    tuples) and the call returns a zero-copy
+    ``output=`` path as a ``rfid-ctg/ctg@1`` binary file and the call
+    returns a zero-copy
     :class:`~repro.store.format.MappedCTGraph` view of that file.
     ``"auto"`` (default) behaves like ``"nodes"``; it resolves to
     ``"store"`` when ``output=`` is given, and the batch runtime
@@ -143,19 +141,12 @@ class CleaningOptions:
     implicitly, and any other explicit materialisation alongside
     ``output`` is a configuration error.
 
-    ``backend`` — how the compact engine's backward survival sweep and
-    flat materialisation run: ``"python"`` (default) uses the pure-python
-    loops, which remain the parity oracle; ``"numpy"`` runs the
-    whole-level ndarray kernels of :mod:`repro.core.kernels` when numpy
-    is importable (silently falling back otherwise); ``"auto"`` engages
-    the kernels only when the forward pass measured at least the
-    calibrated edges per level.  Kernel results are pinned to the oracle
-    by the tolerance gate documented in ``docs/perf.md``: identical graph
-    structure and tie-breaks, floats equal to 1e-12 relative.  The
-    backend only affects flat-materialised compact builds (and
-    :class:`~repro.queries.session.QuerySession` sweeps, which take
-    their own ``backend`` argument); node-materialised and reference
-    builds always run in python.
+    ``backend`` — one of :data:`BACKENDS`.  Builds run the same python
+    sweep for every value, so the choice never changes a graph.  Only
+    streams read it: ``"python"`` advances a
+    :class:`~repro.streaming.StreamingCleaner` through the oracle
+    recursion, ``"auto"`` and ``"numpy"`` through the compact engine's
+    memoised rows, with bit-identical estimates.
     """
 
     truncated_stay_policy: str = "lenient"
@@ -239,11 +230,8 @@ class CleaningStats:
     backward_seconds: float = field(default=0.0, compare=False)
     #: Wall-clock seconds of the backward survival sweep *proper* (edge
     #: weights, per-node masses, rescaled survivals — everything before
-    #: materialisation starts).  Filled by the compact engine only, for
-    #: both backends: this is the slice the optional numpy kernels
-    #: replace, so ``benchmarks/bench_kernels``' sweep speedup is the
-    #: ratio of these.  ``backward_seconds`` still covers sweep plus
-    #: materialisation.
+    #: materialisation starts).  Filled by the compact engine only.
+    #: ``backward_seconds`` still covers sweep plus materialisation.
     sweep_seconds: float = field(default=0.0, compare=False)
 
     @property

@@ -58,7 +58,6 @@ import math
 import time
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core import kernels
 from repro.core.algorithm import CleaningOptions, CleaningStats, _run_precheck
 from repro.core.constraints import ConstraintSet
 from repro.core.ctgraph import CTGraph, CTNode
@@ -543,18 +542,6 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
     extend_children = all_children.extend
     extend_probabilities = all_probabilities.extend
     level_offsets: List[List[int]] = []
-    # Per-level references to the cached expansion (children, support
-    # positions, relative offsets — shared objects for memo-hit levels)
-    # plus the level's candidate probabilities: the numpy backend keys
-    # its one-time ndarray conversion on these identities, so periodic
-    # workloads convert each *distinct* level shape once, not per level.
-    level_refs: List[Tuple[List[int], List[int], List[int],
-                           List[float]]] = []
-    # Candidate-probability rows interned per (support, values) pair so
-    # periodic workloads hand ``level_refs`` the *same* list object for
-    # repeated levels — the identity key the numpy backend's one-time
-    # gather cache relies on.
-    probability_lists: Dict[Tuple[int, Tuple[float, ...]], List[float]] = {}
     compute_row = cache._compute_row
     row_get = rows.get
     support_names = cache._support_names
@@ -570,11 +557,6 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                 tuple([location_id(name) for name in names_key]))
             support_names[names_key] = support_id
         values = tuple(candidates.values())
-        probability_key = (support_id, values)
-        probabilities = probability_lists.get(probability_key)
-        if probabilities is None:
-            probabilities = list(values)
-            probability_lists[probability_key] = probabilities
         filter_binding = strict and tau + 1 == last
 
         # Periodic workloads repeat whole frontiers, so the expansion of
@@ -625,8 +607,10 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                 level_rows[level_key] = cached_level
 
         next_frontier, relative_offsets, children, positions = cached_level
-        level_refs.append((children, positions, relative_offsets,
-                           probabilities))
+        base = len(all_children)
+        extend_children(children)
+        extend_probabilities([values[pos] for pos in positions])
+        level_offsets.append([base + offset for offset in relative_offsets])
         stats.nodes_created += len(next_frontier)
         stats.edges_created += len(children)
         if not next_frontier:
@@ -635,38 +619,11 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
         level_sids.append(next_frontier)
         frontier = next_frontier
 
-    # Kernel routing happens *here*, after the expansion loop, because
-    # the backend only affects what follows (the backward sweep and the
-    # materialisation) and the actual edge counts are now known — "auto"
-    # resolves on the measured mean edges per level, not a prediction.
-    # Only the flat path vectorises: the node path interleaves CTNode
-    # construction with the sweep and always runs in python.
-    route_numpy = options.columnar_materialize and kernels.resolve_backend(
-        options.backend,
-        stats.edges_created / last if last else 0.0) == "numpy"
-    if not route_numpy:
-        # The python sweep walks the run's edges through two flat arrays
-        # with absolute CSR offsets; gathering them is forward-phase
-        # materialisation work, skipped entirely on the numpy route
-        # (whose kernels consume the per-level ``level_refs`` directly).
-        for children, positions, relative_offsets, probabilities \
-                in level_refs:
-            base = len(all_children)
-            extend_children(children)
-            extend_probabilities([probabilities[pos] for pos in positions])
-            level_offsets.append(
-                [base + offset for offset in relative_offsets])
-
     # ------------------------------------------------------------------
     # backward phase: survival sweep over the flat edge arrays
     # ------------------------------------------------------------------
     backward_started = time.perf_counter()
     stats.forward_seconds = backward_started - forward_started
-    if route_numpy:
-        return _build_flat_numpy(duration, level_sids, states, names,
-                                 level_refs, prior_probabilities,
-                                 stats, backward_started,
-                                 output=options.output)
     survivals: List[List[float]] = [[] for _ in range(duration)]
     survivals[last] = [1.0] * len(level_sids[last])
     level_masses: List[List[float]] = [[] for _ in range(max(0, last))]
@@ -821,9 +778,8 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                 "the valid trajectories have zero total prior probability")
         stats.backward_seconds = time.perf_counter() - backward_started
         if options.store_materialize:
-            # The python backend still builds the tuples (they *are* its
-            # sweep output); the mapped write gives callers the same
-            # mmap-view contract as the numpy direct-write route.
+            # The tuples above are written as they are; the caller gets
+            # the mmap view of the file, as a later load_ctg would.
             from repro.store.format import write_mapped_ctg
 
             return write_mapped_ctg(
@@ -915,203 +871,3 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                     for row in node_table],
                    source_probabilities, stats=stats)
 
-
-def _build_flat_numpy(duration: int, level_sids, states, names,
-                      level_refs, prior_probabilities, stats,
-                      backward_started: float,
-                      output: Optional[str] = None):
-    """The backward sweep + flat materialisation as whole-level kernels.
-
-    With ``output`` set (``materialize="store"``), the kept edge columns
-    are written to that ``.ctg`` path as ndarrays — no ``tolist()``, no
-    tuples — and the return value is the
-    :class:`~repro.store.format.MappedCTGraph` view of the file instead
-    of an in-memory :class:`FlatCTGraph`.
-
-    The numpy half of ``backend="numpy"``: each level's survival sweep
-    is a gather + ``np.bincount`` segment sum and the surviving edges are
-    materialised with one boolean mask per level instead of a per-edge
-    python loop.  The int columns convert to ndarrays **once per
-    distinct cached level** (keyed by object identity — the forward
-    phase's whole-level memo hands repeated levels the same list
-    objects), so on periodic workloads the conversion cost is a handful
-    of levels, not the full duration.  Semantics mirror the python path
-    statement for statement — same dead-node criterion (pre-rescale mass
-    ``<= 0``), same kept-edge criterion (alive parent, alive child),
-    same ``ZeroMassError`` messages, exact
-    ``nodes_removed``/``edges_removed`` counters, and the source
-    conditioning reuses the python-float ``math.fsum`` expression
-    verbatim.  Floats are pinned to the python oracle by the tolerance
-    gate of ``docs/perf.md`` (structure exact, values to 1e-12
-    relative); in practice ``bincount`` accumulates in edge order like
-    the reference loops, and the parity suite routinely observes
-    bit-equality.
-    """
-    np = kernels.require_numpy()
-    last = duration - 1
-    arange = np.arange
-    asarray = np.asarray
-    converted: Dict[int, tuple] = {}
-    gathered: Dict[Tuple[int, int], object] = {}
-
-    def arrays_for(tau: int) -> tuple:
-        children, positions, relative_offsets, probabilities = \
-            level_refs[tau]
-        # Identity is a safe key: the referenced lists are pinned by
-        # ``level_refs`` (and the engine cache) for this whole build.
-        entry = converted.get(id(children))
-        if entry is None:
-            offsets = asarray(relative_offsets, dtype=np.int64)
-            entry = (asarray(children, dtype=np.int32),
-                     asarray(positions, dtype=np.int32),
-                     np.repeat(arange(len(offsets) - 1, dtype=np.int32),
-                               np.diff(offsets)))
-            converted[id(children)] = entry
-        child_arr, position_arr, parent_arr = entry
-        # The float column converts + gathers once per distinct
-        # (structure, weights) pair too — list-to-ndarray conversion is
-        # the single most expensive per-level op, and on periodic
-        # workloads the memoised forward phase repeats both lists.
-        key = (id(children), id(probabilities))
-        probability_arr = gathered.get(key)
-        if probability_arr is None:
-            probability_arr = asarray(probabilities,
-                                      dtype=np.float64)[position_arr]
-            gathered[key] = probability_arr
-        return child_arr, probability_arr, parent_arr
-
-    # Per edge level: (children, weights, parents, mass, alive) — kept
-    # for the materialisation stage below.
-    level_arrays: List[Optional[tuple]] = [None] * max(0, last)
-    survivals: List[Optional[object]] = [None] * duration
-    survivals[last] = np.ones(len(level_sids[last]), dtype=np.float64)
-    nodes_removed = 0
-    edges_removed = 0
-    for tau in range(last - 1, -1, -1):
-        children, probabilities, parents = arrays_for(tau)
-        count = len(level_sids[tau])
-        child_survival = survivals[tau + 1]
-        gathered_survival = child_survival[children]
-        # Dead-child edges contribute exactly 0.0 here where the python
-        # path skips them — identical sums, since x + 0.0 == x for the
-        # nonnegative weights involved.
-        weights = probabilities * gathered_survival
-        mass = np.bincount(parents, weights=weights, minlength=count)
-        alive = mass > 0.0
-        removed = count - int(np.count_nonzero(alive))
-        kept = int(np.count_nonzero((gathered_survival > 0.0)
-                                    & alive[parents]))
-        nodes_removed += removed
-        edges_removed += len(children) - kept
-        if removed == count:
-            stats.nodes_removed = nodes_removed
-            stats.edges_removed = edges_removed
-            raise ZeroMassError(
-                "no trajectory compatible with the readings satisfies "
-                "the constraints")
-        # Dead masses are exactly 0.0, so the all-entries max equals the
-        # python path's alive-only max; conditioning divides by the
-        # *unrescaled* mass below, exactly like the reference.
-        survivals[tau] = np.where(alive, mass / mass.max(), 0.0)
-        level_arrays[tau] = (children, weights, parents, mass, alive)
-    stats.nodes_removed = nodes_removed
-    stats.edges_removed = edges_removed
-    stats.sweep_seconds = time.perf_counter() - backward_started
-
-    # Node interning stays python (dict-driven first-encounter order, a
-    # handful of ops per *surviving node*); the per-*edge* work below it
-    # is where the volume lives and is fully vectorised.
-    flat_ids: Dict[int, int] = {}
-    flat_names: List[str] = []
-    flat_locations: List[Tuple[int, ...]] = []
-    flat_stays: List[Tuple[Optional[int], ...]] = []
-    index_maps: List[List[int]] = []
-    for tau in range(duration):
-        sids = level_sids[tau]
-        alive_row = (level_arrays[tau][4].tolist() if tau != last
-                     else [True] * len(sids))
-        loc_row: List[int] = []
-        stay_row: List[Optional[int]] = []
-        index_map = [-1] * len(sids)
-        for i, sid in enumerate(sids):
-            if not alive_row[i]:
-                continue
-            lid, stay, _rel_deps = states[sid]
-            fid = flat_ids.get(lid)
-            if fid is None:
-                fid = len(flat_names)
-                flat_ids[lid] = fid
-                flat_names.append(names[lid])
-            index_map[i] = len(loc_row)
-            loc_row.append(fid)
-            stay_row.append(stay)
-        flat_locations.append(tuple(loc_row))
-        flat_stays.append(tuple(stay_row))
-        index_maps.append(index_map)
-
-    kept_offset_arrays: List[object] = []
-    kept_child_arrays: List[object] = []
-    kept_probability_arrays: List[object] = []
-    for tau in range(last):
-        children, weights, parents, mass, alive = level_arrays[tau]
-        child_survival = survivals[tau + 1]
-        # An edge survives iff its parent and child are both alive, even
-        # when the conditioned weight underflows to 0.0; the keep mask
-        # preserves global edge order, so the kept columns come out in
-        # the reference's (parent, insertion) order.
-        keep = (child_survival[children] > 0.0) & alive[parents]
-        kept_parents = parents[keep]
-        child_map = np.asarray(index_maps[tau + 1], dtype=np.int64)
-        kept_children = child_map[children[keep]]
-        kept_probabilities = weights[keep] / mass[kept_parents]
-        counts = np.bincount(kept_parents, minlength=len(mass))[alive]
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        kept_offset_arrays.append(offsets)
-        kept_child_arrays.append(kept_children)
-        kept_probability_arrays.append(kept_probabilities)
-
-    # Source conditioning in python floats, verbatim from the python
-    # path — ``.tolist()`` round-trips float64 exactly.
-    survival_row = survivals[0].tolist()
-    index_map = index_maps[0]
-    source_row = [prior_probabilities[i] * survival_row[i]
-                  for i in range(len(level_sids[0]))
-                  if index_map[i] >= 0]
-    total = math.fsum(source_row)
-    if total <= 0.0:
-        raise ZeroMassError(
-            "the valid trajectories have zero total prior probability")
-    stats.backward_seconds = time.perf_counter() - backward_started
-    if output is not None:
-        # The store route: the per-level ndarrays stream straight into
-        # the .ctg section layout (the writer narrows them to the
-        # little-endian int32/float64 on-disk dtypes) — no edge column is
-        # ever boxed into Python tuples, which is the whole build-side
-        # win of ``materialize="store"``.  The returned view mmaps the
-        # freshly written file, so downstream QuerySessions read the
-        # same bytes a later cold load would.
-        from repro.store.format import write_mapped_ctg
-
-        return write_mapped_ctg(
-            output,
-            location_names=flat_names,
-            locations=flat_locations,
-            stays=flat_stays,
-            edge_offsets=kept_offset_arrays,
-            edge_children=kept_child_arrays,
-            edge_probabilities=kept_probability_arrays,
-            source_probabilities=[p / total for p in source_row],
-            stats=stats)
-    return FlatCTGraph(
-        location_names=tuple(flat_names),
-        locations=tuple(flat_locations),
-        stays=tuple(flat_stays),
-        edge_offsets=tuple(tuple(offsets.tolist())
-                           for offsets in kept_offset_arrays),
-        edge_children=tuple(tuple(children.tolist())
-                            for children in kept_child_arrays),
-        edge_probabilities=tuple(tuple(probabilities.tolist())
-                                 for probabilities in kept_probability_arrays),
-        source_probabilities=tuple(p / total for p in source_row),
-        stats=stats)

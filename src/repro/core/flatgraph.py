@@ -20,8 +20,8 @@ A third form shares the representation without owning it: the binary
 ``.ctg`` store (:mod:`repro.store`) serialises exactly these columns, and
 :class:`repro.store.format.MappedCTGraph` serves them back as zero-copy
 slices over one mmap behind the same duck surface — consumers written
-against ``FlatCTGraph`` (``QuerySession``, the kernels' ``GraphViews``,
-the exporters) accept either interchangeably.
+against ``FlatCTGraph`` (``QuerySession``, the exporters) accept either
+interchangeably.
 
 The two routes are **bit-identical**: same interning order (first
 appearance, level-major), same per-level node order (the order the

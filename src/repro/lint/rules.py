@@ -60,14 +60,12 @@ CSR_COLUMN_ATTRS = frozenset({
 })
 
 #: Modules allowed to do raw CSR index arithmetic: the flat graph itself,
-#: the ndarray view layer that converts its columns, the columnar query
-#: layer built around its accessors, the binary store that serialises the
-#: columns verbatim, and the whole-column JSON exporter.  Entries ending
-#: in ``.py`` match one module exactly; entries ending in ``/`` match a
-#: package.
-CSR_ACCESSOR_PATHS = ("repro/core/flatgraph.py", "repro/core/kernels.py",
-                      "repro/queries/", "repro/store/",
-                      "repro/io/graphs.py")
+#: the columnar query layer built around its accessors, the binary store
+#: that serialises the columns verbatim, and the whole-column JSON
+#: exporter.  Entries ending in ``.py`` match one module exactly; entries
+#: ending in ``/`` match a package.
+CSR_ACCESSOR_PATHS = ("repro/core/flatgraph.py", "repro/queries/",
+                      "repro/store/", "repro/io/graphs.py")
 
 
 def _is_fractional_float(node: ast.expr) -> bool:

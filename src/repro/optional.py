@@ -20,10 +20,7 @@ numpy-backed feature does, and the failure is a typed
 an ``AttributeError`` on ``None``.  networkx is optional the same way:
 only :meth:`~repro.core.ctgraph.CTGraph.to_networkx` imports it, when
 called, and without the ``repro[graph]`` extra it raises the same typed
-error.  (The level-sweep kernels in
-:mod:`repro.core.kernels` go further: they *fall back* to the pure
-python oracle rather than raising, because there the python path is a
-complete implementation, not a degraded one.)
+error.
 """
 
 from __future__ import annotations

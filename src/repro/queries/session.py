@@ -36,21 +36,9 @@ every flat route.
 deterministically (lexicographically smallest location sequence first;
 top-k in discovery order).
 
-**Backends** — the shared sweeps (alphas, max-product suffixes, the
-marginal/entropy/expected-visit reductions and the visit/span restricted
-flows) optionally run as whole-level ndarray kernels
-(:mod:`repro.core.kernels`) over cached ``GraphViews``:
-``QuerySession(graph, backend="numpy")`` opts in, ``"auto"`` engages them
-above the calibrated width threshold, and ``"python"`` (the default)
-always runs the loops above, which remain the parity oracle.  Kernel
-sweeps are pinned to the oracle by the documented tolerance gate
-(``docs/perf.md``): discrete structure — dict key sets, tie-breaks,
-top-k order — stays exact; floats agree to 1e-12 relative.  The
-trajectory-extraction and histogram DPs (:meth:`most_likely_trajectory`,
-:meth:`top_k_trajectories`, :meth:`first_visit_distribution`,
-:meth:`time_at_location_distribution`) always run in python — their
-per-path bookkeeping does not vectorise and their tie-breaks must stay
-bit-exact — but they consume the kernel suffix rows, which are exact.
+``QuerySession(graph, backend=...)`` accepts every value of
+:data:`~repro.core.algorithm.BACKENDS` and runs the same python sweeps
+for each, so the answers never depend on it.
 """
 
 from __future__ import annotations
@@ -64,16 +52,15 @@ from typing import (
     FrozenSet,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
 
-from repro.core import kernels
+from repro.core.algorithm import BACKENDS
 from repro.core.ctgraph import NodeWebGraph
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.lsequence import Trajectory
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.queries.pattern import OTHER, Pattern
 
 if TYPE_CHECKING:
@@ -101,18 +88,14 @@ class QuerySession:
 
     def __init__(self, graph: Union[NodeWebGraph, FlatCTGraph],
                  backend: str = "python") -> None:
+        if backend not in BACKENDS:
+            raise ReproError(f"unknown backend {backend!r}; "
+                             f"expected one of {BACKENDS}")
         if isinstance(graph, NodeWebGraph):
             graph = graph.to_flat()
         self.graph = graph
-        edge_levels = graph.duration - 1
-        #: The *resolved* sweep backend ("python" or "numpy"); "auto"
-        #: resolves here from the graph's measured mean edges per level.
-        self.backend = kernels.resolve_backend(
-            backend,
-            graph.num_edges / edge_levels if edge_levels else 0.0)
-        self._views: Optional[kernels.GraphViews] = None
-        self._alpha_rows: Optional[List[Sequence[float]]] = None
-        self._suffixes: Optional[List[Sequence[float]]] = None
+        self._alpha_rows: Optional[List[List[float]]] = None
+        self._suffixes: Optional[List[List[float]]] = None
         self._marginals: Dict[int, Dict[str, float]] = {}
         self._entropies: Optional[List[float]] = None
         self._visit_counts: Optional[Dict[str, float]] = None
@@ -139,34 +122,25 @@ class QuerySession:
     def duration(self) -> int:
         return self.graph.duration
 
-    def _level_views(self) -> kernels.GraphViews:
-        """The session's cached ndarray views (numpy backend only)."""
-        if self._views is None:
-            self._views = kernels.GraphViews(self.graph)
-        return self._views
-
-    def _alpha_levels(self) -> List[Sequence[float]]:
-        """The alpha rows in backend-native form (lists or ndarrays)."""
+    def _alpha_levels(self) -> List[List[float]]:
+        """The cached alpha rows, shared — read only."""
         if self._alpha_rows is None:
-            if self.backend == "numpy":
-                self._alpha_rows = kernels.alphas(self._level_views())
-            else:
-                graph = self.graph
-                rows: List[List[float]] = [list(graph.source_probabilities)]
-                for tau in range(graph.duration - 1):
-                    offsets = graph.edge_offsets[tau]
-                    children = graph.edge_children[tau]
-                    probabilities = graph.edge_probabilities[tau]
-                    row = rows[tau]
-                    next_row = [0.0] * len(graph.locations[tau + 1])
-                    for i in range(len(row)):
-                        mass = row[i]
-                        if mass == 0.0:
-                            continue
-                        for e in range(offsets[i], offsets[i + 1]):
-                            next_row[children[e]] += mass * probabilities[e]
-                    rows.append(next_row)
-                self._alpha_rows = rows
+            graph = self.graph
+            rows: List[List[float]] = [list(graph.source_probabilities)]
+            for tau in range(graph.duration - 1):
+                offsets = graph.edge_offsets[tau]
+                children = graph.edge_children[tau]
+                probabilities = graph.edge_probabilities[tau]
+                row = rows[tau]
+                next_row = [0.0] * len(graph.locations[tau + 1])
+                for i in range(len(row)):
+                    mass = row[i]
+                    if mass == 0.0:
+                        continue
+                    for e in range(offsets[i], offsets[i + 1]):
+                        next_row[children[e]] += mass * probabilities[e]
+                rows.append(next_row)
+            self._alpha_rows = rows
         return self._alpha_rows
 
     def alphas(self) -> List[List[float]]:
@@ -174,43 +148,31 @@ class QuerySession:
         in the flat form's node order.
 
         Skips ``mass == 0.0`` nodes and accumulates in edge order.  Always
-        a fresh list of plain float lists, whichever backend computed it.
+        a fresh list of plain float lists.
         """
-        rows = self._alpha_levels()
-        if self.backend == "numpy":
-            return [row.tolist() for row in rows]  # type: ignore[union-attr]
-        return [list(row) for row in rows]
+        return [list(row) for row in self._alpha_levels()]
 
-    def _best_suffixes(self) -> List[Sequence[float]]:
-        """Max-product backward pass: each node's best completion value.
-
-        Backend-native rows: plain lists on python, float64 arrays on
-        numpy — *bit-exact* either way (max of the same products), which
-        keeps :meth:`top_k_trajectories`'s expansion order identical.
-        """
+    def _best_suffixes(self) -> List[List[float]]:
+        """Max-product backward pass: each node's best completion value."""
         if self._suffixes is None:
-            if self.backend == "numpy":
-                self._suffixes = kernels.best_suffixes(self._level_views())
-            else:
-                graph = self.graph
-                rows: List[Sequence[float]] = \
-                    [[] for _ in range(graph.duration)]
-                rows[-1] = [1.0] * len(graph.locations[-1])
-                for tau in range(graph.duration - 2, -1, -1):
-                    offsets = graph.edge_offsets[tau]
-                    children = graph.edge_children[tau]
-                    probabilities = graph.edge_probabilities[tau]
-                    next_row = rows[tau + 1]
-                    row = [0.0] * len(graph.locations[tau])
-                    for i in range(len(row)):
-                        best = 0.0
-                        for e in range(offsets[i], offsets[i + 1]):
-                            value = probabilities[e] * next_row[children[e]]
-                            if value > best:
-                                best = value
-                        row[i] = best
-                    rows[tau] = row
-                self._suffixes = rows
+            graph = self.graph
+            rows: List[List[float]] = [[] for _ in range(graph.duration)]
+            rows[-1] = [1.0] * len(graph.locations[-1])
+            for tau in range(graph.duration - 2, -1, -1):
+                offsets = graph.edge_offsets[tau]
+                children = graph.edge_children[tau]
+                probabilities = graph.edge_probabilities[tau]
+                next_row = rows[tau + 1]
+                row = [0.0] * len(graph.locations[tau])
+                for i in range(len(row)):
+                    best = 0.0
+                    for e in range(offsets[i], offsets[i + 1]):
+                        value = probabilities[e] * next_row[children[e]]
+                        if value > best:
+                            best = value
+                    row[i] = best
+                rows[tau] = row
+            self._suffixes = rows
         return self._suffixes
 
     # ------------------------------------------------------------------
@@ -230,59 +192,31 @@ class QuerySession:
             raise QueryError(f"timestep {tau} outside [0, {graph.duration})")
         names = graph.location_names
         result: Dict[str, float] = {}
-        if self.backend == "numpy":
-            masses = kernels.masses_by_location(
-                self._level_views(), tau, self._alpha_levels()[tau])
-            for lid in range(len(names)):
-                if masses[lid] > 0.0:
-                    result[names[lid]] = float(masses[lid])
-        else:
-            lids = graph.locations[tau]
-            row = self._alpha_levels()[tau]
-            for i in range(len(lids)):
-                mass = row[i]
-                if mass > 0.0:
-                    name = names[lids[i]]
-                    result[name] = result.get(name, 0.0) + mass
+        lids = graph.locations[tau]
+        row = self._alpha_levels()[tau]
+        for i in range(len(lids)):
+            mass = row[i]
+            if mass > 0.0:
+                name = names[lids[i]]
+                result[name] = result.get(name, 0.0) + mass
         self._marginals[tau] = result
         return result
 
     def entropy_profile(self) -> List[float]:
         """Shannon entropy (bits) of the location marginal, per step."""
         if self._entropies is None:
-            if self.backend == "numpy":
-                views = self._level_views()
-                rows = self._alpha_levels()
-                self._entropies = [
-                    kernels.entropy_bits(
-                        kernels.masses_by_location(views, tau, rows[tau]))
-                    for tau in range(self.duration)]
-            else:
-                self._entropies = [_entropy(self._marginal(tau))
-                                   for tau in range(self.duration)]
+            self._entropies = [_entropy(self._marginal(tau))
+                               for tau in range(self.duration)]
         return list(self._entropies)
 
     def expected_visit_counts(self) -> Dict[str, float]:
         """Expected number of timesteps spent at each location."""
         if self._visit_counts is None:
             totals: Dict[str, float] = {}
-            if self.backend == "numpy":
-                views = self._level_views()
-                rows = self._alpha_levels()
-                names = self.graph.location_names
-                total = kernels.masses_by_location(views, 0, rows[0])
-                for tau in range(1, self.duration):
-                    total = total + kernels.masses_by_location(
-                        views, tau, rows[tau])
-                for lid in range(len(names)):
-                    if total[lid] > 0.0:
-                        totals[names[lid]] = float(total[lid])
-            else:
-                for tau in range(self.duration):
-                    for location, probability in \
-                            self._marginal(tau).items():
-                        totals[location] = (totals.get(location, 0.0)
-                                            + probability)
+            for tau in range(self.duration):
+                for location, probability in self._marginal(tau).items():
+                    totals[location] = (totals.get(location, 0.0)
+                                        + probability)
             self._visit_counts = totals
         return dict(self._visit_counts)
 
@@ -293,13 +227,6 @@ class QuerySession:
         """P(the object is at ``location`` at some timestep)."""
         graph = self.graph
         names = graph.location_names
-        if self.backend == "numpy":
-            try:
-                lid = names.index(location)
-            except ValueError:
-                lid = -1
-            total = kernels.avoidance_mass(self._level_views(), lid)
-            return min(1.0, max(0.0, 1.0 - total))
         lids = graph.locations[0]
         # Avoidance flow never goes negative, so dropping the reference's
         # explicit 0.0-mass dict entries cannot change any float
@@ -334,14 +261,6 @@ class QuerySession:
                 f"window [{start}, {end}] outside the graph's [0, "
                 f"{graph.duration})")
         names = graph.location_names
-        if self.backend == "numpy":
-            try:
-                lid = names.index(location)
-            except ValueError:
-                return 0.0
-            mass = kernels.span_mass(self._level_views(), lid, start, end,
-                                     self._alpha_levels()[start])
-            return min(1.0, mass)
         alphas = self._alpha_levels()[start]
         lids = graph.locations[start]
         inside: Dict[int, float] = {}

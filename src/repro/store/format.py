@@ -36,9 +36,8 @@ laid out so a loader can hand out per-level array views over a single
 
 The 8-byte alignment means every section can be viewed in place:
 :func:`load_ctg` casts the buffer once per dtype and serves each column
-as a slice of that ``memoryview`` cast, which the pure-python query DPs
-index as plain ints and floats and
-:class:`~repro.core.kernels.GraphViews` wraps zero-copy as an ndarray.
+as a slice of that ``memoryview`` cast, which the query DPs index as
+plain ints and floats.
 The CRC-32 makes corruption detectable (:func:`load_ctg` verifies it on
 ``verify=True``).
 Structural bounds — magic, version, section offsets, alignment and
@@ -161,15 +160,9 @@ def _native(values: object, code: str) -> bool:
 
 def _level_view(level, code: str, stays: bool) -> memoryview:
     """One level of a column as a typed view of its little-endian bytes:
-    an ndarray converts to the on-disk dtype (``stays`` ndarrays must
-    already hold the ``-1`` sentinel), a native memoryview passes
-    through, anything else converts through ``array``."""
-    # No numpy loaded means no column is an ndarray: the writer imports none.
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(level, np.ndarray):
-        view = memoryview(np.ascontiguousarray(
-            level, dtype="<i4" if code == _I32 else "<f8"))
-    elif _native(level, code):
+    a native memoryview passes through, anything else converts through
+    ``array``."""
+    if _native(level, code):
         view = level
     else:
         encoded = array(code, [-1 if stay is None else stay
@@ -188,9 +181,9 @@ def _kind_views(columns, code: str, stays: bool = False
 
     Tuple and list levels convert together: one ``struct.pack`` of the
     whole kind, little-endian on any host, that each level's view
-    slices.  Any other level (an ndarray, a mapped memoryview) converts
-    on its own, when its section is written, so a large ndarray graph
-    holds one level's conversion at a time.
+    slices.  Any other level (a mapped memoryview, an ``array.array``)
+    converts on its own, when its section is written, so a large graph
+    of buffers holds one level's conversion at a time.
     """
     if not set(map(type, columns)) <= _PLAIN:
         return map(_level_view, columns, repeat(code), repeat(stays))
@@ -220,12 +213,9 @@ def write_ctg(path, *, location_names: Sequence[str],
               stats=None) -> int:
     """Write one graph's columns as a ``.ctg`` file; returns bytes written.
 
-    Each column may be a plain sequence (tuple/list), an ``array.array``
-    or a numpy ndarray — the engine's direct-write path hands the int64 /
-    float64 ndarrays of its backward sweep straight in, skipping Python
-    tuple materialisation entirely.  ``stays`` rows may hold ``None``
-    (encoded as ``-1``) unless passed as an ndarray, which must already
-    be sentinel-encoded.
+    Each column may be a plain sequence (tuple/list), an ``array.array``,
+    a ``memoryview`` or any other sized iterable of numbers.  ``stays``
+    rows may hold ``None`` (encoded as ``-1``).
 
     Tuple and list columns convert once per column kind (see
     :func:`_kind_views`).  The layout — every section's count, padding
@@ -457,10 +447,8 @@ class MappedCTGraph:
     ``edge_children``, ``edge_probabilities``, ``source_probabilities``)
     is a zero-copy ``memoryview`` cast of the single backing buffer, so a
     :class:`~repro.queries.session.QuerySession` consumes the file
-    without deserialising it: its python DPs read plain ints and floats
-    from the casts, and the :class:`~repro.core.kernels.GraphViews`
-    kernels under its numpy backend wrap the same bytes with
-    ``np.asarray``.  ``stays`` decodes lazily into the
+    without deserialising it: its DPs read plain ints and floats from
+    the casts.  ``stays`` decodes lazily into the
     canonical ``Optional[int]`` tuples (the one column whose ``-1``
     sentinel needs boxing); everything else stays on the mmap.
 
@@ -869,10 +857,8 @@ def load_ctg(path, *, mmap: bool = True, verify: bool = False
     header + section-table parsing, not a full read.  ``mmap=False``
     reads the file into one ``bytes`` object instead (same views, private
     memory).  Either way each column is a ``memoryview.cast`` of the
-    buffer (an ``array.array`` copy on big-endian hosts), whether or not
-    numpy is importable: the pure-python query DPs read plain ints and
-    floats from it, and the numpy kernels wrap it zero-copy through
-    ``np.asarray``.
+    buffer (an ``array.array`` copy on big-endian hosts), from which the
+    query DPs read plain ints and floats.
 
     Structural validation (magic, version, every section's offset,
     alignment and count against the payload and the header, the CSR

@@ -21,12 +21,13 @@ mmap — no graph ever crosses the process pipe (see
 
 What the key covers (and does not): the l-sequence candidates in exact
 iteration order with bit-exact (``float.hex``) probabilities, the
-constraint set (order-insensitive), ``truncated_stay_policy`` and
-``backend`` (conservatively — backends agree to 1e-12 relative, not
-always bitwise), plus an optional caller ``extra`` salt (e.g. a map
-revision id).  The ``engine`` choice is deliberately *excluded*: the
-reference and compact engines are bit-exact by contract, so either may
-serve the other's cache entry.
+constraint set (order-insensitive) and ``truncated_stay_policy``, plus
+an optional caller ``extra`` salt (e.g. a map revision id).  The
+``engine`` and ``backend`` choices are deliberately *excluded*: the
+reference and compact engines are bit-exact by contract and every
+backend runs the same sweep, so any build may serve another's cache
+entry.  The key payload still carries a ``backend`` field, fixed to
+``"python"``, so keys written before the field was fixed stay valid.
 """
 
 from __future__ import annotations
@@ -54,17 +55,15 @@ def _dumps(value) -> str:
 
 
 @lru_cache(maxsize=16)
-def _key_prefix(statements: Tuple[str, ...], backend: str,
-                extra_json: str):
+def _key_prefix(statements: Tuple[str, ...], extra_json: str):
     """The SHA-256 state over the key payload's text up to its levels.
 
     ``json.dumps(sort_keys=True)`` writes the payload's keys in the
     order ``backend``, ``constraints``, ``extra``, ``format``,
     ``levels``, ``truncated_stay_policy``, so everything before
-    ``levels`` depends on the constraint set, the backend and ``extra``
-    alone.
+    ``levels`` depends on the constraint set and ``extra`` alone.
     """
-    head = ('{"backend":' + _dumps(backend)
+    head = ('{"backend":"python"'
             + ',"constraints":' + _dumps(statements)
             + ',"extra":' + extra_json
             + ',"format":' + _dumps(KEY_FORMAT) + ',"levels":')
@@ -86,7 +85,7 @@ def content_key(lsequence, constraints, options=None, *,
     The key is the SHA-256 of one JSON text, ``json.dumps(payload,
     sort_keys=True, separators=(",", ":"))``.  The part of that text
     before the levels is hashed once per (constraint statements,
-    backend, ``extra``) and kept in a small cache of hash states, which
+    ``extra``) and kept in a small cache of hash states, which
     each key copies before it hashes its own levels: a batch whose
     objects share one constraint set encodes and hashes the statements
     once.  A batch whose objects each carry a distinct set pays the full
@@ -101,7 +100,7 @@ def content_key(lsequence, constraints, options=None, *,
         levels.append([[location, float(probability).hex()]
                        for location, probability
                        in lsequence.candidates(tau).items()])
-    digest = _key_prefix(constraints.sorted_statements, options.backend,
+    digest = _key_prefix(constraints.sorted_statements,
                          _dumps(extra)).copy()
     digest.update((_dumps(levels) + ',"truncated_stay_policy":'
                    + _dumps(options.truncated_stay_policy) + "}"

@@ -111,8 +111,8 @@ class StreamingCleaner:
       While nothing has been evicted (``base == 0``) ``finalize()`` still
       delegates to ``build_ct_graph``; afterwards it conditions the
       retained window with the reference builder seeded by the entry
-      frontier, so ``options.engine``/``options.backend`` apply only
-      while ``base == 0``.
+      frontier, so ``options.engine`` applies only while ``base == 0``.
+      ``options.backend`` picks the advance (above), never the build.
 
     Filtered estimates never depend on ``window`` — every setting gives
     the same float bits.

@@ -16,19 +16,17 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH = REPO_ROOT / "benchmarks" / "bench_streaming.py"
 
 
-def _bench_env(**extra):
+def _bench_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(REPO_ROOT / "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
-    env.update(extra)
     return env
 
 
-def _check(path, env=None):
+def _check(path):
     return subprocess.run(
         [sys.executable, str(BENCH), "--check", str(path)],
-        capture_output=True, text=True, env=env or _bench_env(),
-        timeout=60)
+        capture_output=True, text=True, env=_bench_env(), timeout=60)
 
 
 def test_smoke_emits_well_formed_json(tmp_path):
@@ -84,20 +82,27 @@ def test_smoke_emits_well_formed_json(tmp_path):
 
 
 def test_rows_run_with_numpy_disabled(tmp_path):
-    # The rows need no numpy: with REPRO_NO_NUMPY the whole bench —
-    # rows and shard identity included — runs and passes --check.
+    # The rows need no numpy: with numpy hidden from a fresh interpreter
+    # the whole bench -- rows and shard identity included -- runs and
+    # passes --check.
     out = tmp_path / "BENCH_nonp.json"
-    env = _bench_env(REPRO_NO_NUMPY="1")
-    run = subprocess.run(
-        [sys.executable, str(BENCH), "--smoke", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=300)
+    script = ("import runpy, sys\n"
+              "sys.modules['numpy'] = None\n"
+              f"sys.path.insert(0, {str(BENCH.parent)!r})\n"
+              f"sys.argv = [{str(BENCH)!r}, '--smoke', '--out', "
+              f"{str(out)!r}]\n"
+              f"runpy.run_path({str(BENCH)!r}, run_name='__main__')\n")
+    run = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, env=_bench_env(),
+                         timeout=300)
     assert run.returncode == 0, run.stderr
     payload = json.loads(out.read_text())
     rows = payload["rows"]
     assert rows["numpy_available"] is False
+    assert rows["syn1"] is None
     assert rows["synthetic"]["estimates_equal"] is True
     assert payload["shard"]["merged_identical"] is True
-    assert _check(out, env=env).returncode == 0
+    assert _check(out).returncode == 0
 
 
 def _rows_stream(speedup):

@@ -6,7 +6,12 @@ through :class:`SharedCleaningPlan`."""
 import pytest
 
 import repro.core.engine as engine_module
-from repro.core.algorithm import ENGINES, CleaningOptions, build_ct_graph
+from repro.core.algorithm import (
+    BACKENDS,
+    ENGINES,
+    CleaningOptions,
+    build_ct_graph,
+)
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
@@ -193,6 +198,11 @@ class TestEngineSelection:
         with pytest.raises(ReadingSequenceError):
             CleaningOptions(engine="turbo")
 
+    def test_unknown_backend_rejected(self):
+        assert BACKENDS == ("auto", "python", "numpy")
+        with pytest.raises(ReadingSequenceError, match="unknown backend"):
+            CleaningOptions(backend="fortran")
+
     def test_auto_gives_the_reference_answer(self):
         # The default options give the reference distribution, short
         # objects and long (flat-form equality; enumerating paths would
@@ -267,6 +277,16 @@ class TestCompactEngineErrors:
         with pytest.raises(ZeroMassError):
             build_ct_graph_compact(poison, constraints,
                                    CleaningOptions(engine="compact"))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_mass_raises_for_every_backend(self, backend):
+        # A -> C is forbidden and unavoidable: a flat build under every
+        # backend refuses with the typed error, not an empty graph.
+        constraints = ConstraintSet([Unreachable("A", "C")])
+        poison = LSequence([{"A": 1.0}, {"C": 1.0}])
+        with pytest.raises(ZeroMassError):
+            build_ct_graph(poison, constraints, CleaningOptions(
+                materialize="flat", backend=backend))
 
 
 class TestTimingStats:

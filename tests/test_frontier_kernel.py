@@ -35,6 +35,8 @@ from repro.errors import InconsistentReadingsError
 from repro.runtime.sessions import StreamSessionManager
 from repro.streaming import StreamingCleaner
 
+from tests.test_imports import loaded_after
+
 LOCATIONS = ("A", "B", "C", "D")
 
 locations = st.sampled_from(LOCATIONS)
@@ -249,17 +251,29 @@ def test_max_tables_caps_the_cache_but_not_correctness(monkeypatch):
     assert capped._cache.cached_tables <= 1
 
 
-def test_python_backend_never_touches_numpy(monkeypatch):
-    # The rows need no numpy: "numpy" with numpy disabled still runs
-    # them, and equals the oracle.
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+def test_python_backend_never_touches_numpy():
+    # The rows need no numpy: a "numpy" stream runs them, equals the
+    # oracle, and leaves numpy unloaded in a fresh interpreter.
+    found = loaded_after("""
+from repro.core.algorithm import CleaningOptions
+from repro.core.constraints import ConstraintSet, Latency, TravelingTime
+from repro.streaming import StreamingCleaner
+
+constraints = ConstraintSet([Latency("B", 3), TravelingTime("B", "D", 4)])
+rows, oracle = (StreamingCleaner(constraints, window=None,
+                                 options=CleaningOptions(backend=backend))
+                for backend in ("numpy", "python"))
+for _ in range(5):
+    rows.extend({"A": 0.5, "B": 0.5})
+    oracle.extend({"A": 0.5, "B": 0.5})
+assert rows._cache is not None and oracle._cache is None
+assert rows.filtered_distribution() == oracle.filtered_distribution()
+""")
+    assert "numpy" not in found["modules"]
     cache = EngineCache(STEADY)
-    rows = unbounded(STEADY, CleaningOptions(backend="numpy"))
     oracle = unbounded(STEADY, PYTHON, cache=cache)
     for _ in range(5):
-        rows.extend({"A": 0.5, "B": 0.5})
         oracle.extend({"A": 0.5, "B": 0.5})
-    assert rows.filtered_distribution() == oracle.filtered_distribution()
     # The python backend never touches a cache it is handed.
     assert cache.cached_tables == 0
     assert cache.interned_states == 0

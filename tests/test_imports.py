@@ -1,7 +1,7 @@
 """Cold start: each entry point imports only the layers it runs.
 
 Package ``__init__``s re-export their public names lazily (PEP 562,
-``repro._lazy_exports``), the kernels import numpy on first use, and
+``repro._lazy_exports``), the cleaning core runs without numpy, and
 networkx is an optional extra.  Import footprints are checked in fresh
 interpreters, since this test process has imported everything already.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import pkgutil
@@ -29,11 +28,11 @@ PACKAGES = ["repro"] + sorted(
     if info.ispkg)
 
 
-def loaded_after(statement: str, **env: str) -> dict:
+def loaded_after(statement: str) -> dict:
     """Run ``statement`` in a fresh interpreter; report what it loaded."""
     script = (f"import json, sys\n{statement}\n"
               "print(json.dumps(sorted(sys.modules)))")
-    environ = dict(os.environ, **env)
+    environ = dict(os.environ)
     environ["PYTHONPATH"] = str(SRC) + os.pathsep + environ.get(
         "PYTHONPATH", "")
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -58,15 +57,18 @@ class TestImportFootprint:
         assert "numpy" not in modules
         assert "networkx" not in modules
 
-    def test_numpy_available_imports_no_numpy(self):
-        statement = ("from repro.core.kernels import numpy_available\n"
-                     "print(numpy_available())")
-        found = loaded_after(statement)
+    def test_flat_build_loads_no_numpy(self):
+        found = loaded_after(
+            "from repro import ConstraintSet, LSequence, Unreachable\n"
+            "from repro.core.algorithm import CleaningOptions, "
+            "build_ct_graph\n"
+            "graph = build_ct_graph(\n"
+            "    LSequence([{'A': 0.5, 'B': 0.5}, {'B': 0.6, 'C': 0.4}]),\n"
+            "    ConstraintSet([Unreachable('A', 'C')]),\n"
+            "    CleaningOptions(materialize='flat', backend='numpy'))\n"
+            "print(graph.num_edges)")
+        assert found["printed"] == ["3"]
         assert "numpy" not in found["modules"]
-        installed = importlib.util.find_spec("numpy") is not None
-        assert found["printed"] == [str(installed)]
-        assert loaded_after(statement, REPRO_NO_NUMPY="1")["printed"] == [
-            "False"]
 
 
 class TestLazyExports:

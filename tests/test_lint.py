@@ -154,11 +154,6 @@ class TestAssertAndCsr:
                                "src/repro/queries/session.py")
         assert findings == []
 
-    def test_csr_subscript_allowed_in_kernels(self):
-        findings = lint_source("offs = graph.edge_offsets[tau]\n",
-                               "src/repro/core/kernels.py")
-        assert findings == []
-
 
 class TestMultipliedMutable:
     def test_multiplied_list_literal_flagged(self):

@@ -19,22 +19,30 @@ value structurally.  A ``JointGraph`` runs through its flat form the same
 way.  Deterministic tie-breaking (lexicographic, per the
 ``most_likely_trajectory`` contract) gets its own regression tests on
 hand-built tied graphs, where exact ties exist.
+
+Every ``backend`` value must give the python outputs: a flat build, a
+store build's file bytes and a session's answers.  Duration-1 graphs
+(no edge level at all) and single-node levels go through ``validate``,
+``num_valid_trajectories`` and the session sweeps under each value.
 """
 
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.algorithm import CleaningOptions, build_ct_graph
+import repro.core.engine as engine_module
+from repro.core.algorithm import BACKENDS, CleaningOptions, build_ct_graph
 from repro.core.constraints import ConstraintSet, Latency, Unreachable
 from repro.core.flatgraph import FlatCTGraph
 from repro.core.groups import condition_on_meeting
 from repro.core.lsequence import LSequence
 from repro.core.naive import NaiveConditioner
-from repro.errors import InconsistentReadingsError, QueryError
+from repro.errors import InconsistentReadingsError, QueryError, ReproError
 from repro.queries import (
     most_likely_trajectory,
     stay_query,
@@ -53,6 +61,7 @@ from tests.test_engine_vs_reference import (
     tt_heavy_constraint_sets,
 )
 from tests.test_groups import joint_by_enumeration
+from tests.test_store import query_bundle
 
 #: "E" appears only in the TT+DU-heavy family's graphs, "Z" in none.
 QUERY_LOCATIONS = LOCATIONS + ("E", "Z")
@@ -559,6 +568,12 @@ def test_session_rejects_out_of_range_queries():
         nodes.to_flat().locations_at(-1)
 
 
+def test_session_rejects_unknown_backend():
+    flat = _tied_graph().to_flat()
+    with pytest.raises(ReproError, match="unknown backend 'fortran'"):
+        QuerySession(flat, backend="fortran")
+
+
 def test_flat_equality_ignores_stats():
     lsequence = LSequence([{"A": 1.0}, {"A": 0.6, "B": 0.4}])
     constraints = ConstraintSet([Unreachable("A", "C")])
@@ -571,3 +586,120 @@ def test_flat_equality_ignores_stats():
     assert isinstance(reference, FlatCTGraph)
     assert isinstance(compact, FlatCTGraph)
     assert reference == compact  # stats differ (compare=False), values equal
+
+
+# ----------------------------------------------------------------------
+# every backend value runs the one python sweep
+# ----------------------------------------------------------------------
+def _backend_outputs(lsequence, constraints, backend, root):
+    """A flat build, its stats counters, a store build's file bytes and
+    a session bundle under ``backend`` -- or the error type the build
+    raises.  The engine's clock is stopped so the stats block, which
+    carries the phase timings, is the same bytes on every build."""
+    try:
+        flat = build_ct_graph(lsequence, constraints, CleaningOptions(
+            materialize="flat", backend=backend))
+    except InconsistentReadingsError as error:
+        return type(error)
+    path = Path(root) / f"{backend}.ctg"
+    with mock.patch.object(engine_module, "time",
+                           SimpleNamespace(perf_counter=lambda: 0.0)):
+        build_ct_graph(lsequence, constraints, CleaningOptions(
+            backend=backend, output=str(path))).close()
+    return (flat, flat.stats, path.read_bytes(), query_bundle(flat, backend))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lsequences(), constraint_sets())
+def test_every_backend_value_gives_the_python_outputs(lsequence,
+                                                      constraints):
+    with tempfile.TemporaryDirectory() as root:
+        expected = _backend_outputs(lsequence, constraints, "python", root)
+        for backend in BACKENDS:
+            assert _backend_outputs(lsequence, constraints, backend,
+                                    root) == expected
+
+
+class TestEdgeCases:
+    @pytest.fixture
+    def duration_one(self):
+        lsequence = LSequence([{"A": 0.25, "B": 0.75}])
+        return build_ct_graph(lsequence, ConstraintSet([]),
+                              CleaningOptions(materialize="flat"))
+
+    @pytest.fixture
+    def single_node_levels(self):
+        lsequence = LSequence([{"A": 1.0}, {"B": 1.0}, {"B": 1.0},
+                               {"D": 1.0}])
+        return build_ct_graph(
+            lsequence, ConstraintSet([Unreachable("A", "C")]),
+            CleaningOptions(materialize="flat"))
+
+    def test_duration_one_graph_is_valid(self, duration_one):
+        duration_one.validate()
+        assert duration_one.duration == 1
+        assert duration_one.num_valid_trajectories() == 2
+        assert duration_one.edge_offsets == ()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duration_one_build_matches(self, duration_one, backend):
+        lsequence = LSequence([{"A": 0.25, "B": 0.75}])
+        built = build_ct_graph(lsequence, ConstraintSet([]),
+                               CleaningOptions(materialize="flat",
+                                               backend=backend))
+        assert built == duration_one
+        built.validate()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duration_one_session_sweeps(self, duration_one, backend):
+        session = QuerySession(duration_one, backend=backend)
+        assert session.alphas() == [[0.25, 0.75]]
+        assert session._best_suffixes() == [[1.0, 1.0]]
+        assert session.location_marginal(0) == {"A": 0.25, "B": 0.75}
+        assert session.entropy_profile() == [
+            -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))]
+        assert session.visit_probability("A") == 0.25
+        assert session.visit_probability("Z") == 0.0
+        assert session.span_probability("B", 0, 0) == 0.75
+        assert session.span_probability("Z", 0, 0) == 0.0
+        assert session.most_likely_trajectory() == (("B",), 0.75)
+        assert session.top_k_trajectories(5) == [(("B",), 0.75),
+                                                (("A",), 0.25)]
+
+    def test_single_node_levels_graph_is_valid(self, single_node_levels):
+        single_node_levels.validate()
+        assert single_node_levels.num_valid_trajectories() == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_single_node_levels_session_sweeps(self, single_node_levels,
+                                               backend):
+        session = QuerySession(single_node_levels, backend=backend)
+        assert session.alphas() == [[1.0]] * 4
+        assert session.visit_probability("B") == 1.0
+        assert session.visit_probability("C") == 0.0
+        assert session.span_probability("B", 1, 2) == 1.0
+        assert session.most_likely_trajectory() == \
+            (("A", "B", "B", "D"), 1.0)
+
+
+class TestSuffixRowAliasing:
+    def test_python_suffix_rows_are_distinct_objects(self):
+        # Regression: `[[]] * duration` aliased every pre-filled row to
+        # one list object, so filling level tau clobbered every level.
+        lsequence = LSequence([{"A": 0.5, "B": 0.5}] * 4)
+        graph = build_ct_graph(lsequence, ConstraintSet([]),
+                               CleaningOptions(materialize="flat"))
+        rows = QuerySession(graph)._best_suffixes()
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                assert rows[i] is not rows[j]
+
+    def test_lint_gate_over_the_session_module(self):
+        # The L009 rule exists precisely to keep this bug out; the
+        # session module must stay clean under it.
+        from repro.lint import lint_path
+
+        module = (Path(__file__).resolve().parent.parent / "src" / "repro"
+                  / "queries" / "session.py")
+        findings = [f for f in lint_path(module) if f.code == "L009"]
+        assert findings == []

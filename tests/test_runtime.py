@@ -378,8 +378,6 @@ def test_compact_columnar_builds_leave_no_cyclic_garbage(
     build creates no reference cycles, so the collector has nothing to
     free.  (Node graphs and reference builds are ``CTNode`` webs, which
     are cyclic.)"""
-    if backend == "numpy":
-        pytest.importorskip("numpy")
     lsequence = make_lsequence(40)
     shared = SharedCleaningPlan(CONSTRAINTS) if plan else None
     options = CleaningOptions(

@@ -3,14 +3,14 @@
 Four layers are pinned here:
 
 * the codec — build → ``save_ctg`` → ``load_ctg`` reproduces the exact
-  :class:`FlatCTGraph` (hypothesis, both engines x both backends, mmap
-  and bytes backings), and every structural corruption raises a typed
+  :class:`FlatCTGraph` (hypothesis, both engines x every backend value,
+  mmap and bytes backings), and every structural corruption raises a typed
   :class:`StoreError` rather than an ``AttributeError``/``struct.error``;
 * the engine sink — ``CleaningOptions(output=...)`` writes the arrays
   straight to disk and the served view answers every ``QuerySession``
   bundle identically to the in-memory graph;
 * the cache — :class:`GraphStore` keys by problem content (sensitive to
-  candidates, constraints, policy and backend; stable across runs), and
+  candidates, constraints and policy; stable across runs), and
   ``clean_many(..., store=...)`` ships only paths over the worker pipe;
 * the advisor's ``.ctg`` size prediction, pinned within 2x of measured.
 """
@@ -18,16 +18,21 @@ Four layers are pinned here:
 import dataclasses
 import hashlib
 import json
-import math
+import mmap as mmap_module
 import multiprocessing
 import os
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import kernels
-from repro.core.algorithm import CleaningOptions, CleaningStats, build_ct_graph
+from repro.core.algorithm import (
+    BACKENDS,
+    CleaningOptions,
+    CleaningStats,
+    build_ct_graph,
+)
 from repro.core.constraints import (
     ConstraintSet,
     Latency,
@@ -57,6 +62,8 @@ from repro.store import (
 )
 from repro.store.format import write_mapped_ctg
 
+from tests.test_imports import loaded_after
+
 try:
     import numpy  # noqa: F401 - availability probe
     HAVE_NUMPY = True
@@ -67,7 +74,6 @@ LOCATIONS = ("A", "B", "C", "D")
 locations = st.sampled_from(LOCATIONS)
 
 ENGINES = ("reference", "compact")
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 
 @st.composite
@@ -211,22 +217,9 @@ class TestRoundTrip:
         view.close()
 
 
-def within_gate(left, right):
-    """Equal structure, every float within the kernels' 1e-12 gate."""
-    if isinstance(left, float) and isinstance(right, float):
-        return math.isclose(left, right, rel_tol=1e-12, abs_tol=1e-12)
-    if isinstance(left, dict) and isinstance(right, dict):
-        return (list(left) == list(right)
-                and all(within_gate(left[key], right[key]) for key in left))
-    if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-        return (len(left) == len(right)
-                and all(within_gate(a, b) for a, b in zip(left, right)))
-    return left == right
-
-
 class TestMappedColumns:
     """``load_ctg`` serves every column as a ``memoryview`` cast of the
-    file, which the numpy kernels wrap without copying."""
+    file, and sessions read the casts as they are."""
 
     @staticmethod
     def wide_graph():
@@ -236,27 +229,22 @@ class TestMappedColumns:
         return build_ct_graph(lsequence, constraints,
                               CleaningOptions(materialize="flat"))
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_kernels_share_the_mapped_bytes(self, tmp_path):
-        import numpy
-
+    @pytest.mark.skipif(sys.byteorder != "little",
+                        reason="big-endian hosts copy each column")
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_columns_are_casts_of_the_file(self, tmp_path, mmap):
         flat = self.wide_graph()
         path = tmp_path / "g.ctg"
         save_ctg(flat, path)
-        with load_ctg(path) as view:
+        backing = mmap_module.mmap if mmap else bytes
+        with load_ctg(path, mmap=mmap) as view:
             columns = (view.locations + view.edge_offsets
                        + view.edge_children + view.edge_probabilities
                        + (view.source_probabilities,))
-            assert all(type(column) is memoryview for column in columns)
-            mapped = numpy.frombuffer(view.edge_children[0].obj,
-                                      dtype=numpy.uint8)
-            views = kernels.GraphViews(view)
-            children, probabilities, _, _, _ = views.edge_level(3)
-            for array in (children, probabilities, views.source,
-                          views.level_lids(3)):
-                assert numpy.shares_memory(array, mapped)
-            assert within_gate(query_bundle(view, "numpy"),
-                               query_bundle(view.materialize(), "numpy"))
+            assert all(type(column) is memoryview
+                       and type(column.obj) is backing
+                       for column in columns)
+            assert query_bundle(view) == query_bundle(view.materialize())
 
     @pytest.mark.parametrize("mmap", (True, False))
     def test_resaving_a_mapped_view_is_byte_identical(self, tmp_path, mmap):
@@ -508,17 +496,18 @@ class TestGraphStore:
         assert base == content_key(lsequence, constraints), "not stable"
         assert base != content_key(lsequence, ConstraintSet())
         assert base != content_key(
-            lsequence, constraints, CleaningOptions(backend="numpy")) \
-            or not HAVE_NUMPY
-        assert base != content_key(
             lsequence, constraints,
             CleaningOptions(truncated_stay_policy="strict"))
         assert base != content_key(lsequence, constraints, extra="v2")
         other = LSequence([{"A": 0.6, "B": 0.4}])
         assert base != content_key(other, constraints)
-        # Engine choice is excluded: both engines are bit-exact.
+        # Engine and backend choices are excluded: both engines are
+        # bit-exact, and every backend runs the same sweep.
         assert base == content_key(
             lsequence, constraints, CleaningOptions(engine="compact"))
+        for backend in BACKENDS:
+            assert base == content_key(
+                lsequence, constraints, CleaningOptions(backend=backend))
 
     def test_key_bytes_are_pinned(self):
         # A key written by earlier releases: existing stores stay valid.
@@ -559,7 +548,7 @@ def reference_key(lsequence, constraints, options=None, extra=None):
                    for tau in range(lsequence.duration)],
         "constraints": constraints.sorted_statements,
         "truncated_stay_policy": options.truncated_stay_policy,
-        "backend": options.backend,
+        "backend": "python",
         "extra": extra,
     }
     return hashlib.sha256(json.dumps(
@@ -569,7 +558,7 @@ def reference_key(lsequence, constraints, options=None, extra=None):
 
 class TestKeyPrefix:
     """``content_key`` hashes the constraint part of its payload once per
-    (statements, backend, ``extra``) and copies that hash state per key;
+    (statements, ``extra``) and copies that hash state per key;
     every key still equals the one-shot digest of the whole payload."""
 
     LSEQUENCES = (
@@ -784,7 +773,7 @@ def test_the_writer_holds_no_copy_of_the_payload(tmp_path, kind):
         columns = {name: [memoryview(level) for level in levels_]
                    for name, levels_ in columns.items()}
     else:
-        # int64 index columns, as the engine's numpy sweep hands them in.
+        # int64 index columns, as a numpy caller hands them in.
         columns = {name: [numpy.array(level,
                                       dtype="f8" if level.typecode == "d"
                                       else "i8") for level in levels_]
@@ -929,32 +918,54 @@ class TestBatchStoreMode:
 
 
 # ----------------------------------------------------------------------
-# the no-numpy leg
+# the no-numpy leg: builds, the codec and sessions never import numpy
 # ----------------------------------------------------------------------
 class TestPurePythonLeg:
-    def test_round_trip_without_numpy(self, tmp_path, monkeypatch):
-        lsequence, constraints = small_instance()
-        flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="flat"))
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        path = tmp_path / "g.ctg"
-        save_ctg(flat, path)
-        for mmap in (True, False):
-            with load_ctg(path, mmap=mmap, verify=True) as view:
-                assert view.backing == ("mmap" if mmap else "bytes")
-                assert view.materialize() == flat
-                assert query_bundle(view) == query_bundle(flat)
+    """Each check runs in a fresh interpreter, whose ``sys.modules``
+    shows whether numpy was loaded."""
 
-    def test_direct_write_without_numpy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        lsequence, constraints = small_instance()
-        flat = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(materialize="flat"))
+    SETUP = """
+from repro.core.algorithm import CleaningOptions, build_ct_graph
+from repro.core.constraints import ConstraintSet, Unreachable
+from repro.core.lsequence import LSequence
+from repro.queries.session import QuerySession
+from repro.store import load_ctg, save_ctg
+
+lsequence = LSequence([{"A": 0.6, "B": 0.4}, {"A": 0.5, "C": 0.5},
+                       {"B": 0.7, "C": 0.3}])
+constraints = ConstraintSet([Unreachable("A", "C")])
+flat = build_ct_graph(lsequence, constraints,
+                      CleaningOptions(materialize="flat", backend="numpy"))
+
+def bundle(graph):
+    session = QuerySession(graph, backend="numpy")
+    return (session.entropy_profile(), session.expected_visit_counts(),
+            session.visit_probability("B"), session.top_k_trajectories(2))
+"""
+
+    def test_round_trip_without_numpy(self, tmp_path):
         path = tmp_path / "g.ctg"
-        view = build_ct_graph(lsequence, constraints,
-                              CleaningOptions(output=str(path)))
+        found = loaded_after(self.SETUP + f"""
+save_ctg(flat, {str(path)!r})
+for mmap in (True, False):
+    with load_ctg({str(path)!r}, mmap=mmap, verify=True) as view:
+        assert view.backing == ("mmap" if mmap else "bytes")
         assert view.materialize() == flat
-        view.close()
+        assert bundle(view) == bundle(flat)
+""")
+        assert "numpy" not in found["modules"]
+
+    def test_direct_write_without_numpy(self, tmp_path):
+        path = tmp_path / "g.ctg"
+        found = loaded_after(self.SETUP + f"""
+view = build_ct_graph(lsequence, constraints, CleaningOptions(
+    backend="numpy", output={str(path)!r}))
+assert view.materialize() == flat
+view.close()
+with load_ctg({str(path)!r}) as loaded:
+    assert bundle(loaded) == bundle(flat)
+""")
+        assert "numpy" not in found["modules"]
 
 
 # ----------------------------------------------------------------------
@@ -964,8 +975,6 @@ class TestSizeEstimates:
     def _measured_flat_bytes(self, flat):
         """Deep measurement: the pickled size is a stable lower-ish proxy
         for the resident tuple structure."""
-        import sys
-
         total = sys.getsizeof(flat)
         for row in (flat.locations + flat.stays + flat.edge_offsets
                     + flat.edge_children + flat.edge_probabilities

@@ -20,22 +20,19 @@ way.  Deterministic tie-breaking (lexicographic, per the
 ``most_likely_trajectory`` contract) gets its own regression tests on
 hand-built tied graphs, where exact ties exist.
 
-Every ``backend`` value must give the python outputs: a flat build, a
-store build's file bytes and a session's answers.  Duration-1 graphs
-(no edge level at all) and single-node levels go through ``validate``,
-``num_valid_trajectories`` and the session sweeps under each value.
+Duration-1 graphs (no edge level at all) and single-node levels go
+through ``validate``, ``num_valid_trajectories`` and the session sweeps
+under every ``backend`` value; ``tests/test_kernels.py`` pins each
+value's builds and answers to the python ones.
 """
 
 import math
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.core.engine as engine_module
 from repro.core.algorithm import BACKENDS, CleaningOptions, build_ct_graph
 from repro.core.constraints import ConstraintSet, Latency, Unreachable
 from repro.core.flatgraph import FlatCTGraph
@@ -61,7 +58,6 @@ from tests.test_engine_vs_reference import (
     tt_heavy_constraint_sets,
 )
 from tests.test_groups import joint_by_enumeration
-from tests.test_store import query_bundle
 
 #: "E" appears only in the TT+DU-heavy family's graphs, "Z" in none.
 QUERY_LOCATIONS = LOCATIONS + ("E", "Z")
@@ -586,38 +582,6 @@ def test_flat_equality_ignores_stats():
     assert isinstance(reference, FlatCTGraph)
     assert isinstance(compact, FlatCTGraph)
     assert reference == compact  # stats differ (compare=False), values equal
-
-
-# ----------------------------------------------------------------------
-# every backend value runs the one python sweep
-# ----------------------------------------------------------------------
-def _backend_outputs(lsequence, constraints, backend, root):
-    """A flat build, its stats counters, a store build's file bytes and
-    a session bundle under ``backend`` -- or the error type the build
-    raises.  The engine's clock is stopped so the stats block, which
-    carries the phase timings, is the same bytes on every build."""
-    try:
-        flat = build_ct_graph(lsequence, constraints, CleaningOptions(
-            materialize="flat", backend=backend))
-    except InconsistentReadingsError as error:
-        return type(error)
-    path = Path(root) / f"{backend}.ctg"
-    with mock.patch.object(engine_module, "time",
-                           SimpleNamespace(perf_counter=lambda: 0.0)):
-        build_ct_graph(lsequence, constraints, CleaningOptions(
-            backend=backend, output=str(path))).close()
-    return (flat, flat.stats, path.read_bytes(), query_bundle(flat, backend))
-
-
-@settings(max_examples=100, deadline=None)
-@given(lsequences(), constraint_sets())
-def test_every_backend_value_gives_the_python_outputs(lsequence,
-                                                      constraints):
-    with tempfile.TemporaryDirectory() as root:
-        expected = _backend_outputs(lsequence, constraints, "python", root)
-        for backend in BACKENDS:
-            assert _backend_outputs(lsequence, constraints, backend,
-                                    root) == expected
 
 
 class TestEdgeCases:

@@ -5,16 +5,18 @@ one wide workload (``WIDTH`` locations a level, ~9.2k edges a level at
 full size):
 
 * **write** -- the compact engine's store sink
-  (``CleaningOptions(output=...)``, which writes the flat columns into
-  the ``.ctg`` layout) against the conventional persistence pipeline end
-  to end (engine -> flat tuple materialisation -> ``pickle.dump`` ->
-  file).  Reported, not gated: the sink builds the same tuples before it
-  writes them, so it does not beat the pickle pipeline here;
+  (``CleaningOptions(output=...)``, which hands the writer one flat list
+  per column kind and writes the ``.ctg`` layout from them) against the
+  conventional persistence pipeline end to end (engine -> flat tuple
+  materialisation -> ``pickle.dump`` -> file).  Reported, not gated:
+  the sink builds no tuples, and the two pipelines come out level in
+  the committed record (0.99x; 0.92x when the sink still built the
+  tuples);
 * **cold load** -- ``load_ctg(path, mmap=True)`` serves a query-ready
   graph view from a cold start at least ``COLD_LOAD_GATE`` times faster
   than unpickling the equivalent ``FlatCTGraph`` (the mmap load is
-  O(header + section table); unpickling is O(nodes + edges) tuple
-  construction);
+  O(header + section table) and slices no column until it is read;
+  unpickling is O(nodes + edges) tuple construction);
 * **warm queries** -- a ``QuerySession`` over the mmap-backed view must
   answer a six-query analysis bundle ``==`` one over the in-memory
   graph.  ``mmap_query_penalty``, the mmap-over-memory time ratio, is

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.algorithm import CleaningOptions, CleaningStats, _run_precheck
@@ -708,15 +709,15 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
 
     if options.columnar_materialize:
         # ------------------------------------------------------------------
-        # flat materialisation: the backward sweep's arrays become the
-        # FlatCTGraph directly — no CTNode is ever created.  Interning,
+        # flat materialisation: the backward sweep's arrays become per-level
+        # column rows directly — no CTNode is ever created.  Interning,
         # node order, edge order and every conditioned float mirror the
         # node path + ``to_flat()`` exactly (pinned by the parity suite).
         # ------------------------------------------------------------------
         flat_ids: Dict[int, int] = {}
         flat_names: List[str] = []
-        flat_locations: List[Tuple[int, ...]] = []
-        flat_stays: List[Tuple[Optional[int], ...]] = []
+        flat_locations: List[List[int]] = []
+        flat_stays: List[List[Optional[int]]] = []
         index_maps: List[List[int]] = []
         for tau in range(duration):
             sids = level_sids[tau]
@@ -738,12 +739,12 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                 index_map[i] = len(loc_row)
                 loc_row.append(fid)
                 stay_row.append(stay)
-            flat_locations.append(tuple(loc_row))
-            flat_stays.append(tuple(stay_row))
+            flat_locations.append(loc_row)
+            flat_stays.append(stay_row)
             index_maps.append(index_map)
-        flat_offsets: List[Tuple[int, ...]] = []
-        flat_children: List[Tuple[int, ...]] = []
-        flat_probabilities: List[Tuple[float, ...]] = []
+        flat_offsets: List[List[int]] = []
+        flat_children: List[List[int]] = []
+        flat_probabilities: List[List[float]] = []
         for tau in range(duration - 1):
             edge_offsets = level_offsets[tau]
             mass_row = level_masses[tau]
@@ -765,9 +766,9 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                         children.append(child_map[child_index])
                         probabilities.append(weights[e] / mass)
                 offsets.append(len(children))
-            flat_offsets.append(tuple(offsets))
-            flat_children.append(tuple(children))
-            flat_probabilities.append(tuple(probabilities))
+            flat_offsets.append(offsets)
+            flat_children.append(children)
+            flat_probabilities.append(probabilities)
         survival_row = survivals[0]
         source_row = [prior_probabilities[i] * survival_row[i]
                       for i in range(len(level_sids[0]))
@@ -778,27 +779,32 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                 "the valid trajectories have zero total prior probability")
         stats.backward_seconds = time.perf_counter() - backward_started
         if options.store_materialize:
-            # The tuples above are written as they are; the caller gets
-            # the mmap view of the file, as a later load_ctg would.
-            from repro.store.format import write_mapped_ctg
+            # Each column kind goes to the writer as one flat list (a
+            # ``None`` stay as ``-1``) with per-level counts; the caller
+            # gets the mmap view of the file, as a later load_ctg would.
+            from repro.store.format import write_mapped_columns
 
-            return write_mapped_ctg(
+            flat = chain.from_iterable
+            return write_mapped_columns(
                 options.output,
                 location_names=flat_names,
-                locations=flat_locations,
-                stays=flat_stays,
-                edge_offsets=flat_offsets,
-                edge_children=flat_children,
-                edge_probabilities=flat_probabilities,
+                node_counts=list(map(len, flat_locations)),
+                edge_counts=list(map(len, flat_children)),
+                locations=list(flat(flat_locations)),
+                stays=[-1 if stay is None else stay
+                       for stay in flat(flat_stays)],
+                edge_offsets=list(flat(flat_offsets)),
+                edge_children=list(flat(flat_children)),
+                edge_probabilities=list(flat(flat_probabilities)),
                 source_probabilities=[p / total for p in source_row],
                 stats=stats)
         return FlatCTGraph(
             location_names=tuple(flat_names),
-            locations=tuple(flat_locations),
-            stays=tuple(flat_stays),
-            edge_offsets=tuple(flat_offsets),
-            edge_children=tuple(flat_children),
-            edge_probabilities=tuple(flat_probabilities),
+            locations=tuple(map(tuple, flat_locations)),
+            stays=tuple(map(tuple, flat_stays)),
+            edge_offsets=tuple(map(tuple, flat_offsets)),
+            edge_children=tuple(map(tuple, flat_children)),
+            edge_probabilities=tuple(map(tuple, flat_probabilities)),
             source_probabilities=tuple(p / total for p in source_row),
             stats=stats)
 

@@ -35,16 +35,17 @@ laid out so a loader can hand out per-level array views over a single
     columns to find one.
 
 The 8-byte alignment means every section can be viewed in place:
-:func:`load_ctg` casts the buffer once per dtype and serves each column
-as a slice of that ``memoryview`` cast, which the query DPs index as
-plain ints and floats.
+:func:`load_ctg` casts the buffer once per dtype and serves each column,
+on its first read, as a slice of that ``memoryview`` cast, which the
+query DPs index as plain ints and floats.
 The CRC-32 makes corruption detectable (:func:`load_ctg` verifies it on
 ``verify=True``).
 Structural bounds — magic, version, section offsets, alignment and
 counts against the payload and the header — are *always* validated at
 load, so a truncated or misaligned file fails with a typed
 :class:`~repro.errors.StoreFormatError` instead of an out-of-bounds or
-misread column later.
+misread column later.  The writers check the same count relations
+before they create a file (:func:`_check_shape`).
 
 This module is the **one authoritative codec** for the format: lint rule
 L010 forbids raw ``struct`` packing/unpacking of ``.ctg`` bytes anywhere
@@ -76,9 +77,9 @@ import zlib
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain, islice, repeat
-from operator import add, floordiv, mod, mul
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from operator import add, floordiv, mod, mul, sub
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.core.flatgraph import FlatCTGraph
 from repro.errors import QueryError, StoreChecksumError, StoreFormatError
@@ -122,6 +123,9 @@ _ALIGN = 8
 #: platform CPython supports; ``"l"`` is the documented fallback).
 _I32 = "i" if array("i").itemsize == 4 else "l"
 
+#: The array typecode of each column kind, in :data:`Counts` order.
+_KIND_CODES = (_I32, _I32, _I32, _I32, "d", "d")
+
 #: One column of a loaded graph: a ``memoryview`` cast, or a byteswapped
 #: ``array.array`` copy (big-endian hosts only).
 Column = Union[memoryview, array]
@@ -149,6 +153,11 @@ _PLAIN = frozenset((tuple, list))
 #: The little-endian ``struct`` code of each column's array typecode.
 _STRUCT_CODES = {_I32: "i", "d": "d"}
 
+#: The per-level item counts of the six column kinds, in the order
+#: ``locations``, ``stays``, ``edge_offsets``, ``edge_children``,
+#: ``edge_probabilities``, ``source_probabilities`` (one level).
+Counts = Tuple[Tuple[int, ...], ...]
+
 
 def _native(values: object, code: str) -> bool:
     """Whether ``values`` already holds the column's little-endian bytes:
@@ -156,6 +165,20 @@ def _native(values: object, code: str) -> bool:
     whose bytes are copied as they are instead of item by item."""
     return (isinstance(values, memoryview) and values.format == code
             and sys.byteorder == "little")
+
+
+def _packed(values: Sequence, code: str) -> memoryview:
+    """A sequence of numbers as one typed view of their little-endian
+    bytes: one ``struct.pack``, on any host."""
+    return memoryview(struct.pack(f"<{len(values)}{_STRUCT_CODES[code]}",
+                                  *values)).cast(code)
+
+
+def _sliced(view: memoryview, counts: Sequence[int]
+            ) -> Iterator[memoryview]:
+    """Consecutive slices of ``view``, of ``counts[i]`` items each."""
+    bounds = list(accumulate(counts, initial=0))
+    return map(view.__getitem__, map(slice, bounds, bounds[1:]))
 
 
 def _level_view(level, code: str, stays: bool) -> memoryview:
@@ -175,32 +198,81 @@ def _level_view(level, code: str, stays: bool) -> memoryview:
     return view
 
 
-def _kind_views(columns, code: str, stays: bool = False
-                ) -> Iterator[memoryview]:
+def _kind_views(levels, counts: Sequence[int], code: str,
+                stays: bool = False) -> Iterator[memoryview]:
     """Every level of one column kind as a typed view, in level order.
 
-    Tuple and list levels convert together: one ``struct.pack`` of the
-    whole kind, little-endian on any host, that each level's view
-    slices.  Any other level (a mapped memoryview, an ``array.array``)
-    converts on its own, when its section is written, so a large graph
-    of buffers holds one level's conversion at a time.
+    Tuple and list levels convert together: one pack of the whole kind
+    (see :func:`_packed`), which each level's view slices.  Any other
+    level (a mapped memoryview, an ``array.array``, an ndarray) converts
+    on its own, when its section is written, so a large graph of buffers
+    holds one level's conversion at a time.
     """
-    if not set(map(type, columns)) <= _PLAIN:
-        return map(_level_view, columns, repeat(code), repeat(stays))
-    values = chain.from_iterable(columns)
-    items = (tuple(values) if not stays
-             else [-1 if stay is None else stay for stay in values])
-    view = memoryview(struct.pack(f"<{len(items)}{_STRUCT_CODES[code]}",
-                                  *items)).cast(code)
-    bounds = list(accumulate(map(len, columns), initial=0))
-    return map(view.__getitem__, map(slice, bounds, bounds[1:]))
+    if not set(map(type, levels)) <= _PLAIN:
+        return map(_level_view, levels, repeat(code), repeat(stays))
+    values = chain.from_iterable(levels)
+    return _sliced(_packed([-1 if stay is None else stay for stay in values]
+                           if stays else tuple(values), code), counts)
 
 
-def _write_chunk(fh, chunk: bytes, crc: int) -> int:
-    """Write one chunk of the payload; returns the running CRC-32.  The
-    chunk dies on return, before the next one is joined."""
-    fh.write(chunk)
-    return zlib.crc32(chunk, crc)
+def _check_shape(path, counts: Counts,
+                 last_offsets: Callable[[], Tuple[int, ...]]) -> None:
+    """Raise :class:`StoreFormatError` naming ``path`` unless the column
+    kinds' per-level counts form a graph.
+
+    Each ``stay`` row must be as long as its ``loc`` row and ``source``
+    as level 0; per edge level, ``off`` must have one entry more than
+    the level's nodes, ``prob`` as many as ``child``, and the last
+    offset must equal the ``child`` count.  ``last_offsets()`` gives
+    every edge level's last offset, and is called only once the counts
+    are right.  The writer checks the counts it plans, before it creates
+    the file; the loader the counts of the section table.
+    """
+    loc, stay, off, child, prob, source = counts
+    if source[0] != loc[0]:
+        raise _bounds_error(
+            path, "source distribution length disagrees with level 0")
+    if stay != loc:
+        tau = next(tau for tau in range(len(loc)) if stay[tau] != loc[tau])
+        raise _bounds_error(path, f"stay row {tau} length disagrees")
+    expected = tuple(map(add, loc[:-1], repeat(1)))
+    if off != expected or prob != child:
+        tau = next(tau for tau in range(len(off))
+                   if off[tau] != expected[tau] or prob[tau] != child[tau])
+    else:
+        ends = last_offsets()
+        if ends == child:
+            return
+        tau = next(tau for tau in range(len(off)) if ends[tau] != child[tau])
+    raise _bounds_error(path, f"CSR sections of level {tau} are inconsistent")
+
+
+def _level_columns(path, locations, stays, edge_offsets, edge_children,
+                   edge_probabilities, source_probabilities
+                   ) -> Tuple[Counts, Tuple[Iterator[memoryview], ...]]:
+    """The encoder's counts and level views of per-level columns, whose
+    shape is checked first."""
+    duration = len(locations)
+    if duration < 1:
+        raise StoreFormatError("a .ctg graph needs at least one level")
+    if not (len(stays) == duration
+            and len(edge_offsets) == duration - 1
+            and len(edge_children) == duration - 1
+            and len(edge_probabilities) == duration - 1):
+        raise StoreFormatError("level array lengths disagree")
+    sources = (source_probabilities,)
+    counts = tuple(tuple(map(len, levels)) for levels in (
+        locations, stays, edge_offsets, edge_children, edge_probabilities,
+        sources))
+    _check_shape(path, counts,
+                 lambda: tuple(level[-1] for level in edge_offsets))
+    loc, stay, off, child, prob, source = counts
+    return counts, (_kind_views(locations, loc, _I32),
+                    _kind_views(stays, stay, _I32, stays=True),
+                    _kind_views(edge_offsets, off, _I32),
+                    _kind_views(edge_children, child, _I32),
+                    _kind_views(edge_probabilities, prob, "d"),
+                    _kind_views(sources, source, "d"))
 
 
 def write_ctg(path, *, location_names: Sequence[str],
@@ -213,26 +285,28 @@ def write_ctg(path, *, location_names: Sequence[str],
               stats=None) -> int:
     """Write one graph's columns as a ``.ctg`` file; returns bytes written.
 
-    Each column may be a plain sequence (tuple/list), an ``array.array``,
-    a ``memoryview`` or any other sized iterable of numbers.  ``stays``
-    rows may hold ``None`` (encoded as ``-1``).
+    Each column is given per level.  A level may be a plain sequence
+    (tuple/list), an ``array.array``, a ``memoryview`` or any other sized
+    iterable of numbers.  ``stays`` rows may hold ``None`` (encoded as
+    ``-1``).  Tuple and list columns convert once per column kind (see
+    :func:`_kind_views`).
 
-    Tuple and list columns convert once per column kind (see
-    :func:`_kind_views`).  The layout — every section's count, padding
-    and offset, and so the section table — follows from the column
-    lengths before a byte is written.  The payload then goes out in
-    canonical order, joined into chunks of about ``_SPOOL_BYTES`` whose
-    CRC-32 is taken as they go, and the header, which carries the CRC,
-    is written last over a placeholder: no copy of the whole payload is
-    ever held.  A write that fails part-way leaves a file whose zeroed
-    header fails to load.
+    Columns that :func:`load_ctg` would reject raise
+    :class:`~repro.errors.StoreFormatError` before the file is created
+    (:func:`_check_shape`).  The encoder then plans the layout from the
+    counts: every section's count, padding and offset, and so the
+    section table, are known before a byte is written.  The payload goes
+    out in canonical order, joined into chunks of about ``_SPOOL_BYTES``
+    whose CRC-32 is taken as they go, and the header, which carries the
+    CRC, is written last over a placeholder: no copy of the whole
+    payload is ever held.  A write that fails part-way leaves a file
+    whose zeroed header fails to load.
     """
-    _check_levels(locations, stays, edge_offsets, edge_children,
-                  edge_probabilities)
+    counts, views = _level_columns(
+        path, locations, stays, edge_offsets, edge_children,
+        edge_probabilities, source_probabilities)
     with open(path, "wb") as fh:
-        return _encode(fh, location_names, locations, stays, edge_offsets,
-                       edge_children, edge_probabilities,
-                       source_probabilities, stats).end
+        return _encode(fh, location_names, stats, counts, views).end
 
 
 def write_mapped_ctg(path, *, location_names: Sequence[str],
@@ -248,38 +322,80 @@ def write_mapped_ctg(path, *, location_names: Sequence[str],
     would.
 
     The file is written through a read-write descriptor that is then
-    mapped, and the columns are sliced from the offsets and counts the
-    encoder planned: the file is not opened again by path and the layout
-    the writer has just produced is not re-validated.  The view keeps
-    its mapping across a rename of the file (the store's atomic
-    publish).  This is how the engines' ``materialize="store"`` builds
-    hand back the graph they wrote.
+    mapped, and the view's columns are sliced, on first read, from the
+    offsets and counts the encoder planned: the file is not opened again
+    by path and the layout the writer has just produced is not parsed.
+    The view keeps its mapping across a rename of the file (the store's
+    atomic publish).  The reference engine's ``materialize="store"``
+    builds hand back the graph they wrote this way.
     """
-    _check_levels(locations, stays, edge_offsets, edge_children,
-                  edge_probabilities)
+    return _write_mapped(path, location_names, stats, *_level_columns(
+        path, locations, stays, edge_offsets, edge_children,
+        edge_probabilities, source_probabilities))
+
+
+def write_mapped_columns(path, *, location_names: Sequence[str],
+                         node_counts: Sequence[int],
+                         edge_counts: Sequence[int],
+                         locations: Sequence[int], stays: Sequence[int],
+                         edge_offsets: Sequence[int],
+                         edge_children: Sequence[int],
+                         edge_probabilities: Sequence[float],
+                         source_probabilities: Sequence[float],
+                         stats=None) -> "MappedCTGraph":
+    """:func:`write_mapped_ctg` for columns given flat: each kind is one
+    sequence holding every level's items in level order.
+
+    Level ``tau`` has ``node_counts[tau]`` locations and stays (a
+    ``None`` stay already ``-1``) and, below the last level,
+    ``node_counts[tau] + 1`` CSR offsets (counted from the level's first
+    edge) and ``edge_counts[tau]`` children and probabilities.  Each
+    kind converts in one pack (see :func:`_packed`) whose slices are the
+    sections, and the bytes are those :func:`write_ctg` writes for the
+    same graph.  The compact engine's ``materialize="store"`` builds
+    write this way.
+    """
+    nodes, edges = tuple(node_counts), tuple(edge_counts)
+    if not nodes:
+        raise StoreFormatError("a .ctg graph needs at least one level")
+    if len(edges) != len(nodes) - 1:
+        raise StoreFormatError("level array lengths disagree")
+    offsets = tuple(map(add, nodes[:-1], repeat(1)))
+    counts = (nodes, nodes, offsets, edges, edges,
+              (len(source_probabilities),))
+    columns = (locations, stays, edge_offsets, edge_children,
+               edge_probabilities, source_probabilities)
+    if tuple(map(len, columns)) != tuple(map(sum, counts)):
+        raise _bounds_error(path, "a column's length disagrees with its "
+                                  "level counts")
+    _check_shape(path, counts, lambda: tuple(map(
+        edge_offsets.__getitem__,
+        islice(accumulate(offsets, initial=-1), 1, None))))
+    return _write_mapped(path, location_names, stats, counts, tuple(map(
+        _sliced, map(_packed, columns, _KIND_CODES), counts)))
+
+
+def _write_mapped(path, location_names, stats, counts: Counts,
+                  views) -> "MappedCTGraph":
+    """Encode into a read-write descriptor and map it (see
+    :func:`write_mapped_ctg`)."""
     with open(path, "w+b") as fh:
-        layout = _encode(fh, location_names, locations, stays, edge_offsets,
-                         edge_children, edge_probabilities,
-                         source_probabilities, stats)
+        layout = _encode(fh, location_names, stats, counts, views)
         fh.flush()
         mapped = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
-    return _view(path, mapped, mapped, "mmap", tuple(location_names), stats,
-                 layout.offsets, layout.counts, layout.num_nodes,
-                 layout.num_edges, layout.end)
+    return _UnslicedView(
+        path=path, backing="mmap", location_names=tuple(location_names),
+        duration=len(counts[0]), casts=_casts(mapped, layout.end),
+        offsets=layout.offsets, counts=layout.counts,
+        num_nodes=layout.num_nodes, num_edges=layout.num_edges, stats=stats,
+        mapped=mapped)
 
 
-def _check_levels(locations, stays, edge_offsets, edge_children,
-                  edge_probabilities) -> None:
-    """Reject level lists that cannot form a graph, before any file is
-    created."""
-    duration = len(locations)
-    if duration < 1:
-        raise StoreFormatError("a .ctg graph needs at least one level")
-    if not (len(stays) == duration
-            and len(edge_offsets) == duration - 1
-            and len(edge_children) == duration - 1
-            and len(edge_probabilities) == duration - 1):
-        raise StoreFormatError("level array lengths disagree")
+def _write_chunk(fh, chunk: bytes, crc: int) -> int:
+    """Write one chunk of the payload; returns the running CRC-32.  The
+    chunk dies on return, before the next one is joined."""
+    fh.write(chunk)
+    return zlib.crc32(chunk, crc)
 
 
 class _Layout(NamedTuple):
@@ -294,14 +410,15 @@ class _Layout(NamedTuple):
     num_edges: int
 
 
-def _encode(fh, location_names, locations, stays, edge_offsets,
-            edge_children, edge_probabilities, source_probabilities,
-            stats) -> _Layout:
+def _encode(fh, location_names, stats, counts: Counts, views) -> _Layout:
     """Write one graph's ``.ctg`` bytes to the binary file ``fh``, open
-    for writing at offset 0 (see :func:`write_ctg`)."""
-    duration = len(locations)
-    num_nodes = sum(map(len, locations))
-    num_edges = sum(map(len, edge_children))
+    for writing at offset 0 (see :func:`write_ctg`).
+
+    ``counts`` holds each column kind's per-level item counts and
+    ``views`` each kind's level views, both in :data:`Counts` order.
+    """
+    loc, stay, off, child, prob, source = counts
+    duration = len(loc)
     head = bytearray()
     for name in location_names:
         encoded = name.encode("utf-8")
@@ -319,46 +436,41 @@ def _encode(fh, location_names, locations, stays, edge_offsets,
         head += stats_blob
         head += _PADS[-len(head) % _ALIGN]
     # -- the layout, in canonical section order -------------------------
-    counts = list(chain(
-        chain.from_iterable(zip(map(len, locations), map(len, stays))),
-        chain.from_iterable(zip(map(len, edge_offsets),
-                                map(len, edge_children),
-                                map(len, edge_probabilities))),
-        (len(source_probabilities),)))
-    sizes = list(map(mul, counts, _itemsizes(duration)))
+    section_counts = list(chain(chain.from_iterable(zip(loc, stay)),
+                                chain.from_iterable(zip(off, child, prob)),
+                                source))
+    sizes = list(map(mul, section_counts, _itemsizes(duration)))
     pads = [-size % _ALIGN for size in sizes]
     positions = list(accumulate(map(add, sizes, pads),
                                 initial=HEADER_BYTES + len(head)))
-    table = struct.pack(f"<{2 * len(counts)}Q",
-                        *chain.from_iterable(zip(positions, counts)))
+    table = struct.pack(f"<{2 * len(section_counts)}Q",
+                        *chain.from_iterable(zip(positions, section_counts)))
     table_offset = positions[-1]
     end = table_offset + len(table)
-    # -- the payload -----------------------------------------------------
-    sections = chain(
-        chain.from_iterable(zip(_kind_views(locations, _I32),
-                                _kind_views(stays, _I32, stays=True))),
-        chain.from_iterable(zip(_kind_views(edge_offsets, _I32),
-                                _kind_views(edge_children, _I32),
-                                _kind_views(edge_probabilities, "d"))),
-        _kind_views((source_probabilities,), "d"))
-    pieces = chain((head,), chain.from_iterable(
-        zip(sections, map(_PADS.__getitem__, pads))), (table,))
-    piece_ends = list(accumulate(chain((len(head),), chain.from_iterable(
-        zip(sizes, pads)), (len(table),))))
+    # -- the payload: pairs of a piece and its padding --------------------
+    locs, stays, offs, children, probs, sources = views
+    pieces = chain((head, b""), chain.from_iterable(zip(
+        chain(chain.from_iterable(zip(locs, stays)),
+              chain.from_iterable(zip(offs, children, probs)), sources),
+        map(_PADS.__getitem__, pads))), (table, b""))
+    pair_ends = positions + [end]  # the head's, each section's, the table's
     crc = 0
     fh.write(bytes(HEADER_BYTES))  # rewritten once the CRC is known
     done = 0
-    while done < len(piece_ends):
-        # The pieces that end within _SPOOL_BYTES, and at least one.
-        limit = (piece_ends[done - 1] if done else 0) + _SPOOL_BYTES
-        stop = max(done + 1, bisect_right(piece_ends, limit, done))
-        crc = _write_chunk(fh, b"".join(islice(pieces, stop - done)), crc)
+    while done < len(pair_ends):
+        # The pairs that end within _SPOOL_BYTES, and at least one.
+        limit = (pair_ends[done - 1] if done else HEADER_BYTES) + _SPOOL_BYTES
+        stop = max(done + 1, bisect_right(pair_ends, limit, done))
+        crc = _write_chunk(fh, b"".join(islice(pieces, 2 * (stop - done))),
+                           crc)
         done = stop
+    num_nodes, num_edges = sum(loc), sum(child)
     fh.seek(0)
     fh.write(_HEADER.pack(
         CTG_MAGIC, CTG_VERSION, flags, duration, len(location_names),
         num_nodes, num_edges, table_offset, end - HEADER_BYTES, crc))
-    return _Layout(end, positions[:-1], counts, num_nodes, num_edges)
+    return _Layout(end, positions[:-1], section_counts, num_nodes,
+                   num_edges)
 
 
 def save_ctg(graph, path) -> int:
@@ -396,12 +508,27 @@ class _Swapped:  # pragma: no cover - big-endian hosts only
         self.whole = whole
         self.code = code
 
-    def __getitem__(self, items: slice) -> array:
+    def __getitem__(self, items):
+        if isinstance(items, int):
+            return self[items:items + 1][0]
         column = array(self.code)
         size = column.itemsize
         column.frombytes(self.whole[items.start * size:items.stop * size])
         column.byteswap()
         return column
+
+    def release(self) -> None:
+        self.whole.release()
+
+
+def _casts(buffer, end: int):
+    """The ``int32`` and ``float64`` casts of a ``.ctg`` buffer ``end``
+    bytes long, up to its last whole 8 bytes: every column is a slice of
+    one of them."""
+    whole = memoryview(buffer)[:end - end % _ALIGN]
+    if sys.byteorder == "little":
+        return whole.cast(_I32), whole.cast("d")
+    return _Swapped(whole, _I32), _Swapped(whole, "d")  # pragma: no cover
 
 
 def _slices(view, itemsize: int, offsets: Sequence[int],
@@ -411,6 +538,17 @@ def _slices(view, itemsize: int, offsets: Sequence[int],
     starts = list(map(floordiv, offsets, repeat(itemsize)))
     return tuple(map(view.__getitem__,
                      map(slice, starts, map(add, starts, counts))))
+
+
+def _kind_sections(kind: int, duration: int) -> slice:
+    """The canonical section indices of column kind ``kind`` (in
+    :data:`Counts` order) of a ``duration``-level file."""
+    nodes = 2 * duration
+    if kind < 2:
+        return slice(kind, nodes, 2)
+    if kind < 5:
+        return slice(nodes + kind - 2, 5 * duration - 3, 3)
+    return slice(5 * duration - 3, None)
 
 
 def _section_error(path, duration: int, offsets: Sequence[int],
@@ -440,56 +578,71 @@ def _to_tuple(column: Column) -> tuple:
     return tuple(column.tolist())
 
 
+#: The array columns of a :class:`MappedCTGraph` and their kinds' indices
+#: in :data:`Counts` order (``stays``, kind 1, decodes into tuples).
+_ARRAY_COLUMNS = {"locations": 0, "edge_offsets": 2, "edge_children": 3,
+                  "edge_probabilities": 4, "source_probabilities": 5}
+
+
 class MappedCTGraph:
     """A read-only, ``FlatCTGraph``-compatible view over one ``.ctg`` buffer.
 
-    Every column attribute (``locations``, ``edge_offsets``,
-    ``edge_children``, ``edge_probabilities``, ``source_probabilities``)
-    is a zero-copy ``memoryview`` cast of the single backing buffer, so a
-    :class:`~repro.queries.session.QuerySession` consumes the file
-    without deserialising it: its DPs read plain ints and floats from
-    the casts.  ``stays`` decodes lazily into the
-    canonical ``Optional[int]`` tuples (the one column whose ``-1``
-    sentinel needs boxing); everything else stays on the mmap.
+    The view holds the buffer cast once per dtype, and every section's
+    offset and count.  A column attribute is sliced from those casts on
+    its first read, and is a plain attribute from then on: ``locations``,
+    ``edge_offsets``, ``edge_children`` and ``edge_probabilities`` are
+    tuples of per-level zero-copy ``memoryview`` slices, and
+    ``source_probabilities`` is one slice.  A column nobody reads is
+    never sliced.  So a :class:`~repro.queries.session.QuerySession`
+    consumes the file without deserialising it: its DPs read plain ints
+    and floats from the casts.  ``stays`` decodes into the canonical
+    ``Optional[int]`` tuples on its first read (the one column whose
+    ``-1`` sentinel needs boxing).  ``duration`` is a stored int.
+
+    :func:`load_ctg` and the store writers return a view of a subclass
+    whose ``__getattr__`` slices a column on its first read; once all
+    five array columns are sliced the view is a plain
+    :class:`MappedCTGraph`, because CPython reads every attribute of a
+    class with ``__getattr__`` through a slower, unspecialised path.
 
     The view quacks like a :class:`~repro.core.flatgraph.FlatCTGraph`
     everywhere queries look — ``duration``, ``num_nodes``/``num_edges``,
     ``level_size``, ``location_name``/``locations_at``, subscriptable
     columns — and ``materialize()`` converts to a real ``FlatCTGraph``
     (tuple equality with the original pins round-trips in the tests).
-    ``close()`` drops the column views and unmaps the buffer; the view is
+    ``close()`` empties every column and unmaps the buffer; the view is
     also a context manager.
     """
 
-    __slots__ = ("path", "backing", "location_names", "locations",
-                 "edge_offsets", "edge_children", "edge_probabilities",
-                 "source_probabilities", "stats", "_stay_columns",
-                 "_stays", "_num_nodes", "_num_edges", "_mmap")
+    __slots__ = ("path", "backing", "location_names", "duration", "stats",
+                 *_ARRAY_COLUMNS, "_stays", "_num_nodes", "_num_edges",
+                 "_mmap", "_casts", "_offsets", "_counts", "_unsliced")
 
     def __init__(self, *, path, backing: str,
-                 location_names: Tuple[str, ...],
-                 locations: Tuple[Column, ...],
-                 stay_columns: Tuple[Column, ...],
-                 edge_offsets: Tuple[Column, ...],
-                 edge_children: Tuple[Column, ...],
-                 edge_probabilities: Tuple[Column, ...],
-                 source_probabilities: Column,
+                 location_names: Tuple[str, ...], duration: int, casts,
+                 offsets: Sequence[int], counts: Sequence[int],
                  num_nodes: int, num_edges: int, stats=None,
                  mapped: Optional[_mmap.mmap] = None) -> None:
         self.path = path
         self.backing = backing
         self.location_names = location_names
-        self.locations = locations
-        self.edge_offsets = edge_offsets
-        self.edge_children = edge_children
-        self.edge_probabilities = edge_probabilities
-        self.source_probabilities = source_probabilities
+        self.duration = duration
         self.stats = stats
-        self._stay_columns = stay_columns
         self._stays: Optional[Tuple[Tuple[Optional[int], ...], ...]] = None
+        self._casts = casts
+        self._offsets = offsets
+        self._counts = counts
+        self._unsliced = len(_ARRAY_COLUMNS)
         self._num_nodes = num_nodes
         self._num_edges = num_edges
         self._mmap = mapped
+
+    def _levels(self, kind: int) -> Tuple[Column, ...]:
+        """Column kind ``kind``'s per-level slices of the casts."""
+        sections = _kind_sections(kind, self.duration)
+        i32, f64 = self._casts
+        return _slices(f64 if kind > 3 else i32, 8 if kind > 3 else 4,
+                       self._offsets[sections], self._counts[sections])
 
     # -- the FlatCTGraph surface ---------------------------------------
     @property
@@ -498,12 +651,8 @@ class MappedCTGraph:
             self._stays = tuple(
                 tuple(None if stay == -1 else stay
                       for stay in column.tolist())
-                for column in self._stay_columns)
+                for column in self._levels(1))
         return self._stays
-
-    @property
-    def duration(self) -> int:
-        return len(self.locations)
 
     @property
     def num_nodes(self) -> int:
@@ -514,18 +663,16 @@ class MappedCTGraph:
         return self._num_edges
 
     def level_size(self, tau: int) -> int:
-        if not 0 <= tau < len(self.locations):
-            raise QueryError(
-                f"timestep {tau} outside [0, {len(self.locations)})")
+        if not 0 <= tau < self.duration:
+            raise QueryError(f"timestep {tau} outside [0, {self.duration})")
         return len(self.locations[tau])
 
     def location_name(self, lid: int) -> str:
         return self.location_names[lid]
 
     def locations_at(self, tau: int) -> Tuple[str, ...]:
-        if not 0 <= tau < len(self.locations):
-            raise QueryError(
-                f"timestep {tau} outside [0, {len(self.locations)})")
+        if not 0 <= tau < self.duration:
+            raise QueryError(f"timestep {tau} outside [0, {self.duration})")
         names = self.location_names
         return tuple(sorted({names[lid] for lid in self.locations[tau]}))
 
@@ -599,18 +746,17 @@ class MappedCTGraph:
             stats=self.stats)
 
     def close(self) -> None:
-        """Drop the column views and unmap the backing buffer.
+        """Empty every column and unmap the backing buffer.
 
-        If a caller still holds a column view the unmap is deferred to
+        A view closed with no column handed out unmaps at once.  If a
+        caller still holds a column view the unmap is deferred to
         garbage collection (closing the mmap would raise ``BufferError``
-        while exports exist); the view itself is unusable either way.
+        while exports exist); the view itself reads empty either way.
         """
-        self.locations = ()
-        self.edge_offsets = ()
-        self.edge_children = ()
-        self.edge_probabilities = ()
-        self.source_probabilities = ()
-        self._stay_columns = ()
+        for name in _ARRAY_COLUMNS:
+            setattr(self, name, ())
+        self._stays = ()
+        self._casts = None
         mapped, self._mmap = self._mmap, None
         if mapped is not None:
             try:
@@ -629,6 +775,27 @@ class MappedCTGraph:
                 f"nodes={self.num_nodes}, edges={self.num_edges}, "
                 f"locations={len(self.location_names)}, "
                 f"backing={self.backing!r})")
+
+
+class _UnslicedView(MappedCTGraph):
+    """A :class:`MappedCTGraph` with array columns still to slice."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        """Slice column ``name`` on its first read, and keep it."""
+        kind = _ARRAY_COLUMNS.get(name)
+        if kind is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        columns = self._levels(kind)
+        if kind == 5:
+            (columns,) = columns
+        setattr(self, name, columns)
+        self._unsliced -= 1
+        if not self._unsliced:
+            self.__class__ = MappedCTGraph
+        return columns
 
 
 def _bounds_error(path, detail: str) -> StoreFormatError:
@@ -856,13 +1023,15 @@ def load_ctg(path, *, mmap: bool = True, verify: bool = False
     as a zero-copy view — the pages fault in on demand, so a cold load is
     header + section-table parsing, not a full read.  ``mmap=False``
     reads the file into one ``bytes`` object instead (same views, private
-    memory).  Either way each column is a ``memoryview.cast`` of the
-    buffer (an ``array.array`` copy on big-endian hosts), from which the
-    query DPs read plain ints and floats.
+    memory).  Either way the buffer is cast once per dtype and each
+    column is sliced from a cast on its first read (an ``array.array``
+    copy on big-endian hosts); the load itself slices none.  The query
+    DPs read plain ints and floats from the slices.
 
     Structural validation (magic, version, every section's offset,
     alignment and count against the payload and the header, the CSR
-    shape of every edge level) always runs, over the whole section table
+    shape of every edge level, whose last offsets are read straight
+    from the ``int32`` cast) always runs, over the whole section table
     at once, and raises :class:`~repro.errors.StoreFormatError` naming
     the path on any violation — a truncated or misaligned file fails
     here, not as an out-of-bounds or misread column later.
@@ -956,7 +1125,6 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
         except (ValueError, TypeError) as error:
             raise _bounds_error(path, f"malformed stats section ({error})")
     # -- section table -------------------------------------------------
-    last = duration - 1
     sections = 5 * duration - 2  # the canonical order of _itemsizes
     table_end = table_offset + sections * _SECTION_ENTRY.size
     if not HEADER_BYTES <= table_offset <= table_end <= end:
@@ -977,68 +1145,30 @@ def _parse(path, buffer, mapped, backing: str, *, flags: int, duration: int,
             or any(map(mod, offsets, itemsizes))):
         raise _section_error(path, duration, offsets, counts, itemsizes,
                              limit)
-    nodes = 2 * duration
-    edges = nodes + 3 * last
-    loc_counts, stay_counts = counts[0:nodes:2], counts[1:nodes:2]
-    off_counts = counts[nodes:edges:3]
-    child_counts = counts[nodes + 1:edges:3]
+    kinds = tuple(_kind_sections(kind, duration) for kind in range(6))
     # -- counts (full structural checks: ``validate()``) ---------------
-    if sum(loc_counts) != num_nodes:
+    if sum(counts[kinds[0]]) != num_nodes:
         raise _bounds_error(path, "node sections disagree with the header")
-    if sum(child_counts) != num_edges:
+    if sum(counts[kinds[3]]) != num_edges:
         raise _bounds_error(path, "edge sections disagree with the header")
-    if counts[-1] != loc_counts[0]:
-        raise _bounds_error(
-            path, "source distribution length disagrees with level 0")
-    if stay_counts != loc_counts:
-        tau = next(tau for tau in range(duration)
-                   if stay_counts[tau] != loc_counts[tau])
-        raise _bounds_error(path, f"stay row {tau} length disagrees")
-    view = _view(path, buffer, mapped, backing, tuple(names), stats,
-                 offsets, counts, num_nodes, num_edges, end)
-    prob_counts = counts[nodes + 2:edges:3]
-    edge_offsets = view.edge_offsets
-    # Short-circuits: a CSR column is read only once its count is right.
-    if (off_counts != tuple(count + 1 for count in loc_counts[:last])
-            or prob_counts != child_counts
-            or tuple(column[-1] for column in edge_offsets)
-            != child_counts):
-        tau = next(tau for tau in range(last)
-                   if off_counts[tau] != loc_counts[tau] + 1
-                   or prob_counts[tau] != child_counts[tau]
-                   or edge_offsets[tau][-1] != child_counts[tau])
-        raise _bounds_error(path, f"CSR sections of level {tau} "
-                                  "are inconsistent")
-    return view
+    i32, f64 = _casts(buffer, end)
 
+    def last_offsets() -> Tuple[int, ...]:
+        ends = map(add, map(floordiv, offsets[kinds[2]], repeat(4)),
+                   counts[kinds[2]])
+        return tuple(map(i32.__getitem__, map(sub, ends, repeat(1))))
 
-def _view(path, buffer, mapped, backing: str, names: Tuple[str, ...], stats,
-          offsets: Sequence[int], counts: Sequence[int], num_nodes: int,
-          num_edges: int, end: int) -> MappedCTGraph:
-    """The view whose columns are the sections at byte ``offsets`` with
-    ``counts`` items, in canonical order, of a ``.ctg`` buffer ``end``
-    bytes long; the sections must lie in bounds and be aligned."""
-    nodes = 2 * ((len(counts) + 2) // 5)  # 5 * duration - 2 sections
-    edges = len(counts) - 1
-    # One cast of the buffer per dtype; every column slices one of them.
-    whole = memoryview(buffer)[:end - end % _ALIGN]
-    if sys.byteorder == "little":
-        i32, f64 = whole.cast(_I32), whole.cast("d")
-    else:  # pragma: no cover - big-endian hosts only
-        i32, f64 = _Swapped(whole, _I32), _Swapped(whole, "d")
-    return MappedCTGraph(
-        path=path, backing=backing, location_names=names,
-        locations=_slices(i32, 4, offsets[0:nodes:2], counts[0:nodes:2]),
-        stay_columns=_slices(i32, 4, offsets[1:nodes:2], counts[1:nodes:2]),
-        edge_offsets=_slices(i32, 4, offsets[nodes:edges:3],
-                             counts[nodes:edges:3]),
-        edge_children=_slices(i32, 4, offsets[nodes + 1:edges:3],
-                              counts[nodes + 1:edges:3]),
-        edge_probabilities=_slices(f64, 8, offsets[nodes + 2:edges:3],
-                                   counts[nodes + 2:edges:3]),
-        source_probabilities=_slices(f64, 8, offsets[-1:], counts[-1:])[0],
-        num_nodes=num_nodes, num_edges=num_edges, stats=stats,
-        mapped=mapped)
+    try:
+        _check_shape(path, tuple(counts[kind] for kind in kinds),
+                     last_offsets)
+    except StoreFormatError:
+        i32.release()
+        f64.release()
+        raise
+    return _UnslicedView(
+        path=path, backing=backing, location_names=tuple(names),
+        duration=duration, casts=(i32, f64), offsets=offsets, counts=counts,
+        num_nodes=num_nodes, num_edges=num_edges, stats=stats, mapped=mapped)
 
 
 # ----------------------------------------------------------------------

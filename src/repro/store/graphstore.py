@@ -35,10 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReadingSequenceError, StoreError
 from repro.store.format import MappedCTGraph, load_ctg, save_ctg
@@ -90,19 +91,31 @@ def content_key(lsequence, constraints, options=None, *,
     objects share one constraint set encodes and hashes the statements
     once.  A batch whose objects each carry a distinct set pays the full
     encoding for every object, as an uncached key would.
+
+    The levels' text is the JSON text of each level's row joined by
+    commas.  Each distinct row (the same locations with the same
+    probabilities, in the same order) is encoded once per call, with
+    ``json``'s own string escaping: an object that keeps its readings
+    for several steps repeats its rows.  The memo is local to the call.
     """
     if options is None:
         from repro.core.algorithm import CleaningOptions  # lazy
 
         options = CleaningOptions()
-    levels: List[List[List[str]]] = []
+    texts: Dict[Tuple[Tuple[str, float], ...], str] = {}
+    levels: List[str] = []
     for tau in range(lsequence.duration):
-        levels.append([[location, float(probability).hex()]
-                       for location, probability
-                       in lsequence.candidates(tau).items()])
+        row = tuple(lsequence.candidates(tau).items())
+        text = texts.get(row)
+        if text is None:
+            text = texts[row] = "[" + ",".join([
+                f'[{encode_basestring_ascii(location)},'
+                f'"{float(probability).hex()}"]'
+                for location, probability in row]) + "]"
+        levels.append(text)
     digest = _key_prefix(constraints.sorted_statements,
                          _dumps(extra)).copy()
-    digest.update((_dumps(levels) + ',"truncated_stay_policy":'
+    digest.update(("[" + ",".join(levels) + '],"truncated_stay_policy":'
                    + _dumps(options.truncated_stay_policy) + "}"
                    ).encode("utf-8"))
     return digest.hexdigest()

@@ -60,7 +60,8 @@ from repro.store import (
     save_ctg,
     write_ctg,
 )
-from repro.store.format import write_mapped_ctg
+from repro.store import format as store_format
+from repro.store.format import write_mapped_columns, write_mapped_ctg
 
 from tests.test_imports import loaded_after
 
@@ -384,6 +385,185 @@ class TestStoreBuildViews:
                 dataclasses.replace(options, materialize="flat"))
 
 
+def pinned_columns(**changes):
+    """``TestPinnedBytes.GRAPH``'s columns as writer keywords, with
+    ``changes`` applied."""
+    graph = TestPinnedBytes.GRAPH
+    columns = dict(location_names=graph.location_names,
+                   locations=graph.locations, stays=graph.stays,
+                   edge_offsets=graph.edge_offsets,
+                   edge_children=graph.edge_children,
+                   edge_probabilities=graph.edge_probabilities,
+                   source_probabilities=graph.source_probabilities,
+                   stats=graph.stats)
+    columns.update(changes)
+    return columns
+
+
+class TestWriterShape:
+    """The writers check the per-level counts the loader checks, before
+    they create a file: a column set ``load_ctg`` would reject raises
+    :class:`StoreFormatError` naming the path, and leaves no file."""
+
+    #: Per shape, the changed columns of the pinned 3-level graph (2, 3
+    #: and 1 nodes; 3 and 3 edges) and the error both sides raise.
+    SHAPES = {
+        "short-stays": (dict(stays=((None, 1), (2, None), (None,))),
+                        r"stay row 1 length disagrees"),
+        "short-source": (dict(source_probabilities=(1.0,)),
+                         "source distribution length disagrees"),
+        "last-offset": (dict(edge_offsets=((0, 2, 4), (0, 1, 2, 3))),
+                        "CSR sections of level 0"),
+        "short-probabilities": (dict(edge_probabilities=(
+            (0.25, 0.75, 1.0), (1.0, 1.0))), "CSR sections of level 1"),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("writer", [write_ctg, write_mapped_ctg])
+    def test_the_write_raises_and_leaves_no_file(self, tmp_path, writer,
+                                                 shape):
+        changes, match = self.SHAPES[shape]
+        path = tmp_path / "g.ctg"
+        with pytest.raises(StoreFormatError, match=match) as caught:
+            writer(path, **pinned_columns(**changes))
+        assert str(path) in str(caught.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("mmap", (True, False))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_the_loader_rejects_the_same_shapes(self, tmp_path, monkeypatch,
+                                                shape, mmap):
+        """Written past the check, each file fails to load with the
+        writer's error."""
+        changes, match = self.SHAPES[shape]
+        path = tmp_path / "g.ctg"
+        monkeypatch.setattr(store_format, "_check_shape",
+                            lambda *args: None)
+        write_ctg(path, **pinned_columns(**changes))
+        monkeypatch.undo()
+        with pytest.raises(StoreFormatError, match=match):
+            load_ctg(path, mmap=mmap)
+
+    @staticmethod
+    def flat_columns(**changes):
+        """The pinned graph as :func:`write_mapped_columns` takes it."""
+        graph = TestPinnedBytes.GRAPH
+        columns = dict(
+            location_names=graph.location_names,
+            node_counts=[2, 3, 1], edge_counts=[3, 3],
+            locations=[lid for level in graph.locations for lid in level],
+            stays=[-1 if stay is None else stay
+                   for level in graph.stays for stay in level],
+            edge_offsets=[offset for level in graph.edge_offsets
+                          for offset in level],
+            edge_children=[child for level in graph.edge_children
+                           for child in level],
+            edge_probabilities=[p for level in graph.edge_probabilities
+                                for p in level],
+            source_probabilities=list(graph.source_probabilities),
+            stats=graph.stats)
+        columns.update(changes)
+        return columns
+
+    def test_flat_columns_write_the_pinned_bytes(self, tmp_path):
+        path = tmp_path / "g.ctg"
+        with write_mapped_columns(path, **self.flat_columns()) as view:
+            assert TestPinnedBytes.pin(path, path.stat().st_size) == \
+                TestPinnedBytes.WITH_STATS
+            assert view.materialize() == TestPinnedBytes.GRAPH
+
+    @pytest.mark.parametrize("changes, match", [
+        (dict(source_probabilities=[1.0]),
+         "source distribution length disagrees"),
+        (dict(edge_offsets=[0, 2, 4, 0, 1, 2, 3]),
+         "CSR sections of level 0"),
+        (dict(edge_children=[0, 1, 2, 0, 0]),
+         "a column's length disagrees with its level counts"),
+        (dict(node_counts=[2, 3, 2]),
+         "a column's length disagrees with its level counts"),
+        (dict(edge_counts=[3]), "level array lengths disagree"),
+    ], ids=["short-source", "last-offset", "short-children",
+            "counts-past-the-column", "missing-edge-level"])
+    def test_flat_columns_are_checked(self, tmp_path, changes, match):
+        path = tmp_path / "g.ctg"
+        with pytest.raises(StoreFormatError, match=match):
+            write_mapped_columns(path, **self.flat_columns(**changes))
+        assert not path.exists()
+
+
+#: A mapped view's array columns, then ``stays``.
+ARRAYS = ("locations", "edge_offsets", "edge_children", "edge_probabilities",
+          "source_probabilities")
+COLUMNS = ARRAYS + ("stays",)
+
+
+def sliced(view):
+    """The array columns ``view`` has sliced so far, read past its
+    first-read hook."""
+    names = []
+    for name in ARRAYS:
+        try:
+            MappedCTGraph.__dict__[name].__get__(view, MappedCTGraph)
+        except AttributeError:
+            continue
+        names.append(name)
+    return names
+
+
+class TestLazyColumns:
+    """A view slices a column kind on its first read and keeps it; once
+    every array column is sliced it is a plain :class:`MappedCTGraph`,
+    whose reads take no first-read hook.  A view closed unread unmaps at
+    once, and every column reads empty after ``close()``."""
+
+    @staticmethod
+    def views(tmp_path, engine="compact"):
+        """A loaded view of each backing and a store build's view."""
+        lsequence, constraints = small_instance()
+        path = tmp_path / f"{engine}.ctg"
+        built = build_ct_graph(lsequence, constraints, CleaningOptions(
+            engine=engine, output=str(path)))
+        return [built, load_ctg(path), load_ctg(path, mmap=False)]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_columns_are_sliced_on_first_read(self, tmp_path, engine):
+        for view in self.views(tmp_path, engine):
+            with view:
+                assert sliced(view) == []
+                children = view.edge_children
+                assert sliced(view) == ["edge_children"]
+                assert view.edge_children is children
+                assert view.duration == 3 and view.level_size(1) == 2
+                assert sliced(view) == ["locations", "edge_children"]
+                assert type(view) is not MappedCTGraph
+                QuerySession(view).alphas()
+                assert sliced(view) == list(ARRAYS)
+                assert type(view) is MappedCTGraph
+                assert view.edge_children is children
+                assert view.materialize() == view.materialize()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("read", (False, True), ids=["unread", "read"])
+    def test_a_closed_view_unmaps_and_reads_empty(self, tmp_path, engine,
+                                                  read):
+        for view in self.views(tmp_path, engine):
+            mapped = view._mmap
+            if read:
+                assert query_bundle(view) == query_bundle(view.materialize())
+            view.close()
+            assert mapped is None or mapped.closed
+            assert all(getattr(view, name) == () for name in COLUMNS)
+
+    def test_a_held_column_outlives_close(self, tmp_path):
+        path = tmp_path / "g.ctg"
+        save_ctg(TestPinnedBytes.GRAPH, path)
+        view = load_ctg(path)
+        mapped, children = view._mmap, view.edge_children[0]
+        view.close()
+        assert not mapped.closed
+        assert children.tolist() == [0, 1, 2]
+
+
 def flat_probability_of(flat, trajectory):
     """Oracle: trajectory probability through the node graph."""
     from repro.queries.trajectory import TrajectoryQuery
@@ -602,6 +782,26 @@ class TestKeyPrefix:
                     assert key == reference_key(lsequence, constraints)
                     keys.add(key)
         assert len(keys) == 4 * len(self.LSEQUENCES)
+
+    @pytest.mark.parametrize("rows", [
+        [{"A": 0.6, "B": 0.4}] * 3 + [{"C": 1.0}, {"A": 0.6, "B": 0.4}],
+        [{"A": 0.5, "B": 0.5}, {"B": 0.5, "A": 0.5}, {"A": 0.5, "B": 0.5}],
+        [{'say "hi"': 0.5, "back\\slash": 0.5}, {"tab\tstop": 1.0},
+         {"Hall-\u00df\n": 0.25, "\u2603": 0.75},
+         {'say "hi"': 0.5, "back\\slash": 0.5}],
+    ], ids=["repeated-rows", "equal-sets-reordered", "json-escapes"])
+    def test_rows_encoded_once_per_call(self, rows):
+        lsequence = LSequence(rows)
+        for constraints in (self.FIRST, ConstraintSet()):
+            assert content_key(lsequence, constraints) == reference_key(
+                lsequence, constraints)
+
+    def test_a_reordered_row_is_another_key(self):
+        first = {"A": 0.5, "B": 0.5}
+        same = content_key(LSequence([first, first]), self.FIRST)
+        reordered = content_key(LSequence([first, {"B": 0.5, "A": 0.5}]),
+                                self.FIRST)
+        assert same != reordered
 
     def test_statements_are_encoded_once_per_prefix(self):
         from repro.store.graphstore import _key_prefix

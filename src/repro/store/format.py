@@ -632,7 +632,7 @@ class MappedCTGraph:
         self._casts = casts
         self._offsets = offsets
         self._counts = counts
-        self._unsliced = len(_ARRAY_COLUMNS)
+        self._unsliced = frozenset(_ARRAY_COLUMNS)
         self._num_nodes = num_nodes
         self._num_edges = num_edges
         self._mmap = mapped
@@ -792,7 +792,9 @@ class _UnslicedView(MappedCTGraph):
         if kind == 5:
             (columns,) = columns
         setattr(self, name, columns)
-        self._unsliced -= 1
+        # Names leave the set only after their column is set, so threads
+        # that race here can delay the switch but never make it early.
+        self._unsliced = self._unsliced - {name}
         if not self._unsliced:
             self.__class__ = MappedCTGraph
         return columns

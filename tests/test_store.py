@@ -554,6 +554,42 @@ class TestLazyColumns:
             assert mapped is None or mapped.closed
             assert all(getattr(view, name) == () for name in COLUMNS)
 
+    def test_racing_first_reads_slice_every_column(self, tmp_path):
+        """Threads that take a view's first reads at once, with a short
+        switch interval, never see a column go missing: the view turns
+        plain only once every array column is set."""
+        import threading
+
+        path = tmp_path / "g.ctg"
+        save_ctg(TestMappedColumns.wide_graph(), path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                view = load_ctg(path)
+                errors = []
+
+                def read(names, view=view, errors=errors):
+                    try:
+                        for name in names:
+                            getattr(view, name)
+                    except AttributeError as error:
+                        errors.append(error)
+
+                threads = [threading.Thread(target=read,
+                                            args=(ARRAYS[i:] + ARRAYS[:i],))
+                           for i in range(8 * len(ARRAYS))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert sliced(view) == list(ARRAYS)
+                view.close()
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_a_held_column_outlives_close(self, tmp_path):
         path = tmp_path / "g.ctg"
         save_ctg(TestPinnedBytes.GRAPH, path)

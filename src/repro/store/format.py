@@ -100,6 +100,7 @@ __all__ = [
     "read_shard_manifest",
     "save_ctg",
     "write_ctg",
+    "write_mapped_columns",
     "write_mapped_ctg",
     "write_stream_checkpoint",
 ]

@@ -5,8 +5,8 @@ one wide workload (``WIDTH`` locations a level, ~9.2k edges a level at
 full size):
 
 * **write** -- the compact engine's store sink
-  (``CleaningOptions(output=...)``, which hands the writer one flat list
-  per column kind and writes the ``.ctg`` layout from them) against the
+  (``CleaningOptions(output=...)``, which hands the writer its per-level
+  list rows and writes the ``.ctg`` layout from them) against the
   conventional persistence pipeline end to end (engine -> flat tuple
   materialisation -> ``pickle.dump`` -> file).  Reported, not gated:
   the sink builds no tuples, and the two pipelines come out level in

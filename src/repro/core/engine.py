@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import chain
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.algorithm import CleaningOptions, CleaningStats, _run_precheck
@@ -779,23 +778,19 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                 "the valid trajectories have zero total prior probability")
         stats.backward_seconds = time.perf_counter() - backward_started
         if options.store_materialize:
-            # Each column kind goes to the writer as one flat list (a
-            # ``None`` stay as ``-1``) with per-level counts; the caller
-            # gets the mmap view of the file, as a later load_ctg would.
-            from repro.store.format import write_mapped_columns
+            # The rows are written as they are (the writer packs each
+            # column kind once); the caller gets the mmap view of the
+            # file, as a later load_ctg would.
+            from repro.store.format import write_mapped_ctg
 
-            flat = chain.from_iterable
-            return write_mapped_columns(
+            return write_mapped_ctg(
                 options.output,
                 location_names=flat_names,
-                node_counts=list(map(len, flat_locations)),
-                edge_counts=list(map(len, flat_children)),
-                locations=list(flat(flat_locations)),
-                stays=[-1 if stay is None else stay
-                       for stay in flat(flat_stays)],
-                edge_offsets=list(flat(flat_offsets)),
-                edge_children=list(flat(flat_children)),
-                edge_probabilities=list(flat(flat_probabilities)),
+                locations=flat_locations,
+                stays=flat_stays,
+                edge_offsets=flat_offsets,
+                edge_children=flat_children,
+                edge_probabilities=flat_probabilities,
                 source_probabilities=[p / total for p in source_row],
                 stats=stats)
         return FlatCTGraph(

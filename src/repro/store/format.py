@@ -100,7 +100,6 @@ __all__ = [
     "read_shard_manifest",
     "save_ctg",
     "write_ctg",
-    "write_mapped_columns",
     "write_mapped_ctg",
     "write_stream_checkpoint",
 ]
@@ -123,9 +122,6 @@ _ALIGN = 8
 #: The array typecode whose machine width is 4 bytes (``"i"`` on every
 #: platform CPython supports; ``"l"`` is the documented fallback).
 _I32 = "i" if array("i").itemsize == 4 else "l"
-
-#: The array typecode of each column kind, in :data:`Counts` order.
-_KIND_CODES = (_I32, _I32, _I32, _I32, "d", "d")
 
 #: One column of a loaded graph: a ``memoryview`` cast, or a byteswapped
 #: ``array.array`` copy (big-endian hosts only).
@@ -168,20 +164,6 @@ def _native(values: object, code: str) -> bool:
             and sys.byteorder == "little")
 
 
-def _packed(values: Sequence, code: str) -> memoryview:
-    """A sequence of numbers as one typed view of their little-endian
-    bytes: one ``struct.pack``, on any host."""
-    return memoryview(struct.pack(f"<{len(values)}{_STRUCT_CODES[code]}",
-                                  *values)).cast(code)
-
-
-def _sliced(view: memoryview, counts: Sequence[int]
-            ) -> Iterator[memoryview]:
-    """Consecutive slices of ``view``, of ``counts[i]`` items each."""
-    bounds = list(accumulate(counts, initial=0))
-    return map(view.__getitem__, map(slice, bounds, bounds[1:]))
-
-
 def _level_view(level, code: str, stays: bool) -> memoryview:
     """One level of a column as a typed view of its little-endian bytes:
     a native memoryview passes through, anything else converts through
@@ -203,17 +185,22 @@ def _kind_views(levels, counts: Sequence[int], code: str,
                 stays: bool = False) -> Iterator[memoryview]:
     """Every level of one column kind as a typed view, in level order.
 
-    Tuple and list levels convert together: one pack of the whole kind
-    (see :func:`_packed`), which each level's view slices.  Any other
-    level (a mapped memoryview, an ``array.array``, an ndarray) converts
-    on its own, when its section is written, so a large graph of buffers
-    holds one level's conversion at a time.
+    Tuple and list levels convert together: one ``struct.pack`` of the
+    whole kind, little-endian on any host, that each level's view slices
+    by ``counts``.  Any other level (a mapped memoryview, an
+    ``array.array``, an ndarray) converts on its own, when its section
+    is written, so a large graph of buffers holds one level's conversion
+    at a time.
     """
     if not set(map(type, levels)) <= _PLAIN:
         return map(_level_view, levels, repeat(code), repeat(stays))
     values = chain.from_iterable(levels)
-    return _sliced(_packed([-1 if stay is None else stay for stay in values]
-                           if stays else tuple(values), code), counts)
+    items = (tuple(values) if not stays
+             else [-1 if stay is None else stay for stay in values])
+    view = memoryview(struct.pack(f"<{len(items)}{_STRUCT_CODES[code]}",
+                                  *items)).cast(code)
+    bounds = list(accumulate(counts, initial=0))
+    return map(view.__getitem__, map(slice, bounds, bounds[1:]))
 
 
 def _check_shape(path, counts: Counts,
@@ -327,59 +314,12 @@ def write_mapped_ctg(path, *, location_names: Sequence[str],
     offsets and counts the encoder planned: the file is not opened again
     by path and the layout the writer has just produced is not parsed.
     The view keeps its mapping across a rename of the file (the store's
-    atomic publish).  The reference engine's ``materialize="store"``
-    builds hand back the graph they wrote this way.
+    atomic publish).  This is how the engines' ``materialize="store"``
+    builds hand back the graph they wrote.
     """
-    return _write_mapped(path, location_names, stats, *_level_columns(
+    counts, views = _level_columns(
         path, locations, stays, edge_offsets, edge_children,
-        edge_probabilities, source_probabilities))
-
-
-def write_mapped_columns(path, *, location_names: Sequence[str],
-                         node_counts: Sequence[int],
-                         edge_counts: Sequence[int],
-                         locations: Sequence[int], stays: Sequence[int],
-                         edge_offsets: Sequence[int],
-                         edge_children: Sequence[int],
-                         edge_probabilities: Sequence[float],
-                         source_probabilities: Sequence[float],
-                         stats=None) -> "MappedCTGraph":
-    """:func:`write_mapped_ctg` for columns given flat: each kind is one
-    sequence holding every level's items in level order.
-
-    Level ``tau`` has ``node_counts[tau]`` locations and stays (a
-    ``None`` stay already ``-1``) and, below the last level,
-    ``node_counts[tau] + 1`` CSR offsets (counted from the level's first
-    edge) and ``edge_counts[tau]`` children and probabilities.  Each
-    kind converts in one pack (see :func:`_packed`) whose slices are the
-    sections, and the bytes are those :func:`write_ctg` writes for the
-    same graph.  The compact engine's ``materialize="store"`` builds
-    write this way.
-    """
-    nodes, edges = tuple(node_counts), tuple(edge_counts)
-    if not nodes:
-        raise StoreFormatError("a .ctg graph needs at least one level")
-    if len(edges) != len(nodes) - 1:
-        raise StoreFormatError("level array lengths disagree")
-    offsets = tuple(map(add, nodes[:-1], repeat(1)))
-    counts = (nodes, nodes, offsets, edges, edges,
-              (len(source_probabilities),))
-    columns = (locations, stays, edge_offsets, edge_children,
-               edge_probabilities, source_probabilities)
-    if tuple(map(len, columns)) != tuple(map(sum, counts)):
-        raise _bounds_error(path, "a column's length disagrees with its "
-                                  "level counts")
-    _check_shape(path, counts, lambda: tuple(map(
-        edge_offsets.__getitem__,
-        islice(accumulate(offsets, initial=-1), 1, None))))
-    return _write_mapped(path, location_names, stats, counts, tuple(map(
-        _sliced, map(_packed, columns, _KIND_CODES), counts)))
-
-
-def _write_mapped(path, location_names, stats, counts: Counts,
-                  views) -> "MappedCTGraph":
-    """Encode into a read-write descriptor and map it (see
-    :func:`write_mapped_ctg`)."""
+        edge_probabilities, source_probabilities)
     with open(path, "w+b") as fh:
         layout = _encode(fh, location_names, stats, counts, views)
         fh.flush()
@@ -589,20 +529,21 @@ class MappedCTGraph:
     """A read-only, ``FlatCTGraph``-compatible view over one ``.ctg`` buffer.
 
     The view holds the buffer cast once per dtype, and every section's
-    offset and count.  A column attribute is sliced from those casts on
-    its first read, and is a plain attribute from then on: ``locations``,
-    ``edge_offsets``, ``edge_children`` and ``edge_probabilities`` are
-    tuples of per-level zero-copy ``memoryview`` slices, and
-    ``source_probabilities`` is one slice.  A column nobody reads is
-    never sliced.  So a :class:`~repro.queries.session.QuerySession`
-    consumes the file without deserialising it: its DPs read plain ints
-    and floats from the casts.  ``stays`` decodes into the canonical
-    ``Optional[int]`` tuples on its first read (the one column whose
-    ``-1`` sentinel needs boxing).  ``duration`` is a stored int.
+    offset and count.  The array columns are sliced from those casts on
+    the first read of any of them, and are plain attributes from then
+    on: ``locations``, ``edge_offsets``, ``edge_children`` and
+    ``edge_probabilities`` are tuples of per-level zero-copy
+    ``memoryview`` slices, and ``source_probabilities`` is one slice.  A
+    view closed unread never slices them.  So a
+    :class:`~repro.queries.session.QuerySession` consumes the file
+    without deserialising it: its DPs read plain ints and floats from
+    the casts.  ``stays`` decodes into the canonical ``Optional[int]``
+    tuples on its first read (the one column whose ``-1`` sentinel needs
+    boxing).  ``duration`` is a stored int.
 
-    :func:`load_ctg` and the store writers return a view of a subclass
-    whose ``__getattr__`` slices a column on its first read; once all
-    five array columns are sliced the view is a plain
+    :func:`load_ctg` and :func:`write_mapped_ctg` return a view of a
+    subclass whose ``__getattr__`` slices the five array columns on the
+    first read of one and then makes the view a plain
     :class:`MappedCTGraph`, because CPython reads every attribute of a
     class with ``__getattr__`` through a slower, unspecialised path.
 
@@ -617,7 +558,7 @@ class MappedCTGraph:
 
     __slots__ = ("path", "backing", "location_names", "duration", "stats",
                  *_ARRAY_COLUMNS, "_stays", "_num_nodes", "_num_edges",
-                 "_mmap", "_casts", "_offsets", "_counts", "_unsliced")
+                 "_mmap", "_casts", "_offsets", "_counts")
 
     def __init__(self, *, path, backing: str,
                  location_names: Tuple[str, ...], duration: int, casts,
@@ -633,7 +574,6 @@ class MappedCTGraph:
         self._casts = casts
         self._offsets = offsets
         self._counts = counts
-        self._unsliced = frozenset(_ARRAY_COLUMNS)
         self._num_nodes = num_nodes
         self._num_edges = num_edges
         self._mmap = mapped
@@ -752,11 +692,13 @@ class MappedCTGraph:
         A view closed with no column handed out unmaps at once.  If a
         caller still holds a column view the unmap is deferred to
         garbage collection (closing the mmap would raise ``BufferError``
-        while exports exist); the view itself reads empty either way.
+        while exports exist); the view itself reads empty, with duration
+        0, either way.
         """
         for name in _ARRAY_COLUMNS:
             setattr(self, name, ())
         self._stays = ()
+        self.duration = 0
         self._casts = None
         mapped, self._mmap = self._mmap, None
         if mapped is not None:
@@ -779,26 +721,21 @@ class MappedCTGraph:
 
 
 class _UnslicedView(MappedCTGraph):
-    """A :class:`MappedCTGraph` with array columns still to slice."""
+    """A :class:`MappedCTGraph` whose array columns are still to slice."""
 
     __slots__ = ()
 
     def __getattr__(self, name: str):
-        """Slice column ``name`` on its first read, and keep it."""
-        kind = _ARRAY_COLUMNS.get(name)
-        if kind is None:
+        """On the first read of an array column, slice all five, keep
+        them and turn into a plain :class:`MappedCTGraph`."""
+        if name not in _ARRAY_COLUMNS:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        columns = self._levels(kind)
-        if kind == 5:
-            (columns,) = columns
-        setattr(self, name, columns)
-        # Names leave the set only after their column is set, so threads
-        # that race here can delay the switch but never make it early.
-        self._unsliced = self._unsliced - {name}
-        if not self._unsliced:
-            self.__class__ = MappedCTGraph
-        return columns
+        for column, kind in _ARRAY_COLUMNS.items():
+            levels = self._levels(kind)
+            setattr(self, column, levels[0] if kind == 5 else levels)
+        self.__class__ = MappedCTGraph
+        return getattr(self, name)
 
 
 def _bounds_error(path, detail: str) -> StoreFormatError:
@@ -1026,10 +963,10 @@ def load_ctg(path, *, mmap: bool = True, verify: bool = False
     as a zero-copy view — the pages fault in on demand, so a cold load is
     header + section-table parsing, not a full read.  ``mmap=False``
     reads the file into one ``bytes`` object instead (same views, private
-    memory).  Either way the buffer is cast once per dtype and each
-    column is sliced from a cast on its first read (an ``array.array``
-    copy on big-endian hosts); the load itself slices none.  The query
-    DPs read plain ints and floats from the slices.
+    memory).  Either way the buffer is cast once per dtype, and the
+    array columns are sliced from the casts on the first read of one (an
+    ``array.array`` copy on big-endian hosts); the load itself slices
+    none.  The query DPs read plain ints and floats from the slices.
 
     Structural validation (magic, version, every section's offset,
     alignment and count against the payload and the header, the CSR

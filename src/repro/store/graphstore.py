@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from json.encoder import encode_basestring_ascii
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -51,8 +50,9 @@ __all__ = ["GraphStore", "content_key"]
 KEY_FORMAT = "rfid-ctg/ctg-key@1"
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+#: The key's JSON text of a value: ``json.dumps`` with sorted keys and no
+#: spaces, through one encoder instead of one made per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @lru_cache(maxsize=16)
@@ -94,9 +94,9 @@ def content_key(lsequence, constraints, options=None, *,
 
     The levels' text is the JSON text of each level's row joined by
     commas.  Each distinct row (the same locations with the same
-    probabilities, in the same order) is encoded once per call, with
-    ``json``'s own string escaping: an object that keeps its readings
-    for several steps repeats its rows.  The memo is local to the call.
+    probabilities, in the same order) is encoded once per call: an
+    object that keeps its readings for several steps repeats its rows.
+    The memo is local to the call.
     """
     if options is None:
         from repro.core.algorithm import CleaningOptions  # lazy
@@ -108,10 +108,8 @@ def content_key(lsequence, constraints, options=None, *,
         row = tuple(lsequence.candidates(tau).items())
         text = texts.get(row)
         if text is None:
-            text = texts[row] = "[" + ",".join([
-                f'[{encode_basestring_ascii(location)},'
-                f'"{float(probability).hex()}"]'
-                for location, probability in row]) + "]"
+            text = texts[row] = _dumps([[location, float(probability).hex()]
+                                        for location, probability in row])
         levels.append(text)
     digest = _key_prefix(constraints.sorted_statements,
                          _dumps(extra)).copy()

@@ -7,10 +7,9 @@ run the one python sweep for each.  On the hypothesis instances that
 pin the engines (``tests/test_engine_vs_reference.py``) every value must
 give the ``"python"`` outputs exactly: a flat build with its stats
 counters, a store build's file bytes, the error an inconsistent instance
-raises, and a session's answers.  A store build writes its columns
-straight into the ``.ctg`` layout (the compact engine from one flat list
-per column kind); its file must be, byte for byte, what ``save_ctg``
-writes for the flat build of either engine.
+raises, and a session's answers.  A store build writes its per-level
+rows straight into the ``.ctg`` layout; its file must be, byte for
+byte, what ``save_ctg`` writes for the flat build of either engine.
 """
 
 import tempfile

@@ -44,6 +44,7 @@ from repro.core.lsequence import LSequence
 from repro.errors import (
     GraphExportError,
     InconsistentReadingsError,
+    QueryError,
     ReadingSequenceError,
     StoreChecksumError,
     StoreError,
@@ -61,7 +62,7 @@ from repro.store import (
     write_ctg,
 )
 from repro.store import format as store_format
-from repro.store.format import write_mapped_columns, write_mapped_ctg
+from repro.store.format import write_mapped_ctg
 
 from tests.test_imports import loaded_after
 
@@ -444,52 +445,6 @@ class TestWriterShape:
         with pytest.raises(StoreFormatError, match=match):
             load_ctg(path, mmap=mmap)
 
-    @staticmethod
-    def flat_columns(**changes):
-        """The pinned graph as :func:`write_mapped_columns` takes it."""
-        graph = TestPinnedBytes.GRAPH
-        columns = dict(
-            location_names=graph.location_names,
-            node_counts=[2, 3, 1], edge_counts=[3, 3],
-            locations=[lid for level in graph.locations for lid in level],
-            stays=[-1 if stay is None else stay
-                   for level in graph.stays for stay in level],
-            edge_offsets=[offset for level in graph.edge_offsets
-                          for offset in level],
-            edge_children=[child for level in graph.edge_children
-                           for child in level],
-            edge_probabilities=[p for level in graph.edge_probabilities
-                                for p in level],
-            source_probabilities=list(graph.source_probabilities),
-            stats=graph.stats)
-        columns.update(changes)
-        return columns
-
-    def test_flat_columns_write_the_pinned_bytes(self, tmp_path):
-        path = tmp_path / "g.ctg"
-        with write_mapped_columns(path, **self.flat_columns()) as view:
-            assert TestPinnedBytes.pin(path, path.stat().st_size) == \
-                TestPinnedBytes.WITH_STATS
-            assert view.materialize() == TestPinnedBytes.GRAPH
-
-    @pytest.mark.parametrize("changes, match", [
-        (dict(source_probabilities=[1.0]),
-         "source distribution length disagrees"),
-        (dict(edge_offsets=[0, 2, 4, 0, 1, 2, 3]),
-         "CSR sections of level 0"),
-        (dict(edge_children=[0, 1, 2, 0, 0]),
-         "a column's length disagrees with its level counts"),
-        (dict(node_counts=[2, 3, 2]),
-         "a column's length disagrees with its level counts"),
-        (dict(edge_counts=[3]), "level array lengths disagree"),
-    ], ids=["short-source", "last-offset", "short-children",
-            "counts-past-the-column", "missing-edge-level"])
-    def test_flat_columns_are_checked(self, tmp_path, changes, match):
-        path = tmp_path / "g.ctg"
-        with pytest.raises(StoreFormatError, match=match):
-            write_mapped_columns(path, **self.flat_columns(**changes))
-        assert not path.exists()
-
 
 #: A mapped view's array columns, then ``stays``.
 ARRAYS = ("locations", "edge_offsets", "edge_children", "edge_probabilities",
@@ -511,10 +466,10 @@ def sliced(view):
 
 
 class TestLazyColumns:
-    """A view slices a column kind on its first read and keeps it; once
-    every array column is sliced it is a plain :class:`MappedCTGraph`,
-    whose reads take no first-read hook.  A view closed unread unmaps at
-    once, and every column reads empty after ``close()``."""
+    """A view slices its array columns on the first read of one, keeps
+    them and turns into a plain :class:`MappedCTGraph`, whose reads take
+    no first-read hook.  A view closed unread unmaps at once, and every
+    column reads empty after ``close()``."""
 
     @staticmethod
     def views(tmp_path, engine="compact"):
@@ -529,18 +484,15 @@ class TestLazyColumns:
     def test_columns_are_sliced_on_first_read(self, tmp_path, engine):
         for view in self.views(tmp_path, engine):
             with view:
+                assert view.duration == 3 and view.num_edges == 6
                 assert sliced(view) == []
-                children = view.edge_children
-                assert sliced(view) == ["edge_children"]
-                assert view.edge_children is children
-                assert view.duration == 3 and view.level_size(1) == 2
-                assert sliced(view) == ["locations", "edge_children"]
                 assert type(view) is not MappedCTGraph
-                QuerySession(view).alphas()
+                children = view.edge_children
                 assert sliced(view) == list(ARRAYS)
                 assert type(view) is MappedCTGraph
                 assert view.edge_children is children
-                assert view.materialize() == view.materialize()
+                assert query_bundle(view) == query_bundle(view.materialize())
+                assert view.edge_children is children
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("read", (False, True), ids=["unread", "read"])
@@ -553,42 +505,9 @@ class TestLazyColumns:
             view.close()
             assert mapped is None or mapped.closed
             assert all(getattr(view, name) == () for name in COLUMNS)
-
-    def test_racing_first_reads_slice_every_column(self, tmp_path):
-        """Threads that take a view's first reads at once, with a short
-        switch interval, never see a column go missing: the view turns
-        plain only once every array column is set."""
-        import threading
-
-        path = tmp_path / "g.ctg"
-        save_ctg(TestMappedColumns.wide_graph(), path)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(300):
-                view = load_ctg(path)
-                errors = []
-
-                def read(names, view=view, errors=errors):
-                    try:
-                        for name in names:
-                            getattr(view, name)
-                    except AttributeError as error:
-                        errors.append(error)
-
-                threads = [threading.Thread(target=read,
-                                            args=(ARRAYS[i:] + ARRAYS[:i],))
-                           for i in range(8 * len(ARRAYS))]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=10)
-                assert not any(thread.is_alive() for thread in threads)
-                assert errors == []
-                assert sliced(view) == list(ARRAYS)
-                view.close()
-        finally:
-            sys.setswitchinterval(interval)
+            assert view.duration == 0
+            with pytest.raises(QueryError):
+                view.level_size(0)
 
     def test_a_held_column_outlives_close(self, tmp_path):
         path = tmp_path / "g.ctg"

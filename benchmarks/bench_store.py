@@ -9,9 +9,9 @@ full size):
   list rows and writes the ``.ctg`` layout from them) against the
   conventional persistence pipeline end to end (engine -> flat tuple
   materialisation -> ``pickle.dump`` -> file).  Reported, not gated:
-  the sink builds no tuples, and the two pipelines come out level in
-  the committed record (0.99x; 0.92x when the sink still built the
-  tuples);
+  the sink builds no tuples, and the two pipelines come out about level
+  (1.05x in the committed record, 0.99x in the run before it; 0.92x
+  when the sink still built the tuples);
 * **cold load** -- ``load_ctg(path, mmap=True)`` serves a query-ready
   graph view from a cold start at least ``COLD_LOAD_GATE`` times faster
   than unpickling the equivalent ``FlatCTGraph`` (the mmap load is

@@ -36,8 +36,8 @@ laid out so a loader can hand out per-level array views over a single
 
 The 8-byte alignment means every section can be viewed in place:
 :func:`load_ctg` casts the buffer once per dtype and serves each column,
-on its first read, as a slice of that ``memoryview`` cast, which the
-query DPs index as plain ints and floats.
+from the first read of one, as a slice of that ``memoryview`` cast,
+which the query DPs index as plain ints and floats.
 The CRC-32 makes corruption detectable (:func:`load_ctg` verifies it on
 ``verify=True``).
 Structural bounds — magic, version, section offsets, alignment and
@@ -203,6 +203,13 @@ def _kind_views(levels, counts: Sequence[int], code: str,
     return map(view.__getitem__, map(slice, bounds, bounds[1:]))
 
 
+def _write_chunk(fh, chunk: bytes, crc: int) -> int:
+    """Write one chunk of the payload; returns the running CRC-32.  The
+    chunk dies on return, before the next one is joined."""
+    fh.write(chunk)
+    return zlib.crc32(chunk, crc)
+
+
 def _check_shape(path, counts: Counts,
                  last_offsets: Callable[[], Tuple[int, ...]]) -> None:
     """Raise :class:`StoreFormatError` naming ``path`` unless the column
@@ -330,13 +337,6 @@ def write_mapped_ctg(path, *, location_names: Sequence[str],
         offsets=layout.offsets, counts=layout.counts,
         num_nodes=layout.num_nodes, num_edges=layout.num_edges, stats=stats,
         mapped=mapped)
-
-
-def _write_chunk(fh, chunk: bytes, crc: int) -> int:
-    """Write one chunk of the payload; returns the running CRC-32.  The
-    chunk dies on return, before the next one is joined."""
-    fh.write(chunk)
-    return zlib.crc32(chunk, crc)
 
 
 class _Layout(NamedTuple):

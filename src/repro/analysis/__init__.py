@@ -16,13 +16,13 @@ C001
 
 Three layers expose it: this API (:func:`analyze`), the ``rfid-ctg
 analyze`` CLI subcommand (``--strict`` exits 1 on ERROR, ``--advise``
-adds C010's size estimate), and the opt-in ``precheck`` option of
-:class:`repro.core.algorithm.CleaningOptions`.  The abstract-
-interpretation layer (:mod:`repro.analysis.envelope`) bounds graph
-widths and sizes (C007-C010); :func:`repro.analysis.advisor.advise`
-turns those bounds into an :class:`EngineAdvice` size estimate.  No
-cleaning run consults it.  ``docs/analysis.md`` documents every rule
-code.
+adds C010's materialisation hint), and the opt-in ``precheck`` option of
+:class:`repro.core.algorithm.CleaningOptions`, which runs the
+constraints-only rules C001-C004.  Given readings, :func:`analyze` calls
+:func:`repro.analysis.advisor.advise` once: one build of the readings
+through ``build_ct_graph``, whose exact facts answer C005, C006, C008
+and C010 (:class:`EngineAdvice`).  No cleaning run consults it.
+``docs/analysis.md`` documents every rule code.
 """
 
 from typing import TYPE_CHECKING
@@ -33,23 +33,12 @@ if TYPE_CHECKING:
     from repro.analysis.advisor import EngineAdvice, advise
     from repro.analysis.analyzer import RULES, ZERO_MASS_RULE, RuleSpec, analyze
     from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
-    from repro.analysis.envelope import (
-        AbstractState,
-        ConstraintEnvelope,
-        DepartureInterval,
-        estimate_ctg_bytes,
-        estimate_graph_bytes,
-    )
-    from repro.analysis.precheck import first_dead_timestep, predict_zero_mass
     from repro.analysis.reachability import ReachabilityIndex, location_universe
-    from repro.analysis.rules import AnalysisContext, ctgraph_size_bounds
+    from repro.analysis.rules import AnalysisContext
 
 __all__ = [
-    "AbstractState",
     "AnalysisContext",
     "AnalysisReport",
-    "ConstraintEnvelope",
-    "DepartureInterval",
     "Diagnostic",
     "EngineAdvice",
     "ReachabilityIndex",
@@ -59,12 +48,7 @@ __all__ = [
     "ZERO_MASS_RULE",
     "advise",
     "analyze",
-    "ctgraph_size_bounds",
-    "estimate_ctg_bytes",
-    "estimate_graph_bytes",
-    "first_dead_timestep",
     "location_universe",
-    "predict_zero_mass",
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
@@ -73,11 +57,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
         "RULES", "ZERO_MASS_RULE", "RuleSpec", "analyze",
     ),
     "repro.analysis.diagnostics": ("AnalysisReport", "Diagnostic", "Severity"),
-    "repro.analysis.envelope": (
-        "AbstractState", "ConstraintEnvelope", "DepartureInterval",
-        "estimate_ctg_bytes", "estimate_graph_bytes",
-    ),
-    "repro.analysis.precheck": ("first_dead_timestep", "predict_zero_mass"),
     "repro.analysis.reachability": ("ReachabilityIndex", "location_universe"),
-    "repro.analysis.rules": ("AnalysisContext", "ctgraph_size_bounds"),
+    "repro.analysis.rules": ("AnalysisContext",),
 })

@@ -1,12 +1,14 @@
 """The analyzer entry point: run every rule, collect a report.
 
-:func:`analyze` is the one-call API behind both the ``rfid-ctg analyze``
-CLI subcommand and the opt-in pre-flight hook of
-:func:`repro.core.algorithm.build_ct_graph`.  It inspects a constraint
-set (plus, optionally, a map model, a prior model and a concrete reading
-sequence) *statically* — no trajectory enumeration, no probability
-arithmetic — and returns an :class:`AnalysisReport` of typed diagnostics
-with stable rule codes.
+:func:`analyze` is the one-call API behind the ``rfid-ctg analyze`` CLI
+subcommand; the opt-in ``precheck`` of
+:func:`repro.core.algorithm.build_ct_graph` runs its constraints-only
+rules.  It inspects a constraint set (plus, optionally, a map model and
+a prior model) without enumerating trajectories; given a concrete
+reading sequence it also builds that sequence's ct-graph once, through
+:func:`repro.analysis.advisor.advise`, and reads exact facts off it.  It
+returns an :class:`AnalysisReport` of typed diagnostics with stable rule
+codes.
 """
 
 from __future__ import annotations
@@ -14,20 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
+from repro.analysis import advisor
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
-from repro.analysis.envelope import ConstraintEnvelope
 from repro.analysis.reachability import ReachabilityIndex, location_universe
 from repro.analysis.rules import (
     AnalysisContext,
-    check_blowup_estimate,
     check_contradictory_stays,
     check_dead_level_candidates,
     check_dead_locations,
     check_dead_traveling_times,
-    check_envelope_zero_mass,
+    check_graph_size,
+    check_materialisation,
     check_redundant_constraints,
-    check_size_estimate,
-    check_width_envelope,
     check_zero_mass,
 )
 from repro.core.constraints import ConstraintSet
@@ -56,6 +56,7 @@ class RuleSpec:
     advisory: bool = False
 
 
+#: C007 and C009 are retired; their codes are not reused.
 RULES: Tuple[RuleSpec, ...] = (
     RuleSpec("C001", "contradictory stay (DU self-loop vs latency)",
              False, check_contradictory_stays),
@@ -65,18 +66,14 @@ RULES: Tuple[RuleSpec, ...] = (
              False, check_redundant_constraints),
     RuleSpec("C004", "dead location",
              False, check_dead_locations),
-    RuleSpec("C005", "zero-mass pre-check",
+    RuleSpec("C005", "zero valid mass",
              True, check_zero_mass),
-    RuleSpec("C006", "ct-graph blowup estimate",
-             True, check_blowup_estimate),
-    RuleSpec("C007", "abstract width envelope",
-             True, check_width_envelope),
+    RuleSpec("C006", "exact ct-graph size",
+             True, check_graph_size),
     RuleSpec("C008", "dead support candidates / forced levels",
              True, check_dead_level_candidates),
-    RuleSpec("C009", "envelope zero-mass proof",
-             True, check_envelope_zero_mass),
-    RuleSpec("C010", "size estimate and materialisation hint",
-             True, check_size_estimate, advisory=True),
+    RuleSpec("C010", "materialisation hint",
+             True, check_materialisation, advisory=True),
 )
 
 
@@ -103,25 +100,27 @@ def analyze(constraints: ConstraintSet,
             readings: Optional[Union[LSequence, ReadingSequence]] = None,
             *, strict_truncation: bool = False,
             advise: bool = False) -> AnalysisReport:
-    """Statically analyze a constraint set (and optional map/prior/readings).
+    """Analyze a constraint set (and optional map/prior/readings).
 
     Rules C001-C004 need only the constraints (the map model widens the
     location universe and the prior tells C004 which locations actually
-    carry mass); C005-C010 additionally need a concrete reading sequence —
-    pass ``readings`` as either a raw
+    carry mass); C005, C006 and C008 additionally need a concrete reading
+    sequence — pass ``readings`` as either a raw
     :class:`~repro.core.lsequence.ReadingSequence` (with ``prior``) or an
-    already-interpreted :class:`~repro.core.lsequence.LSequence`.
-    ``advise=True`` additionally runs the advisory rules (C010's size
-    estimate and materialisation hint).
+    already-interpreted :class:`~repro.core.lsequence.LSequence`.  With
+    readings, :func:`repro.analysis.advisor.advise` runs exactly once
+    and every readings rule reads its result.  ``advise=True``
+    additionally runs the advisory rule C010 (the materialisation hint).
 
     Diagnostics are emitted in rule-code order and are deterministic for a
     given input (rules iterate sorted views).
     """
     lsequence = _as_lsequence(readings, prior)
     universe = location_universe(constraints, map_model, prior, lsequence)
-    envelope = (ConstraintEnvelope(lsequence, constraints,
-                                   strict_truncation=strict_truncation)
-                if lsequence is not None else None)
+    # Looked up at call time, so a wrapped ``advisor.advise`` sees it.
+    advice = (advisor.advise(lsequence, constraints,
+                             strict_truncation=strict_truncation)
+              if lsequence is not None else None)
     context = AnalysisContext(
         constraints=constraints,
         universe=universe,
@@ -130,7 +129,7 @@ def analyze(constraints: ConstraintSet,
         prior=prior,
         lsequence=lsequence,
         strict_truncation=strict_truncation,
-        envelope=envelope)
+        advice=advice)
     diagnostics: List[Diagnostic] = []
     for spec in RULES:
         if spec.requires_readings and lsequence is None:

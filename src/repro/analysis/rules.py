@@ -1,13 +1,14 @@
-"""The analyzer's rules: C001-C010.
+"""The analyzer's rules: C001-C010 (C007 and C009 retired).
 
 Every rule is a generator taking an :class:`AnalysisContext` and yielding
-:class:`~repro.analysis.diagnostics.Diagnostic` records.  Rules are pure
-inspections — none enumerates trajectories or touches probabilities; the
-most expensive machinery is the cached BFS closure of
-:class:`~repro.analysis.reachability.ReachabilityIndex`, the boolean
-forward pass of :mod:`repro.analysis.precheck` (C005) and the abstract
-forward pass of :mod:`repro.analysis.envelope` (C007-C010) — all
-readings-specific and polynomial.
+:class:`~repro.analysis.diagnostics.Diagnostic` records.  C001-C004
+inspect the constraints (and the optional map, prior and readings
+supports) alone; their most expensive machinery is the cached BFS
+closure of :class:`~repro.analysis.reachability.ReachabilityIndex`.  The
+readings rules C005, C006, C008 and C010 read the one
+:class:`~repro.analysis.advisor.EngineAdvice` that
+:func:`~repro.analysis.analyzer.analyze` computes per call: exact facts
+off one build of the readings.
 
 | code | severity | finding |
 |------|----------|---------|
@@ -16,27 +17,22 @@ readings-specific and polynomial.
 | C003 | INFO     | duplicate statements / bounds dominated by stricter ones |
 | C004 | WARNING  | location with no DU-legal in- or out-steps |
 | C005 | ERROR    | a concrete reading sequence has zero valid mass |
-| C006 | INFO     | ct-graph node-count upper bound per timestep (+ byte estimates) |
-| C007 | INFO     | abstract width envelope: tighter per-level node bound |
+| C006 | INFO     | exact ct-graph size per level, and its bytes per shape |
 | C008 | WARNING  | dead support candidates / forced single-location levels |
-| C009 | ERROR    | interval envelope empties a level: zero mass, proved early |
-| C010 | INFO     | size estimate and materialisation hint (``--advise``) |
+| C010 | INFO     | materialisation hint (``--advise``) |
+
+C007 (an interval width envelope) and C009 (its zero-mass proof) bounded
+what C006 and C005 now count exactly; their codes are not reused.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
+from repro.analysis.advisor import EngineAdvice
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.envelope import (
-    ConstraintEnvelope,
-    estimate_ctg_bytes,
-    estimate_graph_bytes,
-)
-from repro.analysis.precheck import first_dead_timestep
 from repro.analysis.reachability import ReachabilityIndex
 from repro.core.constraints import ConstraintSet, Latency, TravelingTime
 from repro.core.lsequence import LSequence
@@ -48,12 +44,9 @@ __all__ = [
     "check_redundant_constraints",
     "check_dead_locations",
     "check_zero_mass",
-    "check_blowup_estimate",
-    "check_width_envelope",
+    "check_graph_size",
     "check_dead_level_candidates",
-    "check_envelope_zero_mass",
-    "check_size_estimate",
-    "ctgraph_size_bounds",
+    "check_materialisation",
 ]
 
 
@@ -62,8 +55,8 @@ class AnalysisContext:
     """Everything one analyzer run knows about its inputs.
 
     ``map_model`` and ``prior`` are duck-typed (anything exposing
-    ``location_names``); ``lsequence`` is present only when the caller
-    supplied a concrete reading sequence to pre-check.
+    ``location_names``); ``lsequence`` and ``advice`` are present only
+    when the caller supplied a concrete reading sequence.
     """
 
     constraints: ConstraintSet
@@ -73,10 +66,10 @@ class AnalysisContext:
     prior: Optional[object] = None
     lsequence: Optional[LSequence] = None
     strict_truncation: bool = False
-    #: The abstract-interpretation envelope over the readings, built once
-    #: by :func:`~repro.analysis.analyzer.analyze` and shared by
-    #: C007-C010.  ``None`` without readings.
-    envelope: Optional[ConstraintEnvelope] = None
+    #: The exact facts of one build of the readings, computed once by
+    #: :func:`~repro.analysis.analyzer.analyze` and shared by C005, C006,
+    #: C008 and C010.
+    advice: Optional[EngineAdvice] = None
 
 
 # ----------------------------------------------------------------------
@@ -209,17 +202,14 @@ def check_dead_locations(ctx: AnalysisContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# C005 — zero-mass pre-check for a concrete reading sequence
+# C005 — zero valid mass for a concrete reading sequence
 # ----------------------------------------------------------------------
 def check_zero_mass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """The boolean forward pass of :mod:`repro.analysis.precheck`."""
-    if ctx.lsequence is None:
+    """The build raised ``ZeroMassError``: report where it died."""
+    advice = ctx.advice
+    if advice is None or not advice.zero_mass:
         return
-    failed_at = first_dead_timestep(
-        ctx.lsequence, ctx.constraints,
-        strict_truncation=ctx.strict_truncation)
-    if failed_at is None:
-        return
+    failed_at = advice.failed_at
     if failed_at == 0:
         where = "no source location satisfies the constraints at timestep 0"
     else:
@@ -228,134 +218,58 @@ def check_zero_mass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     yield Diagnostic(
         "C005", Severity.ERROR,
         f"zero valid mass: {where}; conditioning is undefined and "
-        f"Algorithm 1 would raise ZeroMassError "
+        f"Algorithm 1 raises ZeroMassError "
         f"(repro.core.diagnostics.diagnose gives a per-move account)",
         data={"failed_at": failed_at})
 
 
 # ----------------------------------------------------------------------
-# C006 — ct-graph blowup estimate
+# C006 — exact ct-graph size
 # ----------------------------------------------------------------------
-def ctgraph_size_bounds(lsequence: LSequence,
-                        constraints: ConstraintSet) -> List[int]:
-    """A per-timestep upper bound on the number of ct-graph node states.
+def check_graph_size(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+    """Report the graph's exact size so callers can budget memory.
 
-    A node state is ``(location, stay, departures)``.  Per candidate
-    location ``l`` at timestep ``tau`` the bound multiplies:
-
-    * the stay values — ``latency(l, d)`` admits ``{1..d-1}`` plus the
-      non-binding ``None``, i.e. ``d`` values (1 without a bound);
-    * per TT-source ``l' != l``: absence, or one entry ``(t, l')`` for
-      each ``t`` in the ``maxTravelingTime(l')`` window where ``l'`` has
-      prior support.
-
-    The bound never underestimates (it ignores DU/TT pruning and the
-    l-sequence-aware departure filter, which only shrink the state space);
-    computing it costs ``O(T * L * |TT sources| * log T)``.
+    Bytes are reported for every shape — ``CTNode`` objects, the flat
+    columnar form and the ``.ctg`` file — since the right budget depends
+    on which one is materialised.
     """
-    tt_sources = sorted(constraints.tt_sources)
-    support_times: Dict[str, List[int]] = {source: [] for source in tt_sources}
-    for tau in range(lsequence.duration):
-        for location in lsequence.support(tau):
-            if location in support_times:
-                support_times[location].append(tau)
-
-    bounds: List[int] = []
-    for tau in range(lsequence.duration):
-        total = 0
-        for location in lsequence.support(tau):
-            latency = constraints.latency_of(location)
-            combinations = latency if latency is not None and latency > 1 else 1
-            for source in tt_sources:
-                if source == location:
-                    continue
-                window_start = tau - constraints.max_traveling_time(source) + 1
-                times = support_times[source]
-                low = bisect_left(times, max(0, window_start))
-                high = bisect_left(times, tau)
-                combinations *= 1 + (high - low)
-            total += combinations
-        bounds.append(total)
-    return bounds
-
-
-def check_blowup_estimate(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Report the C006 size bound so callers can budget memory up front.
-
-    Bytes are reported for *both* materialisations — ``CTNode`` objects
-    and the flat columnar form — since the flat form carries the same
-    graph in roughly a quarter of the memory; quoting only the node form
-    (as this rule originally did) overstates the real floor ~4x.
-    """
-    if ctx.lsequence is None:
+    advice = ctx.advice
+    if advice is None or advice.zero_mass:
         return
-    bounds = ctgraph_size_bounds(ctx.lsequence, ctx.constraints)
-    worst = max(bounds)
-    worst_at = bounds.index(worst)
-    # Each node has at most one successor per next-level support location.
-    edge_bounds = [bounds[tau] * len(ctx.lsequence.support(tau + 1))
-                   for tau in range(len(bounds) - 1)]
-    node_bytes, flat_bytes = estimate_graph_bytes(bounds, edge_bounds)
-    ctg_bytes = estimate_ctg_bytes(bounds, edge_bounds)
+    widths = list(advice.level_nodes)
+    worst = advice.peak_level_width
+    worst_at = widths.index(worst)
     yield Diagnostic(
         "C006", Severity.INFO,
-        f"ct-graph size upper bound: <= {sum(bounds)} node states over "
-        f"{len(bounds)} timesteps (worst timestep {worst_at}: <= {worst}); "
-        f"~{node_bytes / 1024.0:.0f} KiB as CTNode objects, "
-        f"~{flat_bytes / 1024.0:.0f} KiB flat (materialize='flat'), "
-        f"~{ctg_bytes / 1024.0:.0f} KiB on disk as .ctg "
-        f"(materialize='store')",
-        data={"total": sum(bounds), "worst": worst,
-              "worst_timestep": worst_at, "per_timestep": bounds,
-              "per_timestep_edges": edge_bounds,
-              "node_bytes": node_bytes, "flat_bytes": flat_bytes,
-              "ctg_bytes": ctg_bytes})
-
-
-# ----------------------------------------------------------------------
-# C007 — abstract width envelope (tighter than C006)
-# ----------------------------------------------------------------------
-def check_width_envelope(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Report the per-level width bound of the constraint envelope.
-
-    Pointwise at most C006's support-product bound (the envelope starts
-    from the same factors and only intersects them with feasibility
-    information), and sound: every concrete forward state of Algorithm 1
-    is covered by its envelope cell.
-    """
-    if ctx.lsequence is None or ctx.envelope is None:
-        return
-    if ctx.envelope.proves_zero_mass:
-        # C009 reports the emptiness; a width bound of zero adds noise.
-        return
-    widths = ctx.envelope.width_bounds()
-    total = sum(widths)
-    worst = max(widths)
-    worst_at = widths.index(worst)
-    c006_total = sum(ctgraph_size_bounds(ctx.lsequence, ctx.constraints))
-    tightening = c006_total / max(total, 1)
-    yield Diagnostic(
-        "C007", Severity.INFO,
-        f"abstract width envelope: <= {total} node states over "
-        f"{len(widths)} timesteps (worst timestep {worst_at}: <= {worst}); "
-        f"tightens the C006 product bound ({c006_total}) by "
-        f"{tightening:.2f}x",
-        data={"total": total, "worst": worst, "worst_timestep": worst_at,
-              "per_timestep": widths, "c006_total": c006_total})
+        f"ct-graph size: {advice.nodes_kept} node states kept of "
+        f"{advice.nodes_created} created over {len(widths)} timesteps "
+        f"(widest timestep {worst_at}: {worst}), "
+        f"{sum(advice.level_edges)} edges kept of {advice.edges_created}; "
+        f"~{advice.node_bytes / 1024.0:.0f} KiB as CTNode objects, "
+        f"~{advice.flat_bytes / 1024.0:.0f} KiB flat (materialize='flat'), "
+        f"{advice.ctg_bytes} bytes on disk as .ctg (materialize='store')",
+        data={"total": advice.nodes_kept, "worst": worst,
+              "worst_timestep": worst_at, "per_timestep": widths,
+              "per_timestep_edges": list(advice.level_edges),
+              "nodes_created": advice.nodes_created,
+              "edges_created": advice.edges_created,
+              "node_bytes": advice.node_bytes,
+              "flat_bytes": advice.flat_bytes,
+              "ctg_bytes": advice.ctg_bytes})
 
 
 # ----------------------------------------------------------------------
 # C008 — dead support candidates and forced levels
 # ----------------------------------------------------------------------
 def check_dead_level_candidates(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Support entries the envelope proves can never carry mass, and
-    ambiguous levels statically forced to a single location."""
-    if ctx.lsequence is None or ctx.envelope is None:
+    """Support entries no valid trajectory passes through — whether the
+    forward pass never reaches them or the backward sweep removes every
+    state there — and ambiguous levels forced to a single location."""
+    advice = ctx.advice
+    if advice is None or advice.zero_mass:
+        # On zero mass every candidate is dead; C005 covers it.
         return
-    if ctx.envelope.proves_zero_mass:
-        # Past the empty level everything is trivially dead; C009 covers it.
-        return
-    dead = ctx.envelope.dead_candidates()
+    dead = advice.dead
     if dead:
         shown = ", ".join(f"t{tau}:{location}" for tau, location in dead[:6])
         if len(dead) > 6:
@@ -368,7 +282,7 @@ def check_dead_level_candidates(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             f"conditioning redistributes",
             subjects=tuple(sorted({location for _, location in dead})),
             data={"dead": [[tau, location] for tau, location in dead]})
-    forced = ctx.envelope.forced_levels()
+    forced = advice.forced
     if forced:
         shown = ", ".join(f"t{tau}:{location}"
                           for tau, location in forced[:6])
@@ -376,70 +290,40 @@ def check_dead_level_candidates(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             shown += ", ..."
         yield Diagnostic(
             "C008", Severity.INFO,
-            f"{len(forced)} ambiguous timestep(s) are statically forced "
-            f"to a single location ({shown}): cleaning will answer these "
-            f"levels with certainty",
+            f"{len(forced)} ambiguous timestep(s) are forced to a single "
+            f"location ({shown}): cleaning will answer these levels with "
+            f"certainty",
             subjects=tuple(sorted({location for _, location in forced})),
             data={"forced": [[tau, location] for tau, location in forced]})
 
 
 # ----------------------------------------------------------------------
-# C009 — envelope emptiness: zero mass proved by intervals alone
+# C010 — materialisation hint (advisory, --advise)
 # ----------------------------------------------------------------------
-def check_envelope_zero_mass(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Zero valid mass proved by the interval envelope.
-
-    One-directional: an empty envelope level admits no concrete state, so
-    this is a sound (and cheaper, polynomial-width) early proof that
-    Algorithm 1 raises ``ZeroMassError``.  C005's exact forward pass
-    remains the complete test and fires alongside this rule.
-    """
-    if ctx.lsequence is None or ctx.envelope is None:
+def check_materialisation(ctx: AnalysisContext) -> Iterator[Diagnostic]:
+    """Surface :func:`repro.analysis.advisor.advise`'s materialisation
+    hint as a diagnostic."""
+    advice = ctx.advice
+    if advice is None:
         return
-    failed_at = ctx.envelope.first_empty_level
-    if failed_at is None:
-        return
-    yield Diagnostic(
-        "C009", Severity.ERROR,
-        f"zero valid mass, proved by the interval envelope: the abstract "
-        f"TT/latency windows leave no feasible (location, stay, "
-        f"departures) state at timestep {failed_at}, so Algorithm 1 must "
-        f"raise ZeroMassError (the exact C005 pass confirms it)",
-        data={"failed_at": failed_at})
-
-
-# ----------------------------------------------------------------------
-# C010 — size estimate and materialisation hint (advisory, --advise)
-# ----------------------------------------------------------------------
-def check_size_estimate(ctx: AnalysisContext) -> Iterator[Diagnostic]:
-    """Surface the static size estimate of
-    :func:`repro.analysis.advisor.advise` as a diagnostic."""
-    if ctx.lsequence is None or ctx.envelope is None:
-        return
-    # Looked up at call time, so a wrapped ``advisor.advise`` sees it.
-    from repro.analysis.advisor import advise
-
-    advice = advise(ctx.lsequence, ctx.constraints,
-                    strict_truncation=ctx.strict_truncation,
-                    envelope=ctx.envelope)
     if advice.zero_mass:
-        summary = (f"the envelope empties at timestep "
-                   f"{ctx.envelope.first_empty_level}: cleaning raises "
-                   f"ZeroMassError before building anything")
+        summary = (f"cleaning raises ZeroMassError entering timestep "
+                   f"{advice.failed_at}; nothing to materialise")
     else:
-        summary = (f"<= {advice.predicted_states} node states, peak level "
-                   f"width {advice.peak_level_width}")
+        summary = (f"{advice.nodes_kept} node states, peak level width "
+                   f"{advice.peak_level_width} "
+                   f"(~{advice.node_bytes / 1024.0:.0f} KiB as nodes, "
+                   f"~{advice.flat_bytes / 1024.0:.0f} KiB flat, "
+                   f"{advice.ctg_bytes} bytes as .ctg); "
+                   f"materialize={advice.materialize} advised")
     yield Diagnostic(
         "C010", Severity.INFO,
-        f"size estimate: {summary} "
-        f"(~{advice.predicted_node_bytes / 1024.0:.0f} KiB as nodes, "
-        f"~{advice.predicted_flat_bytes / 1024.0:.0f} KiB flat, "
-        f"~{advice.predicted_ctg_bytes / 1024.0:.0f} KiB as .ctg); "
-        f"materialize={advice.materialize} advised",
+        f"materialisation: {summary}",
         data={"materialize": advice.materialize,
-              "predicted_states": advice.predicted_states,
+              "nodes_kept": advice.nodes_kept,
               "peak_level_width": advice.peak_level_width,
-              "predicted_node_bytes": advice.predicted_node_bytes,
-              "predicted_flat_bytes": advice.predicted_flat_bytes,
-              "predicted_ctg_bytes": advice.predicted_ctg_bytes,
-              "zero_mass": advice.zero_mass})
+              "node_bytes": advice.node_bytes,
+              "flat_bytes": advice.flat_bytes,
+              "ctg_bytes": advice.ctg_bytes,
+              "zero_mass": advice.zero_mass,
+              "failed_at": advice.failed_at})

@@ -197,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "'TOP 3', 'ENTROPY'")
 
     analyze_cmd = sub.add_parser(
-        "analyze", help="static pre-flight analysis of constraints, map "
-                        "and readings (no cleaning run)")
+        "analyze", help="pre-flight analysis of constraints and map, and "
+                        "with --index exact facts from one build of a "
+                        "trajectory's readings")
     add_common(analyze_cmd)
     analyze_cmd.add_argument("--constraints", default="DU,LT,TT",
                              help="comma-separated subset of DU,LT,TT "
@@ -211,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
                                   "--constraints-file (fixes the location "
                                   "universe)")
     analyze_cmd.add_argument("--index", type=int,
-                             help="also pre-check the readings of this "
-                                  "dataset trajectory (rules C005/C006)")
+                             help="also analyze the readings of this "
+                                  "dataset trajectory (rules C005, C006 "
+                                  "and C008; dataset mode)")
     analyze_cmd.add_argument("--strict", action="store_true",
                              help="exit with code 1 when any ERROR "
                                   "diagnostic is present")
     analyze_cmd.add_argument("--advise", action="store_true",
-                             help="also run the advisory rules (C010: "
-                                  "size estimate and materialisation "
-                                  "hint; needs readings via --index)")
+                             help="also run the advisory rule C010 (the "
+                                  "materialisation hint; needs --index)")
     analyze_cmd.add_argument("--format", choices=["text", "json"],
                              default="text", help="report rendering")
 
@@ -687,14 +688,18 @@ def _command_ql(args: argparse.Namespace) -> int:
 def _command_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import analyze
 
+    if args.index is not None and args.constraints_file:
+        raise SystemExit("--index reads a dataset trajectory; it cannot be "
+                         "combined with --constraints-file")
+    if args.advise and args.index is None:
+        raise SystemExit("--advise needs readings: pass --index")
     if args.constraints_file:
         from repro.io.jsonio import load_building, load_constraints
 
         constraints = load_constraints(args.constraints_file)
         building = (load_building(args.building_file)
                     if args.building_file else None)
-        report = analyze(constraints, map_model=building,
-                         advise=args.advise)
+        report = analyze(constraints, map_model=building)
     else:
         dataset = _load_dataset(args)
         constraints = _inferred_constraints(dataset,

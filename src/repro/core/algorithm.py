@@ -101,13 +101,14 @@ class CleaningOptions:
     (default, the printed algorithm's behaviour) keeps it, ``"strict"``
     (Definition 2 read literally) discards it.
 
-    ``precheck`` — whether to run the static constraint/map analyzer
-    (``repro.analysis``) before the forward pass: ``"off"`` (default)
-    skips it, ``"warn"`` emits a :class:`UserWarning` per ERROR diagnostic,
-    ``"error"`` additionally refuses inputs whose pre-check *proves* the
-    valid prior mass is zero (rule C005) by raising
-    :class:`~repro.errors.ZeroMassError` up front — same outcome as
-    running Algorithm 1, minus the cost of the doomed run.
+    ``precheck`` — whether to run the constraints-only rules C001-C004 of
+    the static analyzer (``repro.analysis``) before the forward pass:
+    ``"off"`` (default) skips them; ``"warn"`` and ``"error"`` both emit
+    a :class:`UserWarning` per ERROR diagnostic, once per build, or once
+    per :class:`~repro.runtime.plan.SharedCleaningPlan` in a batch.  No
+    value replays the readings before the build: an inconsistent object
+    raises the engine's own :class:`~repro.errors.ZeroMassError` (with
+    ``failed_at``) under every value.
 
     ``engine`` — which Algorithm 1 implementation runs: ``"compact"``
     (default: the interned engine of :mod:`repro.core.engine` — memoised
@@ -278,9 +279,9 @@ def build_ct_graph(lsequence: LSequence, constraints: ConstraintSet,
             raise ReadingSequenceError(
                 "the shared cleaning plan was built for a different "
                 "constraint set")
-        plan.precheck(lsequence, options)
+        plan.precheck(options)
     elif options.precheck != "off":
-        _run_precheck(lsequence, constraints, options)
+        _run_precheck(constraints)
 
     sources = {state: lsequence.probability(0, location)
                for location, state
@@ -339,7 +340,7 @@ def _condition_levels(sources: Mapping[NodeState, float],
     if not levels[0]:
         raise ZeroMassError(
             f"no source location satisfies the constraints at timestep "
-            f"{offset}")
+            f"{offset}", failed_at=offset)
 
     # ------------------------------------------------------------------
     # forward phase
@@ -380,7 +381,7 @@ def _condition_levels(sources: Mapping[NodeState, float],
         if not next_level:
             raise ZeroMassError(
                 f"no trajectory can legally continue past timestep "
-                f"{offset + tau}")
+                f"{offset + tau}", failed_at=offset + tau + 1)
 
     # ------------------------------------------------------------------
     # backward phase: survival sweep with per-level rescaling
@@ -474,29 +475,21 @@ def _condition_levels(sources: Mapping[NodeState, float],
     return graph
 
 
-def _run_precheck(lsequence: LSequence, constraints: ConstraintSet,
-                  options: CleaningOptions) -> None:
-    """The opt-in pre-flight hook: static analysis before the forward pass.
+def _run_precheck(constraints: ConstraintSet) -> None:
+    """The opt-in pre-flight hook: the constraints-only analyzer rules.
 
-    Imported lazily so the core algorithm has no hard dependency on the
-    analyzer.  ``"warn"`` surfaces every ERROR diagnostic as a
-    :class:`UserWarning`; ``"error"`` additionally raises
-    :class:`~repro.errors.ZeroMassError` when rule C005 *proves* the valid
-    prior mass is zero (other ERROR diagnostics — e.g. a C001
-    contradiction on a location the readings never touch — do not imply
-    zero mass, so they only ever warn; the pre-check never rejects an
-    input Algorithm 1 could clean).
+    Both ``"warn"`` and ``"error"`` run rules C001-C004 and surface each
+    ERROR diagnostic as a :class:`UserWarning`.  No readings rule runs:
+    an inconsistent object raises the engine's own
+    :class:`~repro.errors.ZeroMassError`, with ``failed_at`` set, from
+    the forward pass of the build itself.  Imported lazily so the core
+    algorithm has no hard dependency on the analyzer.
     """
     import warnings
 
-    from repro.analysis import ZERO_MASS_RULE, analyze
+    from repro.analysis import analyze
 
-    report = analyze(constraints, readings=lsequence,
-                     strict_truncation=options.strict_truncation)
-    for diagnostic in report.errors:
-        if options.precheck == "error" and diagnostic.code == ZERO_MASS_RULE:
-            raise ZeroMassError(f"pre-check {diagnostic.code}: "
-                                f"{diagnostic.message}")
+    for diagnostic in analyze(constraints).errors:
         warnings.warn(f"pre-check {diagnostic.code}: {diagnostic.message}",
                       stacklevel=3)
 

@@ -1,10 +1,10 @@
 """Diagnosing inconsistent readings: *why* did cleaning fail?
 
 When no trajectory compatible with the readings satisfies the constraints,
-:class:`~repro.errors.InconsistentReadingsError` tells the user nothing
-about *where* the data and the constraints collide.  :func:`diagnose`
-replays the forward phase and reports the first timestep at which every
-interpretation dies, together with a per-constraint-kind account of what
+the builders' :class:`~repro.errors.ZeroMassError` names the timestep
+its forward pass died entering (``failed_at``), but not *why*.
+:func:`diagnose` replays the forward phase and reports the same first
+dead timestep, together with a per-constraint-kind account of what
 blocked each frontier state's candidate moves — the difference between
 "your data is broken" and "reader r7's detections at 14:02 imply a wall
 was crossed".
@@ -18,7 +18,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.algorithm import CleaningOptions
 from repro.core.constraints import ConstraintSet
 from repro.core.lsequence import LSequence
-from repro.core.nodes import NodeState, source_states, successor_state
+from repro.core.nodes import (
+    DepartureFilter,
+    NodeState,
+    source_states,
+    successor_state,
+)
 
 __all__ = ["BlockedMove", "InconsistencyReport", "diagnose"]
 
@@ -119,6 +124,10 @@ def diagnose(lsequence: LSequence, constraints: ConstraintSet,
             frontier_locations=(),
             candidate_locations=tuple(sorted(lsequence.support(0))))
 
+    # The builders' exact ``TL`` pruning: without it a consistent object
+    # enumerates every state the horizon rule alone admits.
+    departure_filter = (DepartureFilter(lsequence, constraints)
+                        if constraints.tt_sources else None)
     for tau in range(lsequence.duration - 1):
         candidates = lsequence.candidates(tau + 1)
         filter_binding = (options.strict_truncation
@@ -128,7 +137,7 @@ def diagnose(lsequence: LSequence, constraints: ConstraintSet,
         for state in frontier:
             for destination in candidates:
                 successor = successor_state(tau, state, destination,
-                                            constraints)
+                                            constraints, departure_filter)
                 if successor is None:
                     if len(blocked) < max_blocked:
                         move = _explain_block(tau, state, destination,

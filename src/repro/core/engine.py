@@ -480,7 +480,7 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
             raise ReadingSequenceError(
                 "the shared cleaning plan was built for a different "
                 "constraint set")
-        plan.precheck(lsequence, options)
+        plan.precheck(options)
         cache = plan.engine_cache()
         if cache.constraints != constraints:
             raise ReadingSequenceError(
@@ -488,7 +488,7 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
                 "constraint set")
     else:
         if options.precheck != "off":
-            _run_precheck(lsequence, constraints, options)
+            _run_precheck(constraints)
         cache = EngineCache(constraints)
 
     stats = CleaningStats()
@@ -516,7 +516,8 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
         stats.nodes_created += 1
     if not source_sids:
         raise ZeroMassError(
-            "no source location satisfies the constraints at timestep 0")
+            "no source location satisfies the constraints at timestep 0",
+            failed_at=0)
 
     # ------------------------------------------------------------------
     # forward phase: columnar levels, memoised successor rows
@@ -615,7 +616,8 @@ def build_ct_graph_compact(lsequence: LSequence, constraints: ConstraintSet,
         stats.edges_created += len(children)
         if not next_frontier:
             raise ZeroMassError(
-                f"no trajectory can legally continue past timestep {tau}")
+                f"no trajectory can legally continue past timestep {tau}",
+                failed_at=tau + 1)
         level_sids.append(next_frontier)
         frontier = next_frontier
 

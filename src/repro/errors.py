@@ -7,6 +7,8 @@ subtype.
 
 from __future__ import annotations
 
+from typing import Optional
+
 __all__ = [
     "ReproError",
     "MapModelError",
@@ -71,16 +73,23 @@ class ZeroMassError(InconsistentReadingsError):
     This is the divide-by-zero of Definition 1: every trajectory compatible
     with the readings violates some constraint, so there is nothing to
     renormalise.  Raised by the conditioning/normalisation paths (both
-    Algorithm 1 and the naive enumerator).  The static pre-check
-    (``rfid-ctg analyze``, rule C005) predicts this condition *before* the
-    expensive forward/backward pass runs.
+    Algorithm 1 and the naive enumerator).
+
+    ``failed_at`` is the timestep whose level the forward pass of either
+    Algorithm 1 builder died entering (0 when no source state is legal).
+    The node state makes validity of the future Markov, so on an
+    inconsistent object the forward pass is where the build stops.  It is
+    ``None`` where no level died: a backward sweep or source
+    normalisation that finds only zero masses, and the naive enumerator.
+    ``rfid-ctg analyze`` (rule C005) reports the same timestep.
     """
 
-    def __init__(self, detail: str) -> None:
+    def __init__(self, detail: str, failed_at: Optional[int] = None) -> None:
         super().__init__(
             f"{detail}; the valid prior mass is 0 and conditioning is "
             "undefined — run `rfid-ctg analyze` (repro.analysis.analyze) "
             "on the constraints and readings to locate the contradiction")
+        self.failed_at = failed_at
 
 
 class GraphInvariantError(ReproError, AssertionError):

@@ -12,9 +12,9 @@ Algorithm 1 does two kinds of work that depend only on the constraint set
 :class:`SharedCleaningPlan` hoists both.  One plan serves every object
 cleaned under the same :class:`~repro.core.constraints.ConstraintSet`:
 ``build_ct_graph(..., plan=plan)`` reuses the plan's engine cache and
-lets the plan decide what the ``precheck`` option still has to do per
-object.  A plan never changes results — only where the bookkeeping lives —
-and is cheap to construct, so ``workers=1`` batches and per-process worker
+runs the ``precheck`` option's constraints-only rules once per plan.  A
+plan never changes results — only where the bookkeeping lives — and is
+cheap to construct, so ``workers=1`` batches and per-process worker
 state both just build one per constraint set.
 """
 
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 from repro.core.constraints import ConstraintSet
-from repro.core.lsequence import LSequence
-from repro.errors import BatchConfigurationError, ZeroMassError
+from repro.errors import BatchConfigurationError
 
 __all__ = ["QueryPlan", "SharedCleaningPlan"]
 
@@ -132,51 +131,30 @@ class SharedCleaningPlan:
     def ensure_static_checked(self) -> None:
         """Run the constraints-only analysis (rules C001-C004) exactly once.
 
-        ERROR diagnostics surface as warnings, like the sequential path's
-        pre-check.  Idempotent — later calls (and plans constructed with
+        ERROR diagnostics surface as warnings, as on the sequential path.
+        Idempotent — later calls (and plans constructed with
         ``static_checked=True``) are no-ops, which is what lets the batch
         runtime respawn crashed worker pools without re-analyzing or
         re-warning.
         """
         if self._static_checked:
             return
-        import warnings
+        from repro.core.algorithm import _run_precheck
 
-        from repro.analysis import analyze
-
-        report = analyze(self.constraints)
-        for diagnostic in report.errors:
-            warnings.warn(
-                f"pre-check {diagnostic.code}: {diagnostic.message}",
-                stacklevel=3)
+        _run_precheck(self.constraints)
         self._static_checked = True
 
-    def precheck(self, lsequence: LSequence, options) -> None:
+    def precheck(self, options) -> None:
         """The batch variant of ``CleaningOptions.precheck``.
 
-        The constraints-only analysis (rules C001-C004) runs once per plan
-        — not once per object — and surfaces its ERROR diagnostics as
-        warnings exactly like the sequential path.  Per object, only the
-        cheap boolean zero-mass forward pass (the rule C005 core) runs,
-        and only in ``"error"`` mode, where it raises
-        :class:`~repro.errors.ZeroMassError` up front.  This is the one
-        deliberate semantic difference from per-object cleaning: the
-        readings-dependent *warnings* (C005/C006 in ``"warn"`` mode) are
-        skipped, because emitting them would cost a full analyzer run per
-        object — the very work the plan exists to share.
+        ``"warn"`` and ``"error"`` run the constraints-only rules
+        C001-C004 once per plan, not once per object, and warn on each
+        ERROR as a sequential build does.  Nothing runs per object: an
+        inconsistent object raises the engine's own
+        :class:`~repro.errors.ZeroMassError` from its build.
         """
-        if options.precheck == "off":
-            return
-        self.ensure_static_checked()
-        if options.precheck == "error":
-            from repro.analysis import predict_zero_mass
-
-            if predict_zero_mass(
-                    lsequence, self.constraints,
-                    strict_truncation=options.strict_truncation):
-                raise ZeroMassError(
-                    "pre-check C005: no interpretation of the readings "
-                    "satisfies the constraints")
+        if options.precheck != "off":
+            self.ensure_static_checked()
 
     def __repr__(self) -> str:
         return f"SharedCleaningPlan({self.constraints!r})"

@@ -620,10 +620,8 @@ class MappedCTGraph:
     def estimate_size_bytes(self) -> int:
         """The actual on-disk size of the backing ``.ctg`` file.
 
-        Unlike the in-memory graphs' heuristic estimates this is exact —
-        the view *is* the file — which is also what makes it the
-        reference the advisor's ``estimate_ctg_bytes`` prediction is
-        pinned against in the tests.
+        Unlike the in-memory graphs' heuristic estimates this is exact:
+        the view *is* the file.
         """
         return os.path.getsize(self.path)
 

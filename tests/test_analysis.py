@@ -1,11 +1,13 @@
 """Tests for the static constraint/map analyzer (repro.analysis).
 
-One class per rule code C001-C006, plus the report object, the analyze()
-orchestration, the pre-flight hook in build_ct_graph and the `rfid-ctg
-analyze` CLI subcommand.  The hypothesis property test at the bottom pins
-the C005 pre-check against the naive conditioner: on small random
-instances the boolean forward pass reports zero mass **iff** no valid
-trajectory exists.
+One class per rule code (C001-C006, C008, C010), plus the report object,
+the advisor, the analyze() orchestration, the pre-flight hook in
+build_ct_graph and the `rfid-ctg analyze` CLI subcommand.  The hypothesis
+properties at the bottom pin the exact readings pass against brute
+force: C005 fires **iff** the naive conditioner finds no valid
+trajectory, at diagnose's first dead timestep; C008's dead and forced
+entries are the naive valid trajectories' locations; and the advice
+counts what an ``engine="reference"`` build builds.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.advisor as advisor
+import repro.core.algorithm as algorithm
 from repro import (
     CleaningOptions,
     ConstraintSet,
@@ -31,19 +35,28 @@ from repro.analysis import (
     RULES,
     AnalysisReport,
     Diagnostic,
+    EngineAdvice,
     ReachabilityIndex,
     Severity,
     ZERO_MASS_RULE,
+    advise,
     analyze,
-    ctgraph_size_bounds,
-    first_dead_timestep,
     location_universe,
-    predict_zero_mass,
 )
 from repro.cli import main
+from repro.core.diagnostics import diagnose
 from repro.core.lsequence import ReadingSequence
 from repro.errors import ReadingSequenceError
 from repro.io.jsonio import save_constraints
+from repro.runtime import SharedCleaningPlan, clean_many
+from repro.store import GraphStore
+
+#: A mixed set with TT sources, a latency bound and a DU wall.
+TT_CONSTRAINTS = ConstraintSet([
+    Unreachable("A", "C"), Unreachable("C", "A"),
+    Latency("B", 3),
+    TravelingTime("A", "D", 4), TravelingTime("D", "A", 4),
+])
 
 
 def codes(report: AnalysisReport) -> list:
@@ -168,6 +181,13 @@ class TestC004DeadLocation:
         assert [d.severity for d in a_diagnostics] == [Severity.INFO]
 
 
+def c005_failed_at(lsequence, constraints, strict=False):
+    """C005's ``failed_at``, or ``None`` when C005 is silent."""
+    found = analyze(constraints, readings=lsequence,
+                    strict_truncation=strict).by_code("C005")
+    return found[0].data["failed_at"] if found else None
+
+
 class TestC005ZeroMass:
     def test_zero_mass_detected(self):
         ls = LSequence([{"A": 1.0}, {"B": 1.0}])
@@ -189,16 +209,16 @@ class TestC005ZeroMass:
         ls = LSequence([{"A": 1.0}, {"A": 1.0}])
         cs = ConstraintSet([Latency("A", 3),
                             Unreachable("A", "B"), Unreachable("B", "A")])
-        assert not predict_zero_mass(ls, cs)
-        assert predict_zero_mass(ls, cs, strict_truncation=True)
+        assert c005_failed_at(ls, cs) is None
+        assert c005_failed_at(ls, cs, strict=True) == 1
 
     def test_first_dead_timestep_positions(self):
         cs = ConstraintSet([Unreachable("A", "B")])
-        assert first_dead_timestep(
+        assert c005_failed_at(
             LSequence([{"A": 1.0}, {"B": 1.0}, {"A": 1.0}]), cs) == 1
-        assert first_dead_timestep(
+        assert c005_failed_at(
             LSequence([{"B": 1.0}, {"A": 1.0}, {"B": 1.0}]), cs) == 2
-        assert first_dead_timestep(
+        assert c005_failed_at(
             LSequence([{"B": 1.0}, {"B": 1.0}]), cs) is None
 
     def test_traveling_time_kills_late(self):
@@ -206,12 +226,29 @@ class TestC005ZeroMass:
         # the intermediate B: left A at 0, reached C at 2 < 3.
         ls = LSequence([{"A": 1.0}, {"B": 1.0}, {"C": 1.0}])
         cs = ConstraintSet([TravelingTime("A", "C", 3)])
-        assert predict_zero_mass(ls, cs)
+        assert c005_failed_at(ls, cs) == 2
         relaxed = ConstraintSet([TravelingTime("A", "C", 2)])
-        assert not predict_zero_mass(ls, relaxed)
+        assert c005_failed_at(ls, relaxed) is None
+
+    @pytest.mark.parametrize("rows, failed_at", [
+        # travelingTime(A, D, 4) forbids the direct step A -> D...
+        ([{"A": 1.0}, {"D": 1.0}], 1),
+        # ...and an arrival at D three steps after leaving A.
+        ([{"A": 1.0}, {"B": 1.0}, {"B": 1.0}, {"D": 1.0}], 3),
+    ], ids=["direct-step", "tt-window"])
+    def test_failed_at_is_where_both_builders_raise(self, rows, failed_at):
+        ls = LSequence(rows)
+        assert c005_failed_at(ls, TT_CONSTRAINTS) == failed_at
+        for engine in ("compact", "reference"):
+            with pytest.raises(ZeroMassError) as raised:
+                build_ct_graph(ls, TT_CONSTRAINTS,
+                               CleaningOptions(engine=engine))
+            assert raised.value.failed_at == failed_at
 
 
 class TestC006BlowupEstimate:
+    """C006 reports the exact size of the graph one build makes."""
+
     def test_bound_reported_with_readings(self):
         ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
         report = analyze(ConstraintSet(), readings=ls)
@@ -219,18 +256,165 @@ class TestC006BlowupEstimate:
         assert diagnostic.severity is Severity.INFO
         assert diagnostic.data["per_timestep"] == [2, 2, 2, 2]
         assert diagnostic.data["total"] == 8
+        assert diagnostic.data["per_timestep_edges"] == [4, 4, 4]
 
     def test_bound_dominates_actual_node_count(self):
+        # The counts and bytes are the built graph's own.
         ls = LSequence([{"A": 0.4, "B": 0.3, "C": 0.3}] * 5)
         cs = ConstraintSet([Latency("A", 3), TravelingTime("B", "C", 3)])
-        bounds = ctgraph_size_bounds(ls, cs)
+        (c006,) = analyze(cs, readings=ls).by_code("C006")
         graph = build_ct_graph(ls, cs)
-        per_level = [len(graph.level(tau)) for tau in range(graph.duration)]
-        assert all(actual <= bound
-                   for actual, bound in zip(per_level, bounds))
+        assert c006.data["per_timestep"] == [
+            len(graph.level(tau)) for tau in range(graph.duration)]
+        assert c006.data["nodes_created"] == graph.stats.nodes_created
+        assert c006.data["edges_created"] == graph.stats.edges_created
+        assert c006.data["node_bytes"] == graph.estimate_size_bytes()
+        assert c006.data["flat_bytes"] == \
+            graph.to_flat().estimate_size_bytes()
 
     def test_no_estimate_without_readings(self):
         assert analyze(ConstraintSet()).by_code("C006") == ()
+
+    def test_no_size_on_zero_mass(self):
+        ls = LSequence([{"A": 1.0}, {"B": 0.5, "C": 0.5}])
+        report = analyze(ConstraintSet([Unreachable("A", "B"),
+                                        Unreachable("A", "C")]),
+                         readings=ls)
+        assert codes(report) == ["C005"]
+
+
+class TestAdvisor:
+    def test_estimate_equals_the_built_graph(self):
+        ls = LSequence([{"A": 0.4, "B": 0.35, "C": 0.25},
+                        {"B": 0.55, "D": 0.45},
+                        {"B": 0.3, "C": 0.4, "D": 0.3},
+                        {"A": 0.65, "B": 0.35}] * 30)
+        advice = advise(ls, TT_CONSTRAINTS)
+        assert isinstance(advice, EngineAdvice)
+        assert not advice.zero_mass and advice.failed_at is None
+        assert advice.duration == 120
+        graph = build_ct_graph(ls, TT_CONSTRAINTS,
+                               CleaningOptions(materialize="flat"))
+        assert advice.level_nodes == tuple(
+            graph.level_size(tau) for tau in range(graph.duration))
+        assert advice.nodes_kept == graph.num_nodes
+        assert sum(advice.level_edges) == graph.num_edges
+        assert advice.peak_level_width == max(advice.level_nodes)
+        assert (advice.nodes_created, advice.edges_created) == (
+            graph.stats.nodes_created, graph.stats.edges_created)
+        assert advice.flat_bytes == graph.estimate_size_bytes()
+        assert advice.flat_bytes < advice.node_bytes
+        assert advice.materialize == "nodes"
+
+    def test_zero_mass_is_reported(self):
+        ls = LSequence([{"A": 1.0}, {"D": 1.0}])
+        advice = advise(ls, TT_CONSTRAINTS)
+        assert advice.zero_mass and advice.failed_at == 1
+        assert advice.nodes_kept == 0
+        (c010,) = analyze(TT_CONSTRAINTS, readings=ls,
+                          advise=True).by_code("C010")
+        assert "entering timestep 1" in c010.message
+        assert c010.data["zero_mass"] is True
+
+    def test_one_build_per_advice(self, monkeypatch):
+        calls = []
+        build = algorithm.build_ct_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(algorithm, "build_ct_graph", counting)
+        advise(LSequence([{"A": 0.5, "B": 0.5}] * 4), TT_CONSTRAINTS)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["plain", "advise"])
+    def test_one_advice_per_analysis(self, monkeypatch, flag):
+        calls = []
+        original = advisor.advise
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(advisor, "advise", counting)
+        ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
+        analyze(TT_CONSTRAINTS, readings=ls, advise=flag)
+        assert len(calls) == 1
+        analyze(TT_CONSTRAINTS, advise=flag)
+        assert len(calls) == 1
+
+
+class TestNoAdvisorOnTheBuildPath:
+    """``advise`` is a report: no cleaning run consults it."""
+
+    CONSTRAINTS = TT_CONSTRAINTS
+
+    @pytest.fixture(autouse=True)
+    def advise_raises(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the build path called advise()")
+
+        monkeypatch.setattr(advisor, "advise", refuse)
+
+    @pytest.mark.parametrize("options", [
+        CleaningOptions(),
+        CleaningOptions(backend="auto", materialize="flat"),
+    ], ids=["default", "flat-auto"])
+    def test_build_ct_graph(self, options):
+        ls = LSequence([{"A": 0.5, "B": 0.5}] * 12)
+        build_ct_graph(ls, self.CONSTRAINTS, options)
+        build_ct_graph(ls, self.CONSTRAINTS, options,
+                       plan=SharedCleaningPlan(self.CONSTRAINTS))
+
+    def test_clean_many(self, tmp_path):
+        objects = [LSequence([{"A": 0.5, "B": 0.5}] * 12),
+                   LSequence([{"A": 1.0}, {"D": 1.0}])]
+        for store in (None, GraphStore(tmp_path)):
+            result = clean_many(objects, self.CONSTRAINTS, workers=1,
+                                store=store)
+            assert [outcome.error_type for outcome in result] == \
+                [None, "ZeroMassError"]
+
+
+class TestAdviseReport:
+    CONSTRAINTS = TT_CONSTRAINTS
+
+    def test_c010_only_with_advise_flag(self):
+        ls = LSequence([{"A": 0.5, "B": 0.5}] * 4)
+        plain = analyze(self.CONSTRAINTS, readings=ls)
+        assert "C010" not in {d.code for d in plain}
+        advised = analyze(self.CONSTRAINTS, readings=ls, advise=True)
+        (c010,) = advised.by_code("C010")
+        assert "engine" not in c010.data
+        assert c010.data["materialize"] == "nodes"
+        assert c010.data["nodes_kept"] > 0
+        assert c010.message.startswith("materialisation: ")
+
+    def test_c008_reports_dead_candidates(self):
+        ls = LSequence([{"A": 1.0}, {"B": 0.5, "C": 0.5}])
+        report = analyze(self.CONSTRAINTS, readings=ls)
+        warnings = [d for d in report.by_code("C008")
+                    if d.severity.name == "WARNING"]
+        (dead,) = warnings
+        assert dead.data["dead"] == [[1, "C"]]
+
+    def test_dead_candidate_detected(self):
+        # A -> C is forbidden, so C at timestep 1 can never carry mass.
+        ls = LSequence([{"A": 1.0}, {"B": 0.5, "C": 0.5}])
+        advice = advise(ls, self.CONSTRAINTS)
+        assert advice.dead == ((1, "C"),)
+        assert advice.forced == ((1, "B"),)
+        assert not advice.zero_mass
+
+    def test_c008_reports_what_the_backward_sweep_kills(self):
+        # The forward pass reaches C at timestep 1, but C cannot step to
+        # D: only the backward sweep finds the candidate dead.
+        ls = LSequence([{"B": 1.0}, {"B": 0.5, "C": 0.5}, {"D": 1.0}])
+        advice = advise(ls, ConstraintSet([Unreachable("C", "D")]))
+        assert advice.dead == ((1, "C"),)
+        assert advice.forced == ((1, "B"),)
+        assert advice.nodes_created == advice.nodes_kept + 1
 
 
 class TestReachabilityIndex:
@@ -283,9 +467,9 @@ class TestReport:
         assert payload["diagnostics"][0]["code"] == "C001"
 
     def test_rule_registry_is_complete(self):
+        # C007 and C009 are retired, their codes not reused.
         assert [spec.code for spec in RULES] == [
-            "C001", "C002", "C003", "C004", "C005", "C006",
-            "C007", "C008", "C009", "C010"]
+            "C001", "C002", "C003", "C004", "C005", "C006", "C008", "C010"]
 
     def test_only_c010_is_advisory(self):
         assert [spec.code for spec in RULES if spec.advisory] == ["C010"]
@@ -314,19 +498,55 @@ class TestAnalyzeOrchestration:
 class TestPrecheckHook:
     DOOMED = ConstraintSet([Unreachable("A", "A"), Unreachable("A", "B"),
                             Unreachable("B", "A"), Unreachable("B", "B")])
+    #: C001 fires for C, and A -> B is forbidden.
+    CONTRADICTORY = ConstraintSet([Unreachable("A", "B"),
+                                   Unreachable("C", "C"), Latency("C", 2)])
 
-    def test_error_mode_raises_before_the_run(self):
+    @pytest.mark.parametrize("precheck", ["off", "warn", "error"])
+    def test_every_mode_raises_the_engines_zero_mass_error(self, precheck):
         ls = LSequence([{"A": 0.5, "B": 0.5}] * 2)
-        with pytest.raises(ZeroMassError, match="pre-check C005"):
-            build_ct_graph(ls, self.DOOMED,
-                           CleaningOptions(precheck="error"))
+        for engine in ("compact", "reference"):
+            with pytest.raises(ZeroMassError) as raised:
+                build_ct_graph(ls, self.DOOMED,
+                               CleaningOptions(precheck=precheck,
+                                               engine=engine))
+            assert raised.value.failed_at == 1
+            assert "pre-check" not in str(raised.value)
 
     def test_warn_mode_warns(self):
-        ls = LSequence([{"A": 0.5, "B": 0.5}] * 2)
-        with pytest.warns(UserWarning, match="pre-check C005"):
-            with pytest.raises(ZeroMassError):
-                build_ct_graph(ls, self.DOOMED,
-                               CleaningOptions(precheck="warn"))
+        ls = LSequence([{"A": 1.0}, {"B": 1.0}])
+        for precheck in ("warn", "error"):
+            with pytest.warns(UserWarning, match="pre-check C001"):
+                with pytest.raises(ZeroMassError):
+                    build_ct_graph(ls, self.CONTRADICTORY,
+                                   CleaningOptions(precheck=precheck))
+
+    def test_batch_and_sequential_builds_warn_alike(self):
+        # Both run C001-C004 only: a sequential build warns once per
+        # build, a batch once per plan, and no readings rule adds a
+        # warning for the doomed object.
+        objects = [LSequence([{"A": 1.0}, {"B": 1.0}]),
+                   LSequence([{"A": 0.5, "B": 0.5}] * 3)]
+        for precheck in ("warn", "error"):
+            options = CleaningOptions(precheck=precheck)
+            with pytest.warns(UserWarning) as sequential:
+                for ls in objects:
+                    try:
+                        build_ct_graph(ls, self.CONTRADICTORY, options)
+                    except ZeroMassError:
+                        pass
+            with pytest.warns(UserWarning) as batch:
+                result = clean_many(objects, self.CONTRADICTORY,
+                                    options=options, workers=1)
+            assert [o.error_type for o in result] == ["ZeroMassError", None]
+            sequential_messages = [str(w.message) for w in sequential
+                                   if w.category is UserWarning]
+            batch_messages = [str(w.message) for w in batch
+                              if w.category is UserWarning]
+            assert len(sequential_messages) == 2
+            assert batch_messages == sequential_messages[:1]
+            assert set(sequential_messages) == set(batch_messages)
+            assert batch_messages[0].startswith("pre-check C001")
 
     def test_error_mode_never_rejects_cleanable_input(self):
         # C001 fires for location C, but the readings never touch C: the
@@ -385,6 +605,20 @@ class TestAnalyzeCLI:
         assert code == 0
         assert "C006" in capsys.readouterr().out
 
+    def test_index_with_constraints_file_rejected(self, tmp_path):
+        fixture = tmp_path / "constraints.json"
+        save_constraints(ConstraintSet([Unreachable("l", "m")]), fixture)
+        with pytest.raises(SystemExit, match="--index"):
+            main(["analyze", "--constraints-file", str(fixture),
+                  "--index", "0"])
+
+    def test_advise_without_index_rejected(self, tmp_path):
+        fixture = tmp_path / "constraints.json"
+        save_constraints(ConstraintSet([Unreachable("l", "m")]), fixture)
+        with pytest.raises(SystemExit, match="--advise needs readings"):
+            main(["analyze", "--constraints-file", str(fixture),
+                  "--advise"])
+
     def test_dataset_bad_index_rejected(self):
         pytest.importorskip("numpy", exc_type=ImportError)  # dataset generation draws from an rng
         with pytest.raises(SystemExit):
@@ -393,7 +627,7 @@ class TestAnalyzeCLI:
 
 
 # ----------------------------------------------------------------------
-# The C005 <-> naive conditioner property (the analyzer's ground truth).
+# The exact readings pass against brute force (the analyzer's ground truth).
 # ----------------------------------------------------------------------
 _LOCATIONS = ("A", "B", "C")
 
@@ -428,11 +662,66 @@ def small_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_instances())
 def test_c005_matches_naive_conditioner(instance):
-    """predict_zero_mass <=> the naive enumerator finds no valid trajectory."""
+    """C005 fires <=> the naive enumerator finds no valid trajectory, and
+    its failed_at is diagnose's first dead timestep."""
     lsequence, constraints, strict = instance
     naive = NaiveConditioner(lsequence, constraints,
                              strict_truncation=strict)
     has_valid = next(iter(naive.valid_trajectories()), None) is not None
-    predicted = predict_zero_mass(lsequence, constraints,
-                                  strict_truncation=strict)
-    assert predicted == (not has_valid)
+    found = analyze(constraints, readings=lsequence,
+                    strict_truncation=strict).by_code("C005")
+    assert bool(found) == (not has_valid)
+    report = diagnose(lsequence, constraints, CleaningOptions(
+        truncated_stay_policy="strict" if strict else "lenient"))
+    assert (found[0].data["failed_at"] if found else None) == \
+        report.failed_at
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_dead_and_forced_match_naive_conditioner(instance):
+    """(tau, l) is dead iff no valid trajectory is at l at tau; a level is
+    forced to l iff its support is ambiguous and every valid trajectory
+    is at l there."""
+    lsequence, constraints, strict = instance
+    naive = NaiveConditioner(lsequence, constraints,
+                             strict_truncation=strict)
+    valid = [trajectory for trajectory, _ in naive.valid_trajectories()]
+    advice = advise(lsequence, constraints, strict_truncation=strict)
+    if not valid:
+        assert advice.zero_mass
+        return
+    levels = range(lsequence.duration)
+    visited = [{trajectory[tau] for trajectory in valid} for tau in levels]
+    assert set(advice.dead) == {
+        (tau, location) for tau in levels
+        for location in lsequence.support(tau)
+        if location not in visited[tau]}
+    assert set(advice.forced) == {
+        (tau, location) for tau in levels for location in visited[tau]
+        if len(visited[tau]) == 1 and len(lsequence.support(tau)) > 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_advice_matches_the_reference_build(instance):
+    """advise's per-level widths and edges, and its created counts, are
+    those of an engine="reference" flat build; on zero mass it reports
+    the reference builder's failed_at."""
+    lsequence, constraints, strict = instance
+    advice = advise(lsequence, constraints, strict_truncation=strict)
+    options = CleaningOptions(
+        engine="reference", materialize="flat",
+        truncated_stay_policy="strict" if strict else "lenient")
+    try:
+        graph = build_ct_graph(lsequence, constraints, options)
+    except ZeroMassError as error:
+        assert advice.zero_mass
+        assert advice.failed_at == error.failed_at
+        return
+    assert not advice.zero_mass
+    assert advice.level_nodes == tuple(
+        graph.level_size(tau) for tau in range(graph.duration))
+    assert advice.level_edges == tuple(map(len, graph.edge_children))
+    assert (advice.nodes_created, advice.edges_created) == (
+        graph.stats.nodes_created, graph.stats.edges_created)

@@ -93,14 +93,16 @@ def random_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(random_cases())
 def test_diagnosis_agrees_with_the_cleaner(case):
-    """diagnose() says inconsistent exactly when build_ct_graph raises."""
+    """diagnose() says inconsistent exactly when build_ct_graph raises,
+    and at the timestep the build's forward pass died entering."""
     lsequence, constraints = case
     report = diagnose(lsequence, constraints)
     try:
         build_ct_graph(lsequence, constraints)
         cleanable = True
-    except InconsistentReadingsError:
+    except InconsistentReadingsError as error:
         cleanable = False
+        assert report.failed_at == error.failed_at
     assert report.is_consistent == cleanable
     if not report.is_consistent:
         assert 0 <= report.failed_at < lsequence.duration

@@ -188,14 +188,21 @@ class TestSharedPlan:
         with pytest.raises(ReadingSequenceError):
             build_ct_graph(workload[0], CONSTRAINTS, plan=plan)
 
-    def test_plan_precheck_error_raises_zero_mass(self):
+    @pytest.mark.parametrize("precheck", ["off", "warn", "error"])
+    def test_plan_builds_raise_the_engines_zero_mass_error(self, precheck):
+        # No precheck value replays an object before its build: the
+        # engine's forward pass raises, and says where it died.
+        options = CleaningOptions(precheck=precheck)
         plan = SharedCleaningPlan(CONSTRAINTS)
         poison = LSequence([{"A": 1.0}, {"C": 1.0}])
-        with pytest.raises(ZeroMassError):
-            plan.precheck(poison, CleaningOptions(precheck="error"))
-        # "off" and "warn" never raise.
-        plan.precheck(poison, CleaningOptions(precheck="off"))
-        plan.precheck(poison, CleaningOptions(precheck="warn"))
+        plan.precheck(options)
+        with pytest.raises(ZeroMassError) as raised:
+            build_ct_graph(poison, CONSTRAINTS, options, plan=plan)
+        assert raised.value.failed_at == 1
+        result = clean_many([poison], CONSTRAINTS, options=options,
+                            workers=1)
+        assert result[0].error_type == "ZeroMassError"
+        assert "continue past timestep 0" in result[0].error
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ Four layers are pinned here:
 * the cache — :class:`GraphStore` keys by problem content (sensitive to
   candidates, constraints and policy; stable across runs), and
   ``clean_many(..., store=...)`` ships only paths over the worker pipe;
-* the advisor's ``.ctg`` size prediction, pinned within 2x of measured.
+* the advisor's ``.ctg`` byte count, equal to the file ``save_ctg``
+  writes.
 """
 
 import dataclasses
@@ -1147,21 +1148,28 @@ class TestSizeEstimates:
         assert measured / 2 <= estimate <= measured * 2, \
             (estimate, measured)
 
-    def test_ctg_estimate_within_2x_of_file(self, tmp_path):
-        from repro.analysis.envelope import estimate_ctg_bytes
+    def test_advised_ctg_bytes_equal_the_file(self, tmp_path, monkeypatch):
+        import repro.core.algorithm as algorithm
+        from repro.analysis import advise
 
+        # The stats block's timings differ between two builds, so the
+        # file is written from the very graph advise built.
+        built = []
+        build = algorithm.build_ct_graph
+
+        def capture(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(algorithm, "build_ct_graph", capture)
         rows = [{"A": 0.4, "B": 0.3, "C": 0.3} for _ in range(24)]
-        flat = build_ct_graph(LSequence(rows), ConstraintSet(),
-                              CleaningOptions(materialize="flat"))
+        advice = advise(LSequence(rows),
+                        ConstraintSet([Latency("B", 2),
+                                       TravelingTime("A", "C", 3)]))
+        (graph,) = built
         path = tmp_path / "g.ctg"
-        save_ctg(flat, path)
-        node_counts = [flat.level_size(tau) for tau in range(flat.duration)]
-        edge_counts = [len(flat.edge_children[tau])
-                       for tau in range(flat.duration - 1)]
-        estimate = estimate_ctg_bytes(node_counts, edge_counts)
-        measured = os.path.getsize(path)
-        assert measured / 2 <= estimate <= measured * 2, \
-            (estimate, measured)
+        save_ctg(graph, path)
+        assert advice.ctg_bytes == os.path.getsize(path)
 
     def test_analyze_reports_ctg_bytes(self):
         from repro.analysis import analyze

@@ -521,6 +521,26 @@ class TestPrecheckHook:
                     build_ct_graph(ls, self.CONTRADICTORY,
                                    CleaningOptions(precheck=precheck))
 
+    def test_no_mode_analyzes_the_readings(self, monkeypatch):
+        import repro.analysis
+
+        calls = []
+        original = repro.analysis.analyze
+
+        def recording(constraints, *args, **kwargs):
+            calls.append((args, kwargs))
+            return original(constraints, *args, **kwargs)
+
+        monkeypatch.setattr(repro.analysis, "analyze", recording)
+        ls = LSequence([{"A": 0.5, "B": 0.5}] * 2)
+        for precheck in ("warn", "error"):
+            options = CleaningOptions(precheck=precheck)
+            for plan in (None, SharedCleaningPlan(self.DOOMED)):
+                with pytest.raises(ZeroMassError):
+                    build_ct_graph(ls, self.DOOMED, options, plan=plan)
+        # Constraints only: no readings, no prior, no map.
+        assert calls == [((), {})] * 4
+
     def test_batch_and_sequential_builds_warn_alike(self):
         # Both run C001-C004 only: a sequential build warns once per
         # build, a batch once per plan, and no readings rule adds a
